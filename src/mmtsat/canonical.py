@@ -2,9 +2,11 @@
 
 canonicalize() rewrites a symmetric decomposition into the lex-min,
 merged, strictly sorted normal form that the SAT encoder also enforces;
-check_canonical() reports every violated constraint so the two stay in
-lockstep.  The rewrite always preserves the evaluated tensor and never
-increases total rank.
+check_canonical() reports every violated constraint.  Both read each
+kind's expansion, min_width and chain from the same table in symmetry
+that the encoder reads, so the three agree by construction.  The
+rewrite always preserves the evaluated tensor and never increases total
+rank.
 """
 
 from __future__ import annotations
@@ -13,15 +15,16 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .gf2 import Gf2Matrix, conjugate
+from .gf2 import Gf2Matrix
 from .symmetry import (
     ConstraintError,
-    F_SANDWICH,
     GroupId,
-    delta_degenerate,
+    OrbitKind,
     expand_orbit,
     kind_by_tag,
+    lex_constraints,
     orbit_kinds,
+    scheme,
     total_rank,
     validate_reps,
 )
@@ -68,125 +71,67 @@ def _rep_key(rep: Rep) -> tuple[int, ...]:
     return out
 
 
-def _lex_min_rotation(rep: Rep) -> Rep:
-    rots = [tuple(rep[i:] + rep[:i]) for i in range(len(rep))]
-    return min(rots, key=_rep_key)
-
-
-def _parity_reduce(reps: list[Rep]) -> list[Rep]:
-    """Drop pairs of identical representatives (their orbits cancel mod 2)."""
-    counts = Counter((_rep_key(r), r) for r in reps)
-    out = [r for (_, r), c in counts.items() if c % 2 == 1]
-    out.sort(key=_rep_key)
-    return out
-
-
-def _canonical_pass(group: GroupId, n: int,
-                    orbits: dict[str, list[Rep]]) -> dict[str, list[Rep]]:
-    kinds = [k.tag for k in orbit_kinds(group)]
-    new: dict[str, list[Rep]] = {tag: [] for tag in kinds}
-
-    # Normalize id orbits: drop zero contributions, reduce internal
-    # duplication mod 2 (a representative fixed by the cyclic generator
-    # degenerates into a delta orbit), and replace by the lex-min triplet.
-    for rep in orbits.get("id", []):
-        if any(m.is_zero() for m in rep):
+def _orbit_of(group: GroupId, triplets: list[Triplet]) -> tuple[str, Rep]:
+    """The kind and representative whose expansion is exactly `triplets`."""
+    want = Counter(triplets)
+    first = triplets[0]
+    for kind in orbit_kinds(group):
+        rep = (first.a, first.b, first.c)[:kind.arity]
+        try:
+            if Counter(expand_orbit(group, kind.tag, rep)) == want:
+                return kind.tag, rep
+        except ConstraintError:
             continue
-        expansion = expand_orbit(group, "id", rep)
-        full = len(expansion)
-        surviving = [t for t, c in Counter(expansion).items() if c % 2 == 1]
-        if not surviving:
-            continue
-        if len(surviving) < full:
-            # Stabilizer contains the cyclic generator, so A = B = C and
-            # the orbit collapses to a single delta orbit mod 2.
-            if group is GroupId.TRIVIAL:
-                raise AssertionError("trivial orbits cannot degenerate")
-            new["delta"].append((rep[0],))
-            continue
-        best = min(expansion, key=lambda t: t.flat_bits())
-        new["id"].append((best.a, best.b, best.c))
+    raise AssertionError(f"no {group.value} orbit kind expands to {triplets}")
 
-    if group is GroupId.CYCLIC_TRANSPOSE:
-        for (s, h) in orbits.get("t", []):
-            if s.is_zero() or h.is_zero():
+
+def _merge(kind: OrbitKind, reps: list[Rep]) -> list[Rep]:
+    """Representatives sharing a chain key add their one free role (each
+    triplet is linear in it), or cancel in pairs when the chain covers
+    every role; zero sums vanish.  Sorted by chain key."""
+    rest = [r for r in range(kind.arity) if r not in kind.chain]
+    groups: dict[Rep, list[Rep]] = {}
+    for rep in reps:
+        groups.setdefault(tuple(rep[r] for r in kind.chain), []).append(rep)
+    out = []
+    for same in groups.values():
+        rep = same[0]
+        if rest:
+            (f,) = rest
+            total = rep[f]
+            for other in same[1:]:
+                total = total + other[f]
+            if total.is_zero():
                 continue
-            if s.bits == h.bits:
-                # All three triplets coincide as (S,S,S); mod 2 that is a
-                # single full orbit with Z = S (S is symmetric).
-                new["full"].append((s,))
-            else:
-                new["t"].append((s, h))
+            rep = rep[:f] + (total,) + rep[f + 1:]
+        elif len(same) % 2 == 0:
+            continue
+        out.append(rep)
+    return sorted(out, key=lambda rep: _rep_key(tuple(rep[r] for r in kind.chain)))
 
-    if group is GroupId.CYCLIC_SANDWICH:
-        for rep in orbits.get("sw", []):
+
+def _canonical_pass(group: GroupId, orbits: dict[str, list[Rep]]) -> dict[str, list[Rep]]:
+    kinds = orbit_kinds(group)
+    new: dict[str, list[Rep]] = {k.tag: [] for k in kinds}
+    for kind in kinds:
+        for rep in orbits.get(kind.tag, []):
             if any(m.is_zero() for m in rep):
+                continue  # every triplet holds every role, so all vanish
+            expansion = expand_orbit(group, kind.tag, rep)
+            odd = [t for t, c in Counter(expansion).items() if c % 2]
+            if len(odd) < len(expansion):
+                # The representative has a nontrivial stabilizer.  Triplets of
+                # even multiplicity cancel mod 2; odd ones leave a smaller orbit.
+                if odd:
+                    tag, small = _orbit_of(group, odd)
+                    new[tag].append(small)
                 continue
-            x, y, z = rep
-            if x.bits == y.bits == z.bits:
-                new["full"].append((x,))
-            else:
-                new["sw"].append(_lex_min_rotation(rep))
-
-    for (d,) in orbits.get("delta", []):
-        if d.is_zero():
-            continue
-        if delta_degenerate(group, d):
-            continue  # the two orbit triplets coincide and cancel mod 2
-        if group is GroupId.CYCLIC_TRANSPOSE:
-            d = min(d, d.transpose(), key=lambda m: m.flat_bits())
-        elif group is GroupId.CYCLIC_SANDWICH:
-            d = min(d, conjugate(d, F_SANDWICH), key=lambda m: m.flat_bits())
-        new["delta"].append((d,))
-
-    for (z,) in orbits.get("full", []):
-        if z.is_zero():
-            continue
-        new["full"].append((z,))
-
-    # Merge passes: equal keys add their free part; zero sums vanish.
-    if group is GroupId.TRIVIAL:
-        new["id"] = _parity_reduce(new["id"])
-    else:
-        merged: dict[tuple, Gf2Matrix] = {}
-        order: list[tuple] = []
-        for (a, b, c) in new["id"]:
-            key = (a, b)
-            if key not in merged:
-                merged[key] = c
-                order.append(key)
-            else:
-                merged[key] = merged[key] + c
-        new["id"] = [(a, b, merged[(a, b)]) for (a, b) in order
-                     if not merged[(a, b)].is_zero()]
-        new["id"].sort(key=_rep_key)
-
-    if group is GroupId.CYCLIC_TRANSPOSE:
-        acc: dict[Gf2Matrix, Gf2Matrix] = {}
-        for (s, h) in new["t"]:
-            acc[h] = acc[h] + s if h in acc else s
-        new["t"] = sorted(((s, h) for h, s in acc.items() if not s.is_zero()),
-                          key=lambda rep: _rep_key((rep[1], rep[0])))
-
-    if group is GroupId.CYCLIC_SANDWICH:
-        accs: dict[tuple, Gf2Matrix] = {}
-        order2: list[tuple] = []
-        for (x, y, z) in new["sw"]:
-            key = (x, y)
-            if key not in accs:
-                accs[key] = z
-                order2.append(key)
-            else:
-                accs[key] = accs[key] + z
-        new["sw"] = [(x, y, accs[(x, y)]) for (x, y) in order2
-                     if not accs[(x, y)].is_zero()]
-        new["sw"].sort(key=_rep_key)
-
-    if "delta" in new:
-        new["delta"] = _parity_reduce(new["delta"])
-    if "full" in new:
-        new["full"] = _parity_reduce(new["full"])
-    return {tag: new[tag] for tag in kinds}
+            if kind.min_width:
+                best = min(expansion, key=lambda t: _rep_key(
+                    (t.a, t.b, t.c)[:kind.min_width]))
+                rep = (best.a, best.b, best.c)[:kind.arity]
+            new[kind.tag].append(rep)
+    return {k.tag: _merge(k, new[k.tag]) for k in kinds}
 
 
 def canonicalize(sd: SymmetricDecomposition) -> SymmetricDecomposition:
@@ -198,7 +143,7 @@ def canonicalize(sd: SymmetricDecomposition) -> SymmetricDecomposition:
     """
     orbits = {k.tag: list(sd.orbits.get(k.tag, ())) for k in orbit_kinds(sd.group)}
     for _ in range(sd.total_rank() + 2):
-        new = _canonical_pass(sd.group, sd.n, orbits)
+        new = _canonical_pass(sd.group, orbits)
         if new == orbits:
             break
         orbits = new
@@ -211,62 +156,24 @@ def canonicalize(sd: SymmetricDecomposition) -> SymmetricDecomposition:
 def check_canonical(sd: SymmetricDecomposition) -> list[str]:
     """All violated canonical-form constraints (empty list iff canonical).
 
-    The checks here mirror, constraint for constraint, what the encoder
-    emits to the solver.
+    The ordering constraints come from lex_constraints, the same function
+    the encoder compiles to CNF.
     """
     v: list[str] = []
-    group = sd.group
-
-    def _key_chain(tag: str, reps, key, what: str) -> None:
-        for i in range(len(reps) - 1):
-            if not key(reps[i]) < key(reps[i + 1]):
-                v.append(f"{tag}[{i}]: {what} not strictly lex increasing")
-
     for tag, reps in sd.orbits.items():
         for i, rep in enumerate(reps):
             try:
-                validate_reps(group, tag, rep)
+                validate_reps(sd.group, tag, rep)
             except ConstraintError as exc:
                 v.append(f"{tag}[{i}]: {exc}")
-
-    id_reps = sd.orbits.get("id", ())
-    if group is not GroupId.TRIVIAL:
-        for i, rep in enumerate(id_reps):
-            try:
-                expansion = expand_orbit(group, "id", rep)
-            except ConstraintError:
-                continue
-            me = expansion[0].flat_bits()
-            if any(me >= t.flat_bits() for t in expansion[1:]):
-                v.append(f"id[{i}]: representative not the strict lex minimum "
-                         f"of its orbit")
-        _key_chain("id", id_reps, lambda r: _rep_key((r[0], r[1])), "(A,B) key")
-    else:
-        _key_chain("id", id_reps, _rep_key, "triplet")
-
-    if group is GroupId.CYCLIC_TRANSPOSE:
-        _key_chain("t", sd.orbits.get("t", ()), lambda r: r[1].flat_bits(), "H key")
-        for i, (d,) in enumerate(sd.orbits.get("delta", ())):
-            if not d.flat_bits() < d.transpose().flat_bits():
-                v.append(f"delta[{i}]: D not strictly lex below its transpose")
-        _key_chain("full", sd.orbits.get("full", ()), _rep_key, "Z")
-    elif group is GroupId.CYCLIC_SANDWICH:
-        sw_reps = sd.orbits.get("sw", ())
-        for i, rep in enumerate(sw_reps):
-            me = _rep_key(rep)
-            rots = [_rep_key(tuple(rep[j:] + rep[:j])) for j in (1, 2)]
-            if any(me >= r for r in rots):
-                v.append(f"sw[{i}]: representative not the strict lex minimum "
-                         f"of its rotations")
-        _key_chain("sw", sw_reps, lambda r: _rep_key((r[0], r[1])), "(X,Y) key")
-        for i, (d,) in enumerate(sd.orbits.get("delta", ())):
-            if not d.flat_bits() < conjugate(d, F_SANDWICH).flat_bits():
-                v.append(f"delta[{i}]: D not strictly lex below its F-conjugate")
-        _key_chain("full", sd.orbits.get("full", ()), _rep_key, "U")
-
-    if group in (GroupId.CYCLIC, GroupId.CYCLIC_TRANSPOSE, GroupId.CYCLIC_SANDWICH):
-        _key_chain("delta", sd.orbits.get("delta", ()), _rep_key, "D")
-    return v
+    if v:
+        return v  # the ordering constraints need well-formed representatives
+    image = scheme(sd.group).image
+    for kind in orbit_kinds(sd.group):
+        for i, what, lhs, rhs in lex_constraints(kind, sd.orbits.get(kind.tag, ()), image):
+            if not _rep_key(lhs) < _rep_key(rhs):
+                v.append(f"{kind.tag}[{i}]: {what}")
+    return list(dict.fromkeys(v))
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -26,7 +26,7 @@ from .driver import (
     solve_combo,
     ComboSpec,
 )
-from .encoder import EncoderConfig, decode, encode
+from .encoder import decode, encode
 from .oracle import BudgetExceeded, SearchBudget, brute_min_rank
 from .symmetry import GroupId, is_group_symmetric, orbit_kinds, total_rank
 from .tensor import load_decomposition, verify
@@ -48,14 +48,6 @@ def _parse_combo(text: str, group: GroupId) -> dict[str, int]:
             raise ValueError(f"bad combo entry {part!r}; known kinds: {sorted(tags)}")
         combo[tag] = int(value)
     return combo
-
-
-def _encoder_config(args) -> EncoderConfig:
-    return EncoderConfig(
-        xor_width=args.xor_width,
-        per_matrix_nonzero=args.per_matrix_nonzero,
-        s_ne_h=args.s_ne_h,
-    )
 
 
 def _resolve_solver(args) -> str:
@@ -81,15 +73,6 @@ def _emit(args, human: str, payload: dict) -> None:
         print(human)
 
 
-def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--xor-width", type=int, default=4,
-                   help="max inputs per XOR clause block")
-    p.add_argument("--per-matrix-nonzero", action="store_true",
-                   help="force each of A, B, C nonzero instead of the triplet")
-    p.add_argument("--s-ne-h", action="store_true",
-                   help="add the optional S != H constraints for cyc-t")
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--config", help="JSON config file (solver, etc.)")
@@ -105,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--combo", required=True, help="e.g. id=2,delta=1")
     p.add_argument("--out", required=True)
     p.add_argument("--varmap", help="variable-map sidecar JSON path")
-    _add_encoder_flags(p)
     _add_common(p)
 
     p = sub.add_parser("solve-one", help="encode and solve a single combo")
@@ -115,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", help="command template with {cnf}")
     p.add_argument("--timeout", type=float)
     p.add_argument("--work-dir", default=".")
-    _add_encoder_flags(p)
     _add_common(p)
 
     p = sub.add_parser("search", help="campaign over all combos up to a rank")
@@ -127,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, help="per-combo timeout in seconds")
     p.add_argument("--checkpoint")
     p.add_argument("--work-dir")
-    _add_encoder_flags(p)
     _add_common(p)
 
     p = sub.add_parser("verify", help="check a decomposition JSON file")
@@ -154,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_encode(args) -> int:
     group = GroupId.from_name(args.group)
     combo = _parse_combo(args.combo, group)
-    cnf, varmap = encode(group, args.n, combo, _encoder_config(args))
+    cnf, varmap = encode(group, args.n, combo)
     cnf.write(args.out)
     if args.varmap:
         varmap.write(args.varmap)
@@ -170,8 +150,7 @@ def _cmd_solve_one(args) -> int:
     kinds = orbit_kinds(group)
     spec = ComboSpec(group, tuple((k.tag, combo.get(k.tag, 0)) for k in kinds))
     os.makedirs(args.work_dir, exist_ok=True)
-    status = solve_combo(group, args.n, spec, solver, args.timeout,
-                         args.work_dir, _encoder_config(args))
+    status = solve_combo(group, args.n, spec, solver, args.timeout, args.work_dir)
     payload = {"state": status.state, "seconds": round(status.seconds, 3),
                "combo": spec.counts_dict(), "detail": status.detail}
     if status.state == "sat":
@@ -193,8 +172,7 @@ def _cmd_search(args) -> int:
     report = run_campaign(group, args.n, args.max_rank, solver,
                           workers=args.workers, timeout=args.timeout,
                           checkpoint_path=args.checkpoint,
-                          work_dir=args.work_dir,
-                          config=_encoder_config(args))
+                          work_dir=args.work_dir)
     _emit(args, report.render_table(), report.to_json())
     verdict = report.verdict()
     if verdict == "found":

@@ -19,7 +19,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from .canonical import check_canonical, dump_symmetric
-from .encoder import EncoderConfig, decode, encode
+from .encoder import decode, encode
 from .symmetry import GroupId, is_group_symmetric, orbit_kinds, total_rank
 from .tensor import dump_decomposition, verify
 
@@ -213,8 +213,7 @@ class CampaignReport:
 
 
 def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
-                timeout: float | None, work_dir: str,
-                config: EncoderConfig = EncoderConfig()) -> ComboStatus:
+                timeout: float | None, work_dir: str) -> ComboStatus:
     """Encode one combo, run the solver, and verify any model."""
     status = ComboStatus(spec, solver=solver_cmd)
     started = time.monotonic()
@@ -225,7 +224,7 @@ def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
         status.detail = "rank 0: empty decomposition, no solver run"
         status.seconds = time.monotonic() - started
         return status
-    cnf, varmap = encode(group, n, counts, config)
+    cnf, varmap = encode(group, n, counts)
     cnf_path = os.path.join(work_dir, f"{group.value}-{spec.label()}.cnf")
     cnf.write(cnf_path)
     try:
@@ -270,8 +269,7 @@ def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
 def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                  workers: int = 1, timeout: float | None = None,
                  checkpoint_path: str | None = None,
-                 work_dir: str | None = None,
-                 config: EncoderConfig = EncoderConfig()) -> CampaignReport:
+                 work_dir: str | None = None) -> CampaignReport:
     started = time.monotonic()
     specs = enumerate_combos(group, max_rank)
     statuses = {spec: ComboStatus(spec, solver=solver_cmd) for spec in specs}
@@ -314,7 +312,7 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                 if sat_seen:
                     break
                 futures[pool.submit(solve_combo, group, n, spec, solver_cmd,
-                                    timeout, work_dir, config)] = spec
+                                    timeout, work_dir)] = spec
             not_done = set(futures)
             while not_done:
                 done, not_done = wait(not_done, return_when=FIRST_COMPLETED)

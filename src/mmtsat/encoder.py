@@ -1,51 +1,38 @@
 """CNF compilation of symmetric tensor-decomposition existence questions.
 
 The encoder allocates SAT variables for the free entries of each orbit
-representative (symmetry-inlined where the side condition is a plain
-entry identification), expands orbits symbolically with the same
-formulas the concrete expander uses, emits the per-entry tensor
-equations plus the group's lexicographic symmetry-breaking constraints,
-and can decode any model back into a verified decomposition.
+representative (symmetric roles share their upper-triangle variables;
+other side conditions become XOR equations), expands orbits with the
+same expansion function the concrete expander uses, emits the per-entry
+tensor equations plus the lexicographic symmetry-breaking constraints,
+and can decode any model back into a verified decomposition.  Roles,
+side conditions, expansions and ordering constraints are all read from
+the same table in symmetry that check_canonical reads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import boolexpr as bx
 from .boolexpr import CnfBuilder, CnfInstance, Expr, lex_less
 from .canonical import SymmetricDecomposition
 from .gf2 import Gf2Matrix
 from .symmetry import (
-    F_SANDWICH,
+    CONDITION_OPS,
+    SYMMETRIC,
     GroupId,
-    expand_orbit_generic,
+    expand,
+    lex_constraints,
     orbit_kinds,
+    scheme,
     total_rank,
 )
 from .tensor import Decomposition, mm_tensor
 
 SymMatrix = tuple[tuple[Expr, ...], ...]
-
-# Roles whose symmetry condition is inlined as shared upper-triangle
-# variables instead of emitted as equations.
-_INLINED_SYMMETRIC = {(GroupId.CYCLIC_TRANSPOSE, "t", "S"),
-                      (GroupId.CYCLIC_TRANSPOSE, "full", "Z")}
-
-# Roles required to commute with conjugation by F; kept as explicit XOR
-# equations rather than inlined through a basis change.
-_F_COMMUTING = {(GroupId.CYCLIC_SANDWICH, "sw", "X"),
-                (GroupId.CYCLIC_SANDWICH, "sw", "Y"),
-                (GroupId.CYCLIC_SANDWICH, "sw", "Z"),
-                (GroupId.CYCLIC_SANDWICH, "full", "U")}
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    xor_width: int = 4
-    per_matrix_nonzero: bool = False
-    s_ne_h: bool = False
 
 
 @dataclass(frozen=True)
@@ -96,48 +83,39 @@ class VarMap:
 # -- symbolic matrix algebra -------------------------------------------------
 
 
-def _sym_transpose(m: SymMatrix) -> SymMatrix:
-    n = len(m)
-    return tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
+@lru_cache
+def _entry_terms(op, n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """For a GF(2)-linear map on n x n matrices: the input entries, in
+    row-major order, whose XOR gives each output entry."""
+    units = {(k, l): op(Gf2Matrix(n, n, 1 << (k * n + l)))
+             for k in range(n) for l in range(n)}
+    return tuple(tuple(tuple(kl for kl, u in units.items() if u.get(i, j))
+                       for j in range(n)) for i in range(n))
 
 
-def _sym_fconj(m: SymMatrix) -> SymMatrix:
-    """F * M * F^{-1} with F the fixed sandwich matrix (entries are XORs)."""
-    n = len(m)
-    f = F_SANDWICH
-    f_inv = f.inverse()
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = [m[k][l] for k in range(n) for l in range(n)
-                     if f.get(i, k) and f_inv.get(l, j)]
-            row.append(bx.xor(*terms))
-        out.append(tuple(row))
-    return tuple(out)
+def _lift(op, n: int):
+    """A GF(2)-linear map on concrete matrices, as a map on SymMatrix."""
+    if op is None:
+        return None
+    terms = _entry_terms(op, n)
+    return lambda m: tuple(tuple(bx.xor(*(m[k][l] for k, l in terms[i][j]))
+                                 for j in range(n)) for i in range(n))
 
 
-def _flatten(m: SymMatrix) -> list[Expr]:
-    return [e for row in m for e in row]
-
-
-def _flatten_triplet(trip: tuple[SymMatrix, ...]) -> list[Expr]:
-    out: list[Expr] = []
-    for m in trip:
-        out.extend(_flatten(m))
-    return out
+def _flatten(mats) -> list[Expr]:
+    return [e for m in mats for row in m for e in row]
 
 
 # -- variable allocation -----------------------------------------------------
 
 
-def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int],
-                          config: EncoderConfig = EncoderConfig()):
+def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
     """Allocate primary variables and build symbolic representatives.
 
     Returns (reps, varmap, side_constraints) where reps maps each orbit
     tag to its list of representative SymMatrix tuples and
-    side_constraints are the non-inlined F-commutation equations.
+    side_constraints are the equations of the non-inlined side
+    conditions.
     """
     varmap = VarMap()
     next_var = 0
@@ -151,33 +129,22 @@ def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int],
         reps[kind.tag] = []
         for idx in range(count):
             rep = []
-            for role in kind.roles:
-                if (group, kind.tag, role) in _INLINED_SYMMETRIC:
-                    tri: dict[tuple[int, int], Expr] = {}
+            for role, condition in zip(kind.roles, kind.conditions):
+                cells: dict[tuple[int, int], Expr] = {}
+                for i in range(n):
+                    for j in range(i if condition == SYMMETRIC else 0, n):
+                        next_var += 1
+                        varmap.primary.append(
+                            VarEntry(next_var, kind.tag, idx, role, i, j))
+                        cells[(i, j)] = bx.var(next_var)
+                mat = tuple(tuple(cells[(i, j) if (i, j) in cells else (j, i)]
+                                  for j in range(n)) for i in range(n))
+                op = CONDITION_OPS[condition]
+                if op is not None and condition != SYMMETRIC:
+                    image = _lift(op, n)(mat)
                     for i in range(n):
-                        for j in range(i, n):
-                            next_var += 1
-                            varmap.primary.append(
-                                VarEntry(next_var, kind.tag, idx, role, i, j))
-                            tri[(i, j)] = bx.var(next_var)
-                    mat = tuple(tuple(tri[(min(i, j), max(i, j))]
-                                      for j in range(n)) for i in range(n))
-                else:
-                    rows = []
-                    for i in range(n):
-                        row = []
                         for j in range(n):
-                            next_var += 1
-                            varmap.primary.append(
-                                VarEntry(next_var, kind.tag, idx, role, i, j))
-                            row.append(bx.var(next_var))
-                        rows.append(tuple(row))
-                    mat = tuple(rows)
-                    if (group, kind.tag, role) in _F_COMMUTING:
-                        conj = _sym_fconj(mat)
-                        for i in range(n):
-                            for j in range(n):
-                                side.append(bx.not_(bx.xor(conj[i][j], mat[i][j])))
+                            side.append(bx.not_(bx.xor(image[i][j], mat[i][j])))
                 rep.append(mat)
             reps[kind.tag].append(tuple(rep))
     varmap.aux_start = next_var + 1
@@ -191,29 +158,28 @@ def _rep_vars(varmap: VarMap, tag: str, idx: int) -> list[int]:
     return [e.var for e in varmap.primary if e.orbit == tag and e.index == idx]
 
 
-def _role_vars(varmap: VarMap, tag: str, idx: int, role: str) -> list[int]:
-    return [e.var for e in varmap.primary
-            if e.orbit == tag and e.index == idx and e.mat == role]
+def symmetry_breaking(group: GroupId, n: int, reps) -> list[Expr]:
+    """The canonical form's lex-order constraints on symbolic representatives."""
+    image = _lift(scheme(group).image, n)
+    return [lex_less(_flatten(lhs), _flatten(rhs))
+            for kind in orbit_kinds(group)
+            for _, _, lhs, rhs in lex_constraints(kind, reps[kind.tag], image)]
 
 
-def encode(group: GroupId, n: int, combo: dict[str, int],
-           config: EncoderConfig = EncoderConfig()) -> tuple[CnfInstance, VarMap]:
+def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, VarMap]:
     """CNF whose models are exactly the canonical-form symmetric
     decompositions of <n,n,n> with the given orbit counts."""
     rank = total_rank(group, combo)
     if rank < 1:
         raise ValueError("total rank must be at least 1")
-    reps, varmap, side = build_symbolic_orbits(group, n, combo, config)
-    builder = CnfBuilder(varmap.aux_start - 1, xor_width=config.xor_width)
+    reps, varmap, side = build_symbolic_orbits(group, n, combo)
+    builder = CnfBuilder(varmap.aux_start - 1)
 
     # Tensor equations: for every entry, the XOR of the per-triplet AND
     # terms over the fully expanded decomposition equals the target bit.
-    triplets: list[tuple[SymMatrix, SymMatrix, SymMatrix]] = []
-    for kind in orbit_kinds(group):
-        for rep in reps[kind.tag]:
-            triplets.extend(expand_orbit_generic(group, kind.tag, rep,
-                                                 tr=_sym_transpose,
-                                                 fc=_sym_fconj))
+    image = _lift(scheme(group).image, n)
+    triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
+                for trip in expand(kind, rep, image)]
     target = mm_tensor(n, n, n)
     for a in range(n):
         for b in range(n):
@@ -228,21 +194,13 @@ def encode(group: GroupId, n: int, combo: dict[str, int],
                                 expr = bx.not_(expr)
                             builder.assert_expr(expr)
 
-    # Non-zero representatives: the whole triplet must have a set entry
-    # (optionally each matrix individually).
+    # Non-zero representatives: the whole triplet must have a set entry.
     for kind in orbit_kinds(group):
         for idx in range(len(reps[kind.tag])):
-            if config.per_matrix_nonzero:
-                for role in kind.roles:
-                    lits = _role_vars(varmap, kind.tag, idx, role)
-                    builder.add_clause(lits)
-            else:
-                builder.add_clause(_rep_vars(varmap, kind.tag, idx))
+            builder.add_clause(_rep_vars(varmap, kind.tag, idx))
 
-    for expr in side:
+    for expr in side + symmetry_breaking(group, n, reps):
         builder.assert_expr(expr)
-
-    _emit_symmetry_breaking(group, reps, builder, config)
 
     comments = [f"mmtsat group={group.value} n={n} "
                 f"combo={','.join(f'{k}={v}' for k, v in sorted(combo.items()))} "
@@ -251,52 +209,6 @@ def encode(group: GroupId, n: int, combo: dict[str, int],
                     for e in varmap.primary)
     comments.append(f"aux vars start at {varmap.aux_start}")
     return builder.build(comments), varmap
-
-
-def _emit_symmetry_breaking(group: GroupId, reps, builder: CnfBuilder,
-                            config: EncoderConfig) -> None:
-    def adjacent(rep_list, key) -> None:
-        for r in range(len(rep_list) - 1):
-            builder.assert_expr(lex_less(key(rep_list[r]), key(rep_list[r + 1])))
-
-    def strict_min_in_orbit(tag: str, rep_list) -> None:
-        for rep in rep_list:
-            expansion = expand_orbit_generic(group, tag, rep,
-                                             tr=_sym_transpose, fc=_sym_fconj)
-            me = _flatten_triplet(expansion[0])
-            for other in expansion[1:]:
-                builder.assert_expr(lex_less(me, _flatten_triplet(other)))
-
-    if group is GroupId.TRIVIAL:
-        adjacent(reps["id"], _flatten_triplet)
-        return
-
-    strict_min_in_orbit("id", reps["id"])
-    adjacent(reps["id"], lambda rep: _flatten(rep[0]) + _flatten(rep[1]))
-
-    if group is GroupId.CYCLIC:
-        adjacent(reps["delta"], lambda rep: _flatten(rep[0]))
-        return
-
-    if group is GroupId.CYCLIC_TRANSPOSE:
-        adjacent(reps["t"], lambda rep: _flatten(rep[1]))
-        if config.s_ne_h:
-            for (s, h) in reps["t"]:
-                diff = [bx.xor(a, b) for a, b in zip(_flatten(s), _flatten(h))]
-                builder.assert_expr(bx.or_(*diff))
-        for (d,) in reps["delta"]:
-            builder.assert_expr(lex_less(_flatten(d), _flatten(_sym_transpose(d))))
-        adjacent(reps["delta"], lambda rep: _flatten(rep[0]))
-        adjacent(reps["full"], lambda rep: _flatten(rep[0]))
-        return
-
-    # CYCLIC_SANDWICH
-    strict_min_in_orbit("sw", reps["sw"])
-    adjacent(reps["sw"], lambda rep: _flatten(rep[0]) + _flatten(rep[1]))
-    for (d,) in reps["delta"]:
-        builder.assert_expr(lex_less(_flatten(d), _flatten(_sym_fconj(d))))
-    adjacent(reps["delta"], lambda rep: _flatten(rep[0]))
-    adjacent(reps["full"], lambda rep: _flatten(rep[0]))
 
 
 # -- decoding ----------------------------------------------------------------

@@ -158,20 +158,3 @@ def conjugate(m: Gf2Matrix, f: Gf2Matrix) -> Gf2Matrix:
     if f_inv is None:
         raise ShapeError("conjugating matrix is singular")
     return f * m * f_inv
-
-
-def lex_compare(a, b) -> int:
-    """Lexicographic comparison of row-major bit sequences.
-
-    Accepts Gf2Matrix values or flat bit sequences; returns -1, 0, or 1.
-    The empty-vs-empty comparison is 0, so strict less-than is false.
-    """
-    fa = a.flat_bits() if isinstance(a, Gf2Matrix) else tuple(a)
-    fb = b.flat_bits() if isinstance(b, Gf2Matrix) else tuple(b)
-    if len(fa) != len(fb):
-        raise ShapeError(f"lex_compare length mismatch: {len(fa)} vs {len(fb)}")
-    if fa < fb:
-        return -1
-    if fa > fb:
-        return 1
-    return 0

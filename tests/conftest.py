@@ -5,7 +5,14 @@ import pytest
 
 from mmtsat.canonical import SymmetricDecomposition
 from mmtsat.gf2 import Gf2Matrix, conjugate
-from mmtsat.symmetry import F_SANDWICH, GroupId, orbit_kinds
+from mmtsat.symmetry import (
+    F_COMMUTING,
+    F_SANDWICH,
+    FREE,
+    SYMMETRIC,
+    GroupId,
+    orbit_kinds,
+)
 from mmtsat.tensor import Decomposition, Triplet
 
 # Default external solver; any DIMACS solver printing s/v lines works.
@@ -72,14 +79,27 @@ def random_symmetric_matrix(rng: random.Random, n: int) -> Gf2Matrix:
     return Gf2Matrix.from_rows(rows)
 
 
-_F_COMMUTING_3 = [m for b in range(1 << 9)
+_COMMUTES_WITH_F_3 = [m for b in range(1 << 9)
                   for m in [Gf2Matrix(3, 3, b)]
                   if conjugate(m, F_SANDWICH).bits == m.bits]
 
 
 def random_f_commuting(rng: random.Random, n: int) -> Gf2Matrix:
     assert n == 3
-    return rng.choice(_F_COMMUTING_3)
+    return rng.choice(_COMMUTES_WITH_F_3)
+
+
+_RANDOM_BY_CONDITION = {
+    FREE: random_matrix,
+    SYMMETRIC: random_symmetric_matrix,
+    F_COMMUTING: random_f_commuting,
+}
+
+
+def random_rep(rng: random.Random, kind, n: int) -> tuple[Gf2Matrix, ...]:
+    """One representative of `kind`, each matrix drawn to meet its role's
+    side condition."""
+    return tuple(_RANDOM_BY_CONDITION[c](rng, n) for c in kind.conditions)
 
 
 def random_symmetric_decomposition(rng: random.Random, group: GroupId,
@@ -87,18 +107,6 @@ def random_symmetric_decomposition(rng: random.Random, group: GroupId,
                                    ) -> SymmetricDecomposition:
     orbits = {}
     for kind in orbit_kinds(group):
-        reps = []
-        for _ in range(rng.randint(0, max_per_kind)):
-            rep = []
-            for role in kind.roles:
-                if (group, kind.tag, role) in {
-                        (GroupId.CYCLIC_TRANSPOSE, "t", "S"),
-                        (GroupId.CYCLIC_TRANSPOSE, "full", "Z")}:
-                    rep.append(random_symmetric_matrix(rng, n))
-                elif group is GroupId.CYCLIC_SANDWICH and kind.tag in ("sw", "full"):
-                    rep.append(random_f_commuting(rng, n))
-                else:
-                    rep.append(random_matrix(rng, n))
-            reps.append(tuple(rep))
-        orbits[kind.tag] = tuple(reps)
+        orbits[kind.tag] = tuple(random_rep(rng, kind, n)
+                                 for _ in range(rng.randint(0, max_per_kind)))
     return SymmetricDecomposition(group, n, orbits)

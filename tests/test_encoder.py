@@ -1,17 +1,19 @@
+import hashlib
 import random
 
 import pytest
 
-from mmtsat.canonical import check_canonical
+from mmtsat import boolexpr as bx
+from mmtsat.canonical import canonicalize, check_canonical
 from mmtsat.encoder import (
     DecodeError,
-    EncoderConfig,
     VarMap,
     build_symbolic_orbits,
     decode,
     encode,
+    symmetry_breaking,
 )
-from mmtsat.symmetry import GroupId
+from mmtsat.symmetry import GroupId, kind_by_tag
 from mmtsat.tensor import verify
 
 from conftest import random_symmetric_decomposition
@@ -91,9 +93,7 @@ def test_varmap_json_round_trip(tmp_path):
 def _model_from_symmetric(sd, varmap):
     model = {}
     for e in varmap.primary:
-        mat_index = {"A": 0, "B": 1, "C": 2, "S": 0, "H": 1,
-                     "X": 0, "Y": 1, "Z": 0 if e.orbit == "full" else 2,
-                     "D": 0, "U": 0}[e.mat]
+        mat_index = kind_by_tag(sd.group, e.orbit).roles.index(e.mat)
         rep = sd.orbits[e.orbit][e.index]
         model[e.var] = bool(rep[mat_index].get(e.row, e.col))
     return model
@@ -121,15 +121,45 @@ def test_decode_requires_all_primaries():
         decode({}, varmap, GroupId.CYCLIC, 2)
 
 
-def test_xor_width_config_changes_clauses_not_meaning():
-    combo = {"id": 2, "delta": 1}
-    wide, _ = encode(GroupId.CYCLIC, 2, combo, EncoderConfig(xor_width=4))
-    narrow, _ = encode(GroupId.CYCLIC, 2, combo, EncoderConfig(xor_width=2))
-    assert wide.to_dimacs() != narrow.to_dimacs()
-    # Narrower blocks cost fewer clauses each (2^w per block) but need
-    # more auxiliary variables for the deeper reduction tree.
-    assert len(narrow.clauses) < len(wide.clauses)
-    assert narrow.num_vars > wide.num_vars
+@pytest.mark.parametrize("group,n", [
+    (GroupId.TRIVIAL, 2),
+    (GroupId.CYCLIC, 2),
+    (GroupId.CYCLIC_TRANSPOSE, 3),
+    (GroupId.CYCLIC_SANDWICH, 3),
+])
+def test_symmetry_breaking_agrees_with_check_canonical(group, n):
+    # A decomposition passes check_canonical exactly when its primaries
+    # satisfy every symmetry-breaking constraint the encoder emits.
+    rng = random.Random(sum(map(ord, group.value)) + 5)
+    seen = set()
+    for _ in range(150):
+        raw = random_symmetric_decomposition(rng, group, n, max_per_kind=3)
+        for sd in (raw, canonicalize(raw)):
+            reps, varmap, _ = build_symbolic_orbits(group, n, sd.counts())
+            model = _model_from_symmetric(sd, varmap)
+            encoded = all(bx.evaluate(e, model)
+                          for e in symmetry_breaking(group, n, reps))
+            canonical = check_canonical(sd) == []
+            assert encoded == canonical, sd
+            seen.add(canonical)
+    assert seen == {True, False}
+
+
+# SHA-256 of the DIMACS text, one combo per group.  A deliberate change
+# to the CNF updates these pins.
+@pytest.mark.parametrize("group,n,combo,digest", [
+    (GroupId.TRIVIAL, 2, {"id": 7},
+     "af3dd8e1c9b58254726cf3efcf49eeb8cb4b2207eb8c08d89406418c8cadf128"),
+    (GroupId.CYCLIC, 2, {"id": 2, "delta": 1},
+     "fe3ba632684a376c1f8624bd36f9b4c4d89289c83cebb614f12d0dadba254a61"),
+    (GroupId.CYCLIC_TRANSPOSE, 3, {"id": 1, "t": 1, "delta": 1, "full": 1},
+     "cf3c21cd5951cb0706815dc08360e38b2d44f72333197c54d64aae748dfd1349"),
+    (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1},
+     "d3407da86b682053a0e913f6a4cce9866be2cbcc71df718285ff63cc52e0c966"),
+], ids=["none", "cyc", "cyc-t", "cyc-sw"])
+def test_cnf_pinned(group, n, combo, digest):
+    cnf, _ = encode(group, n, combo)
+    assert hashlib.sha256(cnf.to_dimacs().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("group,n,combo", [

@@ -1,9 +1,7 @@
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
-from mmtsat.gf2 import Gf2Matrix, ShapeError, conjugate, lex_compare
+from mmtsat.gf2 import Gf2Matrix, ShapeError, conjugate
 
 F = Gf2Matrix.parse("110;010;001")
 
@@ -119,28 +117,6 @@ def test_transpose_antihomomorphism(a, b):
 @given(matrices(3), matrices(3), matrices(3))
 def test_multiplication_distributes(a, b, c):
     assert (a * (b + c)).bits == ((a * b) + (a * c)).bits
-
-
-def test_lex_compare_is_a_total_order():
-    rng = random.Random(7)
-    mats = [Gf2Matrix(2, 2, rng.getrandbits(4)) for _ in range(40)]
-    for a in mats:
-        assert lex_compare(a, a) == 0
-        for b in mats:
-            assert lex_compare(a, b) == -lex_compare(b, a)
-            if lex_compare(a, b) == 0:
-                assert a.bits == b.bits
-            for c in mats:
-                if lex_compare(a, b) < 0 and lex_compare(b, c) < 0:
-                    assert lex_compare(a, c) < 0
-
-
-def test_lex_compare_examples():
-    assert lex_compare(Gf2Matrix.parse("01;00"), Gf2Matrix.parse("10;00")) == -1
-    assert lex_compare((0, 1, 1), (0, 1, 1)) == 0
-    assert lex_compare((), ()) == 0
-    with pytest.raises(ShapeError):
-        lex_compare((0,), (0, 1))
 
 
 def test_flat_bits_row_major():

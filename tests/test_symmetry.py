@@ -1,34 +1,46 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
+from mmtsat.canonical import SymmetricDecomposition, canonicalize
 from mmtsat.gf2 import Gf2Matrix
 from mmtsat.symmetry import (
+    F_COMMUTING,
+    FREE,
+    SYMMETRIC,
     ConstraintError,
     F_SANDWICH,
     GroupId,
-    Transform,
-    cyclic,
-    delta_degenerate,
     expand_orbit,
     generators,
     is_group_symmetric,
     kind_by_tag,
     orbit_kinds,
-    sandwich,
     total_rank,
-    transpose_t,
 )
 from mmtsat.tensor import Decomposition, Triplet, evaluate, verify
 
 from conftest import (
     STRASSEN_MOD2,
     random_f_commuting,
-    random_invertible,
     random_matrix,
+    random_rep,
     random_symmetric_matrix,
     random_triplet,
 )
+
+
+def _unit(n, i, j):
+    return Gf2Matrix(n, n, 1 << (i * n + j))
+
+
+# The schoolbook algorithm: n^3 triplets (E_ij, E_jl, E_li).
+def naive(n):
+    return Decomposition(n, n, n, tuple(
+        Triplet(_unit(n, i, j), _unit(n, j, l), _unit(n, l, i))
+        for i, j, l in product(range(n), repeat=3)))
 
 
 def test_group_names_round_trip():
@@ -51,6 +63,18 @@ def test_orbit_kind_tables():
     with pytest.raises(ValueError):
         kind_by_tag(GroupId.CYCLIC, "t")
 
+    def order(group):
+        return [(k.tag, k.min_width, "".join(k.roles[r] for r in k.chain))
+                for k in orbit_kinds(group)]
+    assert order(GroupId.TRIVIAL) == [("id", 0, "ABC")]
+    assert order(GroupId.CYCLIC) == [("id", 3, "AB"), ("delta", 0, "D")]
+    assert order(GroupId.CYCLIC_TRANSPOSE) == [
+        ("id", 3, "AB"), ("t", 0, "H"), ("delta", 1, "D"), ("full", 0, "Z")]
+    assert order(GroupId.CYCLIC_SANDWICH) == [
+        ("id", 3, "AB"), ("sw", 3, "XY"), ("delta", 1, "D"), ("full", 0, "U")]
+    assert kind_by_tag(GroupId.CYCLIC_TRANSPOSE, "t").conditions == (SYMMETRIC, FREE)
+    assert kind_by_tag(GroupId.CYCLIC_SANDWICH, "sw").conditions == (F_COMMUTING,) * 3
+
 
 def test_total_rank_is_weighted_sum():
     assert total_rank(GroupId.CYCLIC, {"id": 2, "delta": 1}) == 7
@@ -64,20 +88,19 @@ def test_total_rank_is_weighted_sum():
 def test_transform_apply_examples():
     rng = random.Random(0)
     t = random_triplet(rng, 3)
-    c = cyclic().apply(t)
-    assert (c.a, c.b, c.c) == (t.b, t.c, t.a)
-    tp = transpose_t().apply(t)
-    assert (tp.a.bits, tp.b.bits, tp.c.bits) == \
-        (t.c.transpose().bits, t.b.transpose().bits, t.a.transpose().bits)
-    f = F_SANDWICH
-    sw = sandwich(f, f, f).apply(t)
-    finv = f.inverse()
-    assert sw.a.bits == (f * t.a * finv).bits
+    (c,) = generators(GroupId.CYCLIC, 3)
+    assert c.apply(t) == Triplet(t.b, t.c, t.a)
+    _, tt = generators(GroupId.CYCLIC_TRANSPOSE, 3)
+    assert tt.apply(t) == Triplet(t.c.transpose(), t.b.transpose(), t.a.transpose())
+    _, sw = generators(GroupId.CYCLIC_SANDWICH, 3)
+    f, finv = F_SANDWICH, F_SANDWICH.inverse()
+    assert sw.apply(t) == Triplet(f * t.a * finv, f * t.b * finv, f * t.c * finv)
 
 
 def test_group_laws_on_random_triplets():
     rng = random.Random(42)
-    cyc, tt = cyclic(), transpose_t()
+    cyc, tt = generators(GroupId.CYCLIC_TRANSPOSE, 3)
+    _, sw = generators(GroupId.CYCLIC_SANDWICH, 3)
     for _ in range(1000):
         t = random_triplet(rng, 3)
         # cyc^3 = id and transpose^2 = id
@@ -87,39 +110,10 @@ def test_group_laws_on_random_triplets():
         lhs = cyc.apply(tt.apply(t))
         rhs = tt.apply(cyc.apply(cyc.apply(t)))
         assert lhs == rhs
-        # sandwich by (F,F,F) is an involution since F*F = I
-        sw = sandwich(F_SANDWICH, F_SANDWICH, F_SANDWICH)
+        # conjugation by F is an involution since F*F = I, and commutes
+        # with the rotation
         assert sw.apply(sw.apply(t)) == t
-
-
-def test_sandwich_composition_law():
-    rng = random.Random(43)
-    for _ in range(200):
-        u1, v1, w1 = (random_invertible(rng, 3) for _ in range(3))
-        u2, v2, w2 = (random_invertible(rng, 3) for _ in range(3))
-        t = random_triplet(rng, 3)
-        a = sandwich(u1, v1, w1).apply(sandwich(u2, v2, w2).apply(t))
-        b = sandwich(u1 * u2, v1 * v2, w1 * w2).apply(t)
-        assert a == b
-
-
-def test_compose_matches_apply():
-    rng = random.Random(44)
-    pool = []
-    for _ in range(30):
-        pool.append(Transform(cyclic_power=rng.randint(0, 2),
-                              transposed=bool(rng.getrandbits(1)),
-                              sandwich=None if rng.getrandbits(1) else
-                              tuple(random_invertible(rng, 3) for _ in range(3))))
-    for _ in range(300):
-        g1, g2 = rng.choice(pool), rng.choice(pool)
-        t = random_triplet(rng, 3)
-        assert g1.compose(g2).apply(t) == g1.apply(g2.apply(t))
-
-
-def test_sandwich_rejects_singular():
-    with pytest.raises(ConstraintError):
-        sandwich(Gf2Matrix.zero(3, 3), F_SANDWICH, F_SANDWICH)
+        assert sw.apply(cyc.apply(t)) == cyc.apply(sw.apply(t))
 
 
 def test_expansion_lengths():
@@ -166,17 +160,7 @@ def test_orbit_tensor_invariance():
                   GroupId.CYCLIC_SANDWICH):
         for _ in range(100):
             for kind in orbit_kinds(group):
-                rep = []
-                for role in kind.roles:
-                    if (group, kind.tag, role) in {
-                            (GroupId.CYCLIC_TRANSPOSE, "t", "S"),
-                            (GroupId.CYCLIC_TRANSPOSE, "full", "Z")}:
-                        rep.append(random_symmetric_matrix(rng, 3))
-                    elif group is GroupId.CYCLIC_SANDWICH and kind.tag in ("sw", "full"):
-                        rep.append(random_f_commuting(rng, 3))
-                    else:
-                        rep.append(random_matrix(rng, 3))
-                triplets = expand_orbit(group, kind.tag, tuple(rep))
+                triplets = expand_orbit(group, kind.tag, random_rep(rng, kind, 3))
                 base = evaluate(Decomposition(3, 3, 3, tuple(triplets)))
                 for g in generators(group, 3):
                     mapped = tuple(g.apply(t) for t in triplets)
@@ -184,24 +168,32 @@ def test_orbit_tensor_invariance():
 
 
 def test_generators_preserve_validity(strassen):
-    rng = random.Random(48)
-    transforms = [cyclic(), transpose_t()]
-    for _ in range(5):
-        transforms.append(sandwich(*(random_invertible(rng, 2) for _ in range(3))))
-    for g in transforms:
-        mapped = Decomposition(2, 2, 2,
-                               tuple(g.apply(t) for t in strassen.triplets))
-        assert verify(mapped)
+    cases = [(strassen, GroupId.CYCLIC_TRANSPOSE, 2),
+             (naive(3), GroupId.CYCLIC_TRANSPOSE, 3),
+             (naive(3), GroupId.CYCLIC_SANDWICH, 3)]
+    for d, group, n in cases:
+        assert verify(d)
+        for g in generators(group, n):
+            assert verify(Decomposition(n, n, n, tuple(g.apply(t) for t in d.triplets)))
 
 
 def test_delta_degenerate():
+    # A delta orbit degenerates -- its triplets repeat with even
+    # multiplicity and cancel mod 2 -- exactly when D is fixed by the
+    # group's image op; canonicalize then drops it.
+    def degenerate(group, d):
+        counts = Counter(expand_orbit(group, "delta", (d,))).values()
+        return any(c % 2 == 0 for c in counts)
     sym = Gf2Matrix.parse("010;100;000")
-    assert delta_degenerate(GroupId.CYCLIC_TRANSPOSE, sym)
-    assert not delta_degenerate(GroupId.CYCLIC_TRANSPOSE,
-                                Gf2Matrix.parse("010;000;000"))
+    assert degenerate(GroupId.CYCLIC_TRANSPOSE, sym)
+    assert not degenerate(GroupId.CYCLIC_TRANSPOSE, Gf2Matrix.parse("010;000;000"))
     comm = Gf2Matrix.identity(3)
-    assert delta_degenerate(GroupId.CYCLIC_SANDWICH, comm)
-    assert not delta_degenerate(GroupId.CYCLIC, Gf2Matrix.identity(3))
+    assert degenerate(GroupId.CYCLIC_SANDWICH, comm)
+    assert not degenerate(GroupId.CYCLIC_SANDWICH, Gf2Matrix.parse("100;000;000"))
+    assert not degenerate(GroupId.CYCLIC, comm)
+    for group, d in [(GroupId.CYCLIC_TRANSPOSE, sym), (GroupId.CYCLIC_SANDWICH, comm)]:
+        sd = SymmetricDecomposition(group, 3, {"delta": ((d,),)})
+        assert canonicalize(sd).counts()["delta"] == 0
 
 
 def test_is_group_symmetric():
