@@ -173,14 +173,15 @@ class CnfInstance:
             fh.write(self.to_dimacs())
 
 
+# Widest parity block that XOR chains are split into.
+XOR_WIDTH = 4
+
+
 class CnfBuilder:
     """Tseitin converter with structural sharing and bounded-width XOR."""
 
-    def __init__(self, num_primary: int, xor_width: int = 4):
-        if xor_width < 2:
-            raise ValueError("xor_width must be at least 2")
+    def __init__(self, num_primary: int):
         self.num_vars = num_primary
-        self.xor_width = xor_width
         self.clauses: list[tuple[int, ...]] = []
         self._cache: dict[Expr, int] = {}
 
@@ -204,8 +205,8 @@ class CnfBuilder:
         """Balanced reduction of an XOR chain to a single literal."""
         while len(lits) > 1:
             nxt = []
-            for i in range(0, len(lits), self.xor_width):
-                chunk = lits[i:i + self.xor_width]
+            for i in range(0, len(lits), XOR_WIDTH):
+                chunk = lits[i:i + XOR_WIDTH]
                 if len(chunk) == 1:
                     nxt.append(chunk[0])
                     continue
@@ -267,14 +268,14 @@ class CnfBuilder:
             return
         if isinstance(e, Xor):
             lits = [self.lit(a) for a in e.args]
-            if len(lits) <= self.xor_width:
+            if len(lits) <= XOR_WIDTH:
                 self._parity_clauses(lits, 1)
             else:
                 self.add_clause((self._xor_to_lit(lits),))
             return
         if isinstance(e, Not) and isinstance(e.arg, Xor):
             lits = [self.lit(a) for a in e.arg.args]
-            if len(lits) <= self.xor_width:
+            if len(lits) <= XOR_WIDTH:
                 self._parity_clauses(lits, 0)
             else:
                 self.add_clause((-self._xor_to_lit(lits),))

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 = ruled out / verified, 10 = decomposition found,
-20 = undetermined (timeouts), 1 = domain error, 2 = usage error.
+20 = undetermined (timeouts or errors), 1 = domain error, 2 = usage error.
 """
 
 from __future__ import annotations
@@ -18,17 +18,10 @@ from .canonical import (
     load_symmetric,
     symmetric_to_json,
 )
-from .driver import (
-    enumerate_combos,
-    parse_solver_output,
-    run_campaign,
-    run_solver,
-    solve_combo,
-    ComboSpec,
-)
-from .encoder import decode, encode
+from .driver import ComboSpec, run_campaign, solve_combo
+from .encoder import encode
 from .oracle import BudgetExceeded, SearchBudget, brute_min_rank
-from .symmetry import GroupId, is_group_symmetric, orbit_kinds, total_rank
+from .symmetry import GroupId, is_group_symmetric, orbit_kinds
 from .tensor import load_decomposition, verify
 
 EXIT_OK = 0
@@ -52,9 +45,9 @@ def _parse_combo(text: str, group: GroupId) -> dict[str, int]:
 
 def _resolve_solver(args) -> str:
     """Precedence: --solver flag, then config file, then MMTSAT_SOLVER."""
-    if getattr(args, "solver", None):
+    if args.solver:
         return args.solver
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
         if cfg.get("solver"):
@@ -73,60 +66,58 @@ def _emit(args, human: str, payload: dict) -> None:
         print(human)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--config", help="JSON config file (solver, etc.)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="machine-readable output")
+    solving = argparse.ArgumentParser(add_help=False, parents=[common])
+    solving.add_argument("--solver", help="command template with {cnf}")
+    solving.add_argument("--config", help="JSON config file with a \"solver\" key")
+    solving.add_argument("--timeout", type=float, help="per-combo timeout in seconds")
+
     parser = argparse.ArgumentParser(prog="mmtsat")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", help="write a DIMACS instance for one combo")
+    p = sub.add_parser("encode", parents=[common],
+                       help="write a DIMACS instance for one combo")
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--combo", required=True, help="e.g. id=2,delta=1")
     p.add_argument("--out", required=True)
     p.add_argument("--varmap", help="variable-map sidecar JSON path")
-    _add_common(p)
 
-    p = sub.add_parser("solve-one", help="encode and solve a single combo")
+    p = sub.add_parser("solve-one", parents=[solving],
+                       help="encode and solve a single combo")
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--combo", required=True)
-    p.add_argument("--solver", help="command template with {cnf}")
-    p.add_argument("--timeout", type=float)
     p.add_argument("--work-dir", default=".")
-    _add_common(p)
 
-    p = sub.add_parser("search", help="campaign over all combos up to a rank")
+    p = sub.add_parser("search", parents=[solving],
+                       help="campaign over all combos up to a rank")
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--solver", help="command template with {cnf}")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--timeout", type=float, help="per-combo timeout in seconds")
     p.add_argument("--checkpoint")
     p.add_argument("--work-dir")
-    _add_common(p)
 
-    p = sub.add_parser("verify", help="check a decomposition JSON file")
+    p = sub.add_parser("verify", parents=[common],
+                       help="check a decomposition JSON file")
     p.add_argument("path")
     p.add_argument("--group", help="also check symmetry under this group")
-    _add_common(p)
 
-    p = sub.add_parser("canonicalize", help="normalize a symmetric decomposition")
+    p = sub.add_parser("canonicalize", parents=[common],
+                       help="normalize a symmetric decomposition")
     p.add_argument("path")
     p.add_argument("--out", help="output path (default: stdout)")
-    _add_common(p)
 
-    p = sub.add_parser("brute", help="exhaustive minimum-rank search")
+    p = sub.add_parser("brute", parents=[common],
+                       help="exhaustive minimum-rank search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-rank", type=int, required=True)
     p.add_argument("--nodes", type=int, help="optional DFS node limit")
-    _add_common(p)
 
     return parser
 

@@ -2,8 +2,14 @@
 
 Enumerates every orbit-count combination up to a rank bound, runs the
 configured solver subprocess on each instance (hardest first, across a
-worker pool), verifies every SAT answer independently, and checkpoints
-after each combo so a killed campaign resumes where it stopped.
+worker pool), and checkpoints after each combo so a killed campaign
+resumes where it stopped.  `solve_combo` maps every end of one run to a
+recorded state: a timeout, a solver that fails to start, unparsable
+output or an incomplete model is recorded as `timeout`/`error` with its
+reason, and the campaign goes on.  A complete model is verified
+independently; one that fails verification raises EncoderSoundnessError,
+because then the encoding itself is wrong.  The first `sat` cancels the
+combos still queued; those already running are recorded as they finish.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ import shlex
 import subprocess
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from dataclasses import dataclass
 
 from .canonical import check_canonical, dump_symmetric
-from .encoder import decode, encode
+from .encoder import DecodeError, decode, encode
 from .symmetry import GroupId, is_group_symmetric, orbit_kinds, total_rank
 from .tensor import dump_decomposition, verify
 
@@ -50,9 +56,6 @@ class ComboStatus:
     seconds: float = 0.0
     solver: str = ""
     detail: str = ""  # decomposition path for sat, message for error
-
-    def is_terminal(self) -> bool:
-        return self.state in ("sat", "unsat", "timeout", "error")
 
 
 def enumerate_combos(group: GroupId, max_rank: int) -> list[ComboSpec]:
@@ -99,7 +102,10 @@ def parse_solver_output(text: str):
             status = "unsat"
         elif line.startswith("v ") or line == "v":
             for tok in line[1:].split():
-                lit = int(tok)
+                try:
+                    lit = int(tok)
+                except ValueError:
+                    return ("unknown", f"bad literal {tok!r} in a v line")
                 if lit == 0:
                     continue
                 assignment[abs(lit)] = lit > 0
@@ -115,7 +121,8 @@ def run_solver(solver_cmd: str, cnf_path: str, timeout: float | None):
     if "{cnf}" not in solver_cmd:
         raise ValueError("solver command must contain the {cnf} placeholder")
     argv = [arg.replace("{cnf}", str(cnf_path)) for arg in shlex.split(solver_cmd)]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+    proc = subprocess.run(argv, capture_output=True, errors="replace",
+                          timeout=timeout)
     return parse_solver_output(proc.stdout)
 
 
@@ -126,19 +133,16 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _combo_record(st: ComboStatus) -> dict:
+    return {"counts": st.spec.counts_dict(), "state": st.state,
+            "seconds": round(st.seconds, 3), "solver": st.solver,
+            "detail": st.detail}
+
+
 def checkpoint_to_json(group: GroupId, n: int, max_rank: int,
                        statuses: list[ComboStatus]) -> dict:
-    return {
-        "group": group.value,
-        "dims": n,
-        "max_rank": max_rank,
-        "combos": [
-            {"counts": st.spec.counts_dict(), "state": st.state,
-             "seconds": round(st.seconds, 3), "solver": st.solver,
-             "detail": st.detail}
-            for st in statuses
-        ],
-    }
+    return {"group": group.value, "dims": n, "max_rank": max_rank,
+            "combos": [_combo_record(st) for st in statuses]}
 
 
 def write_checkpoint(path, group: GroupId, n: int, max_rank: int,
@@ -173,7 +177,10 @@ class CampaignReport:
     statuses: list[ComboStatus]
     wall_seconds: float = 0.0
     solver: str = ""
-    decomposition_path: str = ""
+
+    @property
+    def decomposition_path(self) -> str:
+        return next((st.detail for st in self.statuses if st.state == "sat"), "")
 
     def verdict(self) -> str:
         """'ruled_out' | 'found' | 'undetermined', recounted from records."""
@@ -207,69 +214,63 @@ class CampaignReport:
             "group": self.group.value, "dims": self.n, "max_rank": self.max_rank,
             "verdict": self.verdict(), "wall_seconds": round(self.wall_seconds, 3),
             "solver": self.solver, "decomposition": self.decomposition_path,
-            "combos": checkpoint_to_json(self.group, self.n, self.max_rank,
-                                         self.statuses)["combos"],
+            "combos": [_combo_record(st) for st in self.statuses],
         }
 
 
 def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
                 timeout: float | None, work_dir: str) -> ComboStatus:
     """Encode one combo, run the solver, and verify any model."""
-    status = ComboStatus(spec, solver=solver_cmd)
     started = time.monotonic()
-    counts = spec.counts_dict()
+    state, detail = _run_combo(group, n, spec, solver_cmd, timeout, work_dir)
+    return ComboStatus(spec, state, time.monotonic() - started, solver_cmd, detail)
+
+
+def _run_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
+               timeout: float | None, work_dir: str) -> tuple[str, str]:
+    """(state, detail) for every way one combo's run can end."""
     if spec.total_rank() == 0:
         # The empty decomposition cannot equal a nonzero tensor.
-        status.state = "unsat"
-        status.detail = "rank 0: empty decomposition, no solver run"
-        status.seconds = time.monotonic() - started
-        return status
-    cnf, varmap = encode(group, n, counts)
-    cnf_path = os.path.join(work_dir, f"{group.value}-{spec.label()}.cnf")
-    cnf.write(cnf_path)
+        return "unsat", "rank 0: empty decomposition, no solver run"
+    cnf, varmap = encode(group, n, spec.counts_dict())
+    stem = os.path.join(work_dir, f"{group.value}-{spec.label()}")
+    cnf.write(stem + ".cnf")
     try:
-        result, payload = run_solver(solver_cmd, cnf_path, timeout)
+        result, payload = run_solver(solver_cmd, stem + ".cnf", timeout)
     except subprocess.TimeoutExpired:
-        status.state = "timeout"
-        status.detail = f"timeout after {timeout}s"
-        status.seconds = time.monotonic() - started
-        return status
+        return "timeout", f"timeout after {timeout}s"
     except OSError as exc:
-        status.state = "error"
-        status.detail = f"solver failed to run: {exc}"
-        status.seconds = time.monotonic() - started
-        return status
-    status.seconds = time.monotonic() - started
+        return "error", f"solver failed to run: {exc}"
     if result == "unsat":
-        status.state = "unsat"
-    elif result == "sat":
+        return "unsat", ""
+    if result != "sat":
+        return "error", f"unparsable solver output: {payload}"
+    try:
         sd, d = decode(payload, varmap, group, n)
-        problems = []
-        if not verify(d):
-            problems.append("decoded decomposition does not evaluate to the target")
-        if not is_group_symmetric(d, group):
-            problems.append("decoded decomposition is not group symmetric")
-        violations = check_canonical(sd)
-        if violations:
-            problems.append(f"canonical-form violations: {violations}")
-        if problems:
-            raise EncoderSoundnessError(
-                f"combo {spec.label()}: " + "; ".join(problems))
-        dec_path = os.path.join(work_dir, f"{group.value}-{spec.label()}.json")
-        dump_decomposition(d, dec_path)
-        dump_symmetric(sd, dec_path + ".sym")
-        status.state = "sat"
-        status.detail = dec_path
-    else:
-        status.state = "error"
-        status.detail = f"unparsable solver output: {payload}"
-    return status
+    except DecodeError as exc:
+        return "error", f"incomplete model: {exc}"
+    problems = []
+    if not verify(d):
+        problems.append("decoded decomposition does not evaluate to the target")
+    if not is_group_symmetric(d, group):
+        problems.append("decoded decomposition is not group symmetric")
+    violations = check_canonical(sd)
+    if violations:
+        problems.append(f"canonical-form violations: {violations}")
+    if problems:
+        raise EncoderSoundnessError(f"combo {spec.label()}: " + "; ".join(problems))
+    dump_decomposition(d, stem + ".json")
+    dump_symmetric(sd, stem + ".json.sym")
+    return "sat", stem + ".json"
 
 
 def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                  workers: int = 1, timeout: float | None = None,
                  checkpoint_path: str | None = None,
                  work_dir: str | None = None) -> CampaignReport:
+    """Solve every combo up to max_rank until the first sat.  Without a
+    work_dir, a fresh temp dir is used; its CNF files are deleted at the
+    end and any found pair stays in it."""
     started = time.monotonic()
     specs = enumerate_combos(group, max_rank)
     statuses = {spec: ComboStatus(spec, solver=solver_cmd) for spec in specs}
@@ -284,16 +285,13 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
         for spec in specs:
             rec = by_counts.get(json.dumps(spec.counts_dict(), sort_keys=True))
             if rec and rec["state"] != "pending":
-                st = statuses[spec]
-                st.state = rec["state"]
-                st.seconds = rec["seconds"]
-                st.solver = rec.get("solver", "")
-                st.detail = rec.get("detail", "")
+                statuses[spec] = ComboStatus(spec, rec["state"], rec["seconds"],
+                                             rec.get("solver", ""),
+                                             rec.get("detail", ""))
 
-    own_work_dir = None
-    if work_dir is None:
-        own_work_dir = tempfile.TemporaryDirectory(prefix="mmtsat-")
-        work_dir = own_work_dir.name
+    own_work_dir = work_dir is None
+    if own_work_dir:
+        work_dir = tempfile.mkdtemp(prefix="mmtsat-")
     else:
         os.makedirs(work_dir, exist_ok=True)
 
@@ -302,53 +300,33 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
             write_checkpoint(checkpoint_path, group, n, max_rank,
                              [statuses[s] for s in specs])
 
-    pending = [spec for spec in specs if not statuses[spec].is_terminal()]
+    found = any(st.state == "sat" for st in statuses.values())
+    pending = [] if found else [s for s in specs if statuses[s].state == "pending"]
     _save()
     try:
-        sat_seen = any(st.state == "sat" for st in statuses.values())
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for spec in pending:
-                if sat_seen:
-                    break
-                futures[pool.submit(solve_combo, group, n, spec, solver_cmd,
-                                    timeout, work_dir)] = spec
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    if fut.cancelled():
-                        continue
-                    spec = futures[fut]
-                    statuses[spec] = fut.result()  # EncoderSoundnessError propagates
-                    _save()
-                    if statuses[spec].state == "sat":
-                        # Short-circuit: drop every queued combo.
-                        for other in list(not_done):
-                            if other.cancel():
-                                not_done.discard(other)
+            futures = {pool.submit(solve_combo, group, n, spec, solver_cmd,
+                                   timeout, work_dir): spec for spec in pending}
+            for fut in as_completed(futures):
+                if fut.cancelled():
+                    continue
+                status = fut.result()  # EncoderSoundnessError propagates
+                statuses[futures[fut]] = status
+                _save()
+                if status.state == "sat":
+                    # Short-circuit: drop every queued combo; running ones
+                    # finish and are recorded.
+                    for other in futures:
+                        other.cancel()
     finally:
         _save()
-        if own_work_dir is not None:
-            sat_status = next((st for st in statuses.values()
-                               if st.state == "sat" and st.detail), None)
-            if sat_status is not None and os.path.exists(sat_status.detail):
-                keep = tempfile.mkdtemp(prefix="mmtsat-found-")
-                moved = os.path.join(keep, os.path.basename(sat_status.detail))
-                os.replace(sat_status.detail, moved)
-                if os.path.exists(sat_status.detail + ".sym"):
-                    os.replace(sat_status.detail + ".sym", moved + ".sym")
-                sat_status.detail = moved
-            own_work_dir.cleanup()
-        if checkpoint_path:
-            write_checkpoint(checkpoint_path, group, n, max_rank,
-                             [statuses[s] for s in specs])
+        if own_work_dir:
+            for name in os.listdir(work_dir):
+                if name.endswith(".cnf"):
+                    os.unlink(os.path.join(work_dir, name))
+            if not os.listdir(work_dir):
+                os.rmdir(work_dir)
 
-    report = CampaignReport(group, n, max_rank, [statuses[s] for s in specs],
-                            wall_seconds=time.monotonic() - started,
-                            solver=solver_cmd)
-    for st in report.statuses:
-        if st.state == "sat":
-            report.decomposition_path = st.detail
-            break
-    return report
+    return CampaignReport(group, n, max_rank, [statuses[s] for s in specs],
+                          wall_seconds=time.monotonic() - started,
+                          solver=solver_cmd)

@@ -154,10 +154,6 @@ def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
 # -- encoding ----------------------------------------------------------------
 
 
-def _rep_vars(varmap: VarMap, tag: str, idx: int) -> list[int]:
-    return [e.var for e in varmap.primary if e.orbit == tag and e.index == idx]
-
-
 def symmetry_breaking(group: GroupId, n: int, reps) -> list[Expr]:
     """The canonical form's lex-order constraints on symbolic representatives."""
     image = _lift(scheme(group).image, n)
@@ -196,8 +192,8 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
 
     # Non-zero representatives: the whole triplet must have a set entry.
     for kind in orbit_kinds(group):
-        for idx in range(len(reps[kind.tag])):
-            builder.add_clause(_rep_vars(varmap, kind.tag, idx))
+        for rep in reps[kind.tag]:
+            builder.add_clause(dict.fromkeys(e.index for e in _flatten(rep)))
 
     for expr in side + symmetry_breaking(group, n, reps):
         builder.assert_expr(expr)
@@ -220,35 +216,20 @@ class DecodeError(ValueError):
 
 def decode(model: dict[int, bool], varmap: VarMap, group: GroupId,
            n: int) -> tuple[SymmetricDecomposition, Decomposition]:
-    """Reconstruct representatives from a model's primary variables."""
-    cells: dict[tuple[str, int, str], dict[tuple[int, int], int]] = {}
+    """Reconstruct representatives from a model's primary variables,
+    read through the symbolic representatives the encoder builds."""
     counts: dict[str, int] = {}
+    for e in varmap.primary:
+        counts[e.orbit] = max(counts.get(e.orbit, 0), e.index + 1)
+    reps, layout, _ = build_symbolic_orbits(group, n, counts)
+    if layout.primary != varmap.primary:
+        raise DecodeError("variable map does not match the encoder's layout")
     for e in varmap.primary:
         if e.var not in model:
             raise DecodeError(f"model does not assign variable {e.var}")
-        cells.setdefault((e.orbit, e.index, e.mat), {})[(e.row, e.col)] = \
-            int(model[e.var])
-        counts[e.orbit] = max(counts.get(e.orbit, 0), e.index + 1)
-
-    orbits: dict[str, tuple] = {}
-    for kind in orbit_kinds(group):
-        reps = []
-        for idx in range(counts.get(kind.tag, 0)):
-            rep = []
-            for role in kind.roles:
-                grid = cells[(kind.tag, idx, role)]
-                rows = []
-                for i in range(n):
-                    row = []
-                    for j in range(n):
-                        if (i, j) in grid:
-                            row.append(grid[(i, j)])
-                        else:
-                            # Inlined symmetric role: mirror the triangle.
-                            row.append(grid[(min(i, j), max(i, j))])
-                    rows.append(row)
-                rep.append(Gf2Matrix.from_rows(rows))
-            reps.append(tuple(rep))
-        orbits[kind.tag] = tuple(reps)
+    orbits = {tag: tuple(tuple(Gf2Matrix.from_rows(
+                  [[int(bx.evaluate(cell, model)) for cell in row] for row in mat])
+                  for mat in rep) for rep in tag_reps)
+              for tag, tag_reps in reps.items()}
     sd = SymmetricDecomposition(group, n, orbits)
     return sd, sd.expand()

@@ -17,10 +17,7 @@ from mmtsat.oracle import brute_symmetric_feasible
 from mmtsat.symmetry import GroupId, is_group_symmetric
 from mmtsat.tensor import load_decomposition, verify
 
-from conftest import SOLVER_CMD, STRASSEN_MOD2, solver_available
-
-requires_solver = pytest.mark.skipif(not solver_available(),
-                                     reason="no DIMACS solver on PATH")
+from conftest import SOLVER_CMD, STRASSEN_MOD2, requires_solver
 
 
 def _report(number: int, message: str, started: float) -> None:

@@ -106,7 +106,7 @@ def test_tseitin_cnf_matches_evaluation():
     for _ in range(200):
         num_vars = rng.randint(2, 10)
         expr = _random_expr(rng, num_vars, rng.randint(1, 4))
-        builder = bx.CnfBuilder(num_vars, xor_width=rng.choice([2, 3, 4]))
+        builder = bx.CnfBuilder(num_vars)
         builder.assert_expr(expr)
         clauses = builder.clauses
         # Sample assignments exhaustively for small var counts.
@@ -117,17 +117,16 @@ def test_tseitin_cnf_matches_evaluation():
 
 
 def test_xor_width_splitting_is_sound():
-    # A long parity constraint decomposes into width-bounded blocks.
-    n = 9
-    expr = bx.xor(*[bx.var(i + 1) for i in range(n)])
-    for width in (2, 3, 4):
-        builder = bx.CnfBuilder(n, xor_width=width)
+    # Long parity constraints decompose into blocks of at most XOR_WIDTH.
+    n = 2 * bx.XOR_WIDTH + 1
+    chain = bx.xor(*[bx.var(i + 1) for i in range(n)])
+    for expr, parity in ((chain, 1), (bx.not_(chain), 0)):
+        builder = bx.CnfBuilder(n)
         builder.assert_expr(expr)
-        for cl in builder.clauses:
-            assert len(cl) <= width + 1
+        assert max(len(cl) for cl in builder.clauses) == bx.XOR_WIDTH + 1
         for bits in range(1 << n):
             assignment = {i + 1: bool((bits >> i) & 1) for i in range(n)}
-            want = bin(bits).count("1") % 2 == 1
+            want = bin(bits).count("1") % 2 == parity
             assert _propagate(builder.clauses, assignment) == want
 
 

@@ -1,12 +1,17 @@
 import json
 import os
 import stat
+import tempfile
+import threading
 
 import pytest
 
+import mmtsat.driver as driver
+from mmtsat.cli import EXIT_UNDETERMINED, main
 from mmtsat.driver import (
     ComboSpec,
     ComboStatus,
+    EncoderSoundnessError,
     checkpoint_to_json,
     enumerate_combos,
     load_checkpoint,
@@ -18,10 +23,7 @@ from mmtsat.driver import (
 )
 from mmtsat.symmetry import GroupId
 
-from conftest import SOLVER_CMD, solver_available
-
-requires_solver = pytest.mark.skipif(not solver_available(),
-                                     reason="no DIMACS solver on PATH")
+from conftest import SOLVER_CMD, requires_solver
 
 
 def test_enumerate_combo_counts():
@@ -65,6 +67,8 @@ def test_parse_solver_output_cases():
     assert state == "unknown" and "no status" in diag
     state, diag = parse_solver_output("s SATISFIABLE\ns UNSATISFIABLE\n")
     assert state == "unknown" and "contradictory" in diag
+    state, diag = parse_solver_output("s SATISFIABLE\nv 1 x 0\n")
+    assert state == "unknown" and "'x'" in diag
 
 
 def test_run_solver_requires_placeholder(tmp_path):
@@ -127,6 +131,155 @@ def test_solve_combo_missing_solver_is_an_error(tmp_path):
     assert "failed to run" in status.detail
 
 
+def test_solve_combo_complete_wrong_model_raises(tmp_path):
+    # All four delta entries false: a complete model of the zero matrix.
+    spec = ComboSpec(GroupId.CYCLIC, (("id", 0), ("delta", 1)))
+    solver = _fake_solver(tmp_path, r"printf 's SATISFIABLE\nv -1 -2 -3 -4 0\n'" "\n")
+    with pytest.raises(EncoderSoundnessError):
+        solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
+
+
+# One faulty reply for the id=1,delta=1 combo; every other combo is UNSAT.
+_FAULTS = {
+    "partial model": (r"printf 's SATISFIABLE\nv 1 -2 0\n'",
+                      "incomplete model: model does not assign variable 3"),
+    "bad v token": (r"printf 's SATISFIABLE\nv 1 x 0\n'",
+                    "unparsable solver output: bad literal 'x' in a v line"),
+    "non-UTF-8 output": (r"printf 's SATISFIABLE\nv 1 \377 0\n'",
+                         "unparsable solver output: bad literal '\ufffd' in a v line"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_search_records_faulty_combo_and_finishes(fault, tmp_path, capsys):
+    reply, reason = _FAULTS[fault]
+    solver = _fake_solver(tmp_path, f"""case "$1" in
+*/cyc-id=1,delta=1.cnf) {reply} ;;
+*) echo "s UNSATISFIABLE" ;;
+esac
+""")
+    rc = main(["search", "--group", "cyc", "--n", "2", "--max-rank", "4",
+               "--solver", solver, "--workers", "2",
+               "--work-dir", str(tmp_path / "work"), "--json"])
+    assert rc == EXIT_UNDETERMINED
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "undetermined"
+    states = {json.dumps(c["counts"], sort_keys=True): (c["state"], c["detail"])
+              for c in report["combos"]}
+    faulty = states.pop(json.dumps({"id": 1, "delta": 1}, sort_keys=True))
+    assert faulty == ("error", reason)
+    assert len(states) == 6
+    assert all(state == "unsat" for state, _ in states.values())
+
+
+def test_campaign_resume_runs_nothing(tmp_path, monkeypatch):
+    ckpt = tmp_path / "ckpt.json"
+    unsat = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
+    run_campaign(GroupId.CYCLIC, 2, 3, unsat, checkpoint_path=str(ckpt))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("solve_combo should not run on resume")
+
+    monkeypatch.setattr(driver, "solve_combo", boom)
+    report = run_campaign(GroupId.CYCLIC, 2, 3, unsat, checkpoint_path=str(ckpt))
+    assert report.verdict() == "ruled_out"
+    # A checkpoint that already holds a sat runs nothing, even with
+    # pending combos left.
+    data = load_checkpoint(ckpt)
+    data["combos"][0].update(state="sat", detail="found.json")
+    data["combos"][1].update(state="pending")
+    ckpt.write_text(json.dumps(data))
+    report = run_campaign(GroupId.CYCLIC, 2, 3, unsat, checkpoint_path=str(ckpt))
+    assert report.verdict() == "found"
+    assert report.decomposition_path == "found.json"
+    assert report.statuses[1].state == "pending"
+
+
+def test_campaign_checkpoint_written_once_per_combo(tmp_path, monkeypatch):
+    calls = []
+    original = driver.write_checkpoint
+
+    def counting(path, *args):
+        calls.append(path)
+        original(path, *args)
+
+    monkeypatch.setattr(driver, "write_checkpoint", counting)
+    unsat = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
+    report = run_campaign(GroupId.CYCLIC, 2, 4, unsat, workers=2,
+                          checkpoint_path=str(tmp_path / "ckpt.json"),
+                          work_dir=str(tmp_path / "work"))
+    assert report.verdict() == "ruled_out"
+    # Once before any combo runs, once per completed combo, once at the end.
+    assert len(calls) == 1 + len(report.statuses) + 1
+
+
+def test_campaign_sat_short_circuit_with_two_workers(tmp_path, monkeypatch):
+    specs = enumerate_combos(GroupId.CYCLIC, 7)
+    first, winner = specs[0], specs[1]
+    sat_recorded = threading.Event()
+    original = driver.write_checkpoint
+
+    def write(path, group, n, max_rank, statuses):
+        original(path, group, n, max_rank, statuses)
+        if any(st.state == "sat" for st in statuses):
+            sat_recorded.set()
+
+    def fake_solve(group, n, spec, solver_cmd, timeout, work_dir):
+        if spec == winner:
+            return ComboStatus(spec, "sat", 0.0, solver_cmd, "found.json")
+        # Still running when the sat is recorded.
+        assert sat_recorded.wait(10)
+        return ComboStatus(spec, "unsat", 0.0, solver_cmd)
+
+    monkeypatch.setattr(driver, "write_checkpoint", write)
+    monkeypatch.setattr(driver, "solve_combo", fake_solve)
+    ckpt = tmp_path / "ckpt.json"
+    report = run_campaign(GroupId.CYCLIC, 2, 7, "unused {cnf}", workers=2,
+                          checkpoint_path=str(ckpt),
+                          work_dir=str(tmp_path / "work"))
+    assert report.verdict() == "found"
+    assert report.decomposition_path == "found.json"
+    by_spec = {st.spec: st.state for st in report.statuses}
+    assert by_spec[winner] == "sat"
+    assert by_spec[first] == "unsat"  # finished after the sat, still recorded
+    states = list(by_spec.values())
+    assert set(states) == {"sat", "unsat", "pending"}
+    assert states.count("pending") >= len(specs) - 4
+    assert load_checkpoint(ckpt) == checkpoint_to_json(
+        GroupId.CYCLIC, 2, 7, report.statuses)
+
+
+def test_campaign_own_work_dir_keeps_only_the_found_pair(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    specs = enumerate_combos(GroupId.CYCLIC, 4)
+    winner = None
+    work_dirs = []
+
+    def fake_solve(group, n, spec, solver_cmd, timeout, work_dir):
+        work_dirs.append(work_dir)
+        stem = os.path.join(work_dir, spec.label())
+        open(stem + ".cnf", "w").close()
+        if spec != winner:
+            return ComboStatus(spec, "unsat", 0.0, solver_cmd)
+        open(stem + ".json", "w").close()
+        open(stem + ".json.sym", "w").close()
+        return ComboStatus(spec, "sat", 0.0, solver_cmd, stem + ".json")
+
+    monkeypatch.setattr(driver, "solve_combo", fake_solve)
+    report = run_campaign(GroupId.CYCLIC, 2, 4, "unused {cnf}")
+    assert report.verdict() == "ruled_out"
+    assert len(set(work_dirs)) == 1 and not os.path.exists(work_dirs[0])
+
+    winner = specs[-2]  # the last combo with rank > 0, so every combo runs
+    work_dirs.clear()
+    report = run_campaign(GroupId.CYCLIC, 2, 4, "unused {cnf}")
+    assert report.verdict() == "found"
+    found = os.path.join(work_dirs[0], winner.label() + ".json")
+    assert report.decomposition_path == found
+    assert sorted(os.listdir(work_dirs[0])) == [os.path.basename(found),
+                                                os.path.basename(found) + ".sym"]
+
+
 @requires_solver
 def test_campaign_rules_out_low_ranks_and_checkpoints(tmp_path):
     ckpt = tmp_path / "ckpt.json"
@@ -146,8 +299,6 @@ def test_campaign_resume_skips_finished_combos(tmp_path, monkeypatch):
     ckpt = tmp_path / "ckpt.json"
     run_campaign(GroupId.CYCLIC, 2, 3, SOLVER_CMD, checkpoint_path=str(ckpt))
     # A resumed campaign with everything terminal never encodes again.
-    import mmtsat.driver as driver
-
     def boom(*args, **kwargs):
         raise AssertionError("solve_combo should not run on resume")
 
@@ -180,7 +331,6 @@ def test_campaign_short_circuits_on_sat(tmp_path):
 
 @requires_solver
 def test_campaign_verdict_is_order_independent(tmp_path, monkeypatch):
-    import mmtsat.driver as driver
     baseline = run_campaign(GroupId.CYCLIC, 2, 4, SOLVER_CMD)
     original = driver.enumerate_combos
 

@@ -121,6 +121,16 @@ def test_decode_requires_all_primaries():
         decode({}, varmap, GroupId.CYCLIC, 2)
 
 
+def test_decode_rejects_a_varmap_of_another_layout():
+    _, varmap = encode(GroupId.CYCLIC_TRANSPOSE, 2, {"t": 1})
+    model = {e.var: True for e in varmap.primary}
+    with pytest.raises(DecodeError, match="layout"):
+        decode(model, varmap, GroupId.CYCLIC, 2)
+    varmap.primary.pop()
+    with pytest.raises(DecodeError, match="layout"):
+        decode(model, varmap, GroupId.CYCLIC_TRANSPOSE, 2)
+
+
 @pytest.mark.parametrize("group,n", [
     (GroupId.TRIVIAL, 2),
     (GroupId.CYCLIC, 2),
