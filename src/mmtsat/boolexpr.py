@@ -1,7 +1,9 @@
 """Boolean expression DAGs and Tseitin conversion to CNF.
 
 Expressions are immutable; the smart constructors fold constants so that
-only satisfiable structure reaches the converter.  XOR nodes are split
+only satisfiable structure reaches the converter.  The converter shares
+one gate per distinct subexpression, and one AND gate per set of
+argument literals whatever their order.  XOR nodes are split
 into balanced trees of bounded-width parity blocks (a width-w block
 costs 2^w clauses), everything else uses the standard Tseitin gates.
 """
@@ -184,6 +186,9 @@ class CnfBuilder:
         self.num_vars = num_primary
         self.clauses: list[tuple[int, ...]] = []
         self._cache: dict[Expr, int] = {}
+        # AND gates by their sorted literals: And(x, y) and And(y, x)
+        # are different Exprs but one gate.
+        self._and_gates: dict[tuple[int, ...], int] = {}
 
     def fresh_var(self) -> int:
         self.num_vars += 1
@@ -229,10 +234,13 @@ class CnfBuilder:
             return cached
         if isinstance(e, And):
             lits = [self.lit(a) for a in e.args]
-            v = self.fresh_var()
-            for l in lits:
-                self.add_clause((-v, l))
-            self.add_clause([v] + [-l for l in lits])
+            key = tuple(sorted(lits))
+            v = self._and_gates.get(key)
+            if v is None:
+                v = self._and_gates[key] = self.fresh_var()
+                for l in lits:
+                    self.add_clause((-v, l))
+                self.add_clause([v] + [-l for l in lits])
         elif isinstance(e, Or):
             lits = [self.lit(a) for a in e.args]
             v = self.fresh_var()

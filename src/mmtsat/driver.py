@@ -5,11 +5,13 @@ configured solver subprocess on each instance (hardest first, across a
 worker pool), and checkpoints after each combo so a killed campaign
 resumes where it stopped.  `solve_combo` maps every end of one run to a
 recorded state: a timeout, a solver that fails to start, unparsable
-output or an incomplete model is recorded as `timeout`/`error` with its
-reason, and the campaign goes on.  A complete model is verified
-independently; one that fails verification raises EncoderSoundnessError,
-because then the encoding itself is wrong.  The first `sat` cancels the
-combos still queued; those already running are recorded as they finish.
+output or a model that does not decode (unassigned primaries, a broken
+side condition) is recorded as `timeout`/`error` with its reason, and
+the campaign goes on.  A decoded model is verified independently; one
+that fails verification raises EncoderSoundnessError, because then the
+encoding itself is wrong.  The first `sat`, and the first combo that
+raises, stop the combos still queued from running; those already
+running are recorded as they finish.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import re
 import shlex
 import subprocess
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -248,7 +251,7 @@ def _run_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
     try:
         sd, d = decode(payload, varmap, group, n)
     except DecodeError as exc:
-        return "error", f"incomplete model: {exc}"
+        return "error", str(exc)
     problems = []
     if not verify(d):
         problems.append("decoded decomposition does not evaluate to the target")
@@ -302,22 +305,34 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
 
     found = any(st.state == "sat" for st in statuses.values())
     pending = [] if found else [s for s in specs if statuses[s].state == "pending"]
+    stop = threading.Event()
+
+    def _solve(spec: ComboSpec) -> ComboStatus | None:
+        # The worker that finds a model or raises sets `stop` itself, so
+        # no queued combo starts in the time the main thread takes to see it.
+        if stop.is_set():
+            return None
+        try:
+            status = solve_combo(group, n, spec, solver_cmd, timeout, work_dir)
+        except BaseException:
+            stop.set()
+            raise
+        if status.state == "sat":
+            stop.set()
+        return status
+
     _save()
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(solve_combo, group, n, spec, solver_cmd,
-                                   timeout, work_dir): spec for spec in pending}
-            for fut in as_completed(futures):
-                if fut.cancelled():
-                    continue
-                status = fut.result()  # EncoderSoundnessError propagates
-                statuses[futures[fut]] = status
-                _save()
-                if status.state == "sat":
-                    # Short-circuit: drop every queued combo; running ones
-                    # finish and are recorded.
-                    for other in futures:
-                        other.cancel()
+            futures = {pool.submit(_solve, spec): spec for spec in pending}
+            try:
+                for fut in as_completed(futures):
+                    status = fut.result()  # EncoderSoundnessError propagates
+                    if status is not None:
+                        statuses[futures[fut]] = status
+                        _save()
+            finally:
+                stop.set()  # also on an interrupt of the main thread
     finally:
         _save()
         if own_work_dir:

@@ -8,6 +8,17 @@ tensor equations plus the lexicographic symmetry-breaking constraints,
 and can decode any model back into a verified decomposition.  Roles,
 side conditions, expansions and ordering constraints are all read from
 the same table in symmetry that check_canonical reads.
+
+Tensor equations are emitted once per orbit of tensor entries.  A group
+generator that permutes a triplet's matrices, applying an image op that
+permutes matrix cells (transposition; conjugation by F does not), maps
+the entry (x0, x1, x2) of cells to y with y[r] = pi(x_k) for the k-th
+slot (r, primed) of the generator row.  Because the expanded symbolic
+decomposition is invariant under the generator and so is the target
+tensor, the equation at y is the same XOR of the same AND terms as the
+equation at x.  The emitted equations are a subset of the full set, so
+an UNSAT answer still rules the combo out; and since each dropped
+equation repeats an emitted one, no model is added.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 from . import boolexpr as bx
 from .boolexpr import CnfBuilder, CnfInstance, Expr, lex_less
@@ -23,6 +35,7 @@ from .gf2 import Gf2Matrix
 from .symmetry import (
     CONDITION_OPS,
     SYMMETRIC,
+    ConstraintError,
     GroupId,
     expand,
     lex_constraints,
@@ -33,6 +46,8 @@ from .symmetry import (
 from .tensor import Decomposition, mm_tensor
 
 SymMatrix = tuple[tuple[Expr, ...], ...]
+Cell = tuple[int, int]
+Entry = tuple[Cell, Cell, Cell]  # ((a, b), (c, d), (e, f)) of the tensor
 
 
 @dataclass(frozen=True)
@@ -100,6 +115,38 @@ def _lift(op, n: int):
     terms = _entry_terms(op, n)
     return lambda m: tuple(tuple(bx.xor(*(m[k][l] for k, l in terms[i][j]))
                                  for j in range(n)) for i in range(n))
+
+
+@lru_cache
+def _equation_entries(group: GroupId, n: int) -> dict[Entry, Entry]:
+    """Every tensor entry, in row-major a..f order, mapped to the first
+    entry of its orbit under the generators that permute cells."""
+    s = scheme(group)
+    cells = list(product(range(n), repeat=2))
+    # The image op's cell permutation, if it is one: image(m)[i][j] == m[pi[i, j]].
+    pi = {}
+    if s.image is not None:
+        terms = _entry_terms(s.image, n)
+        pi = {(i, j): terms[i][j][0] for i, j in cells if len(terms[i][j]) == 1}
+    moves = [row for row in s.generators
+             if len(pi) == n * n or not any(im for _, im in row)]
+    reps: dict[Entry, Entry] = {}
+    for x in product(cells, repeat=3):
+        if x in reps:
+            continue
+        reps[x] = x
+        todo = [x]
+        while todo:
+            src = todo.pop()
+            for row in moves:
+                y = [None] * 3
+                for (r, im), cell in zip(row, src):
+                    y[r] = pi[cell] if im else cell
+                y = tuple(y)
+                if y not in reps:
+                    reps[y] = x
+                    todo.append(y)
+    return {x: reps[x] for x in product(cells, repeat=3)}
 
 
 def _flatten(mats) -> list[Expr]:
@@ -171,24 +218,22 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     reps, varmap, side = build_symbolic_orbits(group, n, combo)
     builder = CnfBuilder(varmap.aux_start - 1)
 
-    # Tensor equations: for every entry, the XOR of the per-triplet AND
-    # terms over the fully expanded decomposition equals the target bit.
+    # Tensor equations: for one entry per orbit of entries, the XOR of
+    # the per-triplet AND terms over the fully expanded decomposition
+    # equals the target bit.
     image = _lift(scheme(group).image, n)
     triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
                 for trip in expand(kind, rep, image)]
     target = mm_tensor(n, n, n)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    for e in range(n):
-                        for f in range(n):
-                            terms = [bx.and_(ta[a][b], tb[c][d], tc[e][f])
-                                     for (ta, tb, tc) in triplets]
-                            expr = bx.xor(*terms)
-                            if not target.get(a, b, c, d, e, f):
-                                expr = bx.not_(expr)
-                            builder.assert_expr(expr)
+    for entry, rep in _equation_entries(group, n).items():
+        if entry != rep:
+            continue
+        (a, b), (c, d), (e, f) = entry
+        expr = bx.xor(*(bx.and_(ta[a][b], tb[c][d], tc[e][f])
+                        for ta, tb, tc in triplets))
+        if not target.get(a, b, c, d, e, f):
+            expr = bx.not_(expr)
+        builder.assert_expr(expr)
 
     # Non-zero representatives: the whole triplet must have a set entry.
     for kind in orbit_kinds(group):
@@ -226,10 +271,13 @@ def decode(model: dict[int, bool], varmap: VarMap, group: GroupId,
         raise DecodeError("variable map does not match the encoder's layout")
     for e in varmap.primary:
         if e.var not in model:
-            raise DecodeError(f"model does not assign variable {e.var}")
+            raise DecodeError(f"incomplete model: model does not assign variable {e.var}")
     orbits = {tag: tuple(tuple(Gf2Matrix.from_rows(
                   [[int(bx.evaluate(cell, model)) for cell in row] for row in mat])
                   for mat in rep) for rep in tag_reps)
               for tag, tag_reps in reps.items()}
-    sd = SymmetricDecomposition(group, n, orbits)
+    try:
+        sd = SymmetricDecomposition(group, n, orbits)
+    except ConstraintError as exc:
+        raise DecodeError(f"model breaks a side condition: {exc}") from exc
     return sd, sd.expand()

@@ -139,6 +139,18 @@ def test_structural_sharing_caches_subterms():
     assert len(aux_for_and) == 1
 
 
+def test_and_gates_shared_across_argument_order():
+    x, y, z = bx.var(1), bx.var(2), bx.var(3)
+    expr = bx.xor(bx.and_(x, y, z), bx.and_(z, x, y), bx.var(4))
+    builder = bx.CnfBuilder(4)
+    builder.assert_expr(expr)
+    assert builder._cache[bx.and_(x, y, z)] == builder._cache[bx.and_(z, x, y)]
+    assert builder.num_vars == 5  # one gate for both orders
+    for bits in range(1 << 4):
+        assignment = {i + 1: bool((bits >> i) & 1) for i in range(4)}
+        assert _propagate(builder.clauses, assignment) == bx.evaluate(expr, assignment)
+
+
 def test_constants_rejected_inside_conversion():
     builder = bx.CnfBuilder(1)
     with pytest.raises(ValueError):

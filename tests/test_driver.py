@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import sys
 import tempfile
 import threading
 
@@ -139,36 +140,43 @@ def test_solve_combo_complete_wrong_model_raises(tmp_path):
         solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
 
 
-# One faulty reply for the id=1,delta=1 combo; every other combo is UNSAT.
+# One faulty reply for one combo of a small campaign; every other combo
+# is UNSAT.  The all-ones U of the cyc-sw full orbit is not F-commuting.
+_CYC = ("cyc", 2, 4, {"id": 1, "delta": 1})
 _FAULTS = {
-    "partial model": (r"printf 's SATISFIABLE\nv 1 -2 0\n'",
+    "partial model": (_CYC, r"printf 's SATISFIABLE\nv 1 -2 0\n'",
                       "incomplete model: model does not assign variable 3"),
-    "bad v token": (r"printf 's SATISFIABLE\nv 1 x 0\n'",
+    "bad v token": (_CYC, r"printf 's SATISFIABLE\nv 1 x 0\n'",
                     "unparsable solver output: bad literal 'x' in a v line"),
-    "non-UTF-8 output": (r"printf 's SATISFIABLE\nv 1 \377 0\n'",
+    "non-UTF-8 output": (_CYC, r"printf 's SATISFIABLE\nv 1 \377 0\n'",
                          "unparsable solver output: bad literal '\ufffd' in a v line"),
+    "broken side condition": (
+        ("cyc-sw", 3, 2, {"id": 0, "sw": 0, "delta": 0, "full": 1}),
+        r"printf 's SATISFIABLE\nv 1 2 3 4 5 6 7 8 9 0\n'",
+        "model breaks a side condition: U must be F-commuting"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
 def test_search_records_faulty_combo_and_finishes(fault, tmp_path, capsys):
-    reply, reason = _FAULTS[fault]
+    (group, n, max_rank, counts), reply, reason = _FAULTS[fault]
+    label = ",".join(f"{tag}={c}" for tag, c in counts.items())
     solver = _fake_solver(tmp_path, f"""case "$1" in
-*/cyc-id=1,delta=1.cnf) {reply} ;;
+*/{group}-{label}.cnf) {reply} ;;
 *) echo "s UNSATISFIABLE" ;;
 esac
 """)
-    rc = main(["search", "--group", "cyc", "--n", "2", "--max-rank", "4",
-               "--solver", solver, "--workers", "2",
+    rc = main(["search", "--group", group, "--n", str(n),
+               "--max-rank", str(max_rank), "--solver", solver, "--workers", "2",
                "--work-dir", str(tmp_path / "work"), "--json"])
     assert rc == EXIT_UNDETERMINED
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "undetermined"
     states = {json.dumps(c["counts"], sort_keys=True): (c["state"], c["detail"])
               for c in report["combos"]}
-    faulty = states.pop(json.dumps({"id": 1, "delta": 1}, sort_keys=True))
+    faulty = states.pop(json.dumps(counts, sort_keys=True))
     assert faulty == ("error", reason)
-    assert len(states) == 6
+    assert len(states) == len(enumerate_combos(GroupId.from_name(group), max_rank)) - 1
     assert all(state == "unsat" for state, _ in states.values())
 
 
@@ -247,6 +255,32 @@ def test_campaign_sat_short_circuit_with_two_workers(tmp_path, monkeypatch):
     assert states.count("pending") >= len(specs) - 4
     assert load_checkpoint(ckpt) == checkpoint_to_json(
         GroupId.CYCLIC, 2, 7, report.statuses)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_campaign_stops_queued_combos_after_a_combo_raises(workers, tmp_path,
+                                                           monkeypatch):
+    calls = []
+
+    def fake_solve(group, n, spec, solver_cmd, timeout, work_dir):
+        calls.append(spec)
+        raise EncoderSoundnessError(f"combo {spec.label()}: wrong model")
+
+    monkeypatch.setattr(driver, "solve_combo", fake_solve)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(EncoderSoundnessError):
+            run_campaign(GroupId.CYCLIC, 2, 7, "unused {cnf}", workers=workers,
+                         checkpoint_path=str(tmp_path / "ckpt.json"),
+                         work_dir=str(tmp_path / "work"))
+    finally:
+        sys.setswitchinterval(interval)
+    # Only combos already running when the first one raised were called.
+    assert 1 <= len(calls) <= workers
+    assert set(calls) == set(enumerate_combos(GroupId.CYCLIC, 7)[:len(calls)])
+    states = {c["state"] for c in load_checkpoint(tmp_path / "ckpt.json")["combos"]}
+    assert states == {"pending"}
 
 
 def test_campaign_own_work_dir_keeps_only_the_found_pair(tmp_path, monkeypatch):

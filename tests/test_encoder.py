@@ -1,5 +1,7 @@
 import hashlib
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -8,13 +10,15 @@ from mmtsat.canonical import canonicalize, check_canonical
 from mmtsat.encoder import (
     DecodeError,
     VarMap,
+    _equation_entries,
+    _lift,
     build_symbolic_orbits,
     decode,
     encode,
     symmetry_breaking,
 )
-from mmtsat.symmetry import GroupId, kind_by_tag
-from mmtsat.tensor import verify
+from mmtsat.symmetry import GroupId, expand, kind_by_tag, orbit_kinds, scheme
+from mmtsat.tensor import mm_tensor, verify
 
 from conftest import random_symmetric_decomposition
 
@@ -131,6 +135,64 @@ def test_decode_rejects_a_varmap_of_another_layout():
         decode(model, varmap, GroupId.CYCLIC_TRANSPOSE, 2)
 
 
+def test_decode_rejects_a_broken_side_condition():
+    # The all-ones U is not F-commuting: a solver fault, not an encoder one.
+    _, varmap = encode(GroupId.CYCLIC_SANDWICH, 3, {"full": 1})
+    model = {e.var: True for e in varmap.primary}
+    with pytest.raises(DecodeError, match="U must be F-commuting"):
+        decode(model, varmap, GroupId.CYCLIC_SANDWICH, 3)
+
+
+def _entries(n):
+    return list(product(product(range(n), repeat=2), repeat=3))
+
+
+def test_equation_entries_counts_and_order():
+    kept = {g: [x for x, rep in _equation_entries(g, 3).items() if x == rep]
+            for g in GroupId}
+    assert {g.value: len(k) for g, k in kept.items()} == \
+        {"none": 729, "cyc": 249, "cyc-t": 138, "cyc-sw": 249}
+    for n in (2, 3):
+        assert list(_equation_entries(GroupId.TRIVIAL, n).items()) == \
+            [(x, x) for x in _entries(n)]
+    for g in GroupId:
+        # Kept entries come in row-major order, each first in its orbit.
+        assert kept[g] == sorted(kept[g])
+        assert all(rep <= x for x, rep in _equation_entries(g, 3).items())
+
+
+def _equation_key(triplets, target, entry):
+    """The target bit and the multiset of AND-term cell multisets."""
+    (a, b), (c, d), (e, f) = entry
+    return (target.get(a, b, c, d, e, f),
+            Counter(tuple(sorted(map(repr, (ta[a][b], tb[c][d], tc[e][f]))))
+                    for ta, tb, tc in triplets))
+
+
+@pytest.mark.parametrize("group,n", [
+    (GroupId.TRIVIAL, 2), (GroupId.CYCLIC, 2), (GroupId.CYCLIC_TRANSPOSE, 2),
+    (GroupId.TRIVIAL, 3), (GroupId.CYCLIC, 3), (GroupId.CYCLIC_TRANSPOSE, 3),
+    (GroupId.CYCLIC_SANDWICH, 3),
+])
+def test_equation_quotient_drops_only_repeated_equations(group, n):
+    # Each entry's tensor equation over the expanded symbolic triplets is
+    # the equation of its orbit representative, so the quotient CNF has
+    # the same models as the full one.
+    tags = [kind.tag for kind in orbit_kinds(group)]
+    combos = [{tag: 1} for tag in tags]
+    combos.append({tag: 2 if i == 0 else 1 for i, tag in enumerate(tags)})
+    image = _lift(scheme(group).image, n)
+    target = mm_tensor(n, n, n)
+    quotient = _equation_entries(group, n)
+    for combo in combos:
+        reps, _, _ = build_symbolic_orbits(group, n, combo)
+        triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
+                    for trip in expand(kind, rep, image)]
+        for entry, rep in quotient.items():
+            assert _equation_key(triplets, target, entry) == \
+                _equation_key(triplets, target, rep), (combo, entry, rep)
+
+
 @pytest.mark.parametrize("group,n", [
     (GroupId.TRIVIAL, 2),
     (GroupId.CYCLIC, 2),
@@ -161,11 +223,11 @@ def test_symmetry_breaking_agrees_with_check_canonical(group, n):
     (GroupId.TRIVIAL, 2, {"id": 7},
      "af3dd8e1c9b58254726cf3efcf49eeb8cb4b2207eb8c08d89406418c8cadf128"),
     (GroupId.CYCLIC, 2, {"id": 2, "delta": 1},
-     "fe3ba632684a376c1f8624bd36f9b4c4d89289c83cebb614f12d0dadba254a61"),
+     "9de621b75a66e959e3d126d714599e70b30409b659c788f0b6836220b79e570a"),
     (GroupId.CYCLIC_TRANSPOSE, 3, {"id": 1, "t": 1, "delta": 1, "full": 1},
-     "cf3c21cd5951cb0706815dc08360e38b2d44f72333197c54d64aae748dfd1349"),
+     "d3d8847bbac7e5121aabb44be7fb95c035cb2e18c7bced8ea893e2a648ed042d"),
     (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1},
-     "d3407da86b682053a0e913f6a4cce9866be2cbcc71df718285ff63cc52e0c966"),
+     "6b3fe966213219e1ddb80e54942c96efd60eedcfe4c1c089dd7961fa383278ae"),
 ], ids=["none", "cyc", "cyc-t", "cyc-sw"])
 def test_cnf_pinned(group, n, combo, digest):
     cnf, _ = encode(group, n, combo)
