@@ -47,12 +47,6 @@ class Xor(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class Equiv(Expr):
-    lhs: Expr
-    rhs: Expr
-
-
 TRUE = Const(True)
 FALSE = Const(False)
 
@@ -113,14 +107,6 @@ def xor(*exprs: Expr) -> Expr:
     return not_(core) if parity else core
 
 
-def equiv(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const):
-        return b if a.value else not_(b)
-    if isinstance(b, Const):
-        return a if b.value else not_(a)
-    return Equiv(a, b)
-
-
 def evaluate(e: Expr, assignment: dict[int, bool]) -> bool:
     """Evaluate against a total assignment of variable ids."""
     if isinstance(e, Const):
@@ -138,8 +124,6 @@ def evaluate(e: Expr, assignment: dict[int, bool]) -> bool:
         for a in e.args:
             acc ^= evaluate(a, assignment)
         return acc
-    if isinstance(e, Equiv):
-        return evaluate(e.lhs, assignment) == evaluate(e.rhs, assignment)
     raise TypeError(f"unknown expression {e!r}")
 
 
@@ -154,7 +138,7 @@ def lex_less(a: list[Expr], b: list[Expr]) -> Expr:
         raise ValueError(f"lex_less length mismatch: {len(a)} vs {len(b)}")
     result: Expr = FALSE
     for x, y in zip(reversed(a), reversed(b)):
-        result = or_(and_(not_(x), y), and_(equiv(x, y), result))
+        result = or_(and_(not_(x), y), and_(not_(xor(x, y)), result))
     return result
 
 
@@ -250,13 +234,6 @@ class CnfBuilder:
         elif isinstance(e, Xor):
             lits = [self.lit(a) for a in e.args]
             v = self._xor_to_lit(lits)
-        elif isinstance(e, Equiv):
-            a, b = self.lit(e.lhs), self.lit(e.rhs)
-            v = self.fresh_var()
-            self.add_clause((-v, -a, b))
-            self.add_clause((-v, a, -b))
-            self.add_clause((v, a, b))
-            self.add_clause((v, -a, -b))
         else:
             raise TypeError(f"unknown expression {e!r}")
         self._cache[e] = v
@@ -274,19 +251,16 @@ class CnfBuilder:
         if isinstance(e, Or):
             self.add_clause(self.lit(a) for a in e.args)
             return
+        parity = 1
+        if isinstance(e, Not) and isinstance(e.arg, Xor):
+            e, parity = e.arg, 0
         if isinstance(e, Xor):
             lits = [self.lit(a) for a in e.args]
             if len(lits) <= XOR_WIDTH:
-                self._parity_clauses(lits, 1)
+                self._parity_clauses(lits, parity)
             else:
-                self.add_clause((self._xor_to_lit(lits),))
-            return
-        if isinstance(e, Not) and isinstance(e.arg, Xor):
-            lits = [self.lit(a) for a in e.arg.args]
-            if len(lits) <= XOR_WIDTH:
-                self._parity_clauses(lits, 0)
-            else:
-                self.add_clause((-self._xor_to_lit(lits),))
+                v = self._xor_to_lit(lits)
+                self.add_clause((v if parity else -v,))
             return
         self.add_clause((self.lit(e),))
 

@@ -1,9 +1,12 @@
 """CNF compilation of symmetric tensor-decomposition existence questions.
 
-The encoder allocates SAT variables for the free entries of each orbit
-representative (symmetric roles share their upper-triangle variables;
-other side conditions become XOR equations), expands orbits with the
-same expansion function the concrete expander uses, emits the per-entry
+Each role of an orbit representative spans the fixed space
+{m : op(m) == m} of its side condition's linear map: one SAT variable per
+free cell, every other cell the XOR of free-cell variables.  Each fixed
+matrix is the image of exactly one assignment, so no side equations are
+emitted; a free cell equals its variable, so a primary's (mat, row, col)
+label names its cell.  The encoder expands orbits with the same
+expansion function the concrete expander uses, emits the per-entry
 tensor equations plus the lexicographic symmetry-breaking constraints,
 and can decode any model back into a verified decomposition.  Roles,
 side conditions, expansions and ordering constraints are all read from
@@ -26,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 
 from . import boolexpr as bx
 from .boolexpr import CnfBuilder, CnfInstance, Expr, lex_less
@@ -34,8 +37,6 @@ from .canonical import SymmetricDecomposition
 from .gf2 import Gf2Matrix
 from .symmetry import (
     CONDITION_OPS,
-    SYMMETRIC,
-    ConstraintError,
     GroupId,
     expand,
     lex_constraints,
@@ -118,6 +119,38 @@ def _lift(op, n: int):
 
 
 @lru_cache
+def _fixed_space(op, n: int) -> tuple[tuple[Cell, ...], tuple[tuple[tuple[Cell, ...], ...], ...]]:
+    """The n x n matrices m with op(m) == m (every matrix when op is None),
+    parametrized by free cells.
+
+    The equations op(m)[c] + m[c] = 0 are reduced over GF(2), each pivoting
+    on its last cell in row-major order.  Returns the cells without a
+    pivot, row-major, and for each cell the free cells whose XOR gives it;
+    a free cell is given by itself.
+    """
+    cells = list(product(range(n), repeat=2))
+    bit = {c: 1 << k for k, c in enumerate(cells)}
+    rows: dict[Cell, int] = {}  # pivot cell -> its reduced equation, as a cell mask
+    for i, j in cells if op is not None else ():
+        eq = bit[i, j]
+        for t in _entry_terms(op, n)[i][j]:
+            eq ^= bit[t]
+        for p, row in rows.items():
+            if eq & bit[p]:
+                eq ^= row
+        if eq:
+            pivot = cells[eq.bit_length() - 1]
+            for p, row in rows.items():
+                if row & bit[pivot]:
+                    rows[p] = row ^ eq
+            rows[pivot] = eq
+    free = tuple(c for c in cells if c not in rows)
+    return free, tuple(tuple(tuple(f for f in free if rows[i, j] & bit[f])
+                             if (i, j) in rows else ((i, j),)
+                             for j in range(n)) for i in range(n))
+
+
+@lru_cache
 def _equation_entries(group: GroupId, n: int) -> dict[Entry, Entry]:
     """Every tensor entry, in row-major a..f order, mapped to the first
     entry of its orbit under the generators that permute cells."""
@@ -159,15 +192,14 @@ def _flatten(mats) -> list[Expr]:
 def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
     """Allocate primary variables and build symbolic representatives.
 
-    Returns (reps, varmap, side_constraints) where reps maps each orbit
-    tag to its list of representative SymMatrix tuples and
-    side_constraints are the equations of the non-inlined side
-    conditions.
+    Each role gets one variable per free cell of its side condition's
+    fixed space, and every cell is the XOR of the variables
+    `_fixed_space` names.  Returns (reps, varmap) where reps maps each
+    orbit tag to its list of representative SymMatrix tuples.
     """
     varmap = VarMap()
     next_var = 0
     reps: dict[str, list[tuple[SymMatrix, ...]]] = {}
-    side: list[Expr] = []
 
     for kind in orbit_kinds(group):
         count = combo.get(kind.tag, 0)
@@ -177,25 +209,18 @@ def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
         for idx in range(count):
             rep = []
             for role, condition in zip(kind.roles, kind.conditions):
-                cells: dict[tuple[int, int], Expr] = {}
-                for i in range(n):
-                    for j in range(i if condition == SYMMETRIC else 0, n):
-                        next_var += 1
-                        varmap.primary.append(
-                            VarEntry(next_var, kind.tag, idx, role, i, j))
-                        cells[(i, j)] = bx.var(next_var)
-                mat = tuple(tuple(cells[(i, j) if (i, j) in cells else (j, i)]
-                                  for j in range(n)) for i in range(n))
-                op = CONDITION_OPS[condition]
-                if op is not None and condition != SYMMETRIC:
-                    image = _lift(op, n)(mat)
-                    for i in range(n):
-                        for j in range(n):
-                            side.append(bx.not_(bx.xor(image[i][j], mat[i][j])))
-                rep.append(mat)
+                free, basis = _fixed_space(CONDITION_OPS[condition], n)
+                cells: dict[Cell, Expr] = {}
+                for i, j in free:
+                    next_var += 1
+                    varmap.primary.append(
+                        VarEntry(next_var, kind.tag, idx, role, i, j))
+                    cells[i, j] = bx.var(next_var)
+                rep.append(tuple(tuple(bx.xor(*(cells[c] for c in terms))
+                                       for terms in row) for row in basis))
             reps[kind.tag].append(tuple(rep))
     varmap.aux_start = next_var + 1
-    return reps, varmap, side
+    return reps, varmap
 
 
 # -- encoding ----------------------------------------------------------------
@@ -215,7 +240,7 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     rank = total_rank(group, combo)
     if rank < 1:
         raise ValueError("total rank must be at least 1")
-    reps, varmap, side = build_symbolic_orbits(group, n, combo)
+    reps, varmap = build_symbolic_orbits(group, n, combo)
     builder = CnfBuilder(varmap.aux_start - 1)
 
     # Tensor equations: for one entry per orbit of entries, the XOR of
@@ -235,12 +260,11 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
             expr = bx.not_(expr)
         builder.assert_expr(expr)
 
-    # Non-zero representatives: the whole triplet must have a set entry.
-    for kind in orbit_kinds(group):
-        for rep in reps[kind.tag]:
-            builder.add_clause(dict.fromkeys(e.index for e in _flatten(rep)))
+    # Non-zero representatives: some primary variable of each is true.
+    for _, entries in groupby(varmap.primary, lambda e: (e.orbit, e.index)):
+        builder.add_clause(e.var for e in entries)
 
-    for expr in side + symmetry_breaking(group, n, reps):
+    for expr in symmetry_breaking(group, n, reps):
         builder.assert_expr(expr)
 
     comments = [f"mmtsat group={group.value} n={n} "
@@ -266,7 +290,7 @@ def decode(model: dict[int, bool], varmap: VarMap, group: GroupId,
     counts: dict[str, int] = {}
     for e in varmap.primary:
         counts[e.orbit] = max(counts.get(e.orbit, 0), e.index + 1)
-    reps, layout, _ = build_symbolic_orbits(group, n, counts)
+    reps, layout = build_symbolic_orbits(group, n, counts)
     if layout.primary != varmap.primary:
         raise DecodeError("variable map does not match the encoder's layout")
     for e in varmap.primary:
@@ -276,8 +300,5 @@ def decode(model: dict[int, bool], varmap: VarMap, group: GroupId,
                   [[int(bx.evaluate(cell, model)) for cell in row] for row in mat])
                   for mat in rep) for rep in tag_reps)
               for tag, tag_reps in reps.items()}
-    try:
-        sd = SymmetricDecomposition(group, n, orbits)
-    except ConstraintError as exc:
-        raise DecodeError(f"model breaks a side condition: {exc}") from exc
+    sd = SymmetricDecomposition(group, n, orbits)
     return sd, sd.expand()

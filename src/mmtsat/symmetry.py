@@ -55,8 +55,10 @@ def f_conjugate(m: Gf2Matrix) -> Gf2Matrix:
 
 
 # Side conditions on a role's matrix.  Each non-free condition asks the
-# matrix to be fixed by a GF(2)-linear map; the encoder inlines SYMMETRIC
-# as shared upper-triangle variables and emits the others as equations.
+# matrix to be fixed by a GF(2)-linear map.  The encoder spans each role's
+# fixed space with one variable per free cell, so every assignment meets
+# the condition and no side equations remain; validate_reps checks
+# concrete matrices against the same maps.
 FREE = "free"
 SYMMETRIC = "symmetric"
 F_COMMUTING = "F-commuting"

@@ -22,15 +22,6 @@ class Tensor6:
     m: int
     bits: int
 
-    @property
-    def shape(self) -> tuple[int, int, int, int, int, int]:
-        n, k, m = self.n, self.k, self.m
-        return (n, k, k, m, m, n)
-
-    def size(self) -> int:
-        n, k, m = self.n, self.k, self.m
-        return n * k * k * m * m * n
-
     def flat_index(self, a: int, b: int, c: int, d: int, e: int, f: int) -> int:
         n, k, m = self.n, self.k, self.m
         return ((((a * k + b) * k + c) * m + d) * m + e) * n + f

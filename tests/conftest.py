@@ -4,15 +4,8 @@ import shutil
 import pytest
 
 from mmtsat.canonical import SymmetricDecomposition
-from mmtsat.gf2 import Gf2Matrix, conjugate
-from mmtsat.symmetry import (
-    F_COMMUTING,
-    F_SANDWICH,
-    FREE,
-    SYMMETRIC,
-    GroupId,
-    orbit_kinds,
-)
+from mmtsat.gf2 import Gf2Matrix
+from mmtsat.symmetry import CONDITION_OPS, GroupId, orbit_kinds
 from mmtsat.tensor import Decomposition, Triplet
 
 # Default external solver; any DIMACS solver printing s/v lines works.
@@ -71,35 +64,20 @@ def random_triplet(rng: random.Random, n: int) -> Triplet:
                    random_matrix(rng, n))
 
 
-def random_symmetric_matrix(rng: random.Random, n: int) -> Gf2Matrix:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = rng.getrandbits(1)
-    return Gf2Matrix.from_rows(rows)
-
-
-_COMMUTES_WITH_F_3 = [m for b in range(1 << 9)
-                  for m in [Gf2Matrix(3, 3, b)]
-                  if conjugate(m, F_SANDWICH).bits == m.bits]
-
-
-def random_f_commuting(rng: random.Random, n: int) -> Gf2Matrix:
-    assert n == 3
-    return rng.choice(_COMMUTES_WITH_F_3)
-
-
-_RANDOM_BY_CONDITION = {
-    FREE: random_matrix,
-    SYMMETRIC: random_symmetric_matrix,
-    F_COMMUTING: random_f_commuting,
-}
+def random_fixed_matrix(rng: random.Random, condition: str, n: int) -> Gf2Matrix:
+    """A uniform random matrix meeting a side condition: drawn until the
+    condition's map is None or fixes it."""
+    op = CONDITION_OPS[condition]
+    while True:
+        m = random_matrix(rng, n)
+        if op is None or op(m) == m:
+            return m
 
 
 def random_rep(rng: random.Random, kind, n: int) -> tuple[Gf2Matrix, ...]:
     """One representative of `kind`, each matrix drawn to meet its role's
     side condition."""
-    return tuple(_RANDOM_BY_CONDITION[c](rng, n) for c in kind.conditions)
+    return tuple(random_fixed_matrix(rng, c, n) for c in kind.conditions)
 
 
 def random_symmetric_decomposition(rng: random.Random, group: GroupId,

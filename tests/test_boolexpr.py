@@ -15,8 +15,6 @@ def test_smart_constructors_fold_constants():
     assert bx.xor(bx.TRUE, v) == bx.not_(v)
     assert bx.xor(v, v, bx.TRUE) == bx.not_(bx.Xor((v, v)))
     assert bx.not_(bx.not_(v)) == v
-    assert bx.equiv(bx.TRUE, v) == v
-    assert bx.equiv(v, bx.FALSE) == bx.not_(v)
     assert bx.and_() == bx.TRUE and bx.or_() == bx.FALSE
     assert bx.xor() == bx.FALSE
 
@@ -26,7 +24,6 @@ def test_evaluate():
                bx.xor(bx.var(2), bx.var(3)))
     assert bx.evaluate(e, {1: True, 2: False, 3: False})
     assert not bx.evaluate(e, {1: False, 2: True, 3: True})
-    assert bx.evaluate(bx.equiv(bx.var(1), bx.var(2)), {1: False, 2: False})
 
 
 def test_lex_less_circuit_matches_comparison_exhaustively():
@@ -90,12 +87,9 @@ def _propagate(clauses, assignment):
 def _random_expr(rng, num_vars, depth):
     if depth == 0 or rng.random() < 0.3:
         return bx.var(rng.randint(1, num_vars))
-    op = rng.choice(["and", "or", "xor", "not", "equiv"])
+    op = rng.choice(["and", "or", "xor", "not"])
     if op == "not":
         return bx.not_(_random_expr(rng, num_vars, depth - 1))
-    if op == "equiv":
-        return bx.equiv(_random_expr(rng, num_vars, depth - 1),
-                        _random_expr(rng, num_vars, depth - 1))
     args = [_random_expr(rng, num_vars, depth - 1)
             for _ in range(rng.randint(2, 4))]
     return {"and": bx.and_, "or": bx.or_, "xor": bx.xor}[op](*args)

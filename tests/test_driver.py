@@ -140,43 +140,37 @@ def test_solve_combo_complete_wrong_model_raises(tmp_path):
         solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
 
 
-# One faulty reply for one combo of a small campaign; every other combo
-# is UNSAT.  The all-ones U of the cyc-sw full orbit is not F-commuting.
-_CYC = ("cyc", 2, 4, {"id": 1, "delta": 1})
+# One faulty reply for the cyc n=2 combo id=1,delta=1 of a max-rank-4
+# campaign; every other combo is UNSAT.
 _FAULTS = {
-    "partial model": (_CYC, r"printf 's SATISFIABLE\nv 1 -2 0\n'",
+    "partial model": (r"printf 's SATISFIABLE\nv 1 -2 0\n'",
                       "incomplete model: model does not assign variable 3"),
-    "bad v token": (_CYC, r"printf 's SATISFIABLE\nv 1 x 0\n'",
+    "bad v token": (r"printf 's SATISFIABLE\nv 1 x 0\n'",
                     "unparsable solver output: bad literal 'x' in a v line"),
-    "non-UTF-8 output": (_CYC, r"printf 's SATISFIABLE\nv 1 \377 0\n'",
+    "non-UTF-8 output": (r"printf 's SATISFIABLE\nv 1 \377 0\n'",
                          "unparsable solver output: bad literal '\ufffd' in a v line"),
-    "broken side condition": (
-        ("cyc-sw", 3, 2, {"id": 0, "sw": 0, "delta": 0, "full": 1}),
-        r"printf 's SATISFIABLE\nv 1 2 3 4 5 6 7 8 9 0\n'",
-        "model breaks a side condition: U must be F-commuting"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
 def test_search_records_faulty_combo_and_finishes(fault, tmp_path, capsys):
-    (group, n, max_rank, counts), reply, reason = _FAULTS[fault]
-    label = ",".join(f"{tag}={c}" for tag, c in counts.items())
+    reply, reason = _FAULTS[fault]
     solver = _fake_solver(tmp_path, f"""case "$1" in
-*/{group}-{label}.cnf) {reply} ;;
+*/cyc-id=1,delta=1.cnf) {reply} ;;
 *) echo "s UNSATISFIABLE" ;;
 esac
 """)
-    rc = main(["search", "--group", group, "--n", str(n),
-               "--max-rank", str(max_rank), "--solver", solver, "--workers", "2",
+    rc = main(["search", "--group", "cyc", "--n", "2", "--max-rank", "4",
+               "--solver", solver, "--workers", "2",
                "--work-dir", str(tmp_path / "work"), "--json"])
     assert rc == EXIT_UNDETERMINED
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "undetermined"
     states = {json.dumps(c["counts"], sort_keys=True): (c["state"], c["detail"])
               for c in report["combos"]}
-    faulty = states.pop(json.dumps(counts, sort_keys=True))
+    faulty = states.pop(json.dumps({"delta": 1, "id": 1}))
     assert faulty == ("error", reason)
-    assert len(states) == len(enumerate_combos(GroupId.from_name(group), max_rank)) - 1
+    assert len(states) == len(enumerate_combos(GroupId.CYCLIC, 4)) - 1
     assert all(state == "unsat" for state, _ in states.values())
 
 

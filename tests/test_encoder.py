@@ -11,13 +11,25 @@ from mmtsat.encoder import (
     DecodeError,
     VarMap,
     _equation_entries,
+    _fixed_space,
     _lift,
     build_symbolic_orbits,
     decode,
     encode,
     symmetry_breaking,
 )
-from mmtsat.symmetry import GroupId, expand, kind_by_tag, orbit_kinds, scheme
+from mmtsat.gf2 import Gf2Matrix
+from mmtsat.symmetry import (
+    CONDITION_OPS,
+    F_COMMUTING,
+    FREE,
+    SYMMETRIC,
+    GroupId,
+    expand,
+    kind_by_tag,
+    orbit_kinds,
+    scheme,
+)
 from mmtsat.tensor import mm_tensor, verify
 
 from conftest import random_symmetric_decomposition
@@ -25,22 +37,26 @@ from conftest import random_symmetric_decomposition
 
 def test_primary_variable_counts():
     # cyc-t full orbit: one symmetric 3x3 matrix = 6 triangle variables.
-    _, varmap, _ = build_symbolic_orbits(GroupId.CYCLIC_TRANSPOSE, 3, {"full": 1})
+    _, varmap = build_symbolic_orbits(GroupId.CYCLIC_TRANSPOSE, 3, {"full": 1})
     assert len(varmap.primary) == 6
     # cyc delta orbit: one free 3x3 matrix.
-    _, varmap, _ = build_symbolic_orbits(GroupId.CYCLIC, 3, {"delta": 1})
+    _, varmap = build_symbolic_orbits(GroupId.CYCLIC, 3, {"delta": 1})
     assert len(varmap.primary) == 9
     # cyc id orbit: three free 3x3 matrices.
-    _, varmap, _ = build_symbolic_orbits(GroupId.CYCLIC, 3, {"id": 1})
+    _, varmap = build_symbolic_orbits(GroupId.CYCLIC, 3, {"id": 1})
     assert len(varmap.primary) == 27
     # cyc-t t orbit: symmetric S (6) plus free H (9).
-    _, varmap, _ = build_symbolic_orbits(GroupId.CYCLIC_TRANSPOSE, 3, {"t": 1})
+    _, varmap = build_symbolic_orbits(GroupId.CYCLIC_TRANSPOSE, 3, {"t": 1})
+    assert len(varmap.primary) == 15
+    # cyc-sw full orbit: one F-commuting matrix = 5 free cells; sw: three.
+    _, varmap = build_symbolic_orbits(GroupId.CYCLIC_SANDWICH, 3, {"full": 1})
+    assert len(varmap.primary) == 5
+    _, varmap = build_symbolic_orbits(GroupId.CYCLIC_SANDWICH, 3, {"sw": 1})
     assert len(varmap.primary) == 15
 
 
 def test_variable_numbering_deterministic_order():
-    _, varmap, _ = build_symbolic_orbits(GroupId.CYCLIC, 2,
-                                         {"id": 1, "delta": 2})
+    _, varmap = build_symbolic_orbits(GroupId.CYCLIC, 2, {"id": 1, "delta": 2})
     assert [e.var for e in varmap.primary] == list(range(1, len(varmap.primary) + 1))
     # Kinds appear in group order (id before delta), roles row-major.
     labels = [(e.orbit, e.index, e.mat, e.row, e.col) for e in varmap.primary]
@@ -52,13 +68,52 @@ def test_variable_numbering_deterministic_order():
     assert varmap.aux_start == len(varmap.primary) + 1
 
 
-def test_f_commutation_side_constraints_emitted():
-    _, _, side = build_symbolic_orbits(GroupId.CYCLIC_SANDWICH, 3, {"full": 1})
-    assert len(side) == 9  # one equation per matrix entry
-    _, _, side = build_symbolic_orbits(GroupId.CYCLIC_SANDWICH, 3, {"sw": 1})
-    assert len(side) == 27
-    _, _, side = build_symbolic_orbits(GroupId.CYCLIC, 2, {"id": 1})
-    assert side == []
+@pytest.mark.parametrize("condition,n", [
+    (FREE, 2), (FREE, 3), (SYMMETRIC, 2), (SYMMETRIC, 3), (F_COMMUTING, 3),
+])
+def test_role_spans_exactly_its_fixed_space(condition, n):
+    # A one-role orbit kind with this side condition: over every
+    # assignment of its primaries the role's matrix runs through each
+    # matrix the condition's map fixes exactly once, and each primary's
+    # labelled cell equals that primary.
+    group, kind = next((g, k) for g in GroupId for k in orbit_kinds(g)
+                       if k.conditions == (condition,))
+    reps, varmap = build_symbolic_orbits(group, n, {kind.tag: 1})
+    mat = reps[kind.tag][0][0]
+    span = set()
+    for values in product((False, True), repeat=len(varmap.primary)):
+        model = {e.var: v for e, v in zip(varmap.primary, values)}
+        m = Gf2Matrix.from_rows([[int(bx.evaluate(c, model)) for c in row]
+                                 for row in mat])
+        assert all(m.get(e.row, e.col) == model[e.var] for e in varmap.primary)
+        span.add(m.bits)
+    assert span == _fixed_matrices(CONDITION_OPS[condition], n)
+    assert len(span) == 1 << len(varmap.primary)
+
+
+def test_fixed_space_reduces_equations_that_share_cells():
+    # m -> A m A^T: its equations share pivot cells, so both the forward
+    # and the back elimination of _fixed_space matter here.
+    a = Gf2Matrix.parse("110;011;001")
+
+    def op(m):
+        return a * m * a.transpose()
+
+    free, basis = _fixed_space(op, 3)
+    span = set()
+    for values in product((0, 1), repeat=len(free)):
+        x = dict(zip(free, values))
+        m = Gf2Matrix.from_rows([[sum(x[f] for f in terms) % 2 for terms in row]
+                                 for row in basis])
+        assert all(m.get(*f) == x[f] for f in free)
+        span.add(m.bits)
+    assert span == _fixed_matrices(op, 3)
+    assert len(span) == 1 << len(free)
+
+
+def _fixed_matrices(op, n):
+    return {b for b in range(1 << n * n)
+            if op is None or op(Gf2Matrix(n, n, b)) == Gf2Matrix(n, n, b)}
 
 
 def test_encode_rejects_empty_combo():
@@ -112,7 +167,7 @@ def test_decode_round_trip_through_primary_variables():
             counts = {tag: c for tag, c in sd.counts().items() if c}
             if not counts:
                 continue
-            _, varmap, _ = build_symbolic_orbits(group, n, counts)
+            _, varmap = build_symbolic_orbits(group, n, counts)
             model = _model_from_symmetric(sd, varmap)
             back_sd, back_d = decode(model, varmap, group, n)
             assert back_sd == sd
@@ -133,14 +188,6 @@ def test_decode_rejects_a_varmap_of_another_layout():
     varmap.primary.pop()
     with pytest.raises(DecodeError, match="layout"):
         decode(model, varmap, GroupId.CYCLIC_TRANSPOSE, 2)
-
-
-def test_decode_rejects_a_broken_side_condition():
-    # The all-ones U is not F-commuting: a solver fault, not an encoder one.
-    _, varmap = encode(GroupId.CYCLIC_SANDWICH, 3, {"full": 1})
-    model = {e.var: True for e in varmap.primary}
-    with pytest.raises(DecodeError, match="U must be F-commuting"):
-        decode(model, varmap, GroupId.CYCLIC_SANDWICH, 3)
 
 
 def _entries(n):
@@ -185,7 +232,7 @@ def test_equation_quotient_drops_only_repeated_equations(group, n):
     target = mm_tensor(n, n, n)
     quotient = _equation_entries(group, n)
     for combo in combos:
-        reps, _, _ = build_symbolic_orbits(group, n, combo)
+        reps, _ = build_symbolic_orbits(group, n, combo)
         triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
                     for trip in expand(kind, rep, image)]
         for entry, rep in quotient.items():
@@ -207,7 +254,7 @@ def test_symmetry_breaking_agrees_with_check_canonical(group, n):
     for _ in range(150):
         raw = random_symmetric_decomposition(rng, group, n, max_per_kind=3)
         for sd in (raw, canonicalize(raw)):
-            reps, varmap, _ = build_symbolic_orbits(group, n, sd.counts())
+            reps, varmap = build_symbolic_orbits(group, n, sd.counts())
             model = _model_from_symmetric(sd, varmap)
             encoded = all(bx.evaluate(e, model)
                           for e in symmetry_breaking(group, n, reps))
@@ -221,13 +268,13 @@ def test_symmetry_breaking_agrees_with_check_canonical(group, n):
 # to the CNF updates these pins.
 @pytest.mark.parametrize("group,n,combo,digest", [
     (GroupId.TRIVIAL, 2, {"id": 7},
-     "af3dd8e1c9b58254726cf3efcf49eeb8cb4b2207eb8c08d89406418c8cadf128"),
+     "afb11f8ffe052a905d13dfff11205341a828d9ee0e020958de2378d6b8e7997b"),
     (GroupId.CYCLIC, 2, {"id": 2, "delta": 1},
-     "9de621b75a66e959e3d126d714599e70b30409b659c788f0b6836220b79e570a"),
+     "536292cd22a9e5202237f6a07c75cdbca180e2128f1f8e54ee97f9c1ab6e0e3d"),
     (GroupId.CYCLIC_TRANSPOSE, 3, {"id": 1, "t": 1, "delta": 1, "full": 1},
-     "d3d8847bbac7e5121aabb44be7fb95c035cb2e18c7bced8ea893e2a648ed042d"),
+     "656c89af675959ec366688336c2275eef1acad17266d7a02591b5e21a85d607e"),
     (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1},
-     "6b3fe966213219e1ddb80e54942c96efd60eedcfe4c1c089dd7961fa383278ae"),
+     "6ab8db9fa40287acb03b1731aeb9f438d966d0a4448f5c1f9d3a195bbcf3ad44"),
 ], ids=["none", "cyc", "cyc-t", "cyc-sw"])
 def test_cnf_pinned(group, n, combo, digest):
     cnf, _ = encode(group, n, combo)

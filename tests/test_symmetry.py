@@ -24,10 +24,9 @@ from mmtsat.tensor import Decomposition, Triplet, evaluate, verify
 
 from conftest import (
     STRASSEN_MOD2,
-    random_f_commuting,
+    random_fixed_matrix,
     random_matrix,
     random_rep,
-    random_symmetric_matrix,
     random_triplet,
 )
 
@@ -119,8 +118,8 @@ def test_group_laws_on_random_triplets():
 def test_expansion_lengths():
     rng = random.Random(45)
     a, b, c = (random_matrix(rng, 3) for _ in range(3))
-    s = random_symmetric_matrix(rng, 3)
-    x = random_f_commuting(rng, 3)
+    s = random_fixed_matrix(rng, SYMMETRIC, 3)
+    x = random_fixed_matrix(rng, F_COMMUTING, 3)
     lengths = {
         (GroupId.TRIVIAL, "id", (a, b, c)): 1,
         (GroupId.CYCLIC, "id", (a, b, c)): 3,
