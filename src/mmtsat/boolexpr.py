@@ -151,7 +151,7 @@ class CnfInstance:
     def to_dimacs(self) -> str:
         lines = [f"c {c}" for c in self.comments]
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        lines.extend(" ".join(str(lit) for lit in cl) + " 0" for cl in self.clauses)
+        lines.extend(" ".join(map(str, cl)) + " 0" for cl in self.clauses)
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:

@@ -5,11 +5,11 @@ configured solver subprocess on each instance (hardest first, across a
 worker pool), and checkpoints after each combo so a killed campaign
 resumes where it stopped.  `solve_combo` maps every end of one run to a
 recorded state: a timeout, a solver that fails to start, unparsable
-output or a model that does not decode (unassigned primaries, a broken
-side condition) is recorded as `timeout`/`error` with its reason, and
-the campaign goes on.  A decoded model is verified independently; one
-that fails verification raises EncoderSoundnessError, because then the
-encoding itself is wrong.  The first `sat`, and the first combo that
+output or a model that does not decode (unassigned primaries) is
+recorded as `timeout`/`error` with its reason, and the campaign goes
+on.  A decoded model is verified independently; one that fails
+verification raises EncoderSoundnessError, because then the encoding
+itself is wrong.  The first `sat`, and the first combo that
 raises, stop the combos still queued from running; those already
 running are recorded as they finish.
 """

@@ -12,16 +12,17 @@ and can decode any model back into a verified decomposition.  Roles,
 side conditions, expansions and ordering constraints are all read from
 the same table in symmetry that check_canonical reads.
 
-Tensor equations are emitted once per orbit of tensor entries.  A group
-generator that permutes a triplet's matrices, applying an image op that
-permutes matrix cells (transposition; conjugation by F does not), maps
-the entry (x0, x1, x2) of cells to y with y[r] = pi(x_k) for the k-th
-slot (r, primed) of the generator row.  Because the expanded symbolic
-decomposition is invariant under the generator and so is the target
-tensor, the equation at y is the same XOR of the same AND terms as the
-equation at x.  The emitted equations are a subset of the full set, so
-an UNSAT answer still rules the combo out; and since each dropped
-equation repeats an emitted one, no model is added.
+Tensor equations are kept only at the free entries of one GF(2)
+elimination.  The expanded symbolic decomposition is invariant under
+every group generator, and so is the target tensor, so for every
+assignment the residual (the decomposition's tensor XOR the target)
+lies in the space W of tensors the generators' linear action on entries
+fixes.  `_fixed_space` reduces that action and names, for each entry,
+the free entries whose XOR gives it on W.  So each dropped equation is
+the XOR of the kept equations its basis names, for every assignment:
+the residual is zero exactly when it is zero at the free entries.  The
+kept equations are a subset of the full set, so an UNSAT answer still
+rules the combo out, and no model is added.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .symmetry import (
     CONDITION_OPS,
     GroupId,
     expand,
+    generators,
     lex_constraints,
     orbit_kinds,
     scheme,
@@ -100,13 +102,13 @@ class VarMap:
 
 
 @lru_cache
-def _entry_terms(op, n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """For a GF(2)-linear map on n x n matrices: the input entries, in
-    row-major order, whose XOR gives each output entry."""
+def _entry_terms(op, n: int) -> tuple[tuple[Cell, ...], ...]:
+    """For a GF(2)-linear map on n x n matrices: for each output cell, in
+    row-major order, the input cells whose XOR gives it."""
     units = {(k, l): op(Gf2Matrix(n, n, 1 << (k * n + l)))
              for k in range(n) for l in range(n)}
-    return tuple(tuple(tuple(kl for kl, u in units.items() if u.get(i, j))
-                       for j in range(n)) for i in range(n))
+    return tuple(tuple(kl for kl, u in units.items() if u.get(i, j))
+                 for i in range(n) for j in range(n))
 
 
 def _lift(op, n: int):
@@ -114,72 +116,66 @@ def _lift(op, n: int):
     if op is None:
         return None
     terms = _entry_terms(op, n)
-    return lambda m: tuple(tuple(bx.xor(*(m[k][l] for k, l in terms[i][j]))
+    return lambda m: tuple(tuple(bx.xor(*(m[k][l] for k, l in terms[i * n + j]))
                                  for j in range(n)) for i in range(n))
 
 
 @lru_cache
-def _fixed_space(op, n: int) -> tuple[tuple[Cell, ...], tuple[tuple[tuple[Cell, ...], ...], ...]]:
-    """The n x n matrices m with op(m) == m (every matrix when op is None),
-    parametrized by free cells.
+def _fixed_space(coords: tuple, maps: tuple) -> tuple[tuple, tuple]:
+    """The vectors over `coords` that every GF(2)-linear map in `maps` fixes.
 
-    The equations op(m)[c] + m[c] = 0 are reduced over GF(2), each pivoting
-    on its last cell in row-major order.  Returns the cells without a
-    pivot, row-major, and for each cell the free cells whose XOR gives it;
-    a free cell is given by itself.
+    A map gives, for each coordinate, the coordinates whose XOR is its
+    image there.  The equations map(v)[c] + v[c] = 0 are reduced over
+    GF(2), each pivoting on its last coordinate.  Returns the coordinates
+    without a pivot, in order, and for each coordinate the free
+    coordinates whose XOR gives it; a free coordinate is given by itself.
+    Each pivot is given by earlier free coordinates, so a coordinate is
+    free exactly when its value on the fixed space is independent of the
+    values of the coordinates before it.
     """
-    cells = list(product(range(n), repeat=2))
-    bit = {c: 1 << k for k, c in enumerate(cells)}
-    rows: dict[Cell, int] = {}  # pivot cell -> its reduced equation, as a cell mask
-    for i, j in cells if op is not None else ():
-        eq = bit[i, j]
-        for t in _entry_terms(op, n)[i][j]:
-            eq ^= bit[t]
-        for p, row in rows.items():
-            if eq & bit[p]:
-                eq ^= row
-        if eq:
-            pivot = cells[eq.bit_length() - 1]
+    bit = {c: 1 << k for k, c in enumerate(coords)}
+    rows: dict[int, int] = {}  # pivot bit -> its reduced equation, as a mask
+    for m in maps:
+        for c, terms in zip(coords, m):
+            eq = bit[c]
+            for t in terms:
+                eq ^= bit[t]
             for p, row in rows.items():
-                if row & bit[pivot]:
-                    rows[p] = row ^ eq
-            rows[pivot] = eq
-    free = tuple(c for c in cells if c not in rows)
-    return free, tuple(tuple(tuple(f for f in free if rows[i, j] & bit[f])
-                             if (i, j) in rows else ((i, j),)
-                             for j in range(n)) for i in range(n))
+                if eq & p:
+                    eq ^= row
+            if eq:
+                pivot = 1 << (eq.bit_length() - 1)
+                for p, row in rows.items():
+                    if row & pivot:
+                        rows[p] = row ^ eq
+                rows[pivot] = eq
+    free = tuple(c for c in coords if bit[c] not in rows)
+    return free, tuple(tuple(f for f in free if rows[bit[c]] & bit[f])
+                       if bit[c] in rows else (c,) for c in coords)
 
 
 @lru_cache
-def _equation_entries(group: GroupId, n: int) -> dict[Entry, Entry]:
-    """Every tensor entry, in row-major a..f order, mapped to the first
-    entry of its orbit under the generators that permute cells."""
+def _equation_entries(group: GroupId, n: int) -> tuple[tuple[Entry, ...], tuple]:
+    """The fixed space of the group generators' action on tensor entries,
+    in row-major a..f order.
+
+    A generator row sends the entry y to the XOR of the entries x with
+    x[r] running over the image op's terms of y[k] for the k-th slot
+    (r, primed), or equal to y[k] for an unprimed slot.
+    """
     s = scheme(group)
-    cells = list(product(range(n), repeat=2))
-    # The image op's cell permutation, if it is one: image(m)[i][j] == m[pi[i, j]].
-    pi = {}
-    if s.image is not None:
-        terms = _entry_terms(s.image, n)
-        pi = {(i, j): terms[i][j][0] for i, j in cells if len(terms[i][j]) == 1}
-    moves = [row for row in s.generators
-             if len(pi) == n * n or not any(im for _, im in row)]
-    reps: dict[Entry, Entry] = {}
-    for x in product(cells, repeat=3):
-        if x in reps:
-            continue
-        reps[x] = x
-        todo = [x]
-        while todo:
-            src = todo.pop()
-            for row in moves:
-                y = [None] * 3
-                for (r, im), cell in zip(row, src):
-                    y[r] = pi[cell] if im else cell
-                y = tuple(y)
-                if y not in reps:
-                    reps[y] = x
-                    todo.append(y)
-    return {x: reps[x] for x in product(cells, repeat=3)}
+    cells = tuple(product(range(n), repeat=2))
+    terms = dict(zip(cells, _entry_terms(s.image, n))) if s.image else {}
+    entries = tuple(product(cells, repeat=3))
+
+    def image_terms(row, y):
+        choices = [None] * 3
+        for (r, im), cell in zip(row, y):
+            choices[r] = terms[cell] if im else (cell,)
+        return tuple(product(*choices))
+
+    return _fixed_space(entries, tuple(tuple(image_terms(row, y) for y in entries)
+                                       for row in s.generators))
 
 
 def _flatten(mats) -> list[Expr]:
@@ -209,15 +205,17 @@ def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
         for idx in range(count):
             rep = []
             for role, condition in zip(kind.roles, kind.conditions):
-                free, basis = _fixed_space(CONDITION_OPS[condition], n)
+                op = CONDITION_OPS[condition]
+                free, basis = _fixed_space(tuple(product(range(n), repeat=2)),
+                                           () if op is None else (_entry_terms(op, n),))
                 cells: dict[Cell, Expr] = {}
                 for i, j in free:
                     next_var += 1
                     varmap.primary.append(
                         VarEntry(next_var, kind.tag, idx, role, i, j))
                     cells[i, j] = bx.var(next_var)
-                rep.append(tuple(tuple(bx.xor(*(cells[c] for c in terms))
-                                       for terms in row) for row in basis))
+                rep.append(tuple(tuple(bx.xor(*(cells[c] for c in basis[i * n + j]))
+                                       for j in range(n)) for i in range(n)))
             reps[kind.tag].append(tuple(rep))
     varmap.aux_start = next_var + 1
     return reps, varmap
@@ -237,23 +235,21 @@ def symmetry_breaking(group: GroupId, n: int, reps) -> list[Expr]:
 def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, VarMap]:
     """CNF whose models are exactly the canonical-form symmetric
     decompositions of <n,n,n> with the given orbit counts."""
+    generators(group, n)  # raises for an n the group is not defined at
     rank = total_rank(group, combo)
     if rank < 1:
         raise ValueError("total rank must be at least 1")
     reps, varmap = build_symbolic_orbits(group, n, combo)
     builder = CnfBuilder(varmap.aux_start - 1)
 
-    # Tensor equations: for one entry per orbit of entries, the XOR of
-    # the per-triplet AND terms over the fully expanded decomposition
-    # equals the target bit.
+    # Tensor equations: at each free entry of the invariant space, the
+    # XOR of the per-triplet AND terms over the fully expanded
+    # decomposition equals the target bit.
     image = _lift(scheme(group).image, n)
     triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
                 for trip in expand(kind, rep, image)]
     target = mm_tensor(n, n, n)
-    for entry, rep in _equation_entries(group, n).items():
-        if entry != rep:
-            continue
-        (a, b), (c, d), (e, f) = entry
+    for (a, b), (c, d), (e, f) in _equation_entries(group, n)[0]:
         expr = bx.xor(*(bx.and_(ta[a][b], tb[c][d], tc[e][f])
                         for ta, tb, tc in triplets))
         if not target.get(a, b, c, d, e, f):

@@ -146,9 +146,6 @@ class Gf2Matrix:
             bits |= (aug[i] >> n) << (i * n)
         return Gf2Matrix(n, n, bits)
 
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.inverse() is not None
-
 
 def conjugate(m: Gf2Matrix, f: Gf2Matrix) -> Gf2Matrix:
     """f * m * f^{-1}; raises on singular f."""

@@ -55,7 +55,7 @@ def random_matrix(rng: random.Random, n: int) -> Gf2Matrix:
 def random_invertible(rng: random.Random, n: int) -> Gf2Matrix:
     while True:
         m = random_matrix(rng, n)
-        if m.is_invertible():
+        if m.inverse() is not None:
             return m
 
 

@@ -28,6 +28,12 @@ def test_domain_errors_exit_1(capsys):
     assert "error:" in err
 
 
+def test_encode_rejects_an_n_the_group_is_not_defined_at(capsys):
+    assert main(["encode", "--group", "cyc-sw", "--n", "2",
+                 "--combo", "id=1", "--out", "/dev/null"]) == 1
+    assert "only defined for n = 3" in capsys.readouterr().err
+
+
 def test_encode_writes_dimacs_and_varmap(tmp_path, capsys):
     out = tmp_path / "inst.cnf"
     vm = tmp_path / "inst.vars.json"

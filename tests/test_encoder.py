@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from mmtsat.canonical import canonicalize, check_canonical
 from mmtsat.encoder import (
     DecodeError,
     VarMap,
+    _entry_terms,
     _equation_entries,
     _fixed_space,
     _lift,
@@ -30,7 +32,7 @@ from mmtsat.symmetry import (
     orbit_kinds,
     scheme,
 )
-from mmtsat.tensor import mm_tensor, verify
+from mmtsat.tensor import evaluate, mm_tensor, verify
 
 from conftest import random_symmetric_decomposition
 
@@ -99,12 +101,13 @@ def test_fixed_space_reduces_equations_that_share_cells():
     def op(m):
         return a * m * a.transpose()
 
-    free, basis = _fixed_space(op, 3)
+    free, basis = _fixed_space(tuple(product(range(3), repeat=2)),
+                               (_entry_terms(op, 3),))
     span = set()
     for values in product((0, 1), repeat=len(free)):
         x = dict(zip(free, values))
-        m = Gf2Matrix.from_rows([[sum(x[f] for f in terms) % 2 for terms in row]
-                                 for row in basis])
+        m = Gf2Matrix.from_rows([[sum(x[f] for f in basis[i * 3 + j]) % 2
+                                  for j in range(3)] for i in range(3)])
         assert all(m.get(*f) == x[f] for f in free)
         span.add(m.bits)
     assert span == _fixed_matrices(op, 3)
@@ -121,6 +124,11 @@ def test_encode_rejects_empty_combo():
         encode(GroupId.CYCLIC, 2, {})
     with pytest.raises(ValueError):
         encode(GroupId.CYCLIC, 2, {"id": -1})
+
+
+def test_encode_rejects_an_n_the_group_is_not_defined_at():
+    with pytest.raises(ValueError, match="only defined for n = 3"):
+        encode(GroupId.CYCLIC_SANDWICH, 2, {"id": 1})
 
 
 def test_encode_is_deterministic():
@@ -191,29 +199,56 @@ def test_decode_rejects_a_varmap_of_another_layout():
 
 
 def _entries(n):
-    return list(product(product(range(n), repeat=2), repeat=3))
+    return tuple(product(product(range(n), repeat=2), repeat=3))
 
 
 def test_equation_entries_counts_and_order():
-    kept = {g: [x for x, rep in _equation_entries(g, 3).items() if x == rep]
-            for g in GroupId}
-    assert {g.value: len(k) for g, k in kept.items()} == \
-        {"none": 729, "cyc": 249, "cyc-t": 138, "cyc-sw": 249}
+    free = {g: _equation_entries(g, 3)[0] for g in GroupId}
+    assert {g.value: len(f) for g, f in free.items()} == \
+        {"none": 729, "cyc": 249, "cyc-t": 138, "cyc-sw": 125}
     for n in (2, 3):
-        assert list(_equation_entries(GroupId.TRIVIAL, n).items()) == \
-            [(x, x) for x in _entries(n)]
+        assert _equation_entries(GroupId.TRIVIAL, n) == \
+            (_entries(n), tuple((x,) for x in _entries(n)))
     for g in GroupId:
-        # Kept entries come in row-major order, each first in its orbit.
-        assert kept[g] == sorted(kept[g])
-        assert all(rep <= x for x, rep in _equation_entries(g, 3).items())
+        # Kept entries come in row-major order, and every entry is the
+        # XOR of kept entries no later than itself.
+        kept, basis = _equation_entries(g, 3)
+        assert list(kept) == sorted(kept)
+        assert all(f in kept and f <= x
+                   for x, fs in zip(_entries(3), basis) for f in fs)
 
 
-def _equation_key(triplets, target, entry):
-    """The target bit and the multiset of AND-term cell multisets."""
+def _affine(e):
+    """An affine form of primaries as (variable mask, constant)."""
+    if isinstance(e, bx.Const):
+        return 0, int(e.value)
+    if isinstance(e, bx.Var):
+        return 1 << e.index, 0
+    if isinstance(e, bx.Not):
+        mask, const = _affine(e.arg)
+        return mask, const ^ 1
+    mask = const = 0
+    for a in e.args:  # Xor
+        m, c = _affine(a)
+        mask ^= m
+        const ^= c
+    return mask, const
+
+
+def _monomials(e):
+    mask, const = _affine(e)
+    return [1 << v for v in range(mask.bit_length()) if mask >> v & 1] + [0] * const
+
+
+def _equation_anf(triplets, target, entry):
+    """The residual at `entry` in algebraic normal form: the set of
+    monomials, each a mask of primaries (0 is the constant 1)."""
     (a, b), (c, d), (e, f) = entry
-    return (target.get(a, b, c, d, e, f),
-            Counter(tuple(sorted(map(repr, (ta[a][b], tb[c][d], tc[e][f]))))
-                    for ta, tb, tc in triplets))
+    terms = Counter(x | y | z for ta, tb, tc in triplets
+                    for x in _monomials(ta[a][b]) for y in _monomials(tb[c][d])
+                    for z in _monomials(tc[e][f]))
+    terms[0] += target.get(a, b, c, d, e, f)
+    return frozenset(m for m, k in terms.items() if k % 2)
 
 
 @pytest.mark.parametrize("group,n", [
@@ -222,22 +257,53 @@ def _equation_key(triplets, target, entry):
     (GroupId.CYCLIC_SANDWICH, 3),
 ])
 def test_equation_quotient_drops_only_repeated_equations(group, n):
-    # Each entry's tensor equation over the expanded symbolic triplets is
-    # the equation of its orbit representative, so the quotient CNF has
-    # the same models as the full one.
+    # Each dropped equation repeats kept ones linearly: over the expanded
+    # symbolic triplets, each entry's tensor equation, as a polynomial in
+    # the primaries, is the XOR of the equations at the kept entries its
+    # basis names, so the kept equations have the same models as the
+    # full set.
     tags = [kind.tag for kind in orbit_kinds(group)]
     combos = [{tag: 1} for tag in tags]
     combos.append({tag: 2 if i == 0 else 1 for i, tag in enumerate(tags)})
     image = _lift(scheme(group).image, n)
     target = mm_tensor(n, n, n)
-    quotient = _equation_entries(group, n)
+    _, basis = _equation_entries(group, n)
     for combo in combos:
         reps, _ = build_symbolic_orbits(group, n, combo)
         triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
                     for trip in expand(kind, rep, image)]
-        for entry, rep in quotient.items():
-            assert _equation_key(triplets, target, entry) == \
-                _equation_key(triplets, target, rep), (combo, entry, rep)
+        anf = {x: _equation_anf(triplets, target, x) for x in _entries(n)}
+        for x, fs in zip(_entries(n), basis):
+            assert anf[x] == reduce(frozenset.symmetric_difference,
+                                    (anf[f] for f in fs), frozenset()), (combo, x)
+
+
+def _gf2_rank(vectors):
+    rows = {}  # top bit -> reduced vector
+    for v in vectors:
+        while v and v.bit_length() in rows:
+            v ^= rows[v.bit_length()]
+        if v:
+            rows[v.bit_length()] = v
+    return len(rows)
+
+
+@pytest.mark.parametrize("group", list(GroupId), ids=lambda g: g.value)
+def test_residuals_span_exactly_the_kept_entries(group):
+    # The residuals of symmetric decompositions span a space of dimension
+    # len(kept), and projecting them onto the kept entries keeps that
+    # rank: the kept equations are zero only where the residual is.
+    # A third of the `none` samples have no orbit and repeat the bare
+    # target, so twice as many samples as kept entries are drawn.
+    rng = random.Random(sum(map(ord, group.value)) + 11)
+    kept, _ = _equation_entries(group, 3)
+    target = mm_tensor(3, 3, 3)
+    on_kept = sum(1 << target.flat_index(a, b, c, d, e, f)
+                  for (a, b), (c, d), (e, f) in kept)
+    residuals = [evaluate(random_symmetric_decomposition(rng, group, 3).expand()).bits
+                 ^ target.bits for _ in range(2 * len(kept) + 64)]
+    assert _gf2_rank(residuals) == len(kept)
+    assert _gf2_rank(r & on_kept for r in residuals) == len(kept)
 
 
 @pytest.mark.parametrize("group,n", [
@@ -274,7 +340,7 @@ def test_symmetry_breaking_agrees_with_check_canonical(group, n):
     (GroupId.CYCLIC_TRANSPOSE, 3, {"id": 1, "t": 1, "delta": 1, "full": 1},
      "656c89af675959ec366688336c2275eef1acad17266d7a02591b5e21a85d607e"),
     (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1},
-     "6ab8db9fa40287acb03b1731aeb9f438d966d0a4448f5c1f9d3a195bbcf3ad44"),
+     "9af9773c37da16c808d370211eeea3e6089c4209567a16f6b0629399ff5eff09"),
 ], ids=["none", "cyc", "cyc-t", "cyc-sw"])
 def test_cnf_pinned(group, n, combo, digest):
     cnf, _ = encode(group, n, combo)
