@@ -1,145 +1,57 @@
-"""Boolean expression DAGs and Tseitin conversion to CNF.
+"""Tseitin compilation of gates over DIMACS literals to CNF.
 
-Expressions are immutable; the smart constructors fold constants so that
-only satisfiable structure reaches the converter.  The converter shares
-one gate per distinct subexpression, and one AND gate per set of
-argument literals whatever their order.  XOR nodes are split
-into balanced trees of bounded-width parity blocks (a width-w block
-costs 2^w clauses), everything else uses the standard Tseitin gates.
+A literal is a non-zero int (a negative one is the negated variable) or a
+Python bool, which is a constant.  The gates `and_`, `or_` and `xor` fold
+constants and repeated or complementary arguments before they allocate a
+variable, and share one gate per sorted argument set.  XOR gates are
+split into balanced trees of bounded-width parity blocks (a width-w block
+costs 2^w clauses); AND and OR use the standard Tseitin gates.
+
+Top-level constraints take products, tuples of literals that are
+conjoined: `assert_parity` for an XOR of products and `assert_any` for a
+disjunction of them.  Products are folded first, so a lone product
+becomes unit clauses or one clause, never a gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import dropwhile
+
+Lit = int | bool
 
 
-class Expr:
-    __slots__ = ()
+def neg(x: Lit) -> Lit:
+    # -True is -1, a variable: test for a bool first.
+    return not x if isinstance(x, bool) else -x
 
 
-@dataclass(frozen=True)
-class Const(Expr):
-    value: bool
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    index: int  # 1-based DIMACS variable id
-
-
-@dataclass(frozen=True)
-class Not(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class And(Expr):
-    args: tuple[Expr, ...]
-
-
-@dataclass(frozen=True)
-class Or(Expr):
-    args: tuple[Expr, ...]
-
-
-@dataclass(frozen=True)
-class Xor(Expr):
-    args: tuple[Expr, ...]
-
-
-TRUE = Const(True)
-FALSE = Const(False)
-
-
-def var(index: int) -> Var:
-    return Var(index)
-
-
-def not_(e: Expr) -> Expr:
-    if isinstance(e, Const):
-        return Const(not e.value)
-    if isinstance(e, Not):
-        return e.arg
-    return Not(e)
-
-
-def and_(*exprs: Expr) -> Expr:
-    args = []
-    for e in exprs:
-        if isinstance(e, Const):
-            if not e.value:
-                return FALSE
+def _product(args) -> tuple[int, ...] | bool:
+    """The conjunction of args: False, or its distinct literals sorted
+    (the empty tuple is True)."""
+    lits: set[int] = set()
+    for x in args:
+        if isinstance(x, bool):
+            if not x:
+                return False
+        elif -x in lits:
+            return False
         else:
-            args.append(e)
-    if not args:
-        return TRUE
-    if len(args) == 1:
-        return args[0]
-    return And(tuple(args))
+            lits.add(x)
+    return tuple(sorted(lits))
 
 
-def or_(*exprs: Expr) -> Expr:
-    args = []
-    for e in exprs:
-        if isinstance(e, Const):
-            if e.value:
-                return TRUE
-        else:
-            args.append(e)
-    if not args:
-        return FALSE
-    if len(args) == 1:
-        return args[0]
-    return Or(tuple(args))
-
-
-def xor(*exprs: Expr) -> Expr:
+def _parity(args) -> tuple[bool, tuple[int, ...]]:
+    """The XOR of args as (constant, variables of odd multiplicity sorted)."""
     parity = False
-    args = []
-    for e in exprs:
-        if isinstance(e, Const):
-            parity ^= e.value
+    odd: set[int] = set()
+    for x in args:
+        if isinstance(x, bool):
+            parity ^= x
         else:
-            args.append(e)
-    if not args:
-        return Const(parity)
-    core: Expr = args[0] if len(args) == 1 else Xor(tuple(args))
-    return not_(core) if parity else core
-
-
-def evaluate(e: Expr, assignment: dict[int, bool]) -> bool:
-    """Evaluate against a total assignment of variable ids."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return assignment[e.index]
-    if isinstance(e, Not):
-        return not evaluate(e.arg, assignment)
-    if isinstance(e, And):
-        return all(evaluate(a, assignment) for a in e.args)
-    if isinstance(e, Or):
-        return any(evaluate(a, assignment) for a in e.args)
-    if isinstance(e, Xor):
-        acc = False
-        for a in e.args:
-            acc ^= evaluate(a, assignment)
-        return acc
-    raise TypeError(f"unknown expression {e!r}")
-
-
-def lex_less(a: list[Expr], b: list[Expr]) -> Expr:
-    """Strict lexicographic less-than on equal-length bit vectors.
-
-    Empty-vs-empty is FALSE; otherwise (not a0 and b0) or
-    (a0 == b0 and rest-less-than), built back to front so the
-    suffix comparison is shared.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"lex_less length mismatch: {len(a)} vs {len(b)}")
-    result: Expr = FALSE
-    for x, y in zip(reversed(a), reversed(b)):
-        result = or_(and_(not_(x), y), and_(not_(xor(x, y)), result))
-    return result
+            parity ^= x < 0
+            odd ^= {abs(x)}
+    return parity, tuple(sorted(odd))
 
 
 @dataclass
@@ -164,15 +76,12 @@ XOR_WIDTH = 4
 
 
 class CnfBuilder:
-    """Tseitin converter with structural sharing and bounded-width XOR."""
+    """Folding Tseitin gates with one gate per kind and sorted arguments."""
 
     def __init__(self, num_primary: int):
         self.num_vars = num_primary
         self.clauses: list[tuple[int, ...]] = []
-        self._cache: dict[Expr, int] = {}
-        # AND gates by their sorted literals: And(x, y) and And(y, x)
-        # are different Exprs but one gate.
-        self._and_gates: dict[tuple[int, ...], int] = {}
+        self._gates: dict[tuple, int] = {}  # (kind, sorted args) -> variable
 
     def fresh_var(self) -> int:
         self.num_vars += 1
@@ -181,7 +90,7 @@ class CnfBuilder:
     def add_clause(self, lits) -> None:
         self.clauses.append(tuple(lits))
 
-    def _parity_clauses(self, lits: list[int], parity: int) -> None:
+    def _parity_clauses(self, lits, parity: int) -> None:
         """Clauses forcing XOR of lits == parity (lits must be few)."""
         k = len(lits)
         for mask in range(1 << k):
@@ -190,12 +99,12 @@ class CnfBuilder:
                 self.add_clause(-lits[i] if (mask >> i) & 1 else lits[i]
                                 for i in range(k))
 
-    def _xor_to_lit(self, lits: list[int]) -> int:
+    def _xor_to_lit(self, lits) -> int:
         """Balanced reduction of an XOR chain to a single literal."""
         while len(lits) > 1:
             nxt = []
             for i in range(0, len(lits), XOR_WIDTH):
-                chunk = lits[i:i + XOR_WIDTH]
+                chunk = list(lits[i:i + XOR_WIDTH])
                 if len(chunk) == 1:
                     nxt.append(chunk[0])
                     continue
@@ -205,64 +114,107 @@ class CnfBuilder:
             lits = nxt
         return lits[0]
 
-    def lit(self, e: Expr) -> int:
-        if isinstance(e, Var):
-            return e.index
-        if isinstance(e, Not):
-            return -self.lit(e.arg)
-        if isinstance(e, Const):
-            raise ValueError("constants must be folded before conversion; "
-                             "assert them at the top level instead")
-        cached = self._cache.get(e)
-        if cached is not None:
-            return cached
-        if isinstance(e, And):
-            lits = [self.lit(a) for a in e.args]
-            key = tuple(sorted(lits))
-            v = self._and_gates.get(key)
-            if v is None:
-                v = self._and_gates[key] = self.fresh_var()
-                for l in lits:
-                    self.add_clause((-v, l))
-                self.add_clause([v] + [-l for l in lits])
-        elif isinstance(e, Or):
-            lits = [self.lit(a) for a in e.args]
-            v = self.fresh_var()
+    def _and_gate(self, lits: tuple[int, ...]) -> int:
+        v = self._gates.get(("and", lits))
+        if v is None:
+            v = self._gates["and", lits] = self.fresh_var()
             for l in lits:
-                self.add_clause((v, -l))
-            self.add_clause([-v] + lits)
-        elif isinstance(e, Xor):
-            lits = [self.lit(a) for a in e.args]
-            v = self._xor_to_lit(lits)
-        else:
-            raise TypeError(f"unknown expression {e!r}")
-        self._cache[e] = v
+                self.add_clause((-v, l))
+            self.add_clause([v] + [-l for l in lits])
         return v
 
-    def assert_expr(self, e: Expr) -> None:
-        if isinstance(e, Const):
-            if not e.value:
-                self.add_clause(())  # trivially UNSAT by construction
-            return
-        if isinstance(e, And):
-            for a in e.args:
-                self.assert_expr(a)
-            return
-        if isinstance(e, Or):
-            self.add_clause(self.lit(a) for a in e.args)
-            return
-        parity = 1
-        if isinstance(e, Not) and isinstance(e.arg, Xor):
-            e, parity = e.arg, 0
-        if isinstance(e, Xor):
-            lits = [self.lit(a) for a in e.args]
-            if len(lits) <= XOR_WIDTH:
-                self._parity_clauses(lits, parity)
+    def and_(self, *args: Lit) -> Lit:
+        p = _product(args)
+        if p is False:
+            return False
+        if len(p) < 2:
+            return p[0] if p else True
+        return self._and_gate(p)
+
+    def or_(self, *args: Lit) -> Lit:
+        return neg(self.and_(*map(neg, args)))
+
+    def xor(self, *args: Lit) -> Lit:
+        parity, odd = _parity(args)
+        if not odd:
+            return parity
+        if len(odd) == 1:
+            v = odd[0]
+        else:
+            v = self._gates.get(("xor", odd))
+            if v is None:
+                v = self._gates["xor", odd] = self._xor_to_lit(odd)
+        return -v if parity else v
+
+    def lex_less(self, a, b) -> list[tuple[Lit, ...]]:
+        """Products whose disjunction says a < b for equal-length literal
+        vectors, most significant first.
+
+        Leading positions with the same literal are skipped; at the first
+        other one a < b when (not a_i and b_i), or when a_i == b_i and the
+        rest compares less.  The rest is built back to front as gates, so
+        each suffix comparison is shared.  Equal vectors give no product.
+        """
+        if len(a) != len(b):
+            raise ValueError(f"lex_less length mismatch: {len(a)} vs {len(b)}")
+        # True == 1: a constant and a variable are never the same.
+        pairs = list(dropwhile(lambda p: type(p[0]) is type(p[1]) and p[0] == p[1],
+                               zip(a, b)))
+        if not pairs:
+            return []
+        rest: Lit = False
+        for x, y in reversed(pairs[1:]):
+            less = self.and_(neg(x), y)
+            # Build no equality gate that a False rest would discard.
+            rest = self.or_(less, False if rest is False
+                            else self.and_(self.xor(x, y, True), rest))
+        x, y = pairs[0]
+        products = [(neg(x), y)]
+        if rest is not False:
+            products.append((self.xor(x, y, True), rest))
+        return products
+
+    def assert_parity(self, products, parity: int) -> None:
+        """The XOR of the products equals parity."""
+        odd: dict[tuple[int, ...], None] = {}
+        for p in map(_product, products):
+            if p is False:
+                continue
+            if not p:
+                parity ^= 1
+            elif p in odd:
+                del odd[p]
             else:
-                v = self._xor_to_lit(lits)
-                self.add_clause((v if parity else -v,))
+                odd[p] = None
+        if len(odd) == 1:
+            (p,) = odd
+            if parity:
+                for l in p:
+                    self.add_clause((l,))
+            else:
+                self.add_clause(-l for l in p)
             return
-        self.add_clause((self.lit(e),))
+        flip, lits = _parity(self.and_(*p) for p in odd)
+        parity ^= flip
+        if len(lits) <= XOR_WIDTH:
+            self._parity_clauses(lits, parity)
+        else:
+            v = self._xor_to_lit(lits)
+            self.add_clause((v if parity else -v,))
+
+    def assert_any(self, products) -> None:
+        """Some product holds."""
+        kept = []
+        for p in map(_product, products):
+            if p == ():
+                return
+            if p is not False:
+                kept.append(p)
+        if len(kept) == 1:
+            for l in kept[0]:
+                self.add_clause((l,))
+        else:
+            self.add_clause([self.and_(*p) for p in kept])
 
     def build(self, comments: list[str] | None = None) -> CnfInstance:
         return CnfInstance(self.num_vars, self.clauses, comments or [])

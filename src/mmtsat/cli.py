@@ -43,6 +43,13 @@ def _parse_combo(text: str, group: GroupId) -> dict[str, int]:
     return combo
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _resolve_solver(args) -> str:
     """Precedence: --solver flag, then config file, then MMTSAT_SOLVER."""
     if args.solver:
@@ -97,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--checkpoint")
     p.add_argument("--work-dir")
 

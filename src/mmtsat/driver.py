@@ -103,6 +103,8 @@ def parse_solver_output(text: str):
             if status == "sat":
                 return ("unknown", "contradictory status lines")
             status = "unsat"
+        elif line.startswith("s UNKNOWN"):
+            return ("unknown", "solver answered UNKNOWN")
         elif line.startswith("v ") or line == "v":
             for tok in line[1:].split():
                 try:

@@ -5,12 +5,17 @@ Each role of an orbit representative spans the fixed space
 free cell, every other cell the XOR of free-cell variables.  Each fixed
 matrix is the image of exactly one assignment, so no side equations are
 emitted; a free cell equals its variable, so a primary's (mat, row, col)
-label names its cell.  The encoder expands orbits with the same
-expansion function the concrete expander uses, emits the per-entry
-tensor equations plus the lexicographic symmetry-breaking constraints,
-and can decode any model back into a verified decomposition.  Roles,
-side conditions, expansions and ordering constraints are all read from
-the same table in symmetry that check_canonical reads.
+label names its cell.  Every symbolic cell is an affine form of the
+primaries, held as an int mask (bit v is primary v, bit 0 the constant
+1), so the linear image ops act on cells by XOR of masks, and a model
+gives a cell the parity of its mask's true bits.  The encoder expands
+orbits with the same expansion function the concrete expander uses,
+compiles each cell it needs to one literal of a `CnfBuilder`, emits the
+per-entry tensor equations plus the lexicographic symmetry-breaking
+constraints, and can decode any model back into a verified
+decomposition.  Roles, side conditions, expansions and ordering
+constraints are all read from the same table in symmetry that
+check_canonical reads.
 
 Tensor equations are kept only at the free entries of one GF(2)
 elimination.  The expanded symbolic decomposition is invariant under
@@ -29,11 +34,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby, product
+from operator import xor
 
-from . import boolexpr as bx
-from .boolexpr import CnfBuilder, CnfInstance, Expr, lex_less
+from .boolexpr import CnfBuilder, CnfInstance, Lit
 from .canonical import SymmetricDecomposition
 from .gf2 import Gf2Matrix
 from .symmetry import (
@@ -48,7 +53,7 @@ from .symmetry import (
 )
 from .tensor import Decomposition, mm_tensor
 
-SymMatrix = tuple[tuple[Expr, ...], ...]
+SymMatrix = tuple[tuple[int, ...], ...]
 Cell = tuple[int, int]
 Entry = tuple[Cell, Cell, Cell]  # ((a, b), (c, d), (e, f)) of the tensor
 
@@ -116,7 +121,7 @@ def _lift(op, n: int):
     if op is None:
         return None
     terms = _entry_terms(op, n)
-    return lambda m: tuple(tuple(bx.xor(*(m[k][l] for k, l in terms[i * n + j]))
+    return lambda m: tuple(tuple(reduce(xor, (m[k][l] for k, l in terms[i * n + j]), 0)
                                  for j in range(n)) for i in range(n))
 
 
@@ -178,8 +183,21 @@ def _equation_entries(group: GroupId, n: int) -> tuple[tuple[Entry, ...], tuple]
                                        for row in s.generators))
 
 
-def _flatten(mats) -> list[Expr]:
-    return [e for m in mats for row in m for e in row]
+def cell_literals(builder: CnfBuilder):
+    """A map from cell masks to their literals in builder, cached per mask."""
+    lits: dict[int, Lit] = {}
+
+    def lit(mask: int) -> Lit:
+        if mask not in lits:
+            args, rest = [], mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                # Bit 0 is the constant 1, bit v the variable v.
+                args.append(low.bit_length() - 1 or True)
+            lits[mask] = builder.xor(*args)
+        return lits[mask]
+    return lit
 
 
 # -- variable allocation -----------------------------------------------------
@@ -208,13 +226,13 @@ def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
                 op = CONDITION_OPS[condition]
                 free, basis = _fixed_space(tuple(product(range(n), repeat=2)),
                                            () if op is None else (_entry_terms(op, n),))
-                cells: dict[Cell, Expr] = {}
+                cells: dict[Cell, int] = {}
                 for i, j in free:
                     next_var += 1
                     varmap.primary.append(
                         VarEntry(next_var, kind.tag, idx, role, i, j))
-                    cells[i, j] = bx.var(next_var)
-                rep.append(tuple(tuple(bx.xor(*(cells[c] for c in basis[i * n + j]))
+                    cells[i, j] = 1 << next_var
+                rep.append(tuple(tuple(reduce(xor, (cells[c] for c in basis[i * n + j]), 0)
                                        for j in range(n)) for i in range(n)))
             reps[kind.tag].append(tuple(rep))
     varmap.aux_start = next_var + 1
@@ -224,12 +242,34 @@ def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
 # -- encoding ----------------------------------------------------------------
 
 
-def symmetry_breaking(group: GroupId, n: int, reps) -> list[Expr]:
-    """The canonical form's lex-order constraints on symbolic representatives."""
+def tensor_equations(group: GroupId, n: int, reps):
+    """The tensor equation at each free entry of the invariant space, as
+    (entry, products, bit): the XOR of the products of cell masks, one
+    per triplet of the expanded decomposition, equals the target bit.
+    Products with a zero cell are left out."""
     image = _lift(scheme(group).image, n)
-    return [lex_less(_flatten(lhs), _flatten(rhs))
-            for kind in orbit_kinds(group)
-            for _, _, lhs, rhs in lex_constraints(kind, reps[kind.tag], image)]
+    triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
+                for trip in expand(kind, rep, image)]
+    target = mm_tensor(n, n, n)
+    for entry in _equation_entries(group, n)[0]:
+        (a, b), (c, d), (e, f) = entry
+        products = [(ta[a][b], tb[c][d], tc[e][f]) for ta, tb, tc in triplets
+                    if ta[a][b] and tb[c][d] and tc[e][f]]
+        yield entry, products, target.get(a, b, c, d, e, f)
+
+
+def symmetry_breaking(builder: CnfBuilder, group: GroupId, n: int, reps) -> None:
+    """Assert the canonical form's lex-order constraints on symbolic
+    representatives."""
+    lit = cell_literals(builder)
+
+    def flat(mats):
+        return [lit(cell) for m in mats for row in m for cell in row]
+
+    image = _lift(scheme(group).image, n)
+    for kind in orbit_kinds(group):
+        for _, _, lhs, rhs in lex_constraints(kind, reps[kind.tag], image):
+            builder.assert_any(builder.lex_less(flat(lhs), flat(rhs)))
 
 
 def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, VarMap]:
@@ -242,26 +282,15 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     reps, varmap = build_symbolic_orbits(group, n, combo)
     builder = CnfBuilder(varmap.aux_start - 1)
 
-    # Tensor equations: at each free entry of the invariant space, the
-    # XOR of the per-triplet AND terms over the fully expanded
-    # decomposition equals the target bit.
-    image = _lift(scheme(group).image, n)
-    triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
-                for trip in expand(kind, rep, image)]
-    target = mm_tensor(n, n, n)
-    for (a, b), (c, d), (e, f) in _equation_entries(group, n)[0]:
-        expr = bx.xor(*(bx.and_(ta[a][b], tb[c][d], tc[e][f])
-                        for ta, tb, tc in triplets))
-        if not target.get(a, b, c, d, e, f):
-            expr = bx.not_(expr)
-        builder.assert_expr(expr)
+    lit = cell_literals(builder)
+    for _, products, bit in tensor_equations(group, n, reps):
+        builder.assert_parity([tuple(map(lit, p)) for p in products], bit)
 
     # Non-zero representatives: some primary variable of each is true.
     for _, entries in groupby(varmap.primary, lambda e: (e.orbit, e.index)):
         builder.add_clause(e.var for e in entries)
 
-    for expr in symmetry_breaking(group, n, reps):
-        builder.assert_expr(expr)
+    symmetry_breaking(builder, group, n, reps)
 
     comments = [f"mmtsat group={group.value} n={n} "
                 f"combo={','.join(f'{k}={v}' for k, v in sorted(combo.items()))} "
@@ -292,8 +321,9 @@ def decode(model: dict[int, bool], varmap: VarMap, group: GroupId,
     for e in varmap.primary:
         if e.var not in model:
             raise DecodeError(f"incomplete model: model does not assign variable {e.var}")
+    bits = 1 | sum(1 << e.var for e in varmap.primary if model[e.var])
     orbits = {tag: tuple(tuple(Gf2Matrix.from_rows(
-                  [[int(bx.evaluate(cell, model)) for cell in row] for row in mat])
+                  [[(cell & bits).bit_count() & 1 for cell in row] for row in mat])
                   for mat in rep) for rep in tag_reps)
               for tag, tag_reps in reps.items()}
     sd = SymmetricDecomposition(group, n, orbits)

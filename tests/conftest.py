@@ -20,6 +20,36 @@ requires_solver = pytest.mark.skipif(
     not solver_available(), reason="no DIMACS solver on PATH")
 
 
+def propagate(clauses, assignment) -> bool:
+    """Unit propagation from a partial assignment of variable ids to bools;
+    False when it falsifies a clause.
+
+    Tseitin auxiliaries are functionally determined by the primary
+    inputs, so once the primaries are fixed propagation alone decides
+    the CNF.
+    """
+    assignment = dict(assignment)
+    changed = True
+    while changed:
+        changed = False
+        for cl in clauses:
+            unassigned = []
+            for lit in cl:
+                val = assignment.get(abs(lit))
+                if val is None:
+                    unassigned.append(lit)
+                elif (lit > 0) == val:
+                    break
+            else:
+                if not unassigned:
+                    return False
+                if len(unassigned) == 1:
+                    lit = unassigned[0]
+                    assignment[abs(lit)] = lit > 0
+                    changed = True
+    return True
+
+
 @pytest.fixture
 def solver_cmd():
     if not solver_available():

@@ -1,153 +1,186 @@
-import itertools
 import random
 
 import pytest
 
-from mmtsat import boolexpr as bx
+from mmtsat.boolexpr import XOR_WIDTH, CnfBuilder, CnfInstance, neg
+
+from conftest import propagate
 
 
-def test_smart_constructors_fold_constants():
-    v = bx.var(1)
-    assert bx.and_(bx.TRUE, v) == v
-    assert bx.and_(bx.FALSE, v) == bx.FALSE
-    assert bx.or_(bx.TRUE, v) == bx.TRUE
-    assert bx.or_(bx.FALSE, v) == v
-    assert bx.xor(bx.TRUE, v) == bx.not_(v)
-    assert bx.xor(v, v, bx.TRUE) == bx.not_(bx.Xor((v, v)))
-    assert bx.not_(bx.not_(v)) == v
-    assert bx.and_() == bx.TRUE and bx.or_() == bx.FALSE
-    assert bx.xor() == bx.FALSE
+def _same(x, y):
+    # True == 1: compare types too, so a constant never passes for variable 1.
+    return type(x) is type(y) and x == y
 
 
-def test_evaluate():
-    e = bx.or_(bx.and_(bx.var(1), bx.not_(bx.var(2))),
-               bx.xor(bx.var(2), bx.var(3)))
-    assert bx.evaluate(e, {1: True, 2: False, 3: False})
-    assert not bx.evaluate(e, {1: False, 2: True, 3: True})
+def _assignments(num_vars):
+    for bits in range(1 << num_vars):
+        yield {i + 1: bool(bits >> i & 1) for i in range(num_vars)}
+
+
+def test_gates_fold_constants_and_repeated_arguments():
+    b = CnfBuilder(2)
+    assert _same(b.and_(True, 1), 1) and _same(b.and_(False, 1), False)
+    assert _same(b.and_(1, -1), False) and _same(b.and_(1, 1, True), 1)
+    assert _same(b.or_(True, 1), True) and _same(b.or_(False, -1), -1)
+    assert _same(b.or_(1, -1), True) and _same(b.or_(2, 2), 2)
+    assert _same(b.xor(True, 1), -1) and _same(b.xor(1, 1), False)
+    assert _same(b.xor(1, -1), True) and _same(b.xor(1, 2, -1), -2)
+    assert _same(b.and_(), True) and _same(b.or_(), False) and _same(b.xor(), False)
+    assert _same(neg(True), False) and _same(neg(-2), 2)
+    assert b.num_vars == 2 and b.clauses == []
 
 
 def test_lex_less_circuit_matches_comparison_exhaustively():
-    # All constant vectors up to length 6, evaluated through variables.
+    # Up to length 6: every entry a variable of its own, then random mixes
+    # of variables, their repeats and negations, and constants.
+    rng = random.Random(6)
+    pool = [1, -1, 2, -2, 3, True, False]
     for length in range(0, 7):
-        a_vars = [bx.var(i + 1) for i in range(length)]
-        b_vars = [bx.var(length + i + 1) for i in range(length)]
-        circuit = bx.lex_less(a_vars, b_vars)
-        for a_bits in itertools.product((0, 1), repeat=length):
-            for b_bits in itertools.product((0, 1), repeat=length):
-                assignment = {i + 1: bool(v) for i, v in enumerate(a_bits)}
-                assignment.update({length + i + 1: bool(v)
-                                   for i, v in enumerate(b_bits)})
-                want = a_bits < b_bits
-                assert bx.evaluate(circuit, assignment) == want
+        patterns = [(list(range(1, length + 1)),
+                     list(range(length + 1, 2 * length + 1)))]
+        for _ in range(6):
+            patterns.append(tuple([rng.choice(pool) for _ in range(length)]
+                                  for _ in range(2)))
+        for a, b in patterns:
+            num_vars = max([abs(x) for x in a + b if not isinstance(x, bool)],
+                           default=0)
+            builder = CnfBuilder(num_vars)
+            builder.assert_any(builder.lex_less(a, b))
+            for assignment in _assignments(num_vars):
+                value = [x if isinstance(x, bool) else assignment[abs(x)] == (x > 0)
+                         for x in a + b]
+                want = value[:length] < value[length:]
+                assert propagate(builder.clauses, assignment) == want, (a, b)
 
 
 def test_lex_less_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        bx.lex_less([bx.var(1)], [])
+        CnfBuilder(1).lex_less([1], [])
 
 
 def test_dimacs_format():
-    inst = bx.CnfInstance(3, [(1, -2), (3,)], comments=["hello"])
+    inst = CnfInstance(3, [(1, -2), (3,)], comments=["hello"])
     assert inst.to_dimacs() == "c hello\np cnf 3 2\n1 -2 0\n3 0\n"
 
 
 # -- CNF conversion ----------------------------------------------------------
-#
-# Tseitin auxiliaries are functionally determined by the primary inputs,
-# so unit propagation alone decides the CNF once the primaries are fixed.
 
 
-def _propagate(clauses, assignment):
-    """Unit-propagate; returns True (sat), False (conflict)."""
-    assignment = dict(assignment)
-    changed = True
-    while changed:
-        changed = False
-        for cl in clauses:
-            unassigned = []
-            satisfied = False
-            for lit in cl:
-                val = assignment.get(abs(lit))
-                if val is None:
-                    unassigned.append(lit)
-                elif (lit > 0) == val:
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if not unassigned:
-                return False
-            if len(unassigned) == 1:
-                lit = unassigned[0]
-                assignment[abs(lit)] = lit > 0
-                changed = True
-    return True
-
-
-def _random_expr(rng, num_vars, depth):
+def _random_circuit(rng, num_vars, depth, seen):
+    """A circuit as nested (op, args) tuples over literals and bools.
+    Leaves and subcircuits are drawn again from `seen`, plain or negated,
+    so arguments repeat and contradict each other."""
     if depth == 0 or rng.random() < 0.3:
-        return bx.var(rng.randint(1, num_vars))
-    op = rng.choice(["and", "or", "xor", "not"])
+        roll = rng.random()
+        if roll < 0.15:
+            return rng.choice((True, False))
+        if seen and roll < 0.5:
+            node = rng.choice(seen)
+            return node if rng.random() < 0.5 else ("not", (node,))
+        node = rng.choice((1, -1)) * rng.randint(1, num_vars)
+    else:
+        op = rng.choice(["and", "or", "xor", "not"])
+        arity = 1 if op == "not" else rng.randint(2, 4)
+        node = (op, tuple(_random_circuit(rng, num_vars, depth - 1, seen)
+                          for _ in range(arity)))
+    seen.append(node)
+    return node
+
+
+def _evaluate(node, assignment):
+    if isinstance(node, bool):
+        return node
+    if isinstance(node, int):
+        return assignment[abs(node)] == (node > 0)
+    op, args = node
+    values = [_evaluate(a, assignment) for a in args]
     if op == "not":
-        return bx.not_(_random_expr(rng, num_vars, depth - 1))
-    args = [_random_expr(rng, num_vars, depth - 1)
-            for _ in range(rng.randint(2, 4))]
-    return {"and": bx.and_, "or": bx.or_, "xor": bx.xor}[op](*args)
+        return not values[0]
+    if op == "and":
+        return all(values)
+    if op == "or":
+        return any(values)
+    return sum(values) % 2 == 1
+
+
+def _compile(builder, node):
+    if not isinstance(node, tuple):
+        return node
+    op, args = node
+    lits = [_compile(builder, a) for a in args]
+    if op == "not":
+        return neg(lits[0])
+    return {"and": builder.and_, "or": builder.or_, "xor": builder.xor}[op](*lits)
 
 
 def test_tseitin_cnf_matches_evaluation():
+    # Each circuit is a list of products of random subcircuits, asserted
+    # either to have a given parity or to have a true member.
     rng = random.Random(20)
     for _ in range(200):
         num_vars = rng.randint(2, 10)
-        expr = _random_expr(rng, num_vars, rng.randint(1, 4))
-        builder = bx.CnfBuilder(num_vars)
-        builder.assert_expr(expr)
-        clauses = builder.clauses
-        # Sample assignments exhaustively for small var counts.
-        for bits in range(1 << num_vars):
-            assignment = {i + 1: bool((bits >> i) & 1) for i in range(num_vars)}
-            want = bx.evaluate(expr, assignment)
-            assert _propagate(clauses, assignment) == want
+        seen: list = []
+        products = [tuple(_random_circuit(rng, num_vars, rng.randint(0, 3), seen)
+                          for _ in range(rng.randint(1, 3)))
+                    for _ in range(rng.randint(1, 4))]
+        builder = CnfBuilder(num_vars)
+        compiled = [tuple(_compile(builder, x) for x in p) for p in products]
+        parity = rng.choice((0, 1, None))
+        if parity is None:
+            builder.assert_any(compiled)
+        else:
+            builder.assert_parity(compiled, parity)
+        for assignment in _assignments(num_vars):
+            held = [all(_evaluate(x, assignment) for x in p) for p in products]
+            want = any(held) if parity is None else sum(held) % 2 == parity
+            assert propagate(builder.clauses, assignment) == want, products
 
 
 def test_xor_width_splitting_is_sound():
     # Long parity constraints decompose into blocks of at most XOR_WIDTH.
-    n = 2 * bx.XOR_WIDTH + 1
-    chain = bx.xor(*[bx.var(i + 1) for i in range(n)])
-    for expr, parity in ((chain, 1), (bx.not_(chain), 0)):
-        builder = bx.CnfBuilder(n)
-        builder.assert_expr(expr)
-        assert max(len(cl) for cl in builder.clauses) == bx.XOR_WIDTH + 1
-        for bits in range(1 << n):
-            assignment = {i + 1: bool((bits >> i) & 1) for i in range(n)}
-            want = bin(bits).count("1") % 2 == parity
-            assert _propagate(builder.clauses, assignment) == want
+    n = 2 * XOR_WIDTH + 1
+    for parity in (0, 1):
+        builder = CnfBuilder(n)
+        builder.assert_parity([(i + 1,) for i in range(n)], parity)
+        assert max(len(cl) for cl in builder.clauses) == XOR_WIDTH + 1
+        for assignment in _assignments(n):
+            want = sum(assignment.values()) % 2 == parity
+            assert propagate(builder.clauses, assignment) == want
 
 
 def test_structural_sharing_caches_subterms():
-    shared = bx.and_(bx.var(1), bx.var(2))
-    expr = bx.or_(shared, bx.and_(shared, bx.var(3)))
-    builder = bx.CnfBuilder(3)
-    builder.assert_expr(expr)
-    aux_for_and = [v for e, v in builder._cache.items() if e == shared]
-    assert len(aux_for_and) == 1
+    b = CnfBuilder(3)
+    g = b.or_(b.and_(1, 2), b.xor(2, -3))
+    size = (b.num_vars, len(b.clauses))
+    # The same gates in another argument order, and an OR that is the
+    # negated AND of the negated arguments.
+    assert _same(b.or_(b.xor(-3, 2), b.and_(2, 1)), g)
+    assert _same(b.and_(-b.and_(1, 2), -b.xor(3, 2, True)), -g)
+    assert (b.num_vars, len(b.clauses)) == size
 
 
 def test_and_gates_shared_across_argument_order():
-    x, y, z = bx.var(1), bx.var(2), bx.var(3)
-    expr = bx.xor(bx.and_(x, y, z), bx.and_(z, x, y), bx.var(4))
-    builder = bx.CnfBuilder(4)
-    builder.assert_expr(expr)
-    assert builder._cache[bx.and_(x, y, z)] == builder._cache[bx.and_(z, x, y)]
-    assert builder.num_vars == 5  # one gate for both orders
-    for bits in range(1 << 4):
-        assignment = {i + 1: bool((bits >> i) & 1) for i in range(4)}
-        assert _propagate(builder.clauses, assignment) == bx.evaluate(expr, assignment)
+    b = CnfBuilder(4)
+    g = b.and_(1, 2, 3)
+    assert b.num_vars == 5
+    assert _same(b.and_(3, 1, 2), g) and _same(b.and_(2, True, 3, 1, 2), g)
+    assert b.num_vars == 5  # one gate for every order
+    b.assert_parity([(g,), (b.and_(3, 2, 1), 4), (4,)], 1)
+    for assignment in _assignments(4):
+        x = [assignment[i] for i in range(1, 5)]
+        want = (x[0] and x[1] and x[2]) ^ (x[0] and x[1] and x[2] and x[3]) ^ x[3]
+        assert propagate(b.clauses, assignment) == want
 
 
-def test_constants_rejected_inside_conversion():
-    builder = bx.CnfBuilder(1)
-    with pytest.raises(ValueError):
-        builder.lit(bx.TRUE)
-    builder.assert_expr(bx.FALSE)
-    assert () in builder.clauses  # unsatisfiable marker clause
+def test_lone_products_and_constants_need_no_gate():
+    b = CnfBuilder(2)
+    b.assert_any([(True, 1, 1), (False, 2)])
+    b.assert_parity([(1, 2), (2, 1, True), (-2,)], 0)
+    b.assert_parity([(2, 1)], 1)
+    b.assert_any([(1,), (True,)])
+    b.assert_parity([(True,), (1, -1)], 1)
+    assert b.num_vars == 2
+    assert b.clauses == [(1,), (2,), (1,), (2,)]
+    b.assert_any([])
+    b.assert_parity([(True,)], 0)
+    assert b.clauses[-2:] == [(), ()]  # unsatisfiable marker clauses

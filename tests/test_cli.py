@@ -18,6 +18,18 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_search_rejects_fewer_than_one_worker(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    for workers in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--group", "cyc", "--n", "2", "--max-rank", "1",
+                  "--solver", "true {cnf}", "--workers", workers,
+                  "--checkpoint", str(ckpt), "--work-dir", str(tmp_path / "w")])
+        assert exc.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_domain_errors_exit_1(capsys):
     assert main(["encode", "--group", "octahedral", "--n", "2",
                  "--combo", "id=1", "--out", "/dev/null"]) == 1

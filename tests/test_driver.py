@@ -70,6 +70,8 @@ def test_parse_solver_output_cases():
     assert state == "unknown" and "contradictory" in diag
     state, diag = parse_solver_output("s SATISFIABLE\nv 1 x 0\n")
     assert state == "unknown" and "'x'" in diag
+    state, diag = parse_solver_output("c gave up\ns UNKNOWN\n")
+    assert state == "unknown" and diag == "solver answered UNKNOWN"
 
 
 def test_run_solver_requires_placeholder(tmp_path):
@@ -149,6 +151,8 @@ _FAULTS = {
                     "unparsable solver output: bad literal 'x' in a v line"),
     "non-UTF-8 output": (r"printf 's SATISFIABLE\nv 1 \377 0\n'",
                          "unparsable solver output: bad literal '\ufffd' in a v line"),
+    "UNKNOWN answer": (r"printf 's UNKNOWN\n'",
+                       "unparsable solver output: solver answered UNKNOWN"),
 }
 
 

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from mmtsat import boolexpr as bx
+from mmtsat.boolexpr import CnfBuilder
 from mmtsat.canonical import canonicalize, check_canonical
 from mmtsat.encoder import (
     DecodeError,
@@ -16,9 +16,11 @@ from mmtsat.encoder import (
     _fixed_space,
     _lift,
     build_symbolic_orbits,
+    cell_literals,
     decode,
     encode,
     symmetry_breaking,
+    tensor_equations,
 )
 from mmtsat.gf2 import Gf2Matrix
 from mmtsat.symmetry import (
@@ -34,7 +36,14 @@ from mmtsat.symmetry import (
 )
 from mmtsat.tensor import evaluate, mm_tensor, verify
 
-from conftest import random_symmetric_decomposition
+from conftest import propagate, random_symmetric_decomposition
+
+
+def _read(mask, model):
+    """A cell's value under a model: the parity of its mask's primaries
+    that are true, with bit 0 the constant 1."""
+    bits = 1 | sum(1 << v for v, value in model.items() if value)
+    return (mask & bits).bit_count() & 1
 
 
 def test_primary_variable_counts():
@@ -85,8 +94,7 @@ def test_role_spans_exactly_its_fixed_space(condition, n):
     span = set()
     for values in product((False, True), repeat=len(varmap.primary)):
         model = {e.var: v for e, v in zip(varmap.primary, values)}
-        m = Gf2Matrix.from_rows([[int(bx.evaluate(c, model)) for c in row]
-                                 for row in mat])
+        m = Gf2Matrix.from_rows([[_read(c, model) for c in row] for row in mat])
         assert all(m.get(e.row, e.col) == model[e.var] for e in varmap.primary)
         span.add(m.bits)
     assert span == _fixed_matrices(CONDITION_OPS[condition], n)
@@ -218,26 +226,9 @@ def test_equation_entries_counts_and_order():
                    for x, fs in zip(_entries(3), basis) for f in fs)
 
 
-def _affine(e):
-    """An affine form of primaries as (variable mask, constant)."""
-    if isinstance(e, bx.Const):
-        return 0, int(e.value)
-    if isinstance(e, bx.Var):
-        return 1 << e.index, 0
-    if isinstance(e, bx.Not):
-        mask, const = _affine(e.arg)
-        return mask, const ^ 1
-    mask = const = 0
-    for a in e.args:  # Xor
-        m, c = _affine(a)
-        mask ^= m
-        const ^= c
-    return mask, const
-
-
-def _monomials(e):
-    mask, const = _affine(e)
-    return [1 << v for v in range(mask.bit_length()) if mask >> v & 1] + [0] * const
+def _monomials(mask):
+    """A cell's terms as monomials: 1 << v for primary v, 0 for the constant."""
+    return [1 << v for v in range(1, mask.bit_length()) if mask >> v & 1] + [0] * (mask & 1)
 
 
 def _equation_anf(triplets, target, entry):
@@ -306,6 +297,32 @@ def test_residuals_span_exactly_the_kept_entries(group):
     assert _gf2_rank(r & on_kept for r in residuals) == len(kept)
 
 
+@pytest.mark.parametrize("group", list(GroupId), ids=lambda g: g.value)
+def test_kept_equation_holds_exactly_where_the_residual_is_zero(group):
+    # Each kept entry's equation alone, compiled to clauses: under random
+    # primaries of the mixed combo, propagation hits a conflict exactly
+    # where the decoded decomposition's residual has a 1.
+    rng = random.Random(sum(map(ord, group.value)) + 17)
+    tags = [kind.tag for kind in orbit_kinds(group)]
+    combo = {tag: 2 if i == 0 else 1 for i, tag in enumerate(tags)}
+    reps, varmap = build_symbolic_orbits(group, 3, combo)
+    equations = list(tensor_equations(group, 3, reps))
+    target = mm_tensor(3, 3, 3)
+    outcomes = Counter()
+    for _ in range(8):
+        model = {e.var: rng.random() < 0.5 for e in varmap.primary}
+        _, d = decode(model, varmap, group, 3)
+        residual = evaluate(d).bits ^ target.bits
+        for entry, products, bit in equations:
+            builder = CnfBuilder(varmap.aux_start - 1)
+            lit = cell_literals(builder)
+            builder.assert_parity([tuple(map(lit, p)) for p in products], bit)
+            conflict = not propagate(builder.clauses, model)
+            assert conflict == bool(residual >> target.flat_index(*sum(entry, ())) & 1)
+            outcomes[conflict] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 @pytest.mark.parametrize("group,n", [
     (GroupId.TRIVIAL, 2),
     (GroupId.CYCLIC, 2),
@@ -322,8 +339,9 @@ def test_symmetry_breaking_agrees_with_check_canonical(group, n):
         for sd in (raw, canonicalize(raw)):
             reps, varmap = build_symbolic_orbits(group, n, sd.counts())
             model = _model_from_symmetric(sd, varmap)
-            encoded = all(bx.evaluate(e, model)
-                          for e in symmetry_breaking(group, n, reps))
+            builder = CnfBuilder(varmap.aux_start - 1)
+            symmetry_breaking(builder, group, n, reps)
+            encoded = propagate(builder.clauses, model)
             canonical = check_canonical(sd) == []
             assert encoded == canonical, sd
             seen.add(canonical)
@@ -334,13 +352,13 @@ def test_symmetry_breaking_agrees_with_check_canonical(group, n):
 # to the CNF updates these pins.
 @pytest.mark.parametrize("group,n,combo,digest", [
     (GroupId.TRIVIAL, 2, {"id": 7},
-     "afb11f8ffe052a905d13dfff11205341a828d9ee0e020958de2378d6b8e7997b"),
+     "fddd7f3a137199dd0f91ec3fa5a577f1eef095521dcb5f0813b71574bdb79e25"),
     (GroupId.CYCLIC, 2, {"id": 2, "delta": 1},
-     "536292cd22a9e5202237f6a07c75cdbca180e2128f1f8e54ee97f9c1ab6e0e3d"),
+     "0de957f675bc905dfd6a48f139f0475d27bc3c01d7e38050d23dbb5f10a09d8d"),
     (GroupId.CYCLIC_TRANSPOSE, 3, {"id": 1, "t": 1, "delta": 1, "full": 1},
-     "656c89af675959ec366688336c2275eef1acad17266d7a02591b5e21a85d607e"),
+     "8029175b32ef46cd11d43bab505a6a23f2afdfbc1556837bfd8e3f3f55dab0ca"),
     (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1},
-     "9af9773c37da16c808d370211eeea3e6089c4209567a16f6b0629399ff5eff09"),
+     "8c4ea26713a9d7652d5169a8aead6fa0541288f1a65172c38e65edb6d4df1bc1"),
 ], ids=["none", "cyc", "cyc-t", "cyc-sw"])
 def test_cnf_pinned(group, n, combo, digest):
     cnf, _ = encode(group, n, combo)
