@@ -154,23 +154,21 @@ def canonicalize(sd: SymmetricDecomposition) -> SymmetricDecomposition:
 
 
 def check_canonical(sd: SymmetricDecomposition) -> list[str]:
-    """All violated canonical-form constraints (empty list iff canonical).
+    """All violated constraints of the encoder's canonical form: empty
+    iff the encoder's non-zero and ordering constraints hold.
 
-    The ordering constraints come from lex_constraints, the same function
-    the encoder compiles to CNF.
+    A representative whose matrices are all zero breaks the non-zero
+    clause; one with only some zero roles is admitted, as in the CNF.
+    The ordering constraints come from lex_constraints, the same
+    function the encoder compiles to CNF.
     """
     v: list[str] = []
-    for tag, reps in sd.orbits.items():
-        for i, rep in enumerate(reps):
-            try:
-                validate_reps(sd.group, tag, rep)
-            except ConstraintError as exc:
-                v.append(f"{tag}[{i}]: {exc}")
-    if v:
-        return v  # the ordering constraints need well-formed representatives
     image = scheme(sd.group).image
     for kind in orbit_kinds(sd.group):
-        for i, what, lhs, rhs in lex_constraints(kind, sd.orbits.get(kind.tag, ()), image):
+        reps = sd.orbits.get(kind.tag, ())
+        v.extend(f"{kind.tag}[{i}]: representative is zero"
+                 for i, rep in enumerate(reps) if all(m.is_zero() for m in rep))
+        for i, what, lhs, rhs in lex_constraints(kind, reps, image):
             if not _rep_key(lhs) < _rep_key(rhs):
                 v.append(f"{kind.tag}[{i}]: {what}")
     return list(dict.fromkeys(v))

@@ -4,12 +4,12 @@ Enumerates every orbit-count combination up to a rank bound, runs the
 configured solver subprocess on each instance (hardest first, across a
 worker pool), and checkpoints after each combo so a killed campaign
 resumes where it stopped.  `solve_combo` maps every end of one run to a
-recorded state: a timeout, a solver that fails to start, unparsable
-output or a model that does not decode (unassigned primaries) is
-recorded as `timeout`/`error` with its reason, and the campaign goes
-on.  A decoded model is verified independently; one that fails
-verification raises EncoderSoundnessError, because then the encoding
-itself is wrong.  The first `sat`, and the first combo that
+recorded state: a timeout, a solver that fails to start, an UNKNOWN
+answer, unparsable output or a model that does not decode (unassigned
+primaries) is recorded as `timeout`/`error` with its reason, and the
+campaign goes on.  A decoded model is verified independently; one that
+fails verification raises EncoderSoundnessError, because then the
+encoding itself is wrong.  The first `sat`, and the first combo that
 raises, stop the combos still queued from running; those already
 running are recorded as they finish.
 """
@@ -87,21 +87,23 @@ def enumerate_combos(group: GroupId, max_rank: int) -> list[ComboSpec]:
 # -- solver subprocess --------------------------------------------------------
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[a-zA-Z]")
+_UNPARSABLE = "unparsable solver output: "
 
 
 def parse_solver_output(text: str):
-    """('sat', assignment) | ('unsat', None) | ('unknown', diagnostic)."""
+    """('sat', assignment) | ('unsat', None) | ('unknown', diagnostic);
+    every diagnostic but "solver answered UNKNOWN" starts with _UNPARSABLE."""
     status = None
     assignment: dict[int, bool] = {}
     for raw in text.splitlines():
         line = _ANSI_RE.sub("", raw).strip()
         if line.startswith("s SATISFIABLE"):
             if status == "unsat":
-                return ("unknown", "contradictory status lines")
+                return ("unknown", _UNPARSABLE + "contradictory status lines")
             status = "sat"
         elif line.startswith("s UNSATISFIABLE"):
             if status == "sat":
-                return ("unknown", "contradictory status lines")
+                return ("unknown", _UNPARSABLE + "contradictory status lines")
             status = "unsat"
         elif line.startswith("s UNKNOWN"):
             return ("unknown", "solver answered UNKNOWN")
@@ -110,7 +112,7 @@ def parse_solver_output(text: str):
                 try:
                     lit = int(tok)
                 except ValueError:
-                    return ("unknown", f"bad literal {tok!r} in a v line")
+                    return ("unknown", _UNPARSABLE + f"bad literal {tok!r} in a v line")
                 if lit == 0:
                     continue
                 assignment[abs(lit)] = lit > 0
@@ -118,7 +120,7 @@ def parse_solver_output(text: str):
         return ("sat", assignment)
     if status == "unsat":
         return ("unsat", None)
-    return ("unknown", "no status line found")
+    return ("unknown", _UNPARSABLE + "no status line found")
 
 
 def run_solver(solver_cmd: str, cnf_path: str, timeout: float | None):
@@ -249,7 +251,7 @@ def _run_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
     if result == "unsat":
         return "unsat", ""
     if result != "sat":
-        return "error", f"unparsable solver output: {payload}"
+        return "error", payload
     try:
         sd, d = decode(payload, varmap, group, n)
     except DecodeError as exc:

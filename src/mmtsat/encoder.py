@@ -1,12 +1,12 @@
 """CNF compilation of symmetric tensor-decomposition existence questions.
 
-Each role of an orbit representative spans the fixed space
-{m : op(m) == m} of its side condition's linear map: one SAT variable per
-free cell, every other cell the XOR of free-cell variables.  Each fixed
-matrix is the image of exactly one assignment, so no side equations are
-emitted; a free cell equals its variable, so a primary's (mat, row, col)
-label names its cell.  Every symbolic cell is an affine form of the
-primaries, held as an int mask (bit v is primary v, bit 0 the constant
+Each role of an orbit representative is free, or fixed by the group's
+image op and then spans {m : image(m) == m}: one SAT variable per free
+cell of its space, every other cell the XOR of free-cell variables.
+Each matrix of the space is the image of exactly one assignment, so no
+side equations are emitted; a free cell equals its variable, so a
+primary's (mat, row, col) label names its cell.  Every symbolic cell is
+an affine form of the primaries, held as an int mask (bit v is primary v, bit 0 the constant
 1), so the linear image ops act on cells by XOR of masks, and a model
 gives a cell the parity of its mask's true bits.  The encoder expands
 orbits with the same expansion function the concrete expander uses,
@@ -42,7 +42,6 @@ from .boolexpr import CnfBuilder, CnfInstance, Lit
 from .canonical import SymmetricDecomposition
 from .gf2 import Gf2Matrix
 from .symmetry import (
-    CONDITION_OPS,
     GroupId,
     expand,
     generators,
@@ -206,11 +205,12 @@ def cell_literals(builder: CnfBuilder):
 def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
     """Allocate primary variables and build symbolic representatives.
 
-    Each role gets one variable per free cell of its side condition's
-    fixed space, and every cell is the XOR of the variables
-    `_fixed_space` names.  Returns (reps, varmap) where reps maps each
-    orbit tag to its list of representative SymMatrix tuples.
+    Each role gets one variable per free cell of its space (all matrices,
+    or those the image op fixes), and every cell is the XOR of the
+    variables `_fixed_space` names.  Returns (reps, varmap) where reps
+    maps each orbit tag to its list of representative SymMatrix tuples.
     """
+    image = scheme(group).image
     varmap = VarMap()
     next_var = 0
     reps: dict[str, list[tuple[SymMatrix, ...]]] = {}
@@ -222,10 +222,9 @@ def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
         reps[kind.tag] = []
         for idx in range(count):
             rep = []
-            for role, condition in zip(kind.roles, kind.conditions):
-                op = CONDITION_OPS[condition]
+            for role, fixed in zip(kind.roles, kind.fixed):
                 free, basis = _fixed_space(tuple(product(range(n), repeat=2)),
-                                           () if op is None else (_entry_terms(op, n),))
+                                           (_entry_terms(image, n),) if fixed else ())
                 cells: dict[Cell, int] = {}
                 for i, j in free:
                     next_var += 1
@@ -258,6 +257,12 @@ def tensor_equations(group: GroupId, n: int, reps):
         yield entry, products, target.get(a, b, c, d, e, f)
 
 
+def nonzero_representatives(builder: CnfBuilder, varmap: VarMap) -> None:
+    """Assert that some primary variable of each representative is true."""
+    for _, entries in groupby(varmap.primary, lambda e: (e.orbit, e.index)):
+        builder.add_clause(e.var for e in entries)
+
+
 def symmetry_breaking(builder: CnfBuilder, group: GroupId, n: int, reps) -> None:
     """Assert the canonical form's lex-order constraints on symbolic
     representatives."""
@@ -286,10 +291,7 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     for _, products, bit in tensor_equations(group, n, reps):
         builder.assert_parity([tuple(map(lit, p)) for p in products], bit)
 
-    # Non-zero representatives: some primary variable of each is true.
-    for _, entries in groupby(varmap.primary, lambda e: (e.orbit, e.index)):
-        builder.add_clause(e.var for e in entries)
-
+    nonzero_representatives(builder, varmap)
     symmetry_breaking(builder, group, n, reps)
 
     comments = [f"mmtsat group={group.value} n={n} "

@@ -3,10 +3,12 @@
 Supported groups are a closed enumeration: the trivial group, <cyc>,
 <cyc, transpose>, and <cyc, conjugation by F> with F fixed to the
 involutive matrix 110;010;001.  Each group has a single image op
-(transposition for cyc-t, conjugation by F for cyc-sw) and a table of
-orbit kinds.  A kind lists its roles with their side conditions, its
-expansion as data over role indices and the image op, and the two
-lex-ordering fields of the canonical form.
+(transposition for cyc-t, conjugation by F for cyc-sw, both
+involutions), its generators as triplet words over A, B, C, and its
+orbit kinds.  A kind is given by its first triplet word, the roles the
+image op fixes (its side conditions) and the two lex-ordering fields of
+the canonical form; its expansion, the generators' orbit of the first
+triplet, and its weight are derived.
 
 Concrete orbit expansion, side-condition checks, the encoder's symbolic
 expansion and symmetry breaking, check_canonical and canonicalize all
@@ -54,21 +56,6 @@ def f_conjugate(m: Gf2Matrix) -> Gf2Matrix:
     return conjugate(m, F_SANDWICH)
 
 
-# Side conditions on a role's matrix.  Each non-free condition asks the
-# matrix to be fixed by a GF(2)-linear map.  The encoder spans each role's
-# fixed space with one variable per free cell, so every assignment meets
-# the condition and no side equations remain; validate_reps checks
-# concrete matrices against the same maps.
-FREE = "free"
-SYMMETRIC = "symmetric"
-F_COMMUTING = "F-commuting"
-
-CONDITION_OPS: dict[str, Callable[[Gf2Matrix], Gf2Matrix] | None] = {
-    FREE: None,
-    SYMMETRIC: Gf2Matrix.transpose,
-    F_COMMUTING: f_conjugate,
-}
-
 # One matrix of a triplet: (role index, whether the image op is applied).
 Slot = tuple[int, bool]
 Row = tuple[Slot, Slot, Slot]
@@ -83,9 +70,12 @@ def _row(word: str, roles: str) -> Row:
             slots[-1] = (slots[-1][0], True)
         else:
             slots.append((roles.index(ch), False))
-    if len(slots) != 3:
-        raise ValueError(f"triplet word {word!r} does not have three matrices")
     return tuple(slots)
+
+
+def _substitute(rows: Sequence[Row], mats: Sequence, image) -> list[tuple]:
+    images = {r: image(mats[r]) for r in {r for row in rows for r, im in row if im}}
+    return [tuple(images[r] if im else mats[r] for r, im in row) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -93,37 +83,57 @@ class OrbitKind:
     """One orbit shape of a group.
 
     `expansion` lists the orbit's triplets over the representative's
-    roles.  The canonical form orders representatives by two fields:
-    the first `min_width` matrices of expansion[0] must be strictly
-    lex-below those of every other triplet in the expansion (0 = no
-    constraint), and the concatenated `chain` roles must strictly
-    increase across adjacent representatives.  At most one role lies
-    outside the chain; every triplet is linear in it, so representatives
-    sharing a chain key merge by adding that role.
+    roles, derived by _kind.  A role flagged in `fixed` holds a matrix
+    that the group's image op fixes; the other roles are free.  The
+    canonical form orders representatives by two fields: the first
+    `min_width` matrices of expansion[0] must be strictly lex-below
+    those of every other triplet in the expansion (0 = no constraint),
+    and the concatenated `chain` roles must strictly increase across
+    adjacent representatives.  At most one role lies outside the chain;
+    every triplet is linear in it, so representatives sharing a chain
+    key merge by adding that role.
     """
     tag: str
-    weight: int
     roles: tuple[str, ...]
-    conditions: tuple[str, ...]
+    fixed: tuple[bool, ...]
     expansion: tuple[Row, ...]
     min_width: int
     chain: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.arity - len(self.chain) > 1:
-            raise ValueError(f"kind {self.tag!r}: more than one role outside the chain")
 
     @property
     def arity(self) -> int:
         return len(self.roles)
 
+    @property
+    def weight(self) -> int:
+        return len(self.expansion)
 
-def _kind(tag: str, weight: int, roles: str, expansion: str, min_width: int,
-          chain: str, **conditions: str) -> OrbitKind:
-    return OrbitKind(tag, weight, tuple(roles),
-                     tuple(conditions.get(r, FREE) for r in roles),
-                     tuple(_row(w, roles) for w in expansion.split()),
-                     min_width, tuple(roles.index(r) for r in chain))
+
+def _kind(generators: tuple[Row, ...], tag: str, first: str, min_width: int,
+          chain: str, fixed: str = "") -> OrbitKind:
+    """A kind from its first triplet word and the roles the image op fixes.
+
+    The expansion is the closure of the first triplet under the generator
+    rows.  A generator slot (r, primed) takes matrix r of the triplet and
+    toggles its prime, which is right only because both image ops are
+    involutions (transposition, and conjugation by F with F * F = I); a
+    prime on a fixed role is dropped.  Each new triplet is followed by
+    its cycle under the first generator, the rotation.
+    """
+    roles = "".join(dict.fromkeys(first.replace("'", "")))
+    flags = tuple(r in fixed for r in roles)
+
+    def toggle(slot: Slot) -> Slot:
+        return slot[0], not slot[1] and not flags[slot[0]]
+
+    out = [_row(first, roles)]
+    for row in out:
+        for new in _substitute(generators, row, toggle):
+            while new not in out:
+                out.append(new)
+                (new,) = _substitute(generators[:1], new, toggle)
+    return OrbitKind(tag, tuple(roles), flags, tuple(out), min_width,
+                     tuple(roles.index(r) for r in chain))
 
 
 @dataclass(frozen=True)
@@ -133,31 +143,26 @@ class GroupScheme:
     kinds: tuple[OrbitKind, ...]
 
 
-_ROTATE = _row("BCA", "ABC")
+def _scheme(image, generators: str, *kinds: tuple) -> GroupScheme:
+    """A group from its image op, its generator words over ABC (the
+    rotation first) and, per orbit kind, (tag, first triplet word,
+    min_width, chain roles, roles the image op fixes)."""
+    rows = tuple(_row(w, "ABC") for w in generators.split())
+    return GroupScheme(image, rows, tuple(_kind(rows, *k) for k in kinds))
+
 
 _SCHEMES: dict[GroupId, GroupScheme] = {
-    GroupId.TRIVIAL: GroupScheme(None, (), (
-        _kind("id", 1, "ABC", "ABC", 0, "ABC"),
-    )),
-    GroupId.CYCLIC: GroupScheme(None, (_ROTATE,), (
-        _kind("id", 3, "ABC", "ABC BCA CAB", 3, "AB"),
-        _kind("delta", 1, "D", "DDD", 0, "D"),
-    )),
-    GroupId.CYCLIC_TRANSPOSE: GroupScheme(
-        Gf2Matrix.transpose, (_ROTATE, _row("C'B'A'", "ABC")), (
-            _kind("id", 6, "ABC", "ABC BCA CAB C'B'A' B'A'C' A'C'B'", 3, "AB"),
-            _kind("t", 3, "SH", "SHH' HH'S H'SH", 0, "H", S=SYMMETRIC),
-            _kind("delta", 2, "D", "DDD D'D'D'", 1, "D"),
-            _kind("full", 1, "Z", "ZZZ", 0, "Z", Z=SYMMETRIC),
-        )),
-    GroupId.CYCLIC_SANDWICH: GroupScheme(
-        f_conjugate, (_ROTATE, _row("A'B'C'", "ABC")), (
-            _kind("id", 6, "ABC", "ABC BCA CAB A'B'C' B'C'A' C'A'B'", 3, "AB"),
-            _kind("sw", 3, "XYZ", "XYZ YZX ZXY", 3, "XY",
-                  X=F_COMMUTING, Y=F_COMMUTING, Z=F_COMMUTING),
-            _kind("delta", 2, "D", "DDD D'D'D'", 1, "D"),
-            _kind("full", 1, "U", "UUU", 0, "U", U=F_COMMUTING),
-        )),
+    GroupId.TRIVIAL: _scheme(None, "", ("id", "ABC", 0, "ABC")),
+    GroupId.CYCLIC: _scheme(None, "BCA",
+                            ("id", "ABC", 3, "AB"), ("delta", "DDD", 0, "D")),
+    GroupId.CYCLIC_TRANSPOSE: _scheme(
+        Gf2Matrix.transpose, "BCA C'B'A'",
+        ("id", "ABC", 3, "AB"), ("t", "SHH'", 0, "H", "S"),
+        ("delta", "DDD", 1, "D"), ("full", "ZZZ", 0, "Z", "Z")),
+    GroupId.CYCLIC_SANDWICH: _scheme(
+        f_conjugate, "BCA A'B'C'",
+        ("id", "ABC", 3, "AB"), ("sw", "XYZ", 3, "XY", "XYZ"),
+        ("delta", "DDD", 1, "D"), ("full", "UUU", 0, "U", "U")),
 }
 
 
@@ -178,19 +183,10 @@ def kind_by_tag(group: GroupId, tag: str) -> OrbitKind:
 
 def total_rank(group: GroupId, combo: dict[str, int]) -> int:
     """Rank of the expanded decomposition as a linear form in orbit counts."""
-    kinds = {k.tag: k for k in _SCHEMES[group].kinds}
-    for tag in combo:
-        if tag not in kinds:
-            raise ValueError(f"group {group.value} has no orbit kind {tag!r}")
-    return sum(kinds[tag].weight * c for tag, c in combo.items())
+    return sum(kind_by_tag(group, tag).weight * c for tag, c in combo.items())
 
 
 # -- expansion ----------------------------------------------------------------
-
-
-def _substitute(rows: Sequence[Row], mats: Sequence, image) -> list[tuple]:
-    images = {r: image(mats[r]) for r in {r for row in rows for r, im in row if im}}
-    return [tuple(images[r] if im else mats[r] for r, im in row) for row in rows]
 
 
 def expand(kind: OrbitKind, rep: Sequence, image) -> list[tuple]:
@@ -222,15 +218,15 @@ def lex_constraints(kind: OrbitKind, reps: Sequence, image
 
 
 def validate_reps(group: GroupId, tag: str, reps: tuple[Gf2Matrix, ...]) -> None:
-    """Raise ConstraintError when a representative breaks its side condition."""
+    """Raise ConstraintError when the image op moves a fixed role's matrix."""
     kind = kind_by_tag(group, tag)
     if len(reps) != kind.arity:
         raise ConstraintError(f"{group.value}/{tag} expects {kind.arity} matrices, "
                               f"got {len(reps)}")
-    for role, condition, mat in zip(kind.roles, kind.conditions, reps):
-        op = CONDITION_OPS[condition]
-        if op is not None and op(mat) != mat:
-            raise ConstraintError(f"{role} must be {condition}")
+    image = _SCHEMES[group].image
+    for role, fixed, mat in zip(kind.roles, kind.fixed, reps):
+        if fixed and image(mat) != mat:
+            raise ConstraintError(f"{role} must be fixed by {image.__name__}")
 
 
 def expand_orbit(group: GroupId, tag: str, reps: tuple[Gf2Matrix, ...]) -> list[Triplet]:

@@ -5,7 +5,7 @@ import pytest
 
 from mmtsat.canonical import SymmetricDecomposition
 from mmtsat.gf2 import Gf2Matrix
-from mmtsat.symmetry import CONDITION_OPS, GroupId, orbit_kinds
+from mmtsat.symmetry import GroupId, orbit_kinds, scheme
 from mmtsat.tensor import Decomposition, Triplet
 
 # Default external solver; any DIMACS solver printing s/v lines works.
@@ -94,20 +94,22 @@ def random_triplet(rng: random.Random, n: int) -> Triplet:
                    random_matrix(rng, n))
 
 
-def random_fixed_matrix(rng: random.Random, condition: str, n: int) -> Gf2Matrix:
-    """A uniform random matrix meeting a side condition: drawn until the
-    condition's map is None or fixes it."""
-    op = CONDITION_OPS[condition]
+def random_fixed_matrix(rng: random.Random, op, n: int) -> Gf2Matrix:
+    """A uniform random matrix that the linear map `op` fixes (any
+    matrix when op is None), drawn until one is."""
     while True:
         m = random_matrix(rng, n)
         if op is None or op(m) == m:
             return m
 
 
-def random_rep(rng: random.Random, kind, n: int) -> tuple[Gf2Matrix, ...]:
-    """One representative of `kind`, each matrix drawn to meet its role's
-    side condition."""
-    return tuple(random_fixed_matrix(rng, c, n) for c in kind.conditions)
+def random_rep(rng: random.Random, group: GroupId, kind,
+               n: int) -> tuple[Gf2Matrix, ...]:
+    """One representative of `kind`, each role drawn from the matrices
+    the group's image op fixes when the role is flagged fixed."""
+    image = scheme(group).image
+    return tuple(random_fixed_matrix(rng, image if fixed else None, n)
+                 for fixed in kind.fixed)
 
 
 def random_symmetric_decomposition(rng: random.Random, group: GroupId,
@@ -115,6 +117,6 @@ def random_symmetric_decomposition(rng: random.Random, group: GroupId,
                                    ) -> SymmetricDecomposition:
     orbits = {}
     for kind in orbit_kinds(group):
-        orbits[kind.tag] = tuple(random_rep(rng, kind, n)
+        orbits[kind.tag] = tuple(random_rep(rng, group, kind, n)
                                  for _ in range(rng.randint(0, max_per_kind)))
     return SymmetricDecomposition(group, n, orbits)

@@ -112,6 +112,14 @@ def test_check_canonical_flags_violations():
     unsorted = SymmetricDecomposition(GroupId.CYCLIC, 2, {
         "delta": ((_m("10;00"),), (_m("01;00"),))})
     assert any("increasing" in msg for msg in check_canonical(unsorted))
+    # An all-zero representative breaks the encoder's non-zero clause even
+    # where the lex order holds; one with only some zero roles does not.
+    zero, a, b = _m("00;00"), _m("10;00"), _m("01;00")
+    with_zero = SymmetricDecomposition(GroupId.TRIVIAL, 2,
+                                       {"id": ((zero, zero, zero), (a, b, a))})
+    assert check_canonical(with_zero) == ["id[0]: representative is zero"]
+    partly_zero = SymmetricDecomposition(GroupId.TRIVIAL, 2, {"id": ((zero, b, a),)})
+    assert check_canonical(partly_zero) == []
 
 
 @pytest.mark.parametrize("group,n", [

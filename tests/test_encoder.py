@@ -19,15 +19,12 @@ from mmtsat.encoder import (
     cell_literals,
     decode,
     encode,
+    nonzero_representatives,
     symmetry_breaking,
     tensor_equations,
 )
 from mmtsat.gf2 import Gf2Matrix
 from mmtsat.symmetry import (
-    CONDITION_OPS,
-    F_COMMUTING,
-    FREE,
-    SYMMETRIC,
     GroupId,
     expand,
     kind_by_tag,
@@ -79,25 +76,28 @@ def test_variable_numbering_deterministic_order():
     assert varmap.aux_start == len(varmap.primary) + 1
 
 
-@pytest.mark.parametrize("condition,n", [
-    (FREE, 2), (FREE, 3), (SYMMETRIC, 2), (SYMMETRIC, 3), (F_COMMUTING, 3),
+@pytest.mark.parametrize("group,tag,n", [
+    pytest.param(GroupId.CYCLIC, "delta", 2, id="free-2"),
+    pytest.param(GroupId.CYCLIC, "delta", 3, id="free-3"),
+    pytest.param(GroupId.CYCLIC_TRANSPOSE, "full", 2, id="symmetric-2"),
+    pytest.param(GroupId.CYCLIC_TRANSPOSE, "full", 3, id="symmetric-3"),
+    pytest.param(GroupId.CYCLIC_SANDWICH, "full", 3, id="F-commuting-3"),
 ])
-def test_role_spans_exactly_its_fixed_space(condition, n):
-    # A one-role orbit kind with this side condition: over every
-    # assignment of its primaries the role's matrix runs through each
-    # matrix the condition's map fixes exactly once, and each primary's
-    # labelled cell equals that primary.
-    group, kind = next((g, k) for g in GroupId for k in orbit_kinds(g)
-                       if k.conditions == (condition,))
-    reps, varmap = build_symbolic_orbits(group, n, {kind.tag: 1})
-    mat = reps[kind.tag][0][0]
+def test_role_spans_exactly_its_fixed_space(group, tag, n):
+    # A one-role orbit kind: over every assignment of its primaries the
+    # role's matrix runs through each matrix of its space exactly once
+    # (all of them for a free role, those the group's image op fixes for
+    # a fixed one), and each primary's labelled cell equals that primary.
+    (fixed,) = kind_by_tag(group, tag).fixed
+    reps, varmap = build_symbolic_orbits(group, n, {tag: 1})
+    mat = reps[tag][0][0]
     span = set()
     for values in product((False, True), repeat=len(varmap.primary)):
         model = {e.var: v for e, v in zip(varmap.primary, values)}
         m = Gf2Matrix.from_rows([[_read(c, model) for c in row] for row in mat])
         assert all(m.get(e.row, e.col) == model[e.var] for e in varmap.primary)
         span.add(m.bits)
-    assert span == _fixed_matrices(CONDITION_OPS[condition], n)
+    assert span == _fixed_matrices(scheme(group).image if fixed else None, n)
     assert len(span) == 1 << len(varmap.primary)
 
 
@@ -331,7 +331,8 @@ def test_kept_equation_holds_exactly_where_the_residual_is_zero(group):
 ])
 def test_symmetry_breaking_agrees_with_check_canonical(group, n):
     # A decomposition passes check_canonical exactly when its primaries
-    # satisfy every symmetry-breaking constraint the encoder emits.
+    # satisfy the non-zero clauses and every symmetry-breaking constraint
+    # the encoder emits.
     rng = random.Random(sum(map(ord, group.value)) + 5)
     seen = set()
     for _ in range(150):
@@ -340,6 +341,7 @@ def test_symmetry_breaking_agrees_with_check_canonical(group, n):
             reps, varmap = build_symbolic_orbits(group, n, sd.counts())
             model = _model_from_symmetric(sd, varmap)
             builder = CnfBuilder(varmap.aux_start - 1)
+            nonzero_representatives(builder, varmap)
             symmetry_breaking(builder, group, n, reps)
             encoded = propagate(builder.clauses, model)
             canonical = check_canonical(sd) == []

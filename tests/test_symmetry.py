@@ -7,13 +7,11 @@ import pytest
 from mmtsat.canonical import SymmetricDecomposition, canonicalize
 from mmtsat.gf2 import Gf2Matrix
 from mmtsat.symmetry import (
-    F_COMMUTING,
-    FREE,
-    SYMMETRIC,
     ConstraintError,
     F_SANDWICH,
     GroupId,
     expand_orbit,
+    f_conjugate,
     generators,
     is_group_symmetric,
     kind_by_tag,
@@ -71,8 +69,27 @@ def test_orbit_kind_tables():
         ("id", 3, "AB"), ("t", 0, "H"), ("delta", 1, "D"), ("full", 0, "Z")]
     assert order(GroupId.CYCLIC_SANDWICH) == [
         ("id", 3, "AB"), ("sw", 3, "XY"), ("delta", 1, "D"), ("full", 0, "U")]
-    assert kind_by_tag(GroupId.CYCLIC_TRANSPOSE, "t").conditions == (SYMMETRIC, FREE)
-    assert kind_by_tag(GroupId.CYCLIC_SANDWICH, "sw").conditions == (F_COMMUTING,) * 3
+
+    # Each expansion is derived from the generators; these words are the
+    # reference it must reproduce, in order.  A prime applies the group's
+    # image op.  The second field lists the roles the image op fixes.
+    def words(group):
+        return [(k.tag, " ".join("".join(k.roles[r] + "'" * im for r, im in row)
+                                 for row in k.expansion),
+                 "".join(r for r, f in zip(k.roles, k.fixed) if f))
+                for k in orbit_kinds(group)]
+    assert words(GroupId.TRIVIAL) == [("id", "ABC", "")]
+    assert words(GroupId.CYCLIC) == [("id", "ABC BCA CAB", ""), ("delta", "DDD", "")]
+    assert words(GroupId.CYCLIC_TRANSPOSE) == [
+        ("id", "ABC BCA CAB C'B'A' B'A'C' A'C'B'", ""),
+        ("t", "SHH' HH'S H'SH", "S"),
+        ("delta", "DDD D'D'D'", ""),
+        ("full", "ZZZ", "Z")]
+    assert words(GroupId.CYCLIC_SANDWICH) == [
+        ("id", "ABC BCA CAB A'B'C' B'C'A' C'A'B'", ""),
+        ("sw", "XYZ YZX ZXY", "XYZ"),
+        ("delta", "DDD D'D'D'", ""),
+        ("full", "UUU", "U")]
 
 
 def test_total_rank_is_weighted_sum():
@@ -118,8 +135,8 @@ def test_group_laws_on_random_triplets():
 def test_expansion_lengths():
     rng = random.Random(45)
     a, b, c = (random_matrix(rng, 3) for _ in range(3))
-    s = random_fixed_matrix(rng, SYMMETRIC, 3)
-    x = random_fixed_matrix(rng, F_COMMUTING, 3)
+    s = random_fixed_matrix(rng, Gf2Matrix.transpose, 3)
+    x = random_fixed_matrix(rng, f_conjugate, 3)
     lengths = {
         (GroupId.TRIVIAL, "id", (a, b, c)): 1,
         (GroupId.CYCLIC, "id", (a, b, c)): 3,
@@ -140,13 +157,13 @@ def test_expansion_lengths():
 def test_expansion_side_conditions():
     rng = random.Random(46)
     not_sym = Gf2Matrix.parse("010;000;000")
-    with pytest.raises(ConstraintError):
+    with pytest.raises(ConstraintError, match="S must be fixed by transpose"):
         expand_orbit(GroupId.CYCLIC_TRANSPOSE, "t",
                      (not_sym, random_matrix(rng, 3)))
     with pytest.raises(ConstraintError):
         expand_orbit(GroupId.CYCLIC_TRANSPOSE, "full", (not_sym,))
     not_comm = Gf2Matrix.parse("100;000;000")
-    with pytest.raises(ConstraintError):
+    with pytest.raises(ConstraintError, match="U must be fixed by f_conjugate"):
         expand_orbit(GroupId.CYCLIC_SANDWICH, "full", (not_comm,))
     with pytest.raises(ConstraintError):
         expand_orbit(GroupId.CYCLIC, "id", (not_sym,))  # wrong arity
@@ -159,7 +176,7 @@ def test_orbit_tensor_invariance():
                   GroupId.CYCLIC_SANDWICH):
         for _ in range(100):
             for kind in orbit_kinds(group):
-                triplets = expand_orbit(group, kind.tag, random_rep(rng, kind, 3))
+                triplets = expand_orbit(group, kind.tag, random_rep(rng, group, kind, 3))
                 base = evaluate(Decomposition(3, 3, 3, tuple(triplets)))
                 for g in generators(group, 3):
                     mapped = tuple(g.apply(t) for t in triplets)
