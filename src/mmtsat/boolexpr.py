@@ -1,22 +1,24 @@
 """Tseitin compilation of gates over DIMACS literals to CNF.
 
 A literal is a non-zero int (a negative one is the negated variable) or a
-Python bool, which is a constant.  The gates `and_`, `or_` and `xor` fold
-constants and repeated or complementary arguments before they allocate a
-variable, and share one gate per sorted argument set.  XOR gates are
-split into balanced trees of bounded-width parity blocks (a width-w block
-costs 2^w clauses); AND and OR use the standard Tseitin gates.
+Python bool, which is a constant.  The gates `and_`, `or_`, `xor` and the
+majority `maj` fold constants and repeated or complementary arguments
+before they allocate a variable (MAJ of an equal pair is that literal, of
+a complementary pair its third argument, with True the OR and with False
+the AND of the other two), and share one gate per sorted argument set.
+XOR gates are split into balanced trees of bounded-width parity blocks (a
+width-w block costs 2^w clauses); the others are standard Tseitin gates.
 
-Top-level constraints take products, tuples of literals that are
-conjoined: `assert_parity` for an XOR of products and `assert_any` for a
-disjunction of them.  Products are folded first, so a lone product
-becomes unit clauses or one clause, never a gate.
+`lex_less` compiles a lexicographic comparison to one literal, a chain of
+MAJ gates.  The top-level constraint `assert_parity` takes products,
+tuples of literals that are conjoined, and asserts their XOR; a comparison
+is asserted as the lone product of its literal.  Products are folded
+first, so a lone product becomes unit clauses or one clause, never a gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import dropwhile
 
 Lit = int | bool
 
@@ -24,6 +26,11 @@ Lit = int | bool
 def neg(x: Lit) -> Lit:
     # -True is -1, a variable: test for a bool first.
     return not x if isinstance(x, bool) else -x
+
+
+def _same(x: Lit, y: Lit) -> bool:
+    # True == 1: a constant and a variable are never the same.
+    return type(x) is type(y) and x == y
 
 
 def _product(args) -> tuple[int, ...] | bool:
@@ -146,33 +153,38 @@ class CnfBuilder:
                 v = self._gates["xor", odd] = self._xor_to_lit(odd)
         return -v if parity else v
 
-    def lex_less(self, a, b) -> list[tuple[Lit, ...]]:
-        """Products whose disjunction says a < b for equal-length literal
-        vectors, most significant first.
+    def maj(self, x: Lit, y: Lit, z: Lit) -> Lit:
+        """At least two of x, y, z."""
+        for p, q, r in ((x, y, z), (x, z, y), (y, z, x)):
+            if _same(p, q):
+                return p
+            if _same(p, neg(q)):
+                return r
+            if isinstance(r, bool):
+                return self.or_(p, q) if r else self.and_(p, q)
+        key = tuple(sorted((x, y, z)))
+        v = self._gates.get(("maj", key))
+        if v is None:
+            v = self._gates["maj", key] = self.fresh_var()
+            for p, q in ((x, y), (x, z), (y, z)):
+                self.add_clause((-p, -q, v))
+                self.add_clause((p, q, -v))
+        return v
 
-        Leading positions with the same literal are skipped; at the first
-        other one a < b when (not a_i and b_i), or when a_i == b_i and the
-        rest compares less.  The rest is built back to front as gates, so
-        each suffix comparison is shared.  Equal vectors give no product.
+    def lex_less(self, a, b) -> Lit:
+        """a < b for equal-length literal vectors, most significant first.
+
+        This is the borrow out of a - b: from the last position on,
+        borrow = MAJ(not a_i, b_i, borrow), starting from False.  A
+        position where a_i is b_i passes the borrow on unchanged, so
+        equal vectors give False and equal leading positions cost nothing.
         """
         if len(a) != len(b):
             raise ValueError(f"lex_less length mismatch: {len(a)} vs {len(b)}")
-        # True == 1: a constant and a variable are never the same.
-        pairs = list(dropwhile(lambda p: type(p[0]) is type(p[1]) and p[0] == p[1],
-                               zip(a, b)))
-        if not pairs:
-            return []
-        rest: Lit = False
-        for x, y in reversed(pairs[1:]):
-            less = self.and_(neg(x), y)
-            # Build no equality gate that a False rest would discard.
-            rest = self.or_(less, False if rest is False
-                            else self.and_(self.xor(x, y, True), rest))
-        x, y = pairs[0]
-        products = [(neg(x), y)]
-        if rest is not False:
-            products.append((self.xor(x, y, True), rest))
-        return products
+        borrow: Lit = False
+        for x, y in zip(reversed(a), reversed(b)):
+            borrow = self.maj(neg(x), y, borrow)
+        return borrow
 
     def assert_parity(self, products, parity: int) -> None:
         """The XOR of the products equals parity."""
@@ -201,20 +213,6 @@ class CnfBuilder:
         else:
             v = self._xor_to_lit(lits)
             self.add_clause((v if parity else -v,))
-
-    def assert_any(self, products) -> None:
-        """Some product holds."""
-        kept = []
-        for p in map(_product, products):
-            if p == ():
-                return
-            if p is not False:
-                kept.append(p)
-        if len(kept) == 1:
-            for l in kept[0]:
-                self.add_clause((l,))
-        else:
-            self.add_clause([self.and_(*p) for p in kept])
 
     def build(self, comments: list[str] | None = None) -> CnfInstance:
         return CnfInstance(self.num_vars, self.clauses, comments or [])

@@ -274,7 +274,7 @@ def symmetry_breaking(builder: CnfBuilder, group: GroupId, n: int, reps) -> None
     image = _lift(scheme(group).image, n)
     for kind in orbit_kinds(group):
         for _, _, lhs, rhs in lex_constraints(kind, reps[kind.tag], image):
-            builder.assert_any(builder.lex_less(flat(lhs), flat(rhs)))
+            builder.assert_parity([(builder.lex_less(flat(lhs), flat(rhs)),)], 1)
 
 
 def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, VarMap]:

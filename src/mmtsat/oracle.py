@@ -9,7 +9,6 @@ and not a tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .gf2 import Gf2Matrix, conjugate
 from .symmetry import F_SANDWICH, GroupId

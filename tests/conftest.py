@@ -20,14 +20,9 @@ requires_solver = pytest.mark.skipif(
     not solver_available(), reason="no DIMACS solver on PATH")
 
 
-def propagate(clauses, assignment) -> bool:
-    """Unit propagation from a partial assignment of variable ids to bools;
-    False when it falsifies a clause.
-
-    Tseitin auxiliaries are functionally determined by the primary
-    inputs, so once the primaries are fixed propagation alone decides
-    the CNF.
-    """
+def unit_closure(clauses, assignment) -> dict | None:
+    """The assignment of variable ids to bools that unit propagation
+    reaches from a partial one; None when it falsifies a clause."""
     assignment = dict(assignment)
     changed = True
     while changed:
@@ -42,12 +37,23 @@ def propagate(clauses, assignment) -> bool:
                     break
             else:
                 if not unassigned:
-                    return False
+                    return None
                 if len(unassigned) == 1:
                     lit = unassigned[0]
                     assignment[abs(lit)] = lit > 0
                     changed = True
-    return True
+    return assignment
+
+
+def propagate(clauses, assignment) -> bool:
+    """False when unit propagation from a partial assignment falsifies a
+    clause.
+
+    Tseitin auxiliaries are functionally determined by the primary
+    inputs, so once the primaries are fixed propagation alone decides
+    the CNF.
+    """
+    return unit_closure(clauses, assignment) is not None
 
 
 @pytest.fixture

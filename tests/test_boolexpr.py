@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from mmtsat.boolexpr import XOR_WIDTH, CnfBuilder, CnfInstance, neg
 
-from conftest import propagate
+from conftest import propagate, unit_closure
 
 
 def _same(x, y):
@@ -26,13 +27,23 @@ def test_gates_fold_constants_and_repeated_arguments():
     assert _same(b.xor(True, 1), -1) and _same(b.xor(1, 1), False)
     assert _same(b.xor(1, -1), True) and _same(b.xor(1, 2, -1), -2)
     assert _same(b.and_(), True) and _same(b.or_(), False) and _same(b.xor(), False)
+    assert _same(b.maj(1, 2, 1), 1) and _same(b.maj(True, 1, True), True)
+    assert _same(b.maj(1, 2, -1), 2) and _same(b.maj(True, -2, False), -2)
+    assert _same(b.maj(-2, True, 2), True)
+    assert _same(b.maj(True, 1, -1), True) and _same(b.maj(2, False, -2), False)
     assert _same(neg(True), False) and _same(neg(-2), 2)
     assert b.num_vars == 2 and b.clauses == []
 
 
+def _value(x, assignment):
+    return x if isinstance(x, bool) else assignment[abs(x)] == (x > 0)
+
+
 def test_lex_less_circuit_matches_comparison_exhaustively():
     # Up to length 6: every entry a variable of its own, then random mixes
-    # of variables, their repeats and negations, and constants.
+    # of variables, their repeats and negations, and constants.  From every
+    # full assignment, propagation gives the comparator its value and
+    # every auxiliary variable one.
     rng = random.Random(6)
     pool = [1, -1, 2, -2, 3, True, False]
     for length in range(0, 7):
@@ -45,12 +56,44 @@ def test_lex_less_circuit_matches_comparison_exhaustively():
             num_vars = max([abs(x) for x in a + b if not isinstance(x, bool)],
                            default=0)
             builder = CnfBuilder(num_vars)
-            builder.assert_any(builder.lex_less(a, b))
+            less = builder.lex_less(a, b)
             for assignment in _assignments(num_vars):
-                value = [x if isinstance(x, bool) else assignment[abs(x)] == (x > 0)
-                         for x in a + b]
+                value = [_value(x, assignment) for x in a + b]
+                closure = unit_closure(builder.clauses, assignment)
+                assert closure is not None and len(closure) == builder.num_vars, (a, b)
                 want = value[:length] < value[length:]
-                assert propagate(builder.clauses, assignment) == want, (a, b)
+                assert _value(less, closure) == want, (a, b)
+
+
+def test_lex_less_propagation_is_complete():
+    # a < b asserted over distinct variables, lengths 1 to 4: from every
+    # partial assignment, propagation conflicts exactly when no completion
+    # has a < b and otherwise fixes every variable that all such
+    # completions agree on.
+    for length in range(1, 5):
+        num_vars = 2 * length
+        builder = CnfBuilder(num_vars)
+        less = builder.lex_less(range(1, length + 1), range(length + 1, num_vars + 1))
+        builder.assert_parity([(less,)], 1)
+        # The values each variable takes over the completions with a < b,
+        # for every partial assignment that has such a completion.
+        values = {}
+        for bits in itertools.product((False, True), repeat=num_vars):
+            if bits[:length] < bits[length:]:
+                for keep in itertools.product((False, True), repeat=num_vars):
+                    partial = tuple(x if k else None for x, k in zip(bits, keep))
+                    for seen, x in zip(values.setdefault(partial, [set() for _ in bits]), bits):
+                        seen.add(x)
+        for partial in itertools.product((None, False, True), repeat=num_vars):
+            closure = unit_closure(builder.clauses, {i + 1: x for i, x in enumerate(partial)
+                                                     if x is not None})
+            if partial not in values:
+                assert closure is None, partial
+                continue
+            assert closure is not None, partial
+            for i, seen in enumerate(values[partial]):
+                if len(seen) == 1:
+                    assert closure.get(i + 1) in seen, (partial, i + 1)
 
 
 def test_lex_less_rejects_length_mismatch():
@@ -79,8 +122,8 @@ def _random_circuit(rng, num_vars, depth, seen):
             return node if rng.random() < 0.5 else ("not", (node,))
         node = rng.choice((1, -1)) * rng.randint(1, num_vars)
     else:
-        op = rng.choice(["and", "or", "xor", "not"])
-        arity = 1 if op == "not" else rng.randint(2, 4)
+        op = rng.choice(["and", "or", "xor", "maj", "not"])
+        arity = {"not": 1, "maj": 3}.get(op) or rng.randint(2, 4)
         node = (op, tuple(_random_circuit(rng, num_vars, depth - 1, seen)
                           for _ in range(arity)))
     seen.append(node)
@@ -100,6 +143,8 @@ def _evaluate(node, assignment):
         return all(values)
     if op == "or":
         return any(values)
+    if op == "maj":
+        return sum(values) >= 2
     return sum(values) % 2 == 1
 
 
@@ -110,12 +155,13 @@ def _compile(builder, node):
     lits = [_compile(builder, a) for a in args]
     if op == "not":
         return neg(lits[0])
-    return {"and": builder.and_, "or": builder.or_, "xor": builder.xor}[op](*lits)
+    return {"and": builder.and_, "or": builder.or_, "xor": builder.xor,
+            "maj": builder.maj}[op](*lits)
 
 
 def test_tseitin_cnf_matches_evaluation():
     # Each circuit is a list of products of random subcircuits, asserted
-    # either to have a given parity or to have a true member.
+    # to have a given parity.
     rng = random.Random(20)
     for _ in range(200):
         num_vars = rng.randint(2, 10)
@@ -125,14 +171,11 @@ def test_tseitin_cnf_matches_evaluation():
                     for _ in range(rng.randint(1, 4))]
         builder = CnfBuilder(num_vars)
         compiled = [tuple(_compile(builder, x) for x in p) for p in products]
-        parity = rng.choice((0, 1, None))
-        if parity is None:
-            builder.assert_any(compiled)
-        else:
-            builder.assert_parity(compiled, parity)
+        parity = rng.choice((0, 1))
+        builder.assert_parity(compiled, parity)
         for assignment in _assignments(num_vars):
             held = [all(_evaluate(x, assignment) for x in p) for p in products]
-            want = any(held) if parity is None else sum(held) % 2 == parity
+            want = sum(held) % 2 == parity
             assert propagate(builder.clauses, assignment) == want, products
 
 
@@ -165,22 +208,26 @@ def test_and_gates_shared_across_argument_order():
     assert b.num_vars == 5
     assert _same(b.and_(3, 1, 2), g) and _same(b.and_(2, True, 3, 1, 2), g)
     assert b.num_vars == 5  # one gate for every order
-    b.assert_parity([(g,), (b.and_(3, 2, 1), 4), (4,)], 1)
+    m = b.maj(1, -2, 4)
+    assert b.num_vars == 6
+    assert _same(b.maj(4, 1, -2), m) and _same(b.maj(-2, 4, 1), m)
+    assert b.num_vars == 6 and len(b.clauses) == 4 + 6
+    b.assert_parity([(g,), (b.and_(3, 2, 1), 4), (4,), (m,)], 1)
     for assignment in _assignments(4):
         x = [assignment[i] for i in range(1, 5)]
-        want = (x[0] and x[1] and x[2]) ^ (x[0] and x[1] and x[2] and x[3]) ^ x[3]
+        want = ((x[0] and x[1] and x[2]) ^ (x[0] and x[1] and x[2] and x[3]) ^ x[3]
+                ^ (x[0] + (not x[1]) + x[3] >= 2))
         assert propagate(b.clauses, assignment) == want
 
 
 def test_lone_products_and_constants_need_no_gate():
     b = CnfBuilder(2)
-    b.assert_any([(True, 1, 1), (False, 2)])
+    b.assert_parity([(True, 1, 1), (False, 2)], 1)
     b.assert_parity([(1, 2), (2, 1, True), (-2,)], 0)
     b.assert_parity([(2, 1)], 1)
-    b.assert_any([(1,), (True,)])
     b.assert_parity([(True,), (1, -1)], 1)
     assert b.num_vars == 2
     assert b.clauses == [(1,), (2,), (1,), (2,)]
-    b.assert_any([])
+    b.assert_parity([(False,)], 1)
     b.assert_parity([(True,)], 0)
     assert b.clauses[-2:] == [(), ()]  # unsatisfiable marker clauses

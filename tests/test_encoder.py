@@ -354,13 +354,13 @@ def test_symmetry_breaking_agrees_with_check_canonical(group, n):
 # to the CNF updates these pins.
 @pytest.mark.parametrize("group,n,combo,digest", [
     (GroupId.TRIVIAL, 2, {"id": 7},
-     "fddd7f3a137199dd0f91ec3fa5a577f1eef095521dcb5f0813b71574bdb79e25"),
+     "848650fdac58c1bdb22e2867b1bcbfcf450d78d3efba859decea5b9380eb9e64"),
     (GroupId.CYCLIC, 2, {"id": 2, "delta": 1},
-     "0de957f675bc905dfd6a48f139f0475d27bc3c01d7e38050d23dbb5f10a09d8d"),
+     "f89efa46df20780eff34a8f730224a7d69185c61390473d8e20a357817b95137"),
     (GroupId.CYCLIC_TRANSPOSE, 3, {"id": 1, "t": 1, "delta": 1, "full": 1},
-     "8029175b32ef46cd11d43bab505a6a23f2afdfbc1556837bfd8e3f3f55dab0ca"),
+     "5187e2c641963aed802a838ef431cc5112447d433b9ce94bff1ca4c05a3f9ea9"),
     (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1},
-     "8c4ea26713a9d7652d5169a8aead6fa0541288f1a65172c38e65edb6d4df1bc1"),
+     "4d61ed6bde915ad4d232fe0d15d48275420dba9577d8886afafa7b6e1452f180"),
 ], ids=["none", "cyc", "cyc-t", "cyc-sw"])
 def test_cnf_pinned(group, n, combo, digest):
     cnf, _ = encode(group, n, combo)
