@@ -14,11 +14,21 @@ MAJ gates.  The top-level constraint `assert_parity` takes products,
 tuples of literals that are conjoined, and asserts their XOR; a comparison
 is asserted as the lone product of its literal.  Products are folded
 first, so a lone product becomes unit clauses or one clause, never a gate.
+
+Clauses are appended to `CnfBuilder.clauses` as finished tuples of ints:
+a gate writes its tuples directly, and a parity block picks each of its
+clauses out of (l_0, -l_0, l_1, -l_1, ...) with one precomputed
+`itemgetter` per forbidden pattern, in mask order.  `CnfInstance.to_dimacs`
+renders the whole clause list with one `%`: its format is the join of
+one `"%d " * k + "0\n"` per clause of width k (" 0\n" for the empty
+clause), applied to every literal in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 Lit = int | bool
 
@@ -36,15 +46,11 @@ def _same(x: Lit, y: Lit) -> bool:
 def _product(args) -> tuple[int, ...] | bool:
     """The conjunction of args: False, or its distinct literals sorted
     (the empty tuple is True)."""
-    lits: set[int] = set()
-    for x in args:
-        if isinstance(x, bool):
-            if not x:
-                return False
-        elif -x in lits:
-            return False
-        else:
-            lits.add(x)
+    if False in args:  # no literal is 0, so this finds only the constant
+        return False
+    lits = {x for x in args if x is not True}
+    if not lits.isdisjoint([-x for x in lits]):
+        return False
     return tuple(sorted(lits))
 
 
@@ -68,10 +74,13 @@ class CnfInstance:
     comments: list[str] = field(default_factory=list)
 
     def to_dimacs(self) -> str:
-        lines = [f"c {c}" for c in self.comments]
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        lines.extend(" ".join(map(str, cl)) + " 0" for cl in self.clauses)
-        return "\n".join(lines) + "\n"
+        head = "".join(f"c {c}\n" for c in self.comments)
+        head += f"p cnf {self.num_vars} {len(self.clauses)}\n"
+        # One "%d " per literal: the body is a single % over all literals.
+        widths = list(map(len, self.clauses))
+        formats = [" 0\n"] + ["%d " * k + "0\n" for k in range(1, max(widths, default=0) + 1)]
+        body = "".join(map(formats.__getitem__, widths))
+        return head + body % tuple(chain.from_iterable(self.clauses))
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
@@ -80,6 +89,26 @@ class CnfInstance:
 
 # Widest parity block that XOR chains are split into.
 XOR_WIDTH = 4
+
+
+def _parity_selectors(k: int, parity: int) -> tuple[itemgetter, ...]:
+    """The clauses forcing the XOR of k literals to parity, one per
+    forbidden truth-value pattern (mask bit i set: l_i is true), as
+    selectors over (l_0, -l_0, l_1, -l_1, ...)."""
+    out = []
+    for mask in range(1 << k):
+        if bin(mask).count("1") % 2 != parity:
+            picks = [2 * i + (mask >> i & 1) for i in range(k)]
+            if k > 1:
+                out.append(itemgetter(*picks))
+            else:  # one index would give a bare item; a slice gives a tuple
+                start = sum(picks)
+                out.append(itemgetter(slice(start, start + k)))
+    return tuple(out)
+
+
+_PARITY_SELECTORS = {(k, parity): _parity_selectors(k, parity)
+                     for k in range(XOR_WIDTH + 2) for parity in (0, 1)}
 
 
 class CnfBuilder:
@@ -98,13 +127,9 @@ class CnfBuilder:
         self.clauses.append(tuple(lits))
 
     def _parity_clauses(self, lits, parity: int) -> None:
-        """Clauses forcing XOR of lits == parity (lits must be few)."""
-        k = len(lits)
-        for mask in range(1 << k):
-            if bin(mask).count("1") % 2 != parity:
-                # This truth-value pattern is forbidden.
-                self.add_clause(-lits[i] if (mask >> i) & 1 else lits[i]
-                                for i in range(k))
+        """Clauses forcing XOR of lits == parity (at most XOR_WIDTH + 1)."""
+        pool = tuple([x for l in lits for x in (l, -l)])
+        self.clauses += [select(pool) for select in _PARITY_SELECTORS[len(lits), parity]]
 
     def _xor_to_lit(self, lits) -> int:
         """Balanced reduction of an XOR chain to a single literal."""
@@ -125,9 +150,8 @@ class CnfBuilder:
         v = self._gates.get(("and", lits))
         if v is None:
             v = self._gates["and", lits] = self.fresh_var()
-            for l in lits:
-                self.add_clause((-v, l))
-            self.add_clause([v] + [-l for l in lits])
+            self.clauses += [(-v, l) for l in lits]
+            self.clauses.append((v, *[-l for l in lits]))
         return v
 
     def and_(self, *args: Lit) -> Lit:
@@ -166,9 +190,8 @@ class CnfBuilder:
         v = self._gates.get(("maj", key))
         if v is None:
             v = self._gates["maj", key] = self.fresh_var()
-            for p, q in ((x, y), (x, z), (y, z)):
-                self.add_clause((-p, -q, v))
-                self.add_clause((p, q, -v))
+            self.clauses += [(-x, -y, v), (x, y, -v), (-x, -z, v), (x, z, -v),
+                             (-y, -z, v), (y, z, -v)]
         return v
 
     def lex_less(self, a, b) -> Lit:
@@ -201,18 +224,18 @@ class CnfBuilder:
         if len(odd) == 1:
             (p,) = odd
             if parity:
-                for l in p:
-                    self.add_clause((l,))
+                self.clauses += [(l,) for l in p]
             else:
-                self.add_clause(-l for l in p)
+                self.clauses.append(tuple([-l for l in p]))
             return
-        flip, lits = _parity(self.and_(*p) for p in odd)
+        # Each p is folded already: and_(*p) would fold it again.
+        flip, lits = _parity(p[0] if len(p) == 1 else self._and_gate(p) for p in odd)
         parity ^= flip
         if len(lits) <= XOR_WIDTH:
             self._parity_clauses(lits, parity)
         else:
             v = self._xor_to_lit(lits)
-            self.add_clause((v if parity else -v,))
+            self.clauses.append((v if parity else -v,))
 
     def build(self, comments: list[str] | None = None) -> CnfInstance:
         return CnfInstance(self.num_vars, self.clauses, comments or [])

@@ -28,7 +28,7 @@ from .symmetry import (
     total_rank,
     validate_reps,
 )
-from .tensor import Decomposition, Triplet
+from .tensor import Decomposition, Triplet, json_dims, json_fields, json_typed
 
 Rep = tuple[Gf2Matrix, ...]
 
@@ -186,13 +186,16 @@ def symmetric_to_json(sd: SymmetricDecomposition) -> dict:
     }
 
 
-def symmetric_from_json(obj: dict) -> SymmetricDecomposition:
-    group = GroupId.from_name(obj["group"])
+def symmetric_from_json(obj) -> SymmetricDecomposition:
+    name, n, tagged = json_fields(obj, "symmetric decomposition", "group", "n", "orbits")
+    group = GroupId.from_name(name)
+    json_dims((n,), "symmetric decomposition")
     orbits = {}
-    for tag, reps in obj["orbits"].items():
+    for tag, reps in json_typed(tagged, dict, "orbits").items():
         kind_by_tag(group, tag)
-        orbits[tag] = tuple(tuple(Gf2Matrix.parse(s) for s in rep) for rep in reps)
-    return SymmetricDecomposition(group, obj["n"], orbits)
+        orbits[tag] = tuple(tuple(Gf2Matrix.parse(s) for s in json_typed(rep, list, tag))
+                            for rep in json_typed(reps, list, tag))
+    return SymmetricDecomposition(group, n, orbits)
 
 
 def dump_symmetric(sd: SymmetricDecomposition, path) -> None:

@@ -60,6 +60,8 @@ class Gf2Matrix:
     @classmethod
     def parse(cls, text: str) -> "Gf2Matrix":
         """Parse the row text format, e.g. ``110;010;001``."""
+        if not isinstance(text, str):
+            raise ValueError(f"bad matrix literal {text!r}")
         rows = []
         for part in text.strip().split(";"):
             if not part or any(ch not in "01" for ch in part):

@@ -127,15 +127,36 @@ def _matrix_to_json(m: Gf2Matrix) -> list[list[int]]:
     return m.to_rows()
 
 
+def json_typed(value, kind: type, what: str):
+    """value, or ValueError if it is not a JSON object (kind dict) or
+    array (kind list)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what}: expected a JSON {'object' if kind is dict else 'array'}, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+def json_fields(obj, what: str, *names: str) -> list:
+    """The named fields of obj; ValueError unless obj is a JSON object
+    that has them all."""
+    missing = [name for name in names if name not in json_typed(obj, dict, what)]
+    if missing:
+        raise ValueError(f"{what}: missing {', '.join(map(repr, missing))}")
+    return [obj[name] for name in names]
+
+
+def json_dims(dims, what: str) -> None:
+    if not all(type(d) is int for d in dims):  # bool and float are not dims
+        raise ValueError(f"{what}: dimensions {dims!r} are not all integers")
+
+
 def _matrix_from_json(rows, what: str) -> Gf2Matrix:
-    if not isinstance(rows, list) or not rows:
+    if not json_typed(rows, list, what):
         raise ValueError(f"{what}: expected a non-empty list of rows")
     for row in rows:
-        if not isinstance(row, list):
-            raise ValueError(f"{what}: expected a list of rows")
-        for v in row:
-            if v not in (0, 1):
-                raise ValueError(f"{what}: entry {v!r} outside {{0,1}}")
+        for v in json_typed(row, list, what):
+            if type(v) is not int or v not in (0, 1):  # not 1.0, not true
+                raise ValueError(f"{what}: entry {v!r} is not the integer 0 or 1")
     return Gf2Matrix.from_rows(rows)
 
 
@@ -149,15 +170,13 @@ def decomposition_to_json(d: Decomposition) -> dict:
     }
 
 
-def decomposition_from_json(obj: dict) -> Decomposition:
-    n, k, m = obj["n"], obj["k"], obj["m"]
+def decomposition_from_json(obj) -> Decomposition:
+    n, k, m, trips = json_fields(obj, "decomposition", "n", "k", "m", "triplets")
+    json_dims((n, k, m), "decomposition")
     triplets = tuple(
-        Triplet(
-            _matrix_from_json(t["A"], "A"),
-            _matrix_from_json(t["B"], "B"),
-            _matrix_from_json(t["C"], "C"),
-        )
-        for t in obj["triplets"]
+        Triplet(*(_matrix_from_json(rows, role)
+                  for role, rows in zip("ABC", json_fields(t, "triplet", "A", "B", "C"))))
+        for t in json_typed(trips, list, "triplets")
     )
     return Decomposition(n, k, m, triplets)
 

@@ -101,9 +101,43 @@ def test_lex_less_rejects_length_mismatch():
         CnfBuilder(1).lex_less([1], [])
 
 
+def _reference_dimacs(inst):
+    # One string per clause: the rendering to_dimacs must reproduce.
+    lines = [f"c {c}" for c in inst.comments]
+    lines.append(f"p cnf {inst.num_vars} {len(inst.clauses)}")
+    lines.extend(" ".join(map(str, cl)) + " 0" for cl in inst.clauses)
+    return "\n".join(lines) + "\n"
+
+
 def test_dimacs_format():
     inst = CnfInstance(3, [(1, -2), (3,)], comments=["hello"])
     assert inst.to_dimacs() == "c hello\np cnf 3 2\n1 -2 0\n3 0\n"
+    assert CnfInstance(0, []).to_dimacs() == "p cnf 0 0\n"
+    rng = random.Random(10)
+    for trial in range(50):
+        num_vars = rng.choice((5, 1000, 2**31 - 1))
+        widths = rng.choices((0, 1, 2, 3, 5, 27, rng.randint(1, 40)), k=rng.randint(0, 300))
+        clauses = [tuple(rng.choice((1, -1)) * rng.randint(1, num_vars) for _ in range(w))
+                   for w in widths]
+        comments = [] if trial % 2 else ["100% of %d", "var 1 = id[0].A[0][0]"]
+        inst = CnfInstance(num_vars, clauses, comments)
+        assert inst.to_dimacs() == _reference_dimacs(inst)
+
+
+def _reference_parity_clauses(lits, parity):
+    # One clause per forbidden truth-value pattern, in mask order.
+    k = len(lits)
+    return [tuple(-lits[i] if mask >> i & 1 else lits[i] for i in range(k))
+            for mask in range(1 << k) if bin(mask).count("1") % 2 != parity]
+
+
+def test_parity_blocks_match_the_mask_loop():
+    for k in range(XOR_WIDTH + 2):
+        lits = [(-1) ** i * (3 * i + 2) for i in range(k)]
+        for parity in (0, 1):
+            b = CnfBuilder(3 * k + 2)
+            b._parity_clauses(lits, parity)
+            assert b.clauses == _reference_parity_clauses(lits, parity), (k, parity)
 
 
 # -- CNF conversion ----------------------------------------------------------

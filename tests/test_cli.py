@@ -94,6 +94,35 @@ def test_verify_rejects_broken_file(strassen, tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+_ROWS = [[1, 0], [0, 1]]
+_TRIPLET = {"A": _ROWS, "B": _ROWS, "C": _ROWS}
+
+
+@pytest.mark.parametrize("command,obj", [
+    ("verify", {"n": 2, "k": 2, "m": 2,
+                "triplets": [dict(_TRIPLET, A=[[1.0, 0], [0, 1]])]}),
+    ("verify", {"n": 2, "k": 2, "m": 2,
+                "triplets": [dict(_TRIPLET, A=[[True, 0], [0, 1]])]}),
+    ("verify", [_TRIPLET]),
+    ("verify", {"n": 2, "k": 2, "m": 2}),
+    ("verify", {"n": 2.0, "k": 2, "m": 2, "triplets": [_TRIPLET]}),
+    ("verify", {"n": 2, "k": 2, "m": 2, "triplets": 5}),
+    ("verify", {"n": 2, "k": 2, "m": 2, "triplets": [[_ROWS, _ROWS, _ROWS]]}),
+    ("verify", {"n": 2, "k": 2, "m": 2, "triplets": [{"A": _ROWS}]}),
+    ("canonicalize", [["10;01"]]),
+    ("canonicalize", {"group": "cyc", "n": 2}),
+    ("canonicalize", {"group": "cyc", "n": 2, "orbits": []}),
+    ("canonicalize", {"group": "cyc", "n": 2, "orbits": {"delta": ["10;01"]}}),
+    ("canonicalize", {"group": "cyc", "n": 2, "orbits": {"delta": [[5]]}}),
+])
+def test_malformed_json_is_an_error_not_a_crash(command, obj, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_canonicalize_command(tmp_path, capsys):
     src = tmp_path / "sd.json"
     src.write_text(json.dumps({

@@ -1,10 +1,12 @@
 """CNF size census of a fixed set of combos.
 
 Encodes every combo of the census set (below), writes each combo's
-variable count, clause count and DIMACS bytes, plus per-group totals, to
-a JSON file, and prints the totals.  With --against OLD.json it exits 1
-if any combo has more variables or clauses than in OLD.json, so an
-encoder change can show that it adds neither.
+variable count, clause count, DIMACS bytes and the SHA-256 of its DIMACS
+text, plus per-group totals, to a JSON file, and prints the totals and
+the encode and DIMACS CPU times.  With --against OLD.json it prints how
+many combos' DIMACS text differs from OLD.json and exits 1 if any combo
+has more variables or clauses than there, so an encoder change can show
+that it adds neither (and a rendering change that it alters no byte).
 
     python3 tools/cnf_sizes.py [--out BENCH_cnf.json] [--against OLD.json]
 """
@@ -12,6 +14,7 @@ encoder change can show that it adds neither.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -34,32 +37,50 @@ CENSUS = [
 SIZES = ("vars", "clauses", "bytes")
 
 
-def census() -> dict:
+def census() -> tuple[dict, dict[str, float]]:
+    """The census, and the CPU seconds spent encoding and rendering DIMACS."""
+    cpu = {"encode": 0.0, "dimacs": 0.0}
     combos = []
     totals: dict[str, dict[str, int]] = {}
     for group, n, max_rank in CENSUS:
         for spec in enumerate_combos(group, max_rank):
             if spec.total_rank() < 1:
                 continue
+            start = time.process_time()
             cnf, _ = encode(group, n, spec.counts_dict())
+            mid = time.process_time()
+            text = cnf.to_dimacs().encode()
+            cpu["encode"] += mid - start
+            cpu["dimacs"] += time.process_time() - mid
             row = {"group": group.value, "n": n, "combo": spec.label(),
                    "vars": cnf.num_vars, "clauses": len(cnf.clauses),
-                   "bytes": len(cnf.to_dimacs())}  # DIMACS is ASCII
+                   "bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
             combos.append(row)
             total = totals.setdefault(group.value, dict.fromkeys(("combos",) + SIZES, 0))
             total["combos"] += 1
             for key in SIZES:
                 total[key] += row[key]
     return {"census": [[g.value, n, r] for g, n, r in CENSUS],
-            "totals": totals, "combos": combos}
+            "totals": totals, "combos": combos}, cpu
+
+
+def _key(combo: dict) -> tuple:
+    return combo["group"], combo["n"], combo["combo"]
+
+
+def changed_dimacs(new: dict, old: dict) -> int:
+    """How many combos of `new` have a DIMACS digest other than in `old`
+    (a combo missing there, or recorded without a digest, counts)."""
+    before = {_key(c): c.get("sha256") for c in old["combos"]}
+    return sum(before.get(_key(c)) != c["sha256"] for c in new["combos"])
 
 
 def gains(new: dict, old: dict) -> list[str]:
     """Combos of `new` with more variables or clauses than in `old`."""
-    before = {(c["group"], c["n"], c["combo"]): c for c in old["combos"]}
+    before = {_key(c): c for c in old["combos"]}
     out = []
     for c in new["combos"]:
-        key = (c["group"], c["n"], c["combo"])
+        key = _key(c)
         if key not in before:
             out.append(f"{key}: not in the old census")
             continue
@@ -77,16 +98,17 @@ def main(argv=None) -> int:
     if args.against:  # read first: it may be the file --out replaces
         with open(args.against) as fh:
             old = json.load(fh)
-    start = time.process_time()
-    result = census()
-    cpu = time.process_time() - start
+    result, cpu = census()
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
     for group, total in result["totals"].items():
         print(f"{group:7s} " + " ".join(f"{k}={v}" for k, v in total.items()))
-    print(f"encode + DIMACS CPU: {cpu:.2f} s", file=sys.stderr)
+    print(f"encode CPU: {cpu['encode']:.2f} s, DIMACS CPU: {cpu['dimacs']:.2f} s",
+          file=sys.stderr)
     if old is not None:
+        print(f"DIMACS text changed on {changed_dimacs(result, old)} of "
+              f"{len(result['combos'])} combos against {args.against}")
         bad = gains(result, old)
         for line in bad:
             print("gained:", line)
