@@ -6,14 +6,21 @@ majority `maj` fold constants and repeated or complementary arguments
 before they allocate a variable (MAJ of an equal pair is that literal, of
 a complementary pair its third argument, with True the OR and with False
 the AND of the other two), and share one gate per sorted argument set.
-XOR gates are split into balanced trees of bounded-width parity blocks (a
-width-w block costs 2^w clauses); the others are standard Tseitin gates.
+An XOR gate is a balanced tree of parity blocks of at most XOR_WIDTH
+inputs, each defining one variable (a block of w inputs costs 2^w
+clauses); the others are standard Tseitin gates.
 
 `lex_less` compiles a lexicographic comparison to one literal, a chain of
 MAJ gates.  The top-level constraint `assert_parity` takes products,
 tuples of literals that are conjoined, and asserts their XOR; a comparison
 is asserted as the lone product of its literal.  Products are folded
 first, so a lone product becomes unit clauses or one clause, never a gate.
+Otherwise the XOR of k literals is asserted directly as one block when
+k <= XOR_WIDTH + 1 (2^(k-1) clauses), and else as a chain of the fewest
+blocks that define a variable each, with the root block asserted: this
+uses fewer variables and clauses than reducing it by the XOR gate's
+tree and asserting that literal, and propagation still forces the last
+free input.
 
 Clauses are appended to `CnfBuilder.clauses` as finished tuples of ints:
 a gate writes its tuples directly, and a parity block picks each of its
@@ -231,11 +238,31 @@ class CnfBuilder:
         # Each p is folded already: and_(*p) would fold it again.
         flip, lits = _parity(p[0] if len(p) == 1 else self._and_gate(p) for p in odd)
         parity ^= flip
-        if len(lits) <= XOR_WIDTH:
-            self._parity_clauses(lits, parity)
-        else:
-            v = self._xor_to_lit(lits)
-            self.clauses.append((v if parity else -v,))
+        if len(lits) > XOR_WIDTH + 1:
+            lits = self._chain_blocks(lits)
+        self._parity_clauses(lits, parity)
+
+    def _chain_blocks(self, lits) -> list:
+        """Chain the fewest auxiliary blocks over lits; returns the root's
+        literals (at most XOR_WIDTH + 1), whose XOR is that of lits.
+
+        Each of the m blocks defines one auxiliary as the XOR of at most
+        XOR_WIDTH inputs, the previous block's auxiliary first.  The
+        k + m - 1 inputs that are not the last auxiliary are spread as
+        evenly as possible over the blocks and the root, so no block
+        costs more than it must (2^w clauses for w inputs, 2^(w-1) for
+        the asserted root, which takes the last auxiliary on top).
+        """
+        m = -(-(len(lits) - XOR_WIDTH - 1) // (XOR_WIDTH - 1))
+        share, extra = divmod(len(lits) + m - 1, m + 1)
+        carry: list = []
+        start = 0
+        for i in range(m):
+            end = start + share + (i < extra) - len(carry)
+            v = self.fresh_var()
+            self._parity_clauses([*carry, *lits[start:end], v], 0)
+            carry, start = [v], end
+        return [*carry, *lits[start:]]
 
     def build(self, comments: list[str] | None = None) -> CnfInstance:
         return CnfInstance(self.num_vars, self.clauses, comments or [])

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -50,6 +51,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
+    return value
+
+
 def _resolve_solver(args) -> str:
     """Precedence: --solver flag, then config file, then MMTSAT_SOLVER."""
     if args.solver:
@@ -79,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     solving = argparse.ArgumentParser(add_help=False, parents=[common])
     solving.add_argument("--solver", help="command template with {cnf}")
     solving.add_argument("--config", help="JSON config file with a \"solver\" key")
-    solving.add_argument("--timeout", type=float, help="per-combo timeout in seconds")
+    solving.add_argument("--timeout", type=_positive_seconds, help="per-combo timeout in seconds")
 
     parser = argparse.ArgumentParser(prog="mmtsat")
     sub = parser.add_subparsers(dest="command", required=True)

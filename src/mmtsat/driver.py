@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .canonical import check_canonical, dump_symmetric
 from .encoder import DecodeError, decode, encode
 from .symmetry import GroupId, is_group_symmetric, orbit_kinds, total_rank
-from .tensor import dump_decomposition, verify
+from .tensor import dump_decomposition, json_fields, json_typed, verify
 
 
 class EncoderSoundnessError(AssertionError):
@@ -52,10 +52,13 @@ class ComboSpec:
         return ",".join(f"{tag}={c}" for tag, c in self.counts)
 
 
+STATES = ("pending", "sat", "unsat", "timeout", "error")
+
+
 @dataclass
 class ComboStatus:
     spec: ComboSpec
-    state: str = "pending"  # pending | sat | unsat | timeout | error
+    state: str = "pending"  # one of STATES
     seconds: float = 0.0
     solver: str = ""
     detail: str = ""  # decomposition path for sat, message for error
@@ -152,10 +155,35 @@ def checkpoint_to_json(group: GroupId, n: int, max_rank: int,
             "combos": [_combo_record(st) for st in statuses]}
 
 
+# Per orbit counts, the status fields a record JSON was last rendered
+# from and that JSON (a record holds nothing else).  A campaign rewrites
+# its checkpoint after every combo, so this renders each record once per
+# status instead of once per write; the fields are compared on every
+# lookup, so a changed status is rendered again.
+_RECORD_JSON: dict[tuple, tuple[tuple, str]] = {}
+
+
+def _record_json(st: ComboStatus) -> str:
+    fields = (st.state, st.seconds, st.solver, st.detail)
+    cached = _RECORD_JSON.get(st.spec.counts)
+    if cached is None or cached[0] != fields:
+        text = json.dumps(_combo_record(st), sort_keys=True, separators=(",", ":"))
+        cached = _RECORD_JSON[st.spec.counts] = fields, text
+    return cached[1]
+
+
+def _checkpoint_text(group: GroupId, n: int, max_rank: int,
+                     statuses: list[ComboStatus]) -> str:
+    """_canonical_json(checkpoint_to_json(...)).  "combos" is the first
+    key in sorted order, so the records go ahead of the others."""
+    rest = _canonical_json({"dims": n, "group": group.value, "max_rank": max_rank})
+    return '{"combos":[' + ",".join(map(_record_json, statuses)) + "]," + rest[1:]
+
+
 def write_checkpoint(path, group: GroupId, n: int, max_rank: int,
                      statuses: list[ComboStatus]) -> None:
     """Atomic write: temp file in the same directory, then rename."""
-    data = _canonical_json(checkpoint_to_json(group, n, max_rank, statuses))
+    data = _checkpoint_text(group, n, max_rank, statuses)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
     try:
@@ -169,8 +197,23 @@ def write_checkpoint(path, group: GroupId, n: int, max_rank: int,
 
 
 def load_checkpoint(path) -> dict:
+    """A checkpoint as write_checkpoint writes it; ValueError if a field
+    is missing or has the wrong type, or a combo has an unknown state."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    *_, combos = json_fields(data, "checkpoint", "group", "dims", "max_rank", "combos")
+    for i, rec in enumerate(json_typed(combos, list, "checkpoint combos")):
+        what = f"checkpoint combo {i}"
+        counts, state, seconds, solver, detail = json_fields(
+            rec, what, "counts", "state", "seconds", "solver", "detail")
+        json_typed(counts, dict, f"{what} counts")
+        if state not in STATES:
+            raise ValueError(f"{what}: unknown state {state!r}")
+        if type(seconds) not in (int, float):  # not a bool
+            raise ValueError(f"{what}: seconds {seconds!r} is not a number")
+        if not (isinstance(solver, str) and isinstance(detail, str)):
+            raise ValueError(f"{what}: solver and detail must be strings")
+    return data
 
 
 # -- campaign -----------------------------------------------------------------
@@ -284,17 +327,14 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
 
     if checkpoint_path and os.path.exists(checkpoint_path):
         prior = load_checkpoint(checkpoint_path)
-        if (prior.get("group"), prior.get("dims"), prior.get("max_rank")) != \
-                (group.value, n, max_rank):
+        if (prior["group"], prior["dims"], prior["max_rank"]) != (group.value, n, max_rank):
             raise ValueError("checkpoint does not match this campaign")
-        by_counts = {json.dumps(c["counts"], sort_keys=True): c
-                     for c in prior.get("combos", [])}
+        by_counts = {json.dumps(c["counts"], sort_keys=True): c for c in prior["combos"]}
         for spec in specs:
             rec = by_counts.get(json.dumps(spec.counts_dict(), sort_keys=True))
             if rec and rec["state"] != "pending":
                 statuses[spec] = ComboStatus(spec, rec["state"], rec["seconds"],
-                                             rec.get("solver", ""),
-                                             rec.get("detail", ""))
+                                             rec["solver"], rec["detail"])
 
     own_work_dir = work_dir is None
     if own_work_dir:

@@ -225,6 +225,75 @@ def test_xor_width_splitting_is_sound():
             assert propagate(builder.clauses, assignment) == want
 
 
+def _layout_sizes(k):
+    # (auxiliaries, clauses): m = the fewest blocks, and the k + m - 1
+    # inputs other than the root's auxiliary spread evenly over the m
+    # blocks and the root, a part of w of them costing 2^w clauses.
+    m = max(0, -(-(k - XOR_WIDTH - 1) // (XOR_WIDTH - 1)))
+    q, r = divmod(k + m - 1, m + 1)
+    return m, r * 2 ** (q + 1) + (m + 1 - r) * 2 ** q
+
+
+def _balanced_tree_reference(builder, lits, parity):
+    # The layout the chain replaced: up to XOR_WIDTH literals in one
+    # block, else reduced to one literal by a balanced tree of blocks of
+    # XOR_WIDTH and asserted by a unit clause.
+    if len(lits) <= XOR_WIDTH:
+        builder._parity_clauses(lits, parity)
+        return
+    while len(lits) > 1:
+        nxt = []
+        for i in range(0, len(lits), XOR_WIDTH):
+            chunk = lits[i:i + XOR_WIDTH]
+            if len(chunk) == 1:
+                nxt.append(chunk[0])
+                continue
+            v = builder.fresh_var()
+            builder._parity_clauses([*chunk, v], 0)
+            nxt.append(v)
+        lits = nxt
+    builder.clauses.append((lits[0] if parity else -lits[0],))
+
+
+def test_asserted_parity_uses_the_fewest_blocks():
+    for k in range(1, 65):
+        for parity in (0, 1):
+            b = CnfBuilder(k)
+            b.assert_parity([(i + 1,) for i in range(k)], parity)
+            size = (b.num_vars - k, len(b.clauses))
+            assert size == _layout_sizes(k), (k, parity)
+            tree = CnfBuilder(k)
+            _balanced_tree_reference(tree, list(range(1, k + 1)), parity)
+            assert size[0] <= tree.num_vars - k and size[1] <= len(tree.clauses), (k, parity)
+            assert max(map(len, b.clauses)) <= XOR_WIDTH + 1
+
+
+def test_asserted_parity_propagates_like_the_xor():
+    # From every partial assignment of k <= 9 inputs: a conflict exactly
+    # when all are set to the wrong parity, the last free input forced,
+    # no input fixed while two are free, and every auxiliary assigned
+    # once all inputs are set.
+    for k in range(1, 10):
+        for parity in (0, 1):
+            b = CnfBuilder(k)
+            b.assert_parity([(i + 1,) for i in range(k)], parity)
+            for partial in itertools.product((None, False, True), repeat=k):
+                given = {i + 1: x for i, x in enumerate(partial) if x is not None}
+                free = [i + 1 for i, x in enumerate(partial) if x is None]
+                closure = unit_closure(b.clauses, given)
+                wrong = sum(given.values()) % 2 != parity
+                if not free and wrong:
+                    assert closure is None, (k, parity, partial)
+                    continue
+                assert closure is not None, (k, parity, partial)
+                if not free:
+                    assert len(closure) == b.num_vars, (k, parity, partial)
+                elif len(free) == 1:
+                    assert closure.get(free[0]) == wrong, (k, parity, partial)
+                else:
+                    assert not any(v in closure for v in free), (k, parity, partial)
+
+
 def test_structural_sharing_caches_subterms():
     b = CnfBuilder(3)
     g = b.or_(b.and_(1, 2), b.xor(2, -3))

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from mmtsat.cli import main
+from mmtsat.driver import ComboStatus, checkpoint_to_json, enumerate_combos
+from mmtsat.symmetry import GroupId
 from mmtsat.tensor import dump_decomposition, load_decomposition, verify
 
 from conftest import SOLVER_CMD, requires_solver
@@ -28,6 +30,47 @@ def test_search_rejects_fewer_than_one_worker(tmp_path, capsys):
         assert exc.value.code == 2
         assert "--workers: must be at least 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["search", "--max-rank", "2"],
+    ["solve-one", "--combo", "id=1"],
+], ids=["search", "solve-one"])
+def test_solving_commands_reject_a_timeout_that_is_not_positive(command, tmp_path, capsys):
+    for timeout in ("0", "-1", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--group", "none", "--n", "2", "--solver", "true {cnf}",
+                            "--timeout", timeout, "--work-dir", str(tmp_path / "w")])
+        assert exc.value.code == 2
+        assert "--timeout: must be a positive number of seconds" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _first_record(data, **fields):
+    # The checkpoint with its first record changed by fields (None drops one).
+    rec = {k: v for k, v in {**data["combos"][0], **fields}.items() if v is not None}
+    return {**data, "combos": [rec]}
+
+
+@pytest.mark.parametrize("spoil,message", [
+    (lambda data: [1, 2], "checkpoint: expected a JSON object, not list"),
+    (lambda data: {**data, "combos": "x"}, "checkpoint combos: expected a JSON array, not str"),
+    (lambda data: _first_record(data, seconds=None), "checkpoint combo 0: missing 'seconds'"),
+    (lambda data: _first_record(data, state="bogus"), "checkpoint combo 0: unknown state 'bogus'"),
+    (lambda data: _first_record(data, seconds=True),
+     "checkpoint combo 0: seconds True is not a number"),
+], ids=["array", "combos string", "no seconds", "bogus state", "bool seconds"])
+def test_search_rejects_a_malformed_checkpoint(spoil, message, tmp_path, capsys):
+    specs = enumerate_combos(GroupId.CYCLIC, 2)
+    statuses = [ComboStatus(spec, "unsat", 0.5, "true {cnf}") for spec in specs]
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(spoil(checkpoint_to_json(GroupId.CYCLIC, 2, 2, statuses))))
+    before = ckpt.read_bytes()
+    assert main(["search", "--group", "cyc", "--n", "2", "--max-rank", "2",
+                 "--solver", "true {cnf}", "--checkpoint", str(ckpt),
+                 "--work-dir", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert ckpt.read_bytes() == before
 
 
 def test_domain_errors_exit_1(capsys):

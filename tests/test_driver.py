@@ -95,6 +95,22 @@ def test_checkpoint_round_trip_byte_identity(tmp_path):
     assert os.listdir(tmp_path) == ["ckpt.json"]
 
 
+def test_checkpoint_is_the_canonical_json_after_every_change(tmp_path):
+    # Records are rendered once per status: a status changed in place,
+    # or replaced, between two writes is written as it is now.
+    statuses = [ComboStatus(s) for s in enumerate_combos(GroupId.CYCLIC_TRANSPOSE, 5)]
+    path = tmp_path / "ckpt.json"
+    changes = [("state", "unsat"), ("seconds", 0.0004), ("seconds", 2.5),
+               ("solver", "x {cnf}"), ("detail", 'a "quoted" \u00e9 path'), ("state", "error")]
+    for i, (field, value) in enumerate([("state", "pending")] + changes):
+        setattr(statuses[i], field, value)
+        statuses[-1] = ComboStatus(statuses[-1].spec, "timeout", float(i))
+        write_checkpoint(path, GroupId.CYCLIC_TRANSPOSE, 3, 5, statuses)
+        want = json.dumps(checkpoint_to_json(GroupId.CYCLIC_TRANSPOSE, 3, 5, statuses),
+                          sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_text() == want, (field, value)
+
+
 def _fake_solver(tmp_path, script_body):
     path = tmp_path / "fakesolver.sh"
     path.write_text("#!/bin/sh\n" + script_body)

@@ -354,13 +354,13 @@ def test_symmetry_breaking_agrees_with_check_canonical(group, n):
 # to the CNF updates these pins.
 @pytest.mark.parametrize("group,n,combo,digest", [
     (GroupId.TRIVIAL, 2, {"id": 7},
-     "848650fdac58c1bdb22e2867b1bcbfcf450d78d3efba859decea5b9380eb9e64"),
+     "ab8a9db112c13e541a11608aebfbb3f2c6744908694c4048905fb3d8f73b3293"),
     (GroupId.CYCLIC, 2, {"id": 2, "delta": 1},
-     "f89efa46df20780eff34a8f730224a7d69185c61390473d8e20a357817b95137"),
+     "99deb67d7d12c78e998d88580efa4c12220f28be8b956e26fd14818be301e7e3"),
     (GroupId.CYCLIC_TRANSPOSE, 3, {"id": 1, "t": 1, "delta": 1, "full": 1},
-     "5187e2c641963aed802a838ef431cc5112447d433b9ce94bff1ca4c05a3f9ea9"),
+     "a15f24ac781316a1ff3c5b9684cf3afebed6b84a96a2147c7dd2cf2188fc1bc8"),
     (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1},
-     "4d61ed6bde915ad4d232fe0d15d48275420dba9577d8886afafa7b6e1452f180"),
+     "845ddbb734520931daf7e6875f24451b34ce2cf3479f7830de104c3788045241"),
 ], ids=["none", "cyc", "cyc-t", "cyc-sw"])
 def test_cnf_pinned(group, n, combo, digest):
     cnf, _ = encode(group, n, combo)

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ def test_cnf_census_matches_the_committed_file(tmp_path):
     # The census tool, written to a scratch file (never its default
     # --out, the committed file), reproduces BENCH_cnf.json byte for byte,
     # the SHA-256 of every combo's DIMACS text included, and finds no
-    # combo that gained a variable or a clause.
+    # combo that gained a variable or a clause; each group's totals are
+    # printed as old -> new.
     out = tmp_path / "census.json"
     committed = ROOT / "BENCH_cnf.json"
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "cnf_sizes.py"),
@@ -18,3 +21,17 @@ def test_cnf_census_matches_the_committed_file(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert out.read_bytes() == committed.read_bytes()
     assert "DIMACS text changed on 0 of 144 combos" in proc.stdout
+    none = json.loads(committed.read_text())["totals"]["none"]
+    vars_, clauses = none["vars"], none["clauses"]
+    assert (f"none    vars {vars_} -> {vars_} (+0.0%) "
+            f"clauses {clauses} -> {clauses} (+0.0%)") in proc.stdout.splitlines()
+
+
+def test_census_totals_print_the_change_in_percent():
+    spec = importlib.util.spec_from_file_location("cnf_sizes", ROOT / "tools" / "cnf_sizes.py")
+    cnf_sizes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cnf_sizes)
+    old = {"totals": {"cyc": {"vars": 200, "clauses": 1000}, "none": {"vars": 8, "clauses": 9}}}
+    new = {"totals": {"cyc": {"vars": 150, "clauses": 1001}, "cyc-t": {"vars": 1, "clauses": 1}}}
+    assert cnf_sizes.total_changes(new, old) == [
+        "cyc     vars 200 -> 150 (-25.0%) clauses 1000 -> 1001 (+0.1%)"]

@@ -3,10 +3,12 @@
 Encodes every combo of the census set (below), writes each combo's
 variable count, clause count, DIMACS bytes and the SHA-256 of its DIMACS
 text, plus per-group totals, to a JSON file, and prints the totals and
-the encode and DIMACS CPU times.  With --against OLD.json it prints how
-many combos' DIMACS text differs from OLD.json and exits 1 if any combo
-has more variables or clauses than there, so an encoder change can show
-that it adds neither (and a rendering change that it alters no byte).
+the encode and DIMACS CPU times.  With --against OLD.json it also prints
+each group's variables and clauses as old -> new with the change in
+percent, and how many combos' DIMACS text differs from OLD.json, and
+exits 1 if any combo has more variables or clauses than there, so an
+encoder change can show that it adds neither (and a rendering change
+that it alters no byte).
 
     python3 tools/cnf_sizes.py [--out BENCH_cnf.json] [--against OLD.json]
 """
@@ -75,6 +77,18 @@ def changed_dimacs(new: dict, old: dict) -> int:
     return sum(before.get(_key(c)) != c["sha256"] for c in new["combos"])
 
 
+def total_changes(new: dict, old: dict) -> list[str]:
+    """Per group of both censuses, vars and clauses as old -> new (%)."""
+    lines = []
+    for group, total in new["totals"].items():
+        before = old["totals"].get(group)
+        if before is not None:
+            lines.append(f"{group:7s} " + " ".join(
+                f"{k} {before[k]} -> {total[k]} ({(total[k] - before[k]) / before[k]:+.1%})"
+                for k in ("vars", "clauses")))
+    return lines
+
+
 def gains(new: dict, old: dict) -> list[str]:
     """Combos of `new` with more variables or clauses than in `old`."""
     before = {_key(c): c for c in old["combos"]}
@@ -107,6 +121,8 @@ def main(argv=None) -> int:
     print(f"encode CPU: {cpu['encode']:.2f} s, DIMACS CPU: {cpu['dimacs']:.2f} s",
           file=sys.stderr)
     if old is not None:
+        for line in total_changes(result, old):
+            print(line)
         print(f"DIMACS text changed on {changed_dimacs(result, old)} of "
               f"{len(result['combos'])} combos against {args.against}")
         bad = gains(result, old)
