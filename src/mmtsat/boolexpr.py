@@ -20,7 +20,9 @@ k <= XOR_WIDTH + 1 (2^(k-1) clauses), and else as a chain of the fewest
 blocks that define a variable each, with the root block asserted: this
 uses fewer variables and clauses than reducing it by the XOR gate's
 tree and asserting that literal, and propagation still forces the last
-free input.
+free input.  `fold_products` and `assert_xor` are the two halves of
+`assert_parity`, for callers that gate products themselves, and
+`share_xor` hands the builder XOR gates built elsewhere.
 
 Clauses are appended to `CnfBuilder.clauses` as finished tuples of ints:
 a gate writes its tuples directly, and a parity block picks each of its
@@ -59,6 +61,22 @@ def _product(args) -> tuple[int, ...] | bool:
     if not lits.isdisjoint([-x for x in lits]):
         return False
     return tuple(sorted(lits))
+
+
+def fold_products(products, parity: int) -> tuple[list[tuple[int, ...]], int]:
+    """Fold each product and cancel equal ones in pairs: the survivors in
+    first-seen order, and parity flipped once per product folded to True."""
+    odd: dict[tuple[int, ...], None] = {}
+    for p in map(_product, products):
+        if p is False:
+            continue
+        if not p:
+            parity ^= 1
+        elif p in odd:
+            del odd[p]
+        else:
+            odd[p] = None
+    return list(odd), parity
 
 
 def _parity(args) -> tuple[bool, tuple[int, ...]]:
@@ -218,16 +236,7 @@ class CnfBuilder:
 
     def assert_parity(self, products, parity: int) -> None:
         """The XOR of the products equals parity."""
-        odd: dict[tuple[int, ...], None] = {}
-        for p in map(_product, products):
-            if p is False:
-                continue
-            if not p:
-                parity ^= 1
-            elif p in odd:
-                del odd[p]
-            else:
-                odd[p] = None
+        odd, parity = fold_products(products, parity)
         if len(odd) == 1:
             (p,) = odd
             if parity:
@@ -237,10 +246,19 @@ class CnfBuilder:
             return
         # Each p is folded already: and_(*p) would fold it again.
         flip, lits = _parity(p[0] if len(p) == 1 else self._and_gate(p) for p in odd)
-        parity ^= flip
+        self.assert_xor(lits, parity ^ flip)
+
+    def assert_xor(self, lits: list[int], parity: int) -> None:
+        """The XOR of distinct variables, in ascending order, equals parity:
+        one block, or a chain of blocks past XOR_WIDTH + 1 variables."""
         if len(lits) > XOR_WIDTH + 1:
             lits = self._chain_blocks(lits)
         self._parity_clauses(lits, parity)
+
+    def share_xor(self, gates) -> None:
+        """Reuse gates built elsewhere: each (sorted variables, literal)
+        stands for their XOR, as if xor() had built it here."""
+        self._gates.update((("xor", odd), v) for odd, v in gates)
 
     def _chain_blocks(self, lits) -> list:
         """Chain the fewest auxiliary blocks over lits; returns the root's

@@ -23,7 +23,7 @@ from .driver import ComboSpec, run_campaign, solve_combo
 from .encoder import encode
 from .oracle import BudgetExceeded, SearchBudget, brute_min_rank
 from .symmetry import GroupId, is_group_symmetric, orbit_kinds
-from .tensor import load_decomposition, verify
+from .tensor import json_typed, load_decomposition, verify
 
 EXIT_OK = 0
 EXIT_FOUND = 10
@@ -58,20 +58,28 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _config_solver(path: str) -> str | None:
+    """The "solver" of a JSON config file, if it sets one."""
+    with open(path) as fh:
+        solver = json_typed(json.load(fh), dict, f"config file {path}").get("solver")
+    if solver is not None and not isinstance(solver, str):
+        raise ValueError(f"config file {path}: \"solver\" must be a string, "
+                         f"not {type(solver).__name__}")
+    return solver
+
+
 def _resolve_solver(args) -> str:
-    """Precedence: --solver flag, then config file, then MMTSAT_SOLVER."""
-    if args.solver:
-        return args.solver
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if cfg.get("solver"):
-            return cfg["solver"]
-    env = os.environ.get("MMTSAT_SOLVER")
-    if env:
-        return env
-    raise ValueError("no solver configured: pass --solver, put \"solver\" in the "
-                     "config file, or set MMTSAT_SOLVER")
+    """Precedence: --solver flag, then config file, then MMTSAT_SOLVER.
+    The command is checked for its {cnf} placeholder before any combo
+    is encoded."""
+    solver = (args.solver or (args.config and _config_solver(args.config))
+              or os.environ.get("MMTSAT_SOLVER"))
+    if not solver:
+        raise ValueError("no solver configured: pass --solver, put \"solver\" in the "
+                         "config file, or set MMTSAT_SOLVER")
+    if "{cnf}" not in solver:
+        raise ValueError(f"solver command {solver!r} must contain the {{cnf}} placeholder")
+    return solver
 
 
 def _emit(args, human: str, payload: dict) -> None:

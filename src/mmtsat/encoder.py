@@ -28,6 +28,18 @@ the XOR of the kept equations its basis names, for every assignment:
 the residual is zero exactly when it is zero at the free entries.  The
 kept equations are a subset of the full set, so an UNSAT answer still
 rules the combo out, and no model is added.
+
+The tensor equations are not compiled per combo.  Products of different
+representatives share no variable, so every representative of a kind
+compiles to the same gates up to a renaming of its variables.  Each
+kind's block (a single representative's cell-XOR gates, AND gates and,
+per kept entry, the literals whose XOR is its part of the equation) is
+built once per (group, n) and cached; `encode` stamps one copy per
+representative, renaming the block's clauses at C speed, interleaves
+the copies entry by entry and asserts each entry's combined XOR.
+Variables and clauses come out in the order compiling every entry's
+products through `assert_parity` gives them, so the CNF is the same,
+byte for byte.
 """
 
 from __future__ import annotations
@@ -35,10 +47,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import groupby, product
-from operator import xor
+from itertools import chain, groupby, product
+from operator import neg, xor
 
-from .boolexpr import CnfBuilder, CnfInstance, Lit
+from .boolexpr import CnfBuilder, CnfInstance, Lit, fold_products
 from .canonical import SymmetricDecomposition
 from .gf2 import Gf2Matrix
 from .symmetry import (
@@ -182,9 +194,10 @@ def _equation_entries(group: GroupId, n: int) -> tuple[tuple[Entry, ...], tuple]
                                        for row in s.generators))
 
 
-def cell_literals(builder: CnfBuilder):
-    """A map from cell masks to their literals in builder, cached per mask."""
-    lits: dict[int, Lit] = {}
+def cell_literals(builder: CnfBuilder, lits: dict[int, Lit] | None = None):
+    """A map from cell masks to their literals in builder, cached per mask
+    in lits."""
+    lits = {} if lits is None else lits
 
     def lit(mask: int) -> Lit:
         if mask not in lits:
@@ -277,6 +290,159 @@ def symmetry_breaking(builder: CnfBuilder, group: GroupId, n: int, reps) -> None
             builder.assert_parity([(builder.lex_less(flat(lhs), flat(rhs)),)], 1)
 
 
+@dataclass(frozen=True)
+class _Block:
+    """One representative's share of the tensor equations, compiled once.
+
+    Variables 1..primaries are the representative's primaries, the rest
+    its gates in the order they were allocated.  At kept entry i (the
+    i-th of `_equation_entries`), the block allocates new_vars[2i]
+    cell-XOR gate variables, whose clauses are
+    clauses()[bounds[2i]:bounds[2i + 1]], then new_vars[2i + 1] AND gate
+    variables, with clauses()[bounds[2i + 1]:bounds[2i + 2]].  At an
+    entry in `solo` those are instead the unit clauses or clause of its
+    lone surviving product; elsewhere survivors[i] are the literals whose
+    XOR is its part of the equation.  `one` and `some` are the entries
+    where one and at least one product survives folding.
+    """
+    solo: frozenset[int]
+    primaries: int
+    widths: tuple[tuple[int, tuple[int, ...]], ...]  # (w, flat literals) per width
+    order: tuple[int, ...]  # per clause, its place among the width-grouped ones
+    bounds: tuple[int, ...]
+    new_vars: tuple[int, ...]
+    survivors: tuple[tuple[int, ...], ...]
+    xor_gates: tuple[tuple[tuple[int, ...], int], ...]
+    one: frozenset[int]
+    some: frozenset[int]
+
+    def clauses(self, ren: list[int]) -> list[tuple[int, ...]]:
+        """The clauses with every literal l renamed to ren[l] (negative
+        l index ren from the end)."""
+        grouped: list = []
+        for w, lits in self.widths:
+            grouped += zip(*[map(ren.__getitem__, lits)] * w)
+        return list(map(grouped.__getitem__, self.order))
+
+
+@lru_cache
+def _block(group: GroupId, n: int, tag: str, solo: frozenset[int]) -> _Block:
+    """The block of one representative of kind tag, with the lone
+    surviving product asserted at each entry in solo."""
+    reps, varmap = build_symbolic_orbits(group, n, {tag: 1})
+    builder = CnfBuilder(len(varmap.primary))
+    lits: dict[int, Lit] = {}
+    lit = cell_literals(builder, lits)
+    bounds, new_vars, survivors, one, some = [0], [], [], set(), set()
+    for i, (_, products, bit) in enumerate(tensor_equations(group, n, reps)):
+        start = builder.num_vars
+        products = [tuple(map(lit, p)) for p in products]
+        bounds.append(len(builder.clauses))
+        gated = builder.num_vars
+        odd, _ = fold_products(products, bit)
+        if odd:
+            some.add(i)
+            if len(odd) == 1:
+                one.add(i)
+        if i in solo:
+            builder.assert_parity(products, bit)
+            survivors.append(())
+        else:
+            survivors.append(tuple(builder.and_(*p) for p in odd))
+        bounds.append(len(builder.clauses))
+        new_vars += gated - start, builder.num_vars - gated
+    clauses = builder.clauses
+    by_width: dict[int, list[int]] = {}
+    for k, c in enumerate(clauses):
+        by_width.setdefault(len(c), []).append(k)
+    widths = sorted(by_width)
+    grouped = [k for w in widths for k in by_width[w]]
+    return _Block(
+        solo, len(varmap.primary),
+        tuple((w, tuple(chain.from_iterable(map(clauses.__getitem__, by_width[w]))))
+              for w in widths),
+        tuple(sorted(range(len(grouped)), key=grouped.__getitem__)),
+        tuple(bounds), tuple(new_vars), tuple(survivors),
+        tuple((tuple(v for v in range(mask.bit_length()) if mask >> v & 1), l)
+              for mask, l in lits.items() if mask & (mask - 1)),
+        frozenset(one), frozenset(some))
+
+
+@lru_cache
+def _target_bits(group: GroupId, n: int) -> tuple[int, ...]:
+    """The target tensor's bit at each kept entry."""
+    target = mm_tensor(n, n, n)
+    return tuple(target.get(*sum(entry, ())) for entry in _equation_entries(group, n)[0])
+
+
+def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
+                     combo: dict[str, int]) -> None:
+    """Assert the tensor equation at every kept entry, with the clauses and
+    variable numbers assert_parity gives it, from one block per kind.
+
+    Products of different representatives share no variable, so they
+    never cancel or share a gate, and each representative's gates are
+    its kind's block renamed.  An entry is solo when one product survives
+    in the whole combo: only at a kind of count 1, none of whose other
+    kinds has a product there.  Variables are numbered as assert_parity
+    allocates them, entry by entry: cell-XOR gates of each representative
+    in turn, then AND gates, then the chain of the entry's combined XOR.
+    A cell has no constant term, so folding never flips a parity.
+    """
+    present = [(kind.tag, combo[kind.tag]) for kind in orbit_kinds(group)
+               if combo.get(kind.tag, 0) > 0]
+    base = {tag: _block(group, n, tag, frozenset()) for tag, _ in present}
+    kinds = []  # (block, renaming of each representative), in variable order
+    num = 0
+    for tag, count in present:
+        solo = frozenset()
+        if count == 1:
+            solo = base[tag].one.difference(*(base[t].some for t, _ in present if t != tag))
+        block = _block(group, n, tag, solo)
+        kinds.append((block, [[0, *range(num + j * block.primaries + 1,
+                                         num + (j + 1) * block.primaries + 1)]
+                              for j in range(count)]))
+        num += count * block.primaries
+    solo = frozenset().union(*(block.solo for block, _ in kinds))
+    num = builder.num_vars
+    clauses, builder.clauses = builder.clauses, []
+    marks = []  # the end of each entry's chain and root clauses
+    for i, bit in enumerate(_target_bits(group, n)):
+        for phase in (2 * i, 2 * i + 1):
+            for block, rens in kinds:
+                k = block.new_vars[phase]
+                if k:
+                    for ren in rens:
+                        ren += range(num + 1, num + k + 1)
+                        num += k
+        builder.num_vars = num
+        if i not in solo:
+            builder.assert_xor(sorted([ren[t] for block, rens in kinds for ren in rens
+                                       for t in block.survivors[i]]), bit)
+            num = builder.num_vars
+        marks.append(len(builder.clauses))
+    roots, parts = builder.clauses, []
+    for block, rens in kinds:
+        stamped = []
+        for ren in rens:
+            ren += map(neg, reversed(ren[1:]))
+            builder.share_xor((tuple(map(ren.__getitem__, odd)), ren[v])
+                              for odd, v in block.xor_gates)
+            stamped.append(block.clauses(ren))
+        parts.append((block.bounds, stamped))
+    end = 0
+    for i, mark in enumerate(marks):
+        for phase in (2 * i, 2 * i + 1):
+            for bounds, stamped in parts:
+                start, stop = bounds[phase], bounds[phase + 1]
+                if start < stop:
+                    for cs in stamped:
+                        clauses += cs[start:stop]
+        clauses += roots[end:mark]
+        end = mark
+    builder.clauses = clauses
+
+
 def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, VarMap]:
     """CNF whose models are exactly the canonical-form symmetric
     decompositions of <n,n,n> with the given orbit counts."""
@@ -286,11 +452,7 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
         raise ValueError("total rank must be at least 1")
     reps, varmap = build_symbolic_orbits(group, n, combo)
     builder = CnfBuilder(varmap.aux_start - 1)
-
-    lit = cell_literals(builder)
-    for _, products, bit in tensor_equations(group, n, reps):
-        builder.assert_parity([tuple(map(lit, p)) for p in products], bit)
-
+    _stamp_equations(builder, group, n, combo)
     nonzero_representatives(builder, varmap)
     symmetry_breaking(builder, group, n, reps)
 

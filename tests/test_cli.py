@@ -218,6 +218,32 @@ def test_solver_resolution_precedence(tmp_path, capsys, monkeypatch):
     assert "flag-solver" in payload["detail"]
 
 
+@pytest.mark.parametrize("config,message", [
+    ("[1]", "expected a JSON object, not list"),
+    ('{"solver": 5}', '"solver" must be a string, not int'),
+    ('{"solver": "minisat"}', "must contain the {cnf} placeholder"),
+], ids=["not an object", "solver not a string", "no placeholder"])
+@pytest.mark.parametrize("command", [
+    ["search", "--max-rank", "2"],
+    ["solve-one", "--combo", "id=1"],
+], ids=["search", "solve-one"])
+def test_bad_config_file_exits_1_before_any_encoding(config, message, command,
+                                                      tmp_path, capsys, monkeypatch):
+    from mmtsat import driver
+
+    def encode(*args):
+        raise AssertionError("a combo was encoded")
+
+    monkeypatch.setattr(driver, "encode", encode)
+    monkeypatch.delenv("MMTSAT_SOLVER", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert main([*command, "--group", "cyc", "--n", "2", "--config", str(cfg),
+                 "--work-dir", str(tmp_path / "w")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 @requires_solver
 def test_solve_one_exit_codes(tmp_path, capsys):
     rc = main(["solve-one", "--group", "cyc", "--n", "2", "--combo",

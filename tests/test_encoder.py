@@ -1,16 +1,20 @@
+import dataclasses
 import hashlib
 import random
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from itertools import product
 
 import pytest
 
-from mmtsat.boolexpr import CnfBuilder
+from mmtsat.boolexpr import CnfBuilder, CnfInstance, fold_products
 from mmtsat.canonical import canonicalize, check_canonical
 from mmtsat.encoder import (
     DecodeError,
     VarMap,
+    _block,
     _entry_terms,
     _equation_entries,
     _fixed_space,
@@ -23,6 +27,7 @@ from mmtsat.encoder import (
     symmetry_breaking,
     tensor_equations,
 )
+from mmtsat.driver import enumerate_combos
 from mmtsat.gf2 import Gf2Matrix
 from mmtsat.symmetry import (
     GroupId,
@@ -132,6 +137,13 @@ def test_encode_rejects_empty_combo():
         encode(GroupId.CYCLIC, 2, {})
     with pytest.raises(ValueError):
         encode(GroupId.CYCLIC, 2, {"id": -1})
+
+
+def test_encode_rejects_a_negative_count():
+    # The total rank is positive, so only the count check stands between
+    # this combo and blocks stamped a negative number of times.
+    with pytest.raises(ValueError, match="nonnegative"):
+        encode(GroupId.CYCLIC, 2, {"id": 2, "delta": -1})
 
 
 def test_encode_rejects_an_n_the_group_is_not_defined_at():
@@ -385,3 +397,124 @@ def test_solver_model_decodes_to_valid_decomposition(group, n, combo, solver_cmd
     assert is_group_symmetric(d, group)
     assert check_canonical(sd) == []
     assert d.rank == 7
+
+
+# -- blocks: each kind compiled once, stamped per representative -------------
+
+
+def _direct_tensor_equations(group, n, combo):
+    """A builder holding the tensor equations compiled entry by entry,
+    each through assert_parity, over the whole combo."""
+    reps, varmap = build_symbolic_orbits(group, n, combo)
+    builder = CnfBuilder(varmap.aux_start - 1)
+    lit = cell_literals(builder)
+    for _, products, bit in tensor_equations(group, n, reps):
+        builder.assert_parity([tuple(map(lit, p)) for p in products], bit)
+    return builder, reps, varmap
+
+
+def _direct_encode(group, n, combo, comments):
+    builder, reps, varmap = _direct_tensor_equations(group, n, combo)
+    nonzero_representatives(builder, varmap)
+    symmetry_breaking(builder, group, n, reps)
+    return CnfInstance(builder.num_vars, builder.clauses, comments)
+
+
+def _solo_entries(group, n, combo):
+    """Per kind, the kept entries where exactly one product of the whole
+    combo survives folding and it belongs to that kind."""
+    reps, varmap = build_symbolic_orbits(group, n, combo)
+    orbit = {e.var: e.orbit for e in varmap.primary}
+    solo = {tag: set() for tag, count in combo.items() if count}
+    for i, (_, products, _) in enumerate(tensor_equations(group, n, reps)):
+        odd, _ = fold_products(products, 0)  # cell masks, one bit per primary
+        if len(odd) == 1:
+            mask = odd[0][0]
+            solo[orbit[(mask & -mask).bit_length() - 1]].add(i)
+    return {tag: frozenset(entries) for tag, entries in solo.items()}
+
+
+def _lex_reuses_a_gate(group, n, combo):
+    """Whether the symmetry-breaking constraints use a gate the tensor
+    equations built: they then allocate fewer variables after them."""
+    builder, reps, _ = _direct_tensor_equations(group, n, combo)
+    fresh = CnfBuilder(builder.num_vars)
+    before = builder.num_vars
+    symmetry_breaking(builder, group, n, reps)
+    symmetry_breaking(fresh, group, n, reps)
+    return builder.num_vars - before < fresh.num_vars - before
+
+
+def _stamping_combos():
+    rng = random.Random(12)
+    out = []
+    for group in GroupId:
+        combos = [s.counts_dict() for s in enumerate_combos(group, 12) if s.total_rank()]
+        picked = rng.sample(combos, 4)
+        picked.append(rng.choice([c for c in combos if 1 in c.values()]))
+        picked.append(rng.choice([c for c in combos if sum(c.values()) == 1]))
+        for c in picked:
+            if (group, c) not in out:
+                out.append((group, c))
+    return out
+
+
+_STAMPING_COMBOS = _stamping_combos()
+
+
+def test_stamping_combos_cover_solo_entries_and_shared_gates():
+    # Solo entries, also beside other kinds' products, and symmetry
+    # breaking that reuses a stamped cell-XOR gate.  Only cyc-sw has such
+    # gates: transposition permutes cells, so every cell of the other
+    # groups is one primary.
+    solo = [(g, c) for g, c in _STAMPING_COMBOS if any(_solo_entries(g, 3, c).values())]
+    assert any(sum(map(bool, c.values())) > 1 for _, c in solo)
+    assert any(_lex_reuses_a_gate(g, 3, c) for g, c in _STAMPING_COMBOS
+               if g is GroupId.CYCLIC_SANDWICH)
+
+
+@pytest.mark.parametrize("group,combo", _STAMPING_COMBOS,
+                         ids=[f"{g.value}-{','.join(f'{k}={v}' for k, v in c.items())}"
+                              for g, c in _STAMPING_COMBOS])
+def test_stamped_cnf_equals_direct_compilation(group, combo):
+    cnf, _ = encode(group, 3, combo)
+    assert cnf.to_dimacs() == _direct_encode(group, 3, combo, cnf.comments).to_dimacs()
+
+
+def _immutable(value):
+    if isinstance(value, (tuple, frozenset)):
+        return all(map(_immutable, value))
+    return type(value) is int
+
+
+def test_blocks_are_built_once_and_immutable():
+    group, n = GroupId.CYCLIC_TRANSPOSE, 2
+    combos = [s.counts_dict() for s in enumerate_combos(group, 9) if s.total_rank()]
+    assert len(combos) == 59
+    pairs = set()
+    for combo in combos:
+        solo = _solo_entries(group, n, combo)
+        pairs |= {(tag, frozenset()) for tag in solo}
+        pairs |= {(tag, entries) for tag, entries in solo.items() if combo[tag] == 1}
+    _block.cache_clear()
+    digests = [hashlib.sha256(encode(group, n, c)[0].to_dimacs().encode()).digest()
+               for c in combos]
+    assert 0 < _block.cache_info().misses <= len(pairs)
+    for tag, solo in pairs:
+        block = _block(group, n, tag, solo)
+        assert all(_immutable(getattr(block, f.name)) for f in dataclasses.fields(block))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        block.solo = frozenset()
+    # Campaign workers share the cache: threads that build and stamp the
+    # same blocks at once, switching often, give the same CNFs.
+    _block.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(
+                lambda c: hashlib.sha256(encode(group, n, c)[0].to_dimacs().encode()).digest(),
+                combos, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == digests

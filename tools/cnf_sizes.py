@@ -2,13 +2,13 @@
 
 Encodes every combo of the census set (below), writes each combo's
 variable count, clause count, DIMACS bytes and the SHA-256 of its DIMACS
-text, plus per-group totals, to a JSON file, and prints the totals and
-the encode and DIMACS CPU times.  With --against OLD.json it also prints
-each group's variables and clauses as old -> new with the change in
-percent, and how many combos' DIMACS text differs from OLD.json, and
-exits 1 if any combo has more variables or clauses than there, so an
-encoder change can show that it adds neither (and a rendering change
-that it alters no byte).
+text, plus per-group totals, to a JSON file, and prints the totals, and
+on stderr the encode and DIMACS CPU times and the encode CPU time per
+group.  With --against OLD.json it also prints each group's variables
+and clauses as old -> new with the change in percent, and how many
+combos' DIMACS text differs from OLD.json, and exits 1 if any combo has
+more variables or clauses than there, so an encoder change can show
+that it adds neither (and a rendering change that it alters no byte).
 
     python3 tools/cnf_sizes.py [--out BENCH_cnf.json] [--against OLD.json]
 """
@@ -39,9 +39,11 @@ CENSUS = [
 SIZES = ("vars", "clauses", "bytes")
 
 
-def census() -> tuple[dict, dict[str, float]]:
-    """The census, and the CPU seconds spent encoding and rendering DIMACS."""
-    cpu = {"encode": 0.0, "dimacs": 0.0}
+def census() -> tuple[dict, dict[str, float], float]:
+    """The census, the CPU seconds spent encoding per group, and those
+    spent rendering DIMACS."""
+    encode_cpu = {group.value: 0.0 for group, _, _ in CENSUS}
+    dimacs_cpu = 0.0
     combos = []
     totals: dict[str, dict[str, int]] = {}
     for group, n, max_rank in CENSUS:
@@ -52,8 +54,8 @@ def census() -> tuple[dict, dict[str, float]]:
             cnf, _ = encode(group, n, spec.counts_dict())
             mid = time.process_time()
             text = cnf.to_dimacs().encode()
-            cpu["encode"] += mid - start
-            cpu["dimacs"] += time.process_time() - mid
+            encode_cpu[group.value] += mid - start
+            dimacs_cpu += time.process_time() - mid
             row = {"group": group.value, "n": n, "combo": spec.label(),
                    "vars": cnf.num_vars, "clauses": len(cnf.clauses),
                    "bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
@@ -63,7 +65,7 @@ def census() -> tuple[dict, dict[str, float]]:
             for key in SIZES:
                 total[key] += row[key]
     return {"census": [[g.value, n, r] for g, n, r in CENSUS],
-            "totals": totals, "combos": combos}, cpu
+            "totals": totals, "combos": combos}, encode_cpu, dimacs_cpu
 
 
 def _key(combo: dict) -> tuple:
@@ -112,14 +114,16 @@ def main(argv=None) -> int:
     if args.against:  # read first: it may be the file --out replaces
         with open(args.against) as fh:
             old = json.load(fh)
-    result, cpu = census()
+    result, encode_cpu, dimacs_cpu = census()
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
     for group, total in result["totals"].items():
         print(f"{group:7s} " + " ".join(f"{k}={v}" for k, v in total.items()))
-    print(f"encode CPU: {cpu['encode']:.2f} s, DIMACS CPU: {cpu['dimacs']:.2f} s",
+    print(f"encode CPU: {sum(encode_cpu.values()):.2f} s, DIMACS CPU: {dimacs_cpu:.2f} s",
           file=sys.stderr)
+    print("encode CPU per group: " + ", ".join(
+        f"{group} {seconds:.2f} s" for group, seconds in encode_cpu.items()), file=sys.stderr)
     if old is not None:
         for line in total_changes(result, old):
             print(line)
