@@ -24,19 +24,24 @@ free input.  `fold_products` and `assert_xor` are the two halves of
 `assert_parity`, for callers that gate products themselves, and
 `share_xor` hands the builder XOR gates built elsewhere.
 
-Clauses are appended to `CnfBuilder.clauses` as finished tuples of ints:
-a gate writes its tuples directly, and a parity block picks each of its
-clauses out of (l_0, -l_0, l_1, -l_1, ...) with one precomputed
-`itemgetter` per forbidden pattern, in mask order.  `CnfInstance.to_dimacs`
-renders the whole clause list with one `%`: its format is the join of
-one `"%d " * k + "0\n"` per clause of width k (" 0\n" for the empty
-clause), applied to every literal in order.
+Clauses are kept in one flat list of ints, `CnfBuilder.lits`, in DIMACS
+order with a 0 after each clause, from the gates to the DIMACS text: a
+gate appends its literals and terminators directly.  A parity block
+picks all of its clauses, terminators included, out of
+(l_0, -l_0, l_1, -l_1, ..., 0) with one precomputed `itemgetter`, in
+mask order, and `assert_xor` picks a whole chain and its root the same
+way, with auxiliaries in the pool, from a selector compiled once per
+(k, parity).  `clauses` is a read-only view of the list as tuples.
+`CnfInstance.to_dimacs` renders it with one join over a shared table of
+literal strings ("v " at v, "-v " at -v from the end, "0\n" at 0), so
+a clause's line ends where its terminator is; an empty clause's line is
+" 0".  The builder records when it emits the empty clause, so a caller
+can tell a CNF refuted by construction without scanning it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from functools import lru_cache
 from operator import itemgetter
 
 Lit = int | bool
@@ -92,20 +97,107 @@ def _parity(args) -> tuple[bool, tuple[int, ...]]:
     return parity, tuple(sorted(odd))
 
 
-@dataclass
+class Clauses:
+    """A read-only view of a flat, zero-terminated literal list as clause
+    tuples: it supports len, iteration, indexing, slicing (to a list of
+    tuples) and index, and stores nothing but the list."""
+
+    __slots__ = ("_lits",)
+
+    def __init__(self, lits: list[int]):
+        self._lits = lits
+
+    def __len__(self) -> int:
+        return self._lits.count(0)
+
+    def __iter__(self):
+        lits = self._lits
+        find = lits.index
+        start = 0
+        for _ in range(len(self)):
+            end = find(0, start)
+            yield tuple(lits[start:end])
+            start = end + 1
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+    def index(self, clause) -> int:
+        return list(self).index(tuple(clause))
+
+
+# The DIMACS text of each literal: "0\n" at 0, "v " at v and "-v " at -v
+# (from the end) for v = 1..(len - 1) // 2.  Shared by every instance and
+# only ever replaced by a larger table, so a thread keeps the one it read.
+_LIT_TEXT: list[str] = ["0\n"]
+# Instances with more variables render through a table of their own
+# literals, so one instance cannot make the shared table arbitrarily large.
+_LIT_TEXT_MAX = 1 << 16
+
+
+def _lit_text(num_vars: int, lits: list[int]):
+    """A map from every literal of lits to its DIMACS text."""
+    global _LIT_TEXT
+    if num_vars > _LIT_TEXT_MAX:
+        return {l: f"{l} " if l else "0\n" for l in set(lits)}
+    table = _LIT_TEXT
+    size = (len(table) - 1) // 2
+    if size < num_vars:
+        size = min(max(num_vars, 2 * size), _LIT_TEXT_MAX)
+        pos = [f"{v} " for v in range(1, size + 1)]
+        table = _LIT_TEXT = ["0\n", *pos, *[f"-{v} " for v in range(size, 0, -1)]]
+    return table
+
+
 class CnfInstance:
-    num_vars: int
-    clauses: list[tuple[int, ...]]
-    comments: list[str] = field(default_factory=list)
+    """A CNF over variables 1..num_vars, built from clause tuples.
+
+    It holds its clauses as `lits`, each clause's literals followed by a
+    0; `clauses` is a view of them as tuples, and `has_empty_clause` says
+    whether one clause is empty (then no assignment satisfies it).
+    """
+
+    def __init__(self, num_vars: int, clauses, comments: list[str] | None = None):
+        lits: list[int] = []
+        count = 0
+        empty = False
+        for clause in clauses:
+            lits += clause
+            lits.append(0)
+            count += 1
+            empty = empty or not clause
+        if lits.count(0) != count or max(lits, default=0) > num_vars \
+                or -min(lits, default=0) > num_vars:
+            raise ValueError("a literal is 0 or names a variable past num_vars")
+        self.num_vars = num_vars
+        self.lits = lits
+        self.has_empty_clause = empty
+        self.comments = comments if comments is not None else []
+
+    @classmethod
+    def from_lits(cls, num_vars: int, lits: list[int], has_empty_clause: bool,
+                  comments: list[str] | None = None) -> "CnfInstance":
+        """The instance of a flat literal list that a builder produced."""
+        inst = cls(num_vars, (), comments)
+        inst.lits = lits
+        inst.has_empty_clause = has_empty_clause
+        return inst
+
+    @property
+    def clauses(self) -> Clauses:
+        return Clauses(self.lits)
 
     def to_dimacs(self) -> str:
+        lits = self.lits
+        # One literal gives its bare string, which joins to itself.
+        body = "".join(itemgetter(*lits)(_lit_text(self.num_vars, lits))) if lits else ""
+        if self.has_empty_clause:
+            # An empty clause's line is "0" alone; two passes also reach
+            # the second of two adjacent ones.
+            body = ("\n" + body).replace("\n0\n", "\n 0\n").replace("\n0\n", "\n 0\n")[1:]
+        count = body.count("\n")  # only a terminator's text holds one
         head = "".join(f"c {c}\n" for c in self.comments)
-        head += f"p cnf {self.num_vars} {len(self.clauses)}\n"
-        # One "%d " per literal: the body is a single % over all literals.
-        widths = list(map(len, self.clauses))
-        formats = [" 0\n"] + ["%d " * k + "0\n" for k in range(1, max(widths, default=0) + 1)]
-        body = "".join(map(formats.__getitem__, widths))
-        return head + body % tuple(chain.from_iterable(self.clauses))
+        return head + f"p cnf {self.num_vars} {count}\n" + body
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
@@ -116,24 +208,49 @@ class CnfInstance:
 XOR_WIDTH = 4
 
 
-def _parity_selectors(k: int, parity: int) -> tuple[itemgetter, ...]:
+def _selector(picks: list[int]) -> itemgetter:
+    """An itemgetter giving the tuple of the items at picks."""
+    if len(picks) < 2:  # it would give a bare item or fail; a slice gives a tuple
+        return itemgetter(slice(picks[0], picks[0] + 1) if picks else slice(0, 0))
+    return itemgetter(*picks)
+
+
+def _parity_selector(k: int, parity: int) -> itemgetter:
     """The clauses forcing the XOR of k literals to parity, one per
-    forbidden truth-value pattern (mask bit i set: l_i is true), as
-    selectors over (l_0, -l_0, l_1, -l_1, ...)."""
-    out = []
+    forbidden truth-value pattern (mask bit i set: l_i is true), each
+    with its terminator, as one selector over (l_0, -l_0, ..., l_{k-1},
+    -l_{k-1}, 0)."""
+    picks = []
     for mask in range(1 << k):
         if bin(mask).count("1") % 2 != parity:
-            picks = [2 * i + (mask >> i & 1) for i in range(k)]
-            if k > 1:
-                out.append(itemgetter(*picks))
-            else:  # one index would give a bare item; a slice gives a tuple
-                start = sum(picks)
-                out.append(itemgetter(slice(start, start + k)))
-    return tuple(out)
+            picks += [2 * i + (mask >> i & 1) for i in range(k)]
+            picks.append(2 * k)
+    return _selector(picks)
 
 
-_PARITY_SELECTORS = {(k, parity): _parity_selectors(k, parity)
+_PARITY_SELECTORS = {(k, parity): _parity_selector(k, parity)
                      for k in range(XOR_WIDTH + 2) for parity in (0, 1)}
+
+
+@lru_cache(maxsize=None)
+def _xor_layout(k: int, parity: int) -> tuple[int, itemgetter]:
+    """What assert_xor emits for k variables and parity, compiled once:
+    the number m of auxiliaries it allocates, and one selector of all its
+    clauses over (l_0, -l_0, ..., l_{k-1}, -l_{k-1}, a_0, -a_0, ...,
+    a_{m-1}, -a_{m-1}, 0), where a_j is the j-th auxiliary allocated.
+
+    The layout is one block, or past XOR_WIDTH + 1 variables the chain
+    of `_chain_blocks` and its root block, as compiled for the variables
+    1..k.
+    """
+    b = CnfBuilder(k)
+    lits = list(range(1, k + 1))
+    if k > XOR_WIDTH + 1:
+        lits = b._chain_blocks(lits)
+    b._parity_clauses(lits, parity)
+    end = 2 * b.num_vars
+    return b.num_vars - k, _selector([2 * l - 2 if l > 0 else end if l == 0 else -2 * l - 1
+                                      for l in b.lits])
 
 
 class CnfBuilder:
@@ -141,20 +258,29 @@ class CnfBuilder:
 
     def __init__(self, num_primary: int):
         self.num_vars = num_primary
-        self.clauses: list[tuple[int, ...]] = []
+        self.lits: list[int] = []  # every clause's literals, then a 0
+        self.has_empty_clause = False
         self._gates: dict[tuple, int] = {}  # (kind, sorted args) -> variable
+
+    @property
+    def clauses(self) -> Clauses:
+        return Clauses(self.lits)
 
     def fresh_var(self) -> int:
         self.num_vars += 1
         return self.num_vars
 
     def add_clause(self, lits) -> None:
-        self.clauses.append(tuple(lits))
+        start = len(self.lits)
+        self.lits += lits
+        if len(self.lits) == start:
+            self.has_empty_clause = True
+        self.lits.append(0)
 
     def _parity_clauses(self, lits, parity: int) -> None:
         """Clauses forcing XOR of lits == parity (at most XOR_WIDTH + 1)."""
-        pool = tuple([x for l in lits for x in (l, -l)])
-        self.clauses += [select(pool) for select in _PARITY_SELECTORS[len(lits), parity]]
+        pool = (*[x for l in lits for x in (l, -l)], 0)
+        self.lits += _PARITY_SELECTORS[len(lits), parity](pool)
 
     def _xor_to_lit(self, lits) -> int:
         """Balanced reduction of an XOR chain to a single literal."""
@@ -175,8 +301,8 @@ class CnfBuilder:
         v = self._gates.get(("and", lits))
         if v is None:
             v = self._gates["and", lits] = self.fresh_var()
-            self.clauses += [(-v, l) for l in lits]
-            self.clauses.append((v, *[-l for l in lits]))
+            self.lits += [x for l in lits for x in (-v, l, 0)]
+            self.lits += [v, *[-l for l in lits], 0]
         return v
 
     def and_(self, *args: Lit) -> Lit:
@@ -215,8 +341,8 @@ class CnfBuilder:
         v = self._gates.get(("maj", key))
         if v is None:
             v = self._gates["maj", key] = self.fresh_var()
-            self.clauses += [(-x, -y, v), (x, y, -v), (-x, -z, v), (x, z, -v),
-                             (-y, -z, v), (y, z, -v)]
+            self.lits += (-x, -y, v, 0, x, y, -v, 0, -x, -z, v, 0, x, z, -v, 0,
+                          -y, -z, v, 0, y, z, -v, 0)
         return v
 
     def lex_less(self, a, b) -> Lit:
@@ -240,9 +366,9 @@ class CnfBuilder:
         if len(odd) == 1:
             (p,) = odd
             if parity:
-                self.clauses += [(l,) for l in p]
+                self.lits += [x for l in p for x in (l, 0)]
             else:
-                self.clauses.append(tuple([-l for l in p]))
+                self.lits += [*[-l for l in p], 0]
             return
         # Each p is folded already: and_(*p) would fold it again.
         flip, lits = _parity(p[0] if len(p) == 1 else self._and_gate(p) for p in odd)
@@ -250,10 +376,16 @@ class CnfBuilder:
 
     def assert_xor(self, lits: list[int], parity: int) -> None:
         """The XOR of distinct variables, in ascending order, equals parity:
-        one block, or a chain of blocks past XOR_WIDTH + 1 variables."""
-        if len(lits) > XOR_WIDTH + 1:
-            lits = self._chain_blocks(lits)
-        self._parity_clauses(lits, parity)
+        one block, or a chain of blocks past XOR_WIDTH + 1 variables; no
+        variable and odd parity is the empty clause."""
+        if not lits and parity:
+            self.has_empty_clause = True
+        aux, select = _xor_layout(len(lits), parity)
+        start = self.num_vars
+        self.num_vars += aux
+        pool = [x for l in (*lits, *range(start + 1, start + aux + 1)) for x in (l, -l)]
+        pool.append(0)
+        self.lits += select(pool)
 
     def share_xor(self, gates) -> None:
         """Reuse gates built elsewhere: each (sorted variables, literal)
@@ -283,4 +415,5 @@ class CnfBuilder:
         return [*carry, *lits[start:]]
 
     def build(self, comments: list[str] | None = None) -> CnfInstance:
-        return CnfInstance(self.num_vars, self.clauses, comments or [])
+        return CnfInstance.from_lits(self.num_vars, self.lits, self.has_empty_clause,
+                                     comments or [])

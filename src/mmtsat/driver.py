@@ -3,11 +3,12 @@
 Enumerates every orbit-count combination up to a rank bound, runs the
 configured solver subprocess on each instance (hardest first, across a
 worker pool), and checkpoints after each combo so a killed campaign
-resumes where it stopped.  `solve_combo` maps every end of one run to a
-recorded state: a timeout, a solver that fails to start, an UNKNOWN
-answer, unparsable output or a model that does not decode (unassigned
-primaries) is recorded as `timeout`/`error` with its reason, and the
-campaign goes on.  A decoded model is verified independently; one that
+resumes where it stopped.  A combo of rank 0, or whose CNF holds the
+empty clause, is recorded `unsat` without a solver run.  `solve_combo`
+maps every end of one run to a recorded state: a timeout, a solver that
+fails to start, an UNKNOWN answer, unparsable output or a model that
+does not decode (unassigned primaries) is recorded as `timeout`/`error`
+with its reason, and the campaign goes on.  A decoded model is verified independently; one that
 fails verification raises EncoderSoundnessError, because then the
 encoding itself is wrong.  The first `sat`, and the first combo that
 raises, stop the combos still queued from running; those already
@@ -285,6 +286,9 @@ def _run_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
     cnf, varmap = encode(group, n, spec.counts_dict())
     stem = os.path.join(work_dir, f"{group.value}-{spec.label()}")
     cnf.write(stem + ".cnf")
+    if cnf.has_empty_clause:
+        # E.g. a kept entry with target 1 where no product survives.
+        return "unsat", "the CNF holds the empty clause, no solver run"
     try:
         result, payload = run_solver(solver_cmd, stem + ".cnf", timeout)
     except subprocess.TimeoutExpired:

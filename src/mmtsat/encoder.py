@@ -34,12 +34,18 @@ representatives share no variable, so every representative of a kind
 compiles to the same gates up to a renaming of its variables.  Each
 kind's block (a single representative's cell-XOR gates, AND gates and,
 per kept entry, the literals whose XOR is its part of the equation) is
-built once per (group, n) and cached; `encode` stamps one copy per
-representative, renaming the block's clauses at C speed, interleaves
-the copies entry by entry and asserts each entry's combined XOR.
-Variables and clauses come out in the order compiling every entry's
-products through `assert_parity` gives them, so the CNF is the same,
-byte for byte.
+built once per (group, n) and cached.  It holds its clauses as the
+builder does, one flat list of literals with a 0 after each clause, and
+marks each entry's part by offsets into it.  `encode` stamps one copy
+per representative, renaming every literal with one `itemgetter` over
+the representative's renaming list (0 renames to 0, so terminators
+stay), interleaves the copies' slices entry by entry and asserts each
+entry's combined XOR.  Variables and clauses come out in the order
+compiling every entry's products through `assert_parity` gives them,
+so the CNF is the same, byte for byte.  Whether one product survives
+at an entry, which decides a count-1 kind's solo entries (see
+`_stamp_equations`), is read from folding its cell masks, so no block
+is compiled only for that.
 """
 
 from __future__ import annotations
@@ -47,8 +53,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import chain, groupby, product
-from operator import neg, xor
+from itertools import groupby, product
+from operator import itemgetter, neg, xor
 
 from .boolexpr import CnfBuilder, CnfInstance, Lit, fold_products
 from .canonical import SymmetricDecomposition
@@ -295,34 +301,49 @@ class _Block:
     """One representative's share of the tensor equations, compiled once.
 
     Variables 1..primaries are the representative's primaries, the rest
-    its gates in the order they were allocated.  At kept entry i (the
-    i-th of `_equation_entries`), the block allocates new_vars[2i]
-    cell-XOR gate variables, whose clauses are
-    clauses()[bounds[2i]:bounds[2i + 1]], then new_vars[2i + 1] AND gate
-    variables, with clauses()[bounds[2i + 1]:bounds[2i + 2]].  At an
-    entry in `solo` those are instead the unit clauses or clause of its
-    lone surviving product; elsewhere survivors[i] are the literals whose
-    XOR is its part of the equation.  `one` and `some` are the entries
-    where one and at least one product survives folding.
+    its gates in the order they were allocated.  `lits` holds its
+    clauses as a builder does, each clause's literals followed by a 0.
+    At kept entry i (the i-th of `_equation_entries`), the block
+    allocates new_vars[2i] cell-XOR gate variables, whose clauses are
+    lits[bounds[2i]:bounds[2i + 1]], then new_vars[2i + 1] AND gate
+    variables, with lits[bounds[2i + 1]:bounds[2i + 2]].  At an entry in
+    `solo` those are instead the unit clauses or clause of its lone
+    surviving product; elsewhere survivors[i] are the literals whose XOR
+    is its part of the equation.
     """
     solo: frozenset[int]
     primaries: int
-    widths: tuple[tuple[int, tuple[int, ...]], ...]  # (w, flat literals) per width
-    order: tuple[int, ...]  # per clause, its place among the width-grouped ones
+    lits: tuple[int, ...]
     bounds: tuple[int, ...]
     new_vars: tuple[int, ...]
     survivors: tuple[tuple[int, ...], ...]
     xor_gates: tuple[tuple[tuple[int, ...], int], ...]
-    one: frozenset[int]
-    some: frozenset[int]
 
-    def clauses(self, ren: list[int]) -> list[tuple[int, ...]]:
-        """The clauses with every literal l renamed to ren[l] (negative
-        l index ren from the end)."""
-        grouped: list = []
-        for w, lits in self.widths:
-            grouped += zip(*[map(ren.__getitem__, lits)] * w)
-        return list(map(grouped.__getitem__, self.order))
+    def stamp(self, rens: list[list[int]]) -> list[tuple[int, ...]]:
+        """Per renaming ren, lits with every literal l renamed to ren[l]:
+        negative l index ren from the end, and ren[0] is 0, so each
+        terminator stays."""
+        if not self.lits:  # a block at n = 1 may hold no clause
+            return [()] * len(rens)
+        select = itemgetter(*self.lits)
+        return [select(ren) for ren in rens]
+
+
+@lru_cache
+def _surviving(group: GroupId, n: int, tag: str) -> tuple[frozenset[int], frozenset[int]]:
+    """The kept entries where one, and where at least one, product of a
+    single representative of kind tag survives folding.  A cell has no
+    constant term and compiles to one literal per mask, so products fold
+    as their tuples of masks do, and no block need be compiled."""
+    reps, _ = build_symbolic_orbits(group, n, {tag: 1})
+    one, some = set(), set()
+    for i, (_, products, _) in enumerate(tensor_equations(group, n, reps)):
+        odd, _ = fold_products(products, 0)
+        if odd:
+            some.add(i)
+            if len(odd) == 1:
+                one.add(i)
+    return frozenset(one), frozenset(some)
 
 
 @lru_cache
@@ -333,39 +354,25 @@ def _block(group: GroupId, n: int, tag: str, solo: frozenset[int]) -> _Block:
     builder = CnfBuilder(len(varmap.primary))
     lits: dict[int, Lit] = {}
     lit = cell_literals(builder, lits)
-    bounds, new_vars, survivors, one, some = [0], [], [], set(), set()
+    bounds, new_vars, survivors = [0], [], []
     for i, (_, products, bit) in enumerate(tensor_equations(group, n, reps)):
         start = builder.num_vars
         products = [tuple(map(lit, p)) for p in products]
-        bounds.append(len(builder.clauses))
+        bounds.append(len(builder.lits))
         gated = builder.num_vars
-        odd, _ = fold_products(products, bit)
-        if odd:
-            some.add(i)
-            if len(odd) == 1:
-                one.add(i)
         if i in solo:
             builder.assert_parity(products, bit)
             survivors.append(())
         else:
+            odd, _ = fold_products(products, bit)
             survivors.append(tuple(builder.and_(*p) for p in odd))
-        bounds.append(len(builder.clauses))
+        bounds.append(len(builder.lits))
         new_vars += gated - start, builder.num_vars - gated
-    clauses = builder.clauses
-    by_width: dict[int, list[int]] = {}
-    for k, c in enumerate(clauses):
-        by_width.setdefault(len(c), []).append(k)
-    widths = sorted(by_width)
-    grouped = [k for w in widths for k in by_width[w]]
     return _Block(
-        solo, len(varmap.primary),
-        tuple((w, tuple(chain.from_iterable(map(clauses.__getitem__, by_width[w]))))
-              for w in widths),
-        tuple(sorted(range(len(grouped)), key=grouped.__getitem__)),
+        solo, len(varmap.primary), tuple(builder.lits),
         tuple(bounds), tuple(new_vars), tuple(survivors),
         tuple((tuple(v for v in range(mask.bit_length()) if mask >> v & 1), l)
-              for mask, l in lits.items() if mask & (mask - 1)),
-        frozenset(one), frozenset(some))
+              for mask, l in lits.items() if mask & (mask - 1)))
 
 
 @lru_cache
@@ -391,13 +398,13 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
     """
     present = [(kind.tag, combo[kind.tag]) for kind in orbit_kinds(group)
                if combo.get(kind.tag, 0) > 0]
-    base = {tag: _block(group, n, tag, frozenset()) for tag, _ in present}
     kinds = []  # (block, renaming of each representative), in variable order
     num = 0
     for tag, count in present:
         solo = frozenset()
         if count == 1:
-            solo = base[tag].one.difference(*(base[t].some for t, _ in present if t != tag))
+            solo = _surviving(group, n, tag)[0].difference(
+                *(_surviving(group, n, t)[1] for t, _ in present if t != tag))
         block = _block(group, n, tag, solo)
         kinds.append((block, [[0, *range(num + j * block.primaries + 1,
                                          num + (j + 1) * block.primaries + 1)]
@@ -405,7 +412,7 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
         num += count * block.primaries
     solo = frozenset().union(*(block.solo for block, _ in kinds))
     num = builder.num_vars
-    clauses, builder.clauses = builder.clauses, []
+    lits, builder.lits = builder.lits, []
     marks = []  # the end of each entry's chain and root clauses
     for i, bit in enumerate(_target_bits(group, n)):
         for phase in (2 * i, 2 * i + 1):
@@ -420,27 +427,25 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
             builder.assert_xor(sorted([ren[t] for block, rens in kinds for ren in rens
                                        for t in block.survivors[i]]), bit)
             num = builder.num_vars
-        marks.append(len(builder.clauses))
-    roots, parts = builder.clauses, []
+        marks.append(len(builder.lits))
+    roots, parts = builder.lits, []
     for block, rens in kinds:
-        stamped = []
         for ren in rens:
             ren += map(neg, reversed(ren[1:]))
             builder.share_xor((tuple(map(ren.__getitem__, odd)), ren[v])
                               for odd, v in block.xor_gates)
-            stamped.append(block.clauses(ren))
-        parts.append((block.bounds, stamped))
+        parts.append((block.bounds, block.stamp(rens)))
     end = 0
     for i, mark in enumerate(marks):
         for phase in (2 * i, 2 * i + 1):
             for bounds, stamped in parts:
                 start, stop = bounds[phase], bounds[phase + 1]
                 if start < stop:
-                    for cs in stamped:
-                        clauses += cs[start:stop]
-        clauses += roots[end:mark]
+                    for copy in stamped:
+                        lits += copy[start:stop]
+        lits += roots[end:mark]
         end = mark
-    builder.clauses = clauses
+    builder.lits = lits
 
 
 def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, VarMap]:

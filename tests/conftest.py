@@ -24,6 +24,7 @@ def unit_closure(clauses, assignment) -> dict | None:
     """The assignment of variable ids to bools that unit propagation
     reaches from a partial one; None when it falsifies a clause."""
     assignment = dict(assignment)
+    clauses = list(clauses)  # read once per round
     changed = True
     while changed:
         changed = False

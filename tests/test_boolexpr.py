@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mmtsat import boolexpr
 from mmtsat.boolexpr import XOR_WIDTH, CnfBuilder, CnfInstance, neg
 
 from conftest import propagate, unit_closure
@@ -32,7 +33,7 @@ def test_gates_fold_constants_and_repeated_arguments():
     assert _same(b.maj(-2, True, 2), True)
     assert _same(b.maj(True, 1, -1), True) and _same(b.maj(2, False, -2), False)
     assert _same(neg(True), False) and _same(neg(-2), 2)
-    assert b.num_vars == 2 and b.clauses == []
+    assert b.num_vars == 2 and list(b.clauses) == []
 
 
 def _value(x, assignment):
@@ -124,6 +125,47 @@ def test_dimacs_format():
         assert inst.to_dimacs() == _reference_dimacs(inst)
 
 
+def test_instance_rejects_a_literal_it_cannot_render():
+    # A 0 would end its clause early; a variable past num_vars has no
+    # entry in the literal table.
+    for clauses in ([(1, 0, 2)], [(3,)], [(-3, 1)]):
+        with pytest.raises(ValueError):
+            CnfInstance(2, clauses)
+
+
+def test_literal_table_is_shared_and_bounded(monkeypatch):
+    # Instances share one table that grows to their variable count, at
+    # least doubling but never past a bound; a larger instance renders
+    # through its own literals and leaves the table as it is.
+    monkeypatch.setattr(boolexpr, "_LIT_TEXT", ["0\n"])
+    assert CnfInstance(3, [(1, -3), ()]).to_dimacs() == "p cnf 3 2\n1 -3 0\n 0\n"
+    assert len(boolexpr._LIT_TEXT) == 2 * 3 + 1
+    half = boolexpr._LIT_TEXT_MAX // 2 + 1
+    for num_vars in (half, half + 1):
+        assert CnfInstance(num_vars, [(-num_vars, 1)]).to_dimacs() == \
+            f"p cnf {num_vars} 1\n-{num_vars} 1 0\n"
+    table = boolexpr._LIT_TEXT
+    assert len(table) == 2 * boolexpr._LIT_TEXT_MAX + 1
+    big = boolexpr._LIT_TEXT_MAX + 1
+    assert CnfInstance(big, [(-big, 2)]).to_dimacs() == f"p cnf {big} 1\n-{big} 2 0\n"
+    assert boolexpr._LIT_TEXT is table
+
+
+def test_builder_records_the_empty_clause():
+    # From add_clause, also given an iterator, and from an asserted XOR
+    # of no variable with odd parity; the instance carries the record.
+    b = CnfBuilder(2)
+    b.add_clause(x for x in (1, 2))
+    b.assert_xor([], 0)
+    b.assert_xor([1, 2], 1)
+    assert not b.has_empty_clause and not b.build().has_empty_clause
+    b.add_clause(iter(()))
+    assert b.has_empty_clause and b.build().has_empty_clause
+    c = CnfBuilder(0)
+    c.assert_xor([], 1)
+    assert c.has_empty_clause and list(c.clauses) == [()]
+
+
 def _reference_parity_clauses(lits, parity):
     # One clause per forbidden truth-value pattern, in mask order.
     k = len(lits)
@@ -137,7 +179,7 @@ def test_parity_blocks_match_the_mask_loop():
         for parity in (0, 1):
             b = CnfBuilder(3 * k + 2)
             b._parity_clauses(lits, parity)
-            assert b.clauses == _reference_parity_clauses(lits, parity), (k, parity)
+            assert list(b.clauses) == _reference_parity_clauses(lits, parity), (k, parity)
 
 
 # -- CNF conversion ----------------------------------------------------------
@@ -252,7 +294,7 @@ def _balanced_tree_reference(builder, lits, parity):
             builder._parity_clauses([*chunk, v], 0)
             nxt.append(v)
         lits = nxt
-    builder.clauses.append((lits[0] if parity else -lits[0],))
+    builder.add_clause((lits[0] if parity else -lits[0],))
 
 
 def test_asserted_parity_uses_the_fewest_blocks():
@@ -330,7 +372,7 @@ def test_lone_products_and_constants_need_no_gate():
     b.assert_parity([(2, 1)], 1)
     b.assert_parity([(True,), (1, -1)], 1)
     assert b.num_vars == 2
-    assert b.clauses == [(1,), (2,), (1,), (2,)]
+    assert list(b.clauses) == [(1,), (2,), (1,), (2,)]
     b.assert_parity([(False,)], 1)
     b.assert_parity([(True,)], 0)
     assert b.clauses[-2:] == [(), ()]  # unsatisfiable marker clauses

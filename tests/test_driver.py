@@ -126,6 +126,39 @@ def test_solve_combo_rank_zero_short_circuits(tmp_path):
     assert "no solver run" in status.detail
 
 
+def test_combo_with_the_empty_clause_runs_no_solver(tmp_path):
+    # cyc-t n=2 id=1 has a kept entry with target 1 where no product
+    # survives: its CNF holds the empty clause, so it is recorded unsat
+    # with no solver run, fresh and resumed, and its CNF is still written.
+    label = "id=1,t=0,delta=0,full=0"
+    ran = tmp_path / "ran"
+    solver = _fake_solver(tmp_path, f"""case "$1" in
+*/cyc-t-{label}.cnf) touch {ran}; exit 1 ;;
+*) echo "s UNSATISFIABLE" ;;
+esac
+""")
+    ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
+    cnf = work / f"cyc-t-{label}.cnf"
+
+    def run():
+        report = run_campaign(GroupId.CYCLIC_TRANSPOSE, 2, 6, solver,
+                              checkpoint_path=str(ckpt), work_dir=str(work))
+        assert report.verdict() == "ruled_out"
+        (status,) = [st for st in report.statuses if st.spec.label() == label]
+        assert (status.state, status.detail) == (
+            "unsat", "the CNF holds the empty clause, no solver run")
+        assert cnf.exists() and not ran.exists()
+
+    run()
+    data = load_checkpoint(ckpt)
+    for rec in data["combos"]:
+        if rec["counts"] == {"id": 1, "t": 0, "delta": 0, "full": 0}:
+            rec.update(state="pending", seconds=0, detail="")
+    ckpt.write_text(json.dumps(data))
+    cnf.unlink()
+    run()
+
+
 def test_solve_combo_with_fake_unsat_solver(tmp_path):
     spec = ComboSpec(GroupId.CYCLIC, (("id", 0), ("delta", 1)))
     solver = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')

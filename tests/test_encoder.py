@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -9,6 +11,7 @@ from itertools import product
 
 import pytest
 
+from mmtsat import boolexpr
 from mmtsat.boolexpr import CnfBuilder, CnfInstance, fold_products
 from mmtsat.canonical import canonicalize, check_canonical
 from mmtsat.encoder import (
@@ -487,7 +490,7 @@ def _immutable(value):
     return type(value) is int
 
 
-def test_blocks_are_built_once_and_immutable():
+def test_blocks_are_built_once_and_immutable(monkeypatch):
     group, n = GroupId.CYCLIC_TRANSPOSE, 2
     combos = [s.counts_dict() for s in enumerate_combos(group, 9) if s.total_rank()]
     assert len(combos) == 59
@@ -505,9 +508,11 @@ def test_blocks_are_built_once_and_immutable():
         assert all(_immutable(getattr(block, f.name)) for f in dataclasses.fields(block))
     with pytest.raises(dataclasses.FrozenInstanceError):
         block.solo = frozenset()
-    # Campaign workers share the cache: threads that build and stamp the
-    # same blocks at once, switching often, give the same CNFs.
+    # Campaign workers share the cache and the DIMACS literal table:
+    # threads that build and stamp the same blocks and grow the table at
+    # once, switching often, give the same CNFs.
     _block.cache_clear()
+    monkeypatch.setattr(boolexpr, "_LIT_TEXT", ["0\n"])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -518,3 +523,42 @@ def test_blocks_are_built_once_and_immutable():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == digests
+
+
+def test_a_lone_kind_of_count_1_compiles_one_block(tmp_path):
+    # Its solo entries come from folding cell masks, not from compiling
+    # the kind's solo-free block as well.
+    script = ("import sys\n"
+              "from mmtsat.cli import main\n"
+              "from mmtsat.encoder import _block\n"
+              "main(['encode', '--group', 'none', '--n', '3', '--combo', 'id=1',\n"
+              "      '--out', sys.argv[1]])\n"
+              "print(_block.cache_info().misses)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "id1.cnf")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"
+
+
+@pytest.mark.parametrize("group,n,combo", [
+    (GroupId.TRIVIAL, 2, {"id": 7}),
+    (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1}),
+    # The target has a 1 at kept entries where the lone id representative
+    # has no surviving product, so this CNF holds empty clauses.
+    (GroupId.CYCLIC_TRANSPOSE, 2, {"id": 1, "t": 0, "delta": 0, "full": 0}),
+], ids=["none", "cyc-sw", "cyc-t-empty-clause"])
+def test_clause_view_rebuilds_the_same_instance(group, n, combo):
+    inst, _ = encode(group, n, combo)
+    text = inst.to_dimacs()
+    header = next(line for line in text.splitlines() if line.startswith("p cnf "))
+    assert len(inst.clauses) == int(header.split()[3])
+    clauses = list(inst.clauses)
+    assert all(type(c) is tuple for c in clauses) and len(clauses) == len(inst.clauses)
+    assert inst.clauses[3:7] == clauses[3:7] and inst.clauses[-1] == clauses[-1]
+    assert inst.clauses.index(clauses[5]) == clauses.index(clauses[5])
+    rebuilt = CnfInstance(inst.num_vars, inst.clauses, inst.comments)
+    assert rebuilt.to_dimacs() == text
+    assert rebuilt.has_empty_clause == inst.has_empty_clause == (() in clauses)
+    assert inst.has_empty_clause == ("\n 0\n" in text)

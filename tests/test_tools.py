@@ -35,3 +35,17 @@ def test_census_totals_print_the_change_in_percent():
     new = {"totals": {"cyc": {"vars": 150, "clauses": 1001}, "cyc-t": {"vars": 1, "clauses": 1}}}
     assert cnf_sizes.total_changes(new, old) == [
         "cyc     vars 200 -> 150 (-25.0%) clauses 1000 -> 1001 (+0.1%)"]
+
+
+def test_census_counts_combos_holding_the_empty_clause(tmp_path):
+    # Another census set, on stderr per entry; without --out no JSON is
+    # written, so the committed census is left alone.
+    committed = ROOT / "BENCH_cnf.json"
+    before = committed.read_bytes()
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "cnf_sizes.py"),
+                           "--census", "cyc-t:2:9", "--census", "cyc:2:7"],
+                          capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert ("combos holding the empty clause: cyc-t n=2 r<=9 6 of 59, "
+            "cyc n=2 r<=7 0 of 14") in proc.stderr.splitlines()
+    assert list(tmp_path.iterdir()) == [] and committed.read_bytes() == before

@@ -3,14 +3,19 @@
 Encodes every combo of the census set (below), writes each combo's
 variable count, clause count, DIMACS bytes and the SHA-256 of its DIMACS
 text, plus per-group totals, to a JSON file, and prints the totals, and
-on stderr the encode and DIMACS CPU times and the encode CPU time per
-group.  With --against OLD.json it also prints each group's variables
-and clauses as old -> new with the change in percent, and how many
-combos' DIMACS text differs from OLD.json, and exits 1 if any combo has
-more variables or clauses than there, so an encoder change can show
-that it adds neither (and a rendering change that it alters no byte).
+on stderr the encode and DIMACS CPU times, the encode CPU time per
+group and, per census entry, how many combos hold the empty clause (a
+campaign records them unsat with no solver run).  With --against
+OLD.json it also prints each group's variables and clauses as old ->
+new with the change in percent, and how many combos' DIMACS text
+differs from OLD.json, and exits 1 if any combo has more variables or
+clauses than there, so an encoder change can show that it adds neither
+(and a rendering change that it alters no byte).
+--census GROUP:N:MAX_RANK (repeatable) takes another set of combos; its
+JSON is then written only where --out says.
 
     python3 tools/cnf_sizes.py [--out BENCH_cnf.json] [--against OLD.json]
+    python3 tools/cnf_sizes.py --census cyc-sw:3:21 --census cyc-t:3:21
 """
 
 from __future__ import annotations
@@ -39,14 +44,17 @@ CENSUS = [
 SIZES = ("vars", "clauses", "bytes")
 
 
-def census() -> tuple[dict, dict[str, float], float]:
-    """The census, the CPU seconds spent encoding per group, and those
-    spent rendering DIMACS."""
-    encode_cpu = {group.value: 0.0 for group, _, _ in CENSUS}
+def census(entries=CENSUS) -> tuple[dict, dict[str, float], float, list[str]]:
+    """The census of entries, the CPU seconds spent encoding per group,
+    those spent rendering DIMACS, and per entry how many of its combos
+    hold the empty clause."""
+    encode_cpu = {group.value: 0.0 for group, _, _ in entries}
+    empty = []
     dimacs_cpu = 0.0
     combos = []
     totals: dict[str, dict[str, int]] = {}
-    for group, n, max_rank in CENSUS:
+    for group, n, max_rank in entries:
+        with_empty = encoded = 0
         for spec in enumerate_combos(group, max_rank):
             if spec.total_rank() < 1:
                 continue
@@ -56,6 +64,8 @@ def census() -> tuple[dict, dict[str, float], float]:
             text = cnf.to_dimacs().encode()
             encode_cpu[group.value] += mid - start
             dimacs_cpu += time.process_time() - mid
+            with_empty += cnf.has_empty_clause
+            encoded += 1
             row = {"group": group.value, "n": n, "combo": spec.label(),
                    "vars": cnf.num_vars, "clauses": len(cnf.clauses),
                    "bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
@@ -64,8 +74,14 @@ def census() -> tuple[dict, dict[str, float], float]:
             total["combos"] += 1
             for key in SIZES:
                 total[key] += row[key]
-    return {"census": [[g.value, n, r] for g, n, r in CENSUS],
-            "totals": totals, "combos": combos}, encode_cpu, dimacs_cpu
+        empty.append(f"{group.value} n={n} r<={max_rank} {with_empty} of {encoded}")
+    return {"census": [[g.value, n, r] for g, n, r in entries],
+            "totals": totals, "combos": combos}, encode_cpu, dimacs_cpu, empty
+
+
+def _census_entry(text: str) -> tuple[GroupId, int, int]:
+    group, n, max_rank = text.split(":")
+    return GroupId.from_name(group), int(n), int(max_rank)
 
 
 def _key(combo: dict) -> tuple:
@@ -107,23 +123,30 @@ def gains(new: dict, old: dict) -> list[str]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--out", default=str(ROOT / "BENCH_cnf.json"))
+    p.add_argument("--out", help="census JSON to write (default: BENCH_cnf.json, "
+                                 "and none with --census)")
     p.add_argument("--against", help="census JSON no combo may exceed")
+    p.add_argument("--census", action="append", type=_census_entry,
+                   metavar="GROUP:N:MAX_RANK", help="census entry replacing the default set")
     args = p.parse_args(argv)
+    if args.out is None and not args.census:
+        args.out = str(ROOT / "BENCH_cnf.json")
     old = None
     if args.against:  # read first: it may be the file --out replaces
         with open(args.against) as fh:
             old = json.load(fh)
-    result, encode_cpu, dimacs_cpu = census()
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=1)
-        fh.write("\n")
+    result, encode_cpu, dimacs_cpu, empty = census(args.census or CENSUS)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(result, fh, indent=1)
+            fh.write("\n")
     for group, total in result["totals"].items():
         print(f"{group:7s} " + " ".join(f"{k}={v}" for k, v in total.items()))
     print(f"encode CPU: {sum(encode_cpu.values()):.2f} s, DIMACS CPU: {dimacs_cpu:.2f} s",
           file=sys.stderr)
     print("encode CPU per group: " + ", ".join(
         f"{group} {seconds:.2f} s" for group, seconds in encode_cpu.items()), file=sys.stderr)
+    print("combos holding the empty clause: " + ", ".join(empty), file=sys.stderr)
     if old is not None:
         for line in total_changes(result, old):
             print(line)
