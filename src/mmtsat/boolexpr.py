@@ -31,7 +31,10 @@ picks all of its clauses, terminators included, out of
 (l_0, -l_0, l_1, -l_1, ..., 0) with one precomputed `itemgetter`, in
 mask order, and `assert_xor` picks a whole chain and its root the same
 way, with auxiliaries in the pool, from a selector compiled once per
-(k, parity).  `clauses` is a read-only view of the list as tuples.
+(k, parity).  `assert_xors` applies that selector once to many XORs of
+the same k and parity, to columns that each hold one pool position
+across all of them.  `clauses` is a read-only view of the list as
+tuples.
 `CnfInstance.to_dimacs` renders it with one join over a shared table of
 literal strings ("v " at v, "-v " at -v from the end, "0\n" at 0), so
 a clause's line ends where its terminator is; an empty clause's line is
@@ -41,8 +44,10 @@ can tell a CNF refuted by construction without scanning it.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import add, itemgetter
 
 Lit = int | bool
 
@@ -238,6 +243,8 @@ def _xor_layout(k: int, parity: int) -> tuple[int, itemgetter]:
     the number m of auxiliaries it allocates, and one selector of all its
     clauses over (l_0, -l_0, ..., l_{k-1}, -l_{k-1}, a_0, -a_0, ...,
     a_{m-1}, -a_{m-1}, 0), where a_j is the j-th auxiliary allocated.
+    assert_xors applies the same selector to columns of that pool, and
+    callers that number auxiliaries ahead of it read m here.
 
     The layout is one block, or past XOR_WIDTH + 1 variables the chain
     of `_chain_blocks` and its root block, as compiled for the variables
@@ -376,8 +383,9 @@ class CnfBuilder:
 
     def assert_xor(self, lits: list[int], parity: int) -> None:
         """The XOR of distinct variables, in ascending order, equals parity:
-        one block, or a chain of blocks past XOR_WIDTH + 1 variables; no
-        variable and odd parity is the empty clause."""
+        one block, or a chain of blocks past XOR_WIDTH + 1 variables, whose
+        auxiliaries it allocates next; no variable and odd parity is the
+        empty clause.  `_xor_layout` holds the layout."""
         if not lits and parity:
             self.has_empty_clause = True
         aux, select = _xor_layout(len(lits), parity)
@@ -386,6 +394,22 @@ class CnfBuilder:
         pool = [x for l in (*lits, *range(start + 1, start + aux + 1)) for x in (l, -l)]
         pool.append(0)
         self.lits += select(pool)
+
+    def assert_xors(self, columns, parity: int, firsts: list[int]) -> None:
+        """For each i, the XOR of columns[0][i], columns[1][i], ... equals
+        parity, with the clauses assert_xor gives those ascending variables
+        when its auxiliaries are numbered from firsts[i] on; the caller has
+        allocated them.  One selection over the columns, each a pool
+        position across all the XORs, picks every XOR's clauses, which
+        are emitted XOR by XOR."""
+        if firsts and not columns and parity:
+            self.has_empty_clause = True
+        aux, select = _xor_layout(len(columns), parity)
+        pool = []
+        for col in (*columns, *(list(map(add, firsts, repeat(a))) for a in range(aux))):
+            pool += col, list(map(operator.neg, col))
+        pool.append([0] * len(firsts))
+        self.lits += chain.from_iterable(zip(*select(pool)))
 
     def share_xor(self, gates) -> None:
         """Reuse gates built elsewhere: each (sorted variables, literal)

@@ -21,7 +21,6 @@ from .canonical import (
 )
 from .driver import ComboSpec, run_campaign, solve_combo
 from .encoder import encode
-from .oracle import BudgetExceeded, SearchBudget, brute_min_rank
 from .symmetry import GroupId, is_group_symmetric, orbit_kinds
 from .tensor import json_typed, load_decomposition, verify
 
@@ -232,6 +231,9 @@ def _cmd_canonicalize(args) -> int:
 
 
 def _cmd_brute(args) -> int:
+    # Only this command uses the oracle: other commands skip loading it.
+    from .oracle import BudgetExceeded, SearchBudget, brute_min_rank
+
     budget = SearchBudget(max_rank=args.max_rank, max_nodes=args.nodes)
     try:
         rank = brute_min_rank(args.n, args.k, args.m, budget)

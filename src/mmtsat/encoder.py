@@ -35,17 +35,20 @@ compiles to the same gates up to a renaming of its variables.  Each
 kind's block (a single representative's cell-XOR gates, AND gates and,
 per kept entry, the literals whose XOR is its part of the equation) is
 built once per (group, n) and cached.  It holds its clauses as the
-builder does, one flat list of literals with a 0 after each clause, and
-marks each entry's part by offsets into it.  `encode` stamps one copy
-per representative, renaming every literal with one `itemgetter` over
-the representative's renaming list (0 renames to 0, so terminators
-stay), interleaves the copies' slices entry by entry and asserts each
-entry's combined XOR.  Variables and clauses come out in the order
-compiling every entry's products through `assert_parity` gives them,
-so the CNF is the same, byte for byte.  Whether one product survives
-at an entry, which decides a count-1 kind's solo entries (see
-`_stamp_equations`), is read from folding its cell masks, so no block
-is compiled only for that.
+builder does, one flat list of literals with a 0 after each clause.
+`encode` numbers every variable as compiling every entry's products
+through `assert_parity` does, so the variables and the clause set are
+the same; only the clause order differs.  Each run of gates of that
+numbering has a length known before any clause is emitted, so one
+accumulate gives every run's first variable and each representative's
+renaming list comes from the previous one by adding the block's run
+lengths.  `encode` stamps each representative's block as one copy,
+renaming every literal with one `itemgetter` over its renaming list (0
+renames to 0, so terminators stay), and then asserts the entries'
+combined XORs a batch at a time, one batch per (number of literals,
+parity).  Whether one product survives at an entry, which decides a
+count-1 kind's solo entries (see `_stamp_equations`), is read from
+folding its cell masks, so no block is compiled only for that.
 """
 
 from __future__ import annotations
@@ -53,10 +56,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import groupby, product
-from operator import itemgetter, neg, xor
+from itertools import accumulate, chain, groupby, product, repeat
+from operator import add, itemgetter, mul, neg, xor
 
-from .boolexpr import CnfBuilder, CnfInstance, Lit, fold_products
+from .boolexpr import CnfBuilder, CnfInstance, Lit, _xor_layout, fold_products
 from .canonical import SymmetricDecomposition
 from .gf2 import Gf2Matrix
 from .symmetry import (
@@ -304,29 +307,33 @@ class _Block:
     its gates in the order they were allocated.  `lits` holds its
     clauses as a builder does, each clause's literals followed by a 0.
     At kept entry i (the i-th of `_equation_entries`), the block
-    allocates new_vars[2i] cell-XOR gate variables, whose clauses are
-    lits[bounds[2i]:bounds[2i + 1]], then new_vars[2i + 1] AND gate
-    variables, with lits[bounds[2i + 1]:bounds[2i + 2]].  At an entry in
-    `solo` those are instead the unit clauses or clause of its lone
-    surviving product; elsewhere survivors[i] are the literals whose XOR
-    is its part of the equation.
+    allocates new_vars[2i] cell-XOR gate variables, then new_vars[2i + 1]
+    AND gate variables, and at an entry in `solo` it asserts its lone
+    surviving product.  `survivors` lists, entry by entry, the literals
+    whose XOR is its part of each other entry's equation, `entries` the
+    entry of each and `widths` how many each entry has.  A stamped copy
+    numbers its primaries and each entry's gates as consecutive runs,
+    and the next representative's runs follow right after them, so
+    `steps[l]` is how far each copy's number for literal l (negative
+    from the end) lies from the previous copy's.
     """
     solo: frozenset[int]
     primaries: int
     lits: tuple[int, ...]
-    bounds: tuple[int, ...]
     new_vars: tuple[int, ...]
-    survivors: tuple[tuple[int, ...], ...]
+    steps: tuple[int, ...]
+    survivors: tuple[int, ...]
+    entries: tuple[int, ...]
+    widths: tuple[int, ...]
     xor_gates: tuple[tuple[tuple[int, ...], int], ...]
 
-    def stamp(self, rens: list[list[int]]) -> list[tuple[int, ...]]:
-        """Per renaming ren, lits with every literal l renamed to ren[l]:
-        negative l index ren from the end, and ren[0] is 0, so each
-        terminator stays."""
+    def renamer(self):
+        """A map from a renaming list ren to lits with every literal l
+        renamed to ren[l]: negative l index ren from the end, and ren[0]
+        is 0, so each terminator stays."""
         if not self.lits:  # a block at n = 1 may hold no clause
-            return [()] * len(rens)
-        select = itemgetter(*self.lits)
-        return [select(ren) for ren in rens]
+            return lambda ren: ()
+        return itemgetter(*self.lits)
 
 
 @lru_cache
@@ -351,14 +358,14 @@ def _block(group: GroupId, n: int, tag: str, solo: frozenset[int]) -> _Block:
     """The block of one representative of kind tag, with the lone
     surviving product asserted at each entry in solo."""
     reps, varmap = build_symbolic_orbits(group, n, {tag: 1})
-    builder = CnfBuilder(len(varmap.primary))
+    primaries = len(varmap.primary)
+    builder = CnfBuilder(primaries)
     lits: dict[int, Lit] = {}
     lit = cell_literals(builder, lits)
-    bounds, new_vars, survivors = [0], [], []
+    new_vars, survivors = [], []
     for i, (_, products, bit) in enumerate(tensor_equations(group, n, reps)):
         start = builder.num_vars
         products = [tuple(map(lit, p)) for p in products]
-        bounds.append(len(builder.lits))
         gated = builder.num_vars
         if i in solo:
             builder.assert_parity(products, bit)
@@ -366,11 +373,16 @@ def _block(group: GroupId, n: int, tag: str, solo: frozenset[int]) -> _Block:
         else:
             odd, _ = fold_products(products, bit)
             survivors.append(tuple(builder.and_(*p) for p in odd))
-        bounds.append(len(builder.lits))
         new_vars += gated - start, builder.num_vars - gated
+    steps = [primaries] * primaries
+    for k in new_vars:
+        steps += [k] * k
     return _Block(
-        solo, len(varmap.primary), tuple(builder.lits),
-        tuple(bounds), tuple(new_vars), tuple(survivors),
+        solo, primaries, tuple(builder.lits), tuple(new_vars),
+        (0, *steps, *map(neg, reversed(steps))),
+        tuple(chain.from_iterable(survivors)),
+        tuple(i for i, odd in enumerate(survivors) for _ in odd),
+        tuple(map(len, survivors)),
         tuple((tuple(v for v in range(mask.bit_length()) if mask >> v & 1), l)
               for mask, l in lits.items() if mask & (mask - 1)))
 
@@ -384,8 +396,8 @@ def _target_bits(group: GroupId, n: int) -> tuple[int, ...]:
 
 def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
                      combo: dict[str, int]) -> None:
-    """Assert the tensor equation at every kept entry, with the clauses and
-    variable numbers assert_parity gives it, from one block per kind.
+    """Assert the tensor equation at every kept entry, with the variables
+    and clauses assert_parity gives it, from one block per kind.
 
     Products of different representatives share no variable, so they
     never cancel or share a gate, and each representative's gates are
@@ -395,57 +407,74 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
     allocates them, entry by entry: cell-XOR gates of each representative
     in turn, then AND gates, then the chain of the entry's combined XOR.
     A cell has no constant term, so folding never flips a parity.
+
+    Every run of that numbering has a known length, so one accumulate
+    numbers them all.  Clauses come in another order: each
+    representative's block as one copy, then the chains, a batch per
+    (number of literals, parity).  Each entry's literals are sorted
+    with one sort of (entry's batch, entry, variable) keys, so every
+    batch lies in one run, entry by entry.
     """
     present = [(kind.tag, combo[kind.tag]) for kind in orbit_kinds(group)
                if combo.get(kind.tag, 0) > 0]
-    kinds = []  # (block, renaming of each representative), in variable order
-    num = 0
+    kinds = []  # (block, count), in variable order
     for tag, count in present:
         solo = frozenset()
         if count == 1:
             solo = _surviving(group, n, tag)[0].difference(
                 *(_surviving(group, n, t)[1] for t, _ in present if t != tag))
-        block = _block(group, n, tag, solo)
-        kinds.append((block, [[0, *range(num + j * block.primaries + 1,
-                                         num + (j + 1) * block.primaries + 1)]
-                              for j in range(count)]))
-        num += count * block.primaries
-    solo = frozenset().union(*(block.solo for block, _ in kinds))
-    num = builder.num_vars
-    lits, builder.lits = builder.lits, []
-    marks = []  # the end of each entry's chain and root clauses
-    for i, bit in enumerate(_target_bits(group, n)):
-        for phase in (2 * i, 2 * i + 1):
-            for block, rens in kinds:
-                k = block.new_vars[phase]
-                if k:
-                    for ren in rens:
-                        ren += range(num + 1, num + k + 1)
-                        num += k
-        builder.num_vars = num
-        if i not in solo:
-            builder.assert_xor(sorted([ren[t] for block, rens in kinds for ren in rens
-                                       for t in block.survivors[i]]), bit)
-            num = builder.num_vars
-        marks.append(len(builder.lits))
-    roots, parts = builder.lits, []
-    for block, rens in kinds:
-        for ren in rens:
-            ren += map(neg, reversed(ren[1:]))
+        kinds.append((_block(group, n, tag, solo), count))
+    bits = _target_bits(group, n)
+    size = len(bits)
+    xor_lits = [0] * size  # each entry's number of XOR literals
+    for block, count in kinds:
+        xor_lits = list(map(add, xor_lits, map(mul, block.widths, repeat(count))))
+    # Per entry, the runs of each kind's cell-XOR gates, each kind's AND
+    # gates and the chain's auxiliaries, and the first variable of each.
+    runs = [map(mul, block.new_vars[phase::2], repeat(count))
+            for phase in (0, 1) for block, count in kinds]
+    runs.append(map(itemgetter(0), map(_xor_layout, xor_lits, bits)))
+    width = len(runs)
+    heads = list(accumulate(chain.from_iterable(zip(*runs)), initial=builder.num_vars + 1))
+    top = heads.pop()
+    builder.num_vars = top - 1
+    # Each XOR literal's sort key is its entry's code times top plus the
+    # literal, a code ordering entries by (literals, parity, entry).
+    codes = list(map(add, map(mul, xor_lits, repeat(2 * size)),
+                     map(add, map(mul, bits, repeat(size)), range(size))))
+    keys: list[int] = []
+    primary = 1
+    for x, (block, count) in enumerate(kinds):
+        gates = [0] * (2 * size)
+        gates[0::2] = heads[x::width]
+        gates[1::2] = heads[len(kinds) + x::width]
+        run = [*range(primary, primary + block.primaries),
+               *chain.from_iterable(map(range, gates, map(add, gates, block.new_vars)))]
+        primary += count * block.primaries
+        at = list(map(mul, map(codes.__getitem__, block.entries), repeat(top)))
+        rename = block.renamer()
+        ren = [0, *run, *map(neg, reversed(run))]
+        for j in range(count):
+            if j:  # each copy's runs follow the previous copy's
+                ren = list(map(add, ren, block.steps))
             builder.share_xor((tuple(map(ren.__getitem__, odd)), ren[v])
                               for odd, v in block.xor_gates)
-        parts.append((block.bounds, block.stamp(rens)))
-    end = 0
-    for i, mark in enumerate(marks):
-        for phase in (2 * i, 2 * i + 1):
-            for bounds, stamped in parts:
-                start, stop = bounds[phase], bounds[phase + 1]
-                if start < stop:
-                    for copy in stamped:
-                        lits += copy[start:stop]
-        lits += roots[end:mark]
-        end = mark
-    builder.lits = lits
+            keys += map(add, at, map(ren.__getitem__, block.survivors))
+            builder.lits += rename(ren)
+    keys.sort()
+    xors = list(map(top.__rmod__, keys))
+    del keys  # freed before the batches allocate: a lower peak RSS in campaigns
+    solo = frozenset().union(*(block.solo for block, _ in kinds))
+    auxes = heads[width - 1::width]
+    start = 0
+    for batch, batch_codes in groupby(sorted(set(codes).difference(map(codes.__getitem__, solo))),
+                                      size.__rfloordiv__):
+        k, parity = divmod(batch, 2)
+        entries = list(map(size.__rmod__, batch_codes))
+        stop = start + k * len(entries)
+        builder.assert_xors([xors[start + p:stop:k] for p in range(k)], parity,
+                            list(map(auxes.__getitem__, entries)))
+        start = stop
 
 
 def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, VarMap]:

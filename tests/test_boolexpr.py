@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -334,6 +335,33 @@ def test_asserted_parity_propagates_like_the_xor():
                     assert closure.get(free[0]) == wrong, (k, parity, partial)
                 else:
                     assert not any(v in closure for v in free), (k, parity, partial)
+
+
+def test_batched_xors_equal_one_assert_xor_each():
+    # Random sorted variable lists, each asserted through assert_xor on one
+    # builder and all at once through assert_xors, given the auxiliaries
+    # assert_xor allocated: per XOR the same clauses (so the same
+    # auxiliaries), and the same empty-clause record.
+    rng = random.Random(14)
+    for k, parity, count in itertools.product(range(13), (0, 1), (1, 3, 20)):
+        rows = [sorted(rng.sample(range(1, 41), k)) for _ in range(count)]
+        one = CnfBuilder(40)
+        firsts, each = [], []
+        for row in rows:
+            firsts.append(one.num_vars + 1)
+            start = len(one.lits)
+            one.assert_xor(row, parity)
+            each.append(Counter(CnfInstance.from_lits(one.num_vars, one.lits[start:],
+                                                      False).clauses))
+        batch = CnfBuilder(one.num_vars)
+        batch.assert_xors([list(col) for col in zip(*rows)], parity, firsts)
+        clauses = list(batch.clauses)
+        per = len(clauses) // len(rows)
+        assert len(clauses) == per * len(rows) == len(one.clauses), (k, parity, count)
+        assert [Counter(clauses[i * per:(i + 1) * per]) for i in range(len(rows))] \
+            == each, (k, parity, count)
+        assert batch.num_vars == one.num_vars
+        assert batch.has_empty_clause == one.has_empty_clause == (k == 0 and parity == 1)
 
 
 def test_structural_sharing_caches_subterms():

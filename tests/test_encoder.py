@@ -365,21 +365,33 @@ def test_symmetry_breaking_agrees_with_check_canonical(group, n):
     assert seen == {True, False}
 
 
-# SHA-256 of the DIMACS text, one combo per group.  A deliberate change
-# to the CNF updates these pins.
-@pytest.mark.parametrize("group,n,combo,digest", [
+def _clause_lines(text):
+    """The clause lines of a DIMACS text, after its comments and header."""
+    lines = text.splitlines(keepends=True)
+    return lines[next(i for i, line in enumerate(lines) if line.startswith("p cnf ")) + 1:]
+
+
+# SHA-256 of the DIMACS text and of its clause lines sorted, one combo per
+# group.  A deliberate change to the CNF updates these pins; one that only
+# reorders clauses keeps the clause-set digest.
+@pytest.mark.parametrize("group,n,combo,digest,clause_set", [
     (GroupId.TRIVIAL, 2, {"id": 7},
-     "ab8a9db112c13e541a11608aebfbb3f2c6744908694c4048905fb3d8f73b3293"),
+     "988ace6015e263f8dc99dba4d5f3b7df11fdd2f4fb0c83e54efb9c43fb16d403",
+     "c0bd5f399aeb59cec1cdbeb09c821cc8d830d42473d88757dd81e15ca27c06ad"),
     (GroupId.CYCLIC, 2, {"id": 2, "delta": 1},
-     "99deb67d7d12c78e998d88580efa4c12220f28be8b956e26fd14818be301e7e3"),
+     "f5c907b7159bb032e5685e441b24b23d99ca5c8827774196be2c74163ae46121",
+     "6223ebaeb67e1edad0be732d1ba3dbf6903dcb15b973015fdff17ed30291dd15"),
     (GroupId.CYCLIC_TRANSPOSE, 3, {"id": 1, "t": 1, "delta": 1, "full": 1},
-     "a15f24ac781316a1ff3c5b9684cf3afebed6b84a96a2147c7dd2cf2188fc1bc8"),
+     "b36ec17e71bb939dc2f553a32166fdf19e38d0d355700243ed3a2927b9be6ac4",
+     "cd73a21f9223f060e75698b792ab9b8eebb79ffed242e70773e3b79078f69d55"),
     (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1},
-     "845ddbb734520931daf7e6875f24451b34ce2cf3479f7830de104c3788045241"),
+     "43bfca5bb1a2216991ed62aa5fe33bc8d14eb507531cee8baebb6b5c7eda19b8",
+     "2a977ee55367c56bf532e847dc0676f54259b75c9686e64a957a400e3edfcc3a"),
 ], ids=["none", "cyc", "cyc-t", "cyc-sw"])
-def test_cnf_pinned(group, n, combo, digest):
-    cnf, _ = encode(group, n, combo)
-    assert hashlib.sha256(cnf.to_dimacs().encode()).hexdigest() == digest
+def test_cnf_pinned(group, n, combo, digest, clause_set):
+    text = encode(group, n, combo)[0].to_dimacs()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256("".join(sorted(_clause_lines(text))).encode()).hexdigest() == clause_set
 
 
 @pytest.mark.parametrize("group,n,combo", [
@@ -480,8 +492,14 @@ def test_stamping_combos_cover_solo_entries_and_shared_gates():
                          ids=[f"{g.value}-{','.join(f'{k}={v}' for k, v in c.items())}"
                               for g, c in _STAMPING_COMBOS])
 def test_stamped_cnf_equals_direct_compilation(group, combo):
+    # The same variables and the same clauses; only their order differs.
     cnf, _ = encode(group, 3, combo)
-    assert cnf.to_dimacs() == _direct_encode(group, 3, combo, cnf.comments).to_dimacs()
+    direct = _direct_encode(group, 3, combo, cnf.comments)
+    text, direct_text = cnf.to_dimacs(), direct.to_dimacs()
+    assert text[:text.index("p cnf ")] == direct_text[:direct_text.index("p cnf ")]
+    assert cnf.num_vars == direct.num_vars
+    assert cnf.has_empty_clause == direct.has_empty_clause
+    assert sorted(cnf.clauses) == sorted(direct.clauses)
 
 
 def _immutable(value):

@@ -10,9 +10,9 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_cnf_census_matches_the_committed_file(tmp_path):
     # The census tool, written to a scratch file (never its default
     # --out, the committed file), reproduces BENCH_cnf.json byte for byte,
-    # the SHA-256 of every combo's DIMACS text included, and finds no
-    # combo that gained a variable or a clause; each group's totals are
-    # printed as old -> new.
+    # the SHA-256 of every combo's DIMACS text and of its sorted clause
+    # lines included, and finds no combo that gained a variable or a
+    # clause; each group's totals are printed as old -> new.
     out = tmp_path / "census.json"
     committed = ROOT / "BENCH_cnf.json"
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "cnf_sizes.py"),
@@ -21,6 +21,7 @@ def test_cnf_census_matches_the_committed_file(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert out.read_bytes() == committed.read_bytes()
     assert "DIMACS text changed on 0 of 144 combos" in proc.stdout
+    assert "clause sets changed on 0 of 144 combos" in proc.stdout
     none = json.loads(committed.read_text())["totals"]["none"]
     vars_, clauses = none["vars"], none["clauses"]
     assert (f"none    vars {vars_} -> {vars_} (+0.0%) "

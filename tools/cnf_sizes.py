@@ -1,16 +1,18 @@
 """CNF size census of a fixed set of combos.
 
 Encodes every combo of the census set (below), writes each combo's
-variable count, clause count, DIMACS bytes and the SHA-256 of its DIMACS
-text, plus per-group totals, to a JSON file, and prints the totals, and
+variable count, clause count, DIMACS bytes, the SHA-256 of its DIMACS
+text and the SHA-256 of its clause lines sorted (which clause order does
+not change), plus per-group totals, to a JSON file, and prints the totals, and
 on stderr the encode and DIMACS CPU times, the encode CPU time per
 group and, per census entry, how many combos hold the empty clause (a
 campaign records them unsat with no solver run).  With --against
 OLD.json it also prints each group's variables and clauses as old ->
-new with the change in percent, and how many combos' DIMACS text
-differs from OLD.json, and exits 1 if any combo has more variables or
-clauses than there, so an encoder change can show that it adds neither
-(and a rendering change that it alters no byte).
+new with the change in percent, and how many combos' DIMACS text and
+how many combos' clause sets differ from OLD.json, and exits 1 if any
+combo has more variables or clauses than there, so an encoder change can
+show that it adds neither (a rendering change that it alters no byte,
+and a reordering that it alters no clause).
 --census GROUP:N:MAX_RANK (repeatable) takes another set of combos; its
 JSON is then written only where --out says.
 
@@ -68,7 +70,8 @@ def census(entries=CENSUS) -> tuple[dict, dict[str, float], float, list[str]]:
             encoded += 1
             row = {"group": group.value, "n": n, "combo": spec.label(),
                    "vars": cnf.num_vars, "clauses": len(cnf.clauses),
-                   "bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
+                   "bytes": len(text), "sha256": hashlib.sha256(text).hexdigest(),
+                   "clause_set_sha256": clause_set_digest(text)}
             combos.append(row)
             total = totals.setdefault(group.value, dict.fromkeys(("combos",) + SIZES, 0))
             total["combos"] += 1
@@ -77,6 +80,13 @@ def census(entries=CENSUS) -> tuple[dict, dict[str, float], float, list[str]]:
         empty.append(f"{group.value} n={n} r<={max_rank} {with_empty} of {encoded}")
     return {"census": [[g.value, n, r] for g, n, r in entries],
             "totals": totals, "combos": combos}, encode_cpu, dimacs_cpu, empty
+
+
+def clause_set_digest(text: bytes) -> str:
+    """The SHA-256 of a DIMACS text's clause lines, sorted."""
+    header = 0 if text.startswith(b"p cnf ") else text.index(b"\np cnf ") + 1
+    body = text[text.index(b"\n", header) + 1:]
+    return hashlib.sha256(b"".join(sorted(body.splitlines(keepends=True)))).hexdigest()
 
 
 def _census_entry(text: str) -> tuple[GroupId, int, int]:
@@ -88,11 +98,11 @@ def _key(combo: dict) -> tuple:
     return combo["group"], combo["n"], combo["combo"]
 
 
-def changed_dimacs(new: dict, old: dict) -> int:
-    """How many combos of `new` have a DIMACS digest other than in `old`
-    (a combo missing there, or recorded without a digest, counts)."""
-    before = {_key(c): c.get("sha256") for c in old["combos"]}
-    return sum(before.get(_key(c)) != c["sha256"] for c in new["combos"])
+def changed(new: dict, old: dict, digest: str) -> int:
+    """How many combos of `new` have a `digest` other than in `old` (a
+    combo missing there, or recorded without that digest, counts)."""
+    before = {_key(c): c.get(digest) for c in old["combos"]}
+    return sum(before.get(_key(c)) != c[digest] for c in new["combos"])
 
 
 def total_changes(new: dict, old: dict) -> list[str]:
@@ -150,8 +160,9 @@ def main(argv=None) -> int:
     if old is not None:
         for line in total_changes(result, old):
             print(line)
-        print(f"DIMACS text changed on {changed_dimacs(result, old)} of "
-              f"{len(result['combos'])} combos against {args.against}")
+        for what, digest in (("DIMACS text", "sha256"), ("clause sets", "clause_set_sha256")):
+            print(f"{what} changed on {changed(result, old, digest)} of "
+                  f"{len(result['combos'])} combos against {args.against}")
         bad = gains(result, old)
         for line in bad:
             print("gained:", line)
