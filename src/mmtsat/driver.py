@@ -2,9 +2,12 @@
 
 Enumerates every orbit-count combination up to a rank bound, runs the
 configured solver subprocess on each instance (hardest first, across a
-worker pool), and checkpoints after each combo so a killed campaign
-resumes where it stopped.  A combo of rank 0, or whose CNF holds the
-empty clause, is recorded `unsat` without a solver run.  `solve_combo`
+worker pool), and checkpoints whenever combos finish, once for all that
+finished together, so a killed campaign resumes where it stopped.  A
+combo of rank 0, or whose CNF holds the empty clause, is recorded
+`unsat` without a solver run.  The encoder gives that clause alone to a
+combo whose orbit kinds leave a target-1 entry with no surviving
+product (see `encoder.encode`); its CNF is still written.  `solve_combo`
 maps every end of one run to a recorded state: a timeout, a solver that
 fails to start, an UNKNOWN answer, unparsable output or a model that
 does not decode (unassigned primaries) is recorded as `timeout`/`error`
@@ -25,7 +28,7 @@ import subprocess
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from .canonical import check_canonical, dump_symmetric
@@ -158,7 +161,7 @@ def checkpoint_to_json(group: GroupId, n: int, max_rank: int,
 
 # Per orbit counts, the status fields a record JSON was last rendered
 # from and that JSON (a record holds nothing else).  A campaign rewrites
-# its checkpoint after every combo, so this renders each record once per
+# its checkpoint whenever combos finish, so this renders each record once per
 # status instead of once per write; the fields are compared on every
 # lookup, so a changed status is rendered again.
 _RECORD_JSON: dict[tuple, tuple[tuple, str]] = {}
@@ -183,13 +186,18 @@ def _checkpoint_text(group: GroupId, n: int, max_rank: int,
 
 def write_checkpoint(path, group: GroupId, n: int, max_rank: int,
                      statuses: list[ComboStatus]) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
-    data = _checkpoint_text(group, n, max_rank, statuses)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
+    """Atomic write: the bytes go to <path>.tmp, which is then renamed
+    over path.  One campaign writes its checkpoint from one thread, so
+    the temp name needs no uniqueness of its own."""
+    data = memoryview(_checkpoint_text(group, n, max_rank, statuses).encode())
+    tmp = f"{path}.tmp"
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -373,12 +381,18 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_solve, spec): spec for spec in pending}
+            running = set(futures)
             try:
-                for fut in as_completed(futures):
-                    status = fut.result()  # EncoderSoundnessError propagates
-                    if status is not None:
-                        statuses[futures[fut]] = status
-                        _save()
+                while running:
+                    # Every combo that finished by now is recorded, then
+                    # the checkpoint is written once for all of them.
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    for fut in done:
+                        if fut.exception() is None and fut.result() is not None:
+                            statuses[futures[fut]] = fut.result()
+                    for fut in done:
+                        fut.result()  # EncoderSoundnessError propagates
+                    _save()
             finally:
                 stop.set()  # also on an interrupt of the main thread
     finally:

@@ -49,6 +49,18 @@ combined XORs a batch at a time, one batch per (number of literals,
 parity).  Whether one product survives at an entry, which decides a
 count-1 kind's solo entries (see `_stamp_equations`), is read from
 folding its cell masks, so no block is compiled only for that.
+
+Some combos are refuted by their support alone.  Whether a product
+survives at a kept entry depends only on which kinds are present, since
+products of different representatives never cancel; the entries where a
+single representative of a kind has one are cached per kind, and their
+union per set of present kinds.  If the target has a 1 at a kept entry
+outside that union, the equation there is an XOR of nothing equal to 1,
+which no assignment satisfies: entry-major compilation would emit the
+empty clause there.  `encode` then compiles nothing and gives that
+clause alone over the combo's primaries, with a comment naming the
+entry.  Every other combo is compiled as above, and the check adds no
+clause to it.
 """
 
 from __future__ import annotations
@@ -477,18 +489,41 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
         start = stop
 
 
+@lru_cache
+def _unsupported_entry(group: GroupId, n: int, tags: frozenset[str]) -> int | None:
+    """The index of the first kept entry with target bit 1 where no
+    product survives in a combo whose present kinds are tags, or None.
+    Products of different representatives never cancel, so the counts
+    do not matter."""
+    covered = frozenset().union(*(_surviving(group, n, tag)[1] for tag in tags))
+    return next((i for i, bit in enumerate(_target_bits(group, n))
+                 if bit and i not in covered), None)
+
+
 def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, VarMap]:
     """CNF whose models are exactly the canonical-form symmetric
-    decompositions of <n,n,n> with the given orbit counts."""
+    decompositions of <n,n,n> with the given orbit counts.
+
+    A combo with a kept entry whose target bit is 1 and where no product
+    of its kinds survives has no model: its equation there is an XOR of
+    nothing equal to 1.  Such a combo is decided from its kinds alone,
+    before any gate is built, and its CNF is the empty clause over its
+    primaries, with a comment naming that entry.
+    """
     generators(group, n)  # raises for an n the group is not defined at
     rank = total_rank(group, combo)
     if rank < 1:
         raise ValueError("total rank must be at least 1")
     reps, varmap = build_symbolic_orbits(group, n, combo)
     builder = CnfBuilder(varmap.aux_start - 1)
-    _stamp_equations(builder, group, n, combo)
-    nonzero_representatives(builder, varmap)
-    symmetry_breaking(builder, group, n, reps)
+    unsupported = _unsupported_entry(group, n, frozenset(tag for tag, count in combo.items()
+                                                         if count > 0))
+    if unsupported is None:
+        _stamp_equations(builder, group, n, combo)
+        nonzero_representatives(builder, varmap)
+        symmetry_breaking(builder, group, n, reps)
+    else:
+        builder.add_clause(())
 
     comments = [f"mmtsat group={group.value} n={n} "
                 f"combo={','.join(f'{k}={v}' for k, v in sorted(combo.items()))} "
@@ -496,6 +531,9 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     comments.extend(f"var {e.var} = {e.orbit}[{e.index}].{e.mat}[{e.row}][{e.col}]"
                     for e in varmap.primary)
     comments.append(f"aux vars start at {varmap.aux_start}")
+    if unsupported is not None:
+        entry = _equation_entries(group, n)[0][unsupported]
+        comments.append(f"empty clause: kept entry {entry} has target 1 and no surviving product")
     return builder.build(comments), varmap
 
 

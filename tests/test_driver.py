@@ -4,6 +4,7 @@ import stat
 import sys
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from mmtsat.driver import (
     solve_combo,
     write_checkpoint,
 )
+from mmtsat.encoder import build_symbolic_orbits
 from mmtsat.symmetry import GroupId
 
 from conftest import SOLVER_CMD, requires_solver
@@ -159,6 +161,37 @@ esac
     run()
 
 
+def test_combos_decided_by_support_are_one_empty_clause_and_run_no_solver(tmp_path):
+    # cyc-sw n=3 up to rank 4: 8 of the 10 combos of positive rank have
+    # orbit kinds that leave a target-1 entry with no surviving product.
+    # Each is recorded unsat, its CNF file is the empty clause over its
+    # primaries, and the solver, which logs every file it is given, runs
+    # only on the other two.
+    log = tmp_path / "solver.log"
+    solver = _fake_solver(tmp_path, f'echo "$1" >> {log}; echo "s UNSATISFIABLE"\n')
+    work = tmp_path / "work"
+    report = run_campaign(GroupId.CYCLIC_SANDWICH, 3, 4, solver, workers=2,
+                          work_dir=str(work))
+    assert report.verdict() == "ruled_out"
+    solved = log.read_text().splitlines()
+    decided = 0
+    for st in report.statuses:
+        if st.spec.total_rank() == 0:
+            continue
+        path = str(work / f"cyc-sw-{st.spec.label()}.cnf")
+        _, varmap = build_symbolic_orbits(GroupId.CYCLIC_SANDWICH, 3, st.spec.counts_dict())
+        text = open(path).read()
+        assert st.state == "unsat"
+        if st.detail == "the CNF holds the empty clause, no solver run":
+            decided += 1
+            assert text.endswith(f"p cnf {len(varmap.primary)} 1\n 0\n")
+            assert "c empty clause: kept entry " in text
+            assert path not in solved
+        else:
+            assert st.detail == "" and path in solved
+    assert decided == 8 and len(solved) == 2
+
+
 def test_solve_combo_with_fake_unsat_solver(tmp_path):
     spec = ComboSpec(GroupId.CYCLIC, (("id", 0), ("delta", 1)))
     solver = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
@@ -250,22 +283,79 @@ def test_campaign_resume_runs_nothing(tmp_path, monkeypatch):
     assert report.statuses[1].state == "pending"
 
 
-def test_campaign_checkpoint_written_once_per_combo(tmp_path, monkeypatch):
-    calls = []
-    original = driver.write_checkpoint
+def test_campaign_checkpoint_holds_every_recorded_combo(tmp_path, monkeypatch):
+    # Combos that finish together are written in one checkpoint, so there
+    # are at most one write before any combo runs, one per combo and one
+    # at the end.  Every write holds exactly the statuses the campaign has
+    # recorded: the combos it shows finished are ones the solver returned,
+    # and a later write keeps every one an earlier write showed.
+    finished = {}
+    lock = threading.Lock()
+    original_solve = driver.solve_combo
 
-    def counting(path, *args):
-        calls.append(path)
-        original(path, *args)
+    def solve(group, n, spec, *args):
+        status = original_solve(group, n, spec, *args)
+        with lock:
+            finished[json.dumps(spec.counts_dict(), sort_keys=True)] = status.state
+        return status
 
-    monkeypatch.setattr(driver, "write_checkpoint", counting)
+    written = []
+    original_write = driver.write_checkpoint
+
+    def write(path, *args):
+        original_write(path, *args)
+        assert load_checkpoint(path) == checkpoint_to_json(*args)
+        with lock:
+            done = dict(finished)
+        shown = {json.dumps(c["counts"], sort_keys=True): c["state"]
+                 for c in load_checkpoint(path)["combos"] if c["state"] != "pending"}
+        assert shown.items() <= done.items()
+        assert not written or written[-1].items() <= shown.items()
+        written.append(shown)
+
+    monkeypatch.setattr(driver, "solve_combo", solve)
+    monkeypatch.setattr(driver, "write_checkpoint", write)
     unsat = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
     report = run_campaign(GroupId.CYCLIC, 2, 4, unsat, workers=2,
                           checkpoint_path=str(tmp_path / "ckpt.json"),
                           work_dir=str(tmp_path / "work"))
     assert report.verdict() == "ruled_out"
-    # Once before any combo runs, once per completed combo, once at the end.
-    assert len(calls) == 1 + len(report.statuses) + 1
+    assert 3 <= len(written) <= 1 + len(report.statuses) + 1
+    assert written[0] == {} and written[-1] == finished
+    assert len(finished) == len(report.statuses)
+
+
+def test_campaign_combos_finishing_together_are_written_once(tmp_path, monkeypatch):
+    # Both combos finish before the campaign looks for a finished one,
+    # so they are recorded and written together: one write before any
+    # combo runs, one for the pair and one at the end.
+    specs = enumerate_combos(GroupId.CYCLIC, 1)
+    assert len(specs) == 2
+    writes = []
+    original_write = driver.write_checkpoint
+    original_wait = driver.wait
+
+    def write(path, *args):
+        original_write(path, *args)
+        writes.append(load_checkpoint(path))
+
+    def wait_for_all(fs, **kwargs):
+        deadline = time.monotonic() + 10
+        while not all(f.done() for f in fs) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return original_wait(fs, **kwargs)
+
+    monkeypatch.setattr(driver, "write_checkpoint", write)
+    monkeypatch.setattr(driver, "wait", wait_for_all)
+    monkeypatch.setattr(driver, "solve_combo",
+                        lambda group, n, spec, solver_cmd, *args:
+                        ComboStatus(spec, "unsat", 0.0, solver_cmd))
+    report = run_campaign(GroupId.CYCLIC, 2, 1, "unused {cnf}", workers=2,
+                          checkpoint_path=str(tmp_path / "ckpt.json"),
+                          work_dir=str(tmp_path / "work"))
+    assert report.verdict() == "ruled_out"
+    assert [[c["state"] for c in w["combos"]] for w in writes] == [
+        ["pending", "pending"], ["unsat", "unsat"], ["unsat", "unsat"]]
 
 
 def test_campaign_sat_short_circuit_with_two_workers(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from mmtsat.encoder import (
     _equation_entries,
     _fixed_space,
     _lift,
+    _unsupported_entry,
     build_symbolic_orbits,
     cell_literals,
     decode,
@@ -488,18 +491,66 @@ def test_stamping_combos_cover_solo_entries_and_shared_gates():
                if g is GroupId.CYCLIC_SANDWICH)
 
 
+def _assert_lone_empty_clause(cnf, varmap, group, n, combo):
+    """The CNF of a combo decided by its kinds' support: the empty clause
+    over the primaries, after a comment naming the first kept entry with
+    target 1 where no product of the whole combo survives."""
+    reps, _ = build_symbolic_orbits(group, n, combo)
+    entry = next(entry for entry, products, bit in tensor_equations(group, n, reps)
+                 if bit and not fold_products(products, 0)[0])
+    assert list(cnf.clauses) == [()] and cnf.has_empty_clause
+    assert cnf.num_vars == len(varmap.primary) == varmap.aux_start - 1
+    assert cnf.comments[-1] == (f"empty clause: kept entry {entry} has target 1 "
+                                "and no surviving product")
+    assert cnf.to_dimacs().endswith(f"p cnf {cnf.num_vars} 1\n 0\n")
+
+
 @pytest.mark.parametrize("group,combo", _STAMPING_COMBOS,
                          ids=[f"{g.value}-{','.join(f'{k}={v}' for k, v in c.items())}"
                               for g, c in _STAMPING_COMBOS])
 def test_stamped_cnf_equals_direct_compilation(group, combo):
     # The same variables and the same clauses; only their order differs.
-    cnf, _ = encode(group, 3, combo)
+    # A combo the reference refutes by the empty clause (cyc-t id=1 and
+    # cyc-sw sw=4 and sw=1 here) is decided by its kinds' support: its
+    # CNF is that clause alone.
+    cnf, varmap = encode(group, 3, combo)
     direct = _direct_encode(group, 3, combo, cnf.comments)
+    if direct.has_empty_clause:
+        _assert_lone_empty_clause(cnf, varmap, group, 3, combo)
+        return
     text, direct_text = cnf.to_dimacs(), direct.to_dimacs()
     assert text[:text.index("p cnf ")] == direct_text[:direct_text.index("p cnf ")]
     assert cnf.num_vars == direct.num_vars
     assert cnf.has_empty_clause == direct.has_empty_clause
     assert sorted(cnf.clauses) == sorted(direct.clauses)
+
+
+def _census_combos():
+    spec = importlib.util.spec_from_file_location(
+        "cnf_sizes", Path(__file__).resolve().parent.parent / "tools" / "cnf_sizes.py")
+    cnf_sizes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cnf_sizes)
+    return [(group, n, s.counts_dict()) for group, n, max_rank in cnf_sizes.CENSUS
+            for s in enumerate_combos(group, max_rank) if s.total_rank()]
+
+
+def test_support_check_agrees_with_direct_compilation():
+    # On every census combo, the support check fires exactly when the
+    # entry-major assert_parity reference holds the empty clause, and
+    # encode then gives that clause alone.
+    combos = _census_combos()
+    assert len(combos) == 144
+    decided = Counter()
+    for group, n, combo in combos:
+        cnf, varmap = encode(group, n, combo)
+        direct = _direct_encode(group, n, combo, cnf.comments)
+        fires = _unsupported_entry(group, n, frozenset(t for t, c in combo.items() if c))
+        assert (fires is not None) == direct.has_empty_clause == cnf.has_empty_clause, \
+            (group, n, combo)
+        if fires is not None:
+            _assert_lone_empty_clause(cnf, varmap, group, n, combo)
+            decided[group.value, n] += 1
+    assert decided == {("cyc-t", 2): 6, ("cyc-t", 3): 4, ("cyc-sw", 3): 15}
 
 
 def _immutable(value):
@@ -564,18 +615,24 @@ def test_a_lone_kind_of_count_1_compiles_one_block(tmp_path):
     (GroupId.TRIVIAL, 2, {"id": 7}),
     (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1}),
     # The target has a 1 at kept entries where the lone id representative
-    # has no surviving product, so this CNF holds empty clauses.
+    # has no surviving product, so this CNF is the empty clause.
     (GroupId.CYCLIC_TRANSPOSE, 2, {"id": 1, "t": 0, "delta": 0, "full": 0}),
 ], ids=["none", "cyc-sw", "cyc-t-empty-clause"])
 def test_clause_view_rebuilds_the_same_instance(group, n, combo):
-    inst, _ = encode(group, n, combo)
+    inst, varmap = encode(group, n, combo)
     text = inst.to_dimacs()
     header = next(line for line in text.splitlines() if line.startswith("p cnf "))
     assert len(inst.clauses) == int(header.split()[3])
     clauses = list(inst.clauses)
     assert all(type(c) is tuple for c in clauses) and len(clauses) == len(inst.clauses)
-    assert inst.clauses[3:7] == clauses[3:7] and inst.clauses[-1] == clauses[-1]
-    assert inst.clauses.index(clauses[5]) == clauses.index(clauses[5])
+    if inst.has_empty_clause:
+        # Decided by its kinds' support, so the empty clause is all it holds.
+        _assert_lone_empty_clause(inst, varmap, group, n, combo)
+        assert _direct_encode(group, n, combo, inst.comments).has_empty_clause
+        assert inst.clauses[0:1] == clauses and inst.clauses.index(()) == 0
+    else:
+        assert inst.clauses[3:7] == clauses[3:7] and inst.clauses[-1] == clauses[-1]
+        assert inst.clauses.index(clauses[5]) == clauses.index(clauses[5])
     rebuilt = CnfInstance(inst.num_vars, inst.clauses, inst.comments)
     assert rebuilt.to_dimacs() == text
     assert rebuilt.has_empty_clause == inst.has_empty_clause == (() in clauses)
