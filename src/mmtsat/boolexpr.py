@@ -45,6 +45,7 @@ can tell a CNF refuted by construction without scanning it.
 from __future__ import annotations
 
 import operator
+import os
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, itemgetter
@@ -205,8 +206,19 @@ class CnfInstance:
         return head + f"p cnf {self.num_vars} {count}\n" + body
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_dimacs())
+        write_bytes(path, self.to_dimacs().encode())
+
+
+def write_bytes(path, data: bytes) -> None:
+    """Create or truncate path and write data to it, with no buffering
+    or newline translation between."""
+    view = memoryview(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 # Widest parity block that XOR chains are split into.

@@ -19,7 +19,7 @@ from .canonical import (
     load_symmetric,
     symmetric_to_json,
 )
-from .driver import ComboSpec, run_campaign, solve_combo
+from .driver import ComboSpec, run_campaign, solve_combo, solver_argv
 from .encoder import encode
 from .symmetry import GroupId, is_group_symmetric, orbit_kinds
 from .tensor import json_typed, load_decomposition, verify
@@ -69,15 +69,14 @@ def _config_solver(path: str) -> str | None:
 
 def _resolve_solver(args) -> str:
     """Precedence: --solver flag, then config file, then MMTSAT_SOLVER.
-    The command is checked for its {cnf} placeholder before any combo
-    is encoded."""
+    The command is checked for its {cnf} placeholder, and split as a
+    shell command line, before any combo is encoded."""
     solver = (args.solver or (args.config and _config_solver(args.config))
               or os.environ.get("MMTSAT_SOLVER"))
     if not solver:
         raise ValueError("no solver configured: pass --solver, put \"solver\" in the "
                          "config file, or set MMTSAT_SOLVER")
-    if "{cnf}" not in solver:
-        raise ValueError(f"solver command {solver!r} must contain the {{cnf}} placeholder")
+    solver_argv(solver)
     return solver
 
 

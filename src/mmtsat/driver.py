@@ -1,21 +1,26 @@
 """Campaign orchestration over an external DIMACS solver.
 
-Enumerates every orbit-count combination up to a rank bound, runs the
+Enumerates every orbit-count combination up to a rank bound and runs the
 configured solver subprocess on each instance (hardest first, across a
-worker pool), and checkpoints whenever combos finish, once for all that
-finished together, so a killed campaign resumes where it stopped.  A
-combo of rank 0, or whose CNF holds the empty clause, is recorded
-`unsat` without a solver run.  The encoder gives that clause alone to a
-combo whose orbit kinds leave a target-1 entry with no surviving
-product (see `encoder.encode`); its CNF is still written.  `solve_combo`
-maps every end of one run to a recorded state: a timeout, a solver that
-fails to start, an UNKNOWN answer, unparsable output or a model that
-does not decode (unassigned primaries) is recorded as `timeout`/`error`
-with its reason, and the campaign goes on.  A decoded model is verified independently; one that
-fails verification raises EncoderSoundnessError, because then the
-encoding itself is wrong.  The first `sat`, and the first combo that
-raises, stop the combos still queued from running; those already
-running are recorded as they finish.
+worker pool).  The checkpoint is written when the campaign starts, at
+once when a combo is `sat`, after any other completion only if
+CHECKPOINT_INTERVAL_S has passed since the last write, and at the end
+if a status changed since then; so a killed campaign resumes where it
+stopped, re-running at most the combos of the last interval.  A combo
+of rank 0, or whose CNF holds the empty clause, is recorded `unsat`
+without a solver run.  The encoder gives that clause alone to a combo
+whose orbit kinds leave a target-1 entry with no surviving product (see
+`encoder.encode`); its CNF is still written, and its `detail` is the
+encoder's comment naming that entry.  `solve_combo` maps every end of
+one run to a recorded state: a timeout, a solver that fails to start,
+an UNKNOWN answer, unparsable output or a model that does not decode
+(unassigned primaries) is recorded as `timeout`/`error` with its
+reason, and the campaign goes on.  A decoded model is verified
+independently; one that fails verification raises EncoderSoundnessError,
+because then the encoding itself is wrong.  The first `sat`, and the
+first combo that raises, stop the combos still queued from running;
+those already running are recorded as they finish after a `sat`, and
+stay `pending` after a raise.
 """
 
 from __future__ import annotations
@@ -27,10 +32,12 @@ import shlex
 import subprocess
 import tempfile
 import threading
-import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import lru_cache
+from time import monotonic
 
+from .boolexpr import write_bytes
 from .canonical import check_canonical, dump_symmetric
 from .encoder import DecodeError, decode, encode
 from .symmetry import GroupId, is_group_symmetric, orbit_kinds, total_rank
@@ -130,17 +137,31 @@ def parse_solver_output(text: str):
     return ("unknown", _UNPARSABLE + "no status line found")
 
 
+@lru_cache(maxsize=16)
+def solver_argv(solver_cmd: str) -> tuple[str, ...]:
+    """The words of a solver command template; ValueError if it has no
+    {cnf} placeholder or does not split as a shell command line."""
+    if "{cnf}" not in solver_cmd:
+        raise ValueError(f"solver command {solver_cmd!r} must contain the {{cnf}} placeholder")
+    try:
+        return tuple(shlex.split(solver_cmd))
+    except ValueError as exc:
+        raise ValueError(f"solver command {solver_cmd!r}: {exc}") from None
+
+
 def run_solver(solver_cmd: str, cnf_path: str, timeout: float | None):
     """Run the solver command template on a CNF file; returns the parse."""
-    if "{cnf}" not in solver_cmd:
-        raise ValueError("solver command must contain the {cnf} placeholder")
-    argv = [arg.replace("{cnf}", str(cnf_path)) for arg in shlex.split(solver_cmd)]
+    argv = [arg.replace("{cnf}", str(cnf_path)) for arg in solver_argv(solver_cmd)]
     proc = subprocess.run(argv, capture_output=True, errors="replace",
                           timeout=timeout)
     return parse_solver_output(proc.stdout)
 
 
 # -- checkpointing ------------------------------------------------------------
+
+# A campaign writes its checkpoint after a completion other than a sat
+# only if this many seconds have passed since its last write.
+CHECKPOINT_INTERVAL_S = 1.0
 
 
 def _canonical_json(obj) -> str:
@@ -159,45 +180,15 @@ def checkpoint_to_json(group: GroupId, n: int, max_rank: int,
             "combos": [_combo_record(st) for st in statuses]}
 
 
-# Per orbit counts, the status fields a record JSON was last rendered
-# from and that JSON (a record holds nothing else).  A campaign rewrites
-# its checkpoint whenever combos finish, so this renders each record once per
-# status instead of once per write; the fields are compared on every
-# lookup, so a changed status is rendered again.
-_RECORD_JSON: dict[tuple, tuple[tuple, str]] = {}
-
-
-def _record_json(st: ComboStatus) -> str:
-    fields = (st.state, st.seconds, st.solver, st.detail)
-    cached = _RECORD_JSON.get(st.spec.counts)
-    if cached is None or cached[0] != fields:
-        text = json.dumps(_combo_record(st), sort_keys=True, separators=(",", ":"))
-        cached = _RECORD_JSON[st.spec.counts] = fields, text
-    return cached[1]
-
-
-def _checkpoint_text(group: GroupId, n: int, max_rank: int,
-                     statuses: list[ComboStatus]) -> str:
-    """_canonical_json(checkpoint_to_json(...)).  "combos" is the first
-    key in sorted order, so the records go ahead of the others."""
-    rest = _canonical_json({"dims": n, "group": group.value, "max_rank": max_rank})
-    return '{"combos":[' + ",".join(map(_record_json, statuses)) + "]," + rest[1:]
-
-
 def write_checkpoint(path, group: GroupId, n: int, max_rank: int,
                      statuses: list[ComboStatus]) -> None:
     """Atomic write: the bytes go to <path>.tmp, which is then renamed
     over path.  One campaign writes its checkpoint from one thread, so
     the temp name needs no uniqueness of its own."""
-    data = memoryview(_checkpoint_text(group, n, max_rank, statuses).encode())
+    data = _canonical_json(checkpoint_to_json(group, n, max_rank, statuses)).encode()
     tmp = f"{path}.tmp"
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
+        write_bytes(tmp, data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -280,9 +271,9 @@ class CampaignReport:
 def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
                 timeout: float | None, work_dir: str) -> ComboStatus:
     """Encode one combo, run the solver, and verify any model."""
-    started = time.monotonic()
+    started = monotonic()
     state, detail = _run_combo(group, n, spec, solver_cmd, timeout, work_dir)
-    return ComboStatus(spec, state, time.monotonic() - started, solver_cmd, detail)
+    return ComboStatus(spec, state, monotonic() - started, solver_cmd, detail)
 
 
 def _run_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
@@ -295,8 +286,11 @@ def _run_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
     stem = os.path.join(work_dir, f"{group.value}-{spec.label()}")
     cnf.write(stem + ".cnf")
     if cnf.has_empty_clause:
-        # E.g. a kept entry with target 1 where no product survives.
-        return "unsat", "the CNF holds the empty clause, no solver run"
+        # The encoder's last comment names the entry when the combo's
+        # kinds leave a target-1 entry with no surviving product.
+        reason = cnf.comments[-1] if cnf.comments[-1].startswith("empty clause: ") \
+            else "the CNF holds the empty clause"
+        return "unsat", f"{reason}, no solver run"
     try:
         result, payload = run_solver(solver_cmd, stem + ".cnf", timeout)
     except subprocess.TimeoutExpired:
@@ -332,8 +326,11 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                  work_dir: str | None = None) -> CampaignReport:
     """Solve every combo up to max_rank until the first sat.  Without a
     work_dir, a fresh temp dir is used; its CNF files are deleted at the
-    end and any found pair stays in it."""
-    started = time.monotonic()
+    end and any found pair stays in it.  Combos are recorded one at a
+    time as they finish, so when one raises EncoderSoundnessError, the
+    combos that finished with it but were not yet recorded stay
+    `pending` and run again on resume."""
+    started = monotonic()
     specs = enumerate_combos(group, max_rank)
     statuses = {spec: ComboStatus(spec, solver=solver_cmd) for spec in specs}
 
@@ -354,10 +351,18 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
     else:
         os.makedirs(work_dir, exist_ok=True)
 
-    def _save() -> None:
-        if checkpoint_path:
+    changed = True  # a status differs from the checkpoint file
+    written_at = 0.0
+
+    def _save(now: bool) -> None:
+        # Writes if a status changed, and now or CHECKPOINT_INTERVAL_S
+        # after the last write; reads the clock once.
+        nonlocal changed, written_at
+        at = monotonic()
+        if checkpoint_path and changed and (now or at - written_at >= CHECKPOINT_INTERVAL_S):
             write_checkpoint(checkpoint_path, group, n, max_rank,
                              [statuses[s] for s in specs])
+            changed, written_at = False, at
 
     found = any(st.state == "sat" for st in statuses.values())
     pending = [] if found else [s for s in specs if statuses[s].state == "pending"]
@@ -377,26 +382,21 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
             stop.set()
         return status
 
-    _save()
+    _save(now=True)
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_solve, spec): spec for spec in pending}
-            running = set(futures)
             try:
-                while running:
-                    # Every combo that finished by now is recorded, then
-                    # the checkpoint is written once for all of them.
-                    done, running = wait(running, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        if fut.exception() is None and fut.result() is not None:
-                            statuses[futures[fut]] = fut.result()
-                    for fut in done:
-                        fut.result()  # EncoderSoundnessError propagates
-                    _save()
+                for fut in as_completed(futures):
+                    status = fut.result()  # EncoderSoundnessError propagates
+                    if status is not None:
+                        statuses[futures[fut]] = status
+                        changed = True
+                        _save(now=status.state == "sat")
             finally:
                 stop.set()  # also on an interrupt of the main thread
     finally:
-        _save()
+        _save(now=True)
         if own_work_dir:
             for name in os.listdir(work_dir):
                 if name.endswith(".cnf"):
@@ -405,5 +405,5 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                 os.rmdir(work_dir)
 
     return CampaignReport(group, n, max_rank, [statuses[s] for s in specs],
-                          wall_seconds=time.monotonic() - started,
+                          wall_seconds=monotonic() - started,
                           solver=solver_cmd)

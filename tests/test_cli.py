@@ -244,6 +244,26 @@ def test_bad_config_file_exits_1_before_any_encoding(config, message, command,
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("command", [
+    ["search", "--max-rank", "3"],
+    ["solve-one", "--combo", "id=1"],
+], ids=["search", "solve-one"])
+def test_unparsable_solver_exits_1_before_any_encoding(command, tmp_path, capsys,
+                                                      monkeypatch):
+    from mmtsat import driver
+
+    def encode(*args):
+        raise AssertionError("a combo was encoded")
+
+    monkeypatch.setattr(driver, "encode", encode)
+    work = tmp_path / "w"
+    assert main([*command, "--group", "cyc", "--n", "2",
+                 "--solver", "sh -c 'echo {cnf}", "--work-dir", str(work)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: solver command \"sh -c 'echo {cnf}\": No closing quotation\n"
+    assert not work.exists()
+
+
 @requires_solver
 def test_solve_one_exit_codes(tmp_path, capsys):
     rc = main(["solve-one", "--group", "cyc", "--n", "2", "--combo",

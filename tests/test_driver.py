@@ -1,6 +1,8 @@
 import json
 import os
+import signal
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
@@ -131,7 +133,8 @@ def test_solve_combo_rank_zero_short_circuits(tmp_path):
 def test_combo_with_the_empty_clause_runs_no_solver(tmp_path):
     # cyc-t n=2 id=1 has a kept entry with target 1 where no product
     # survives: its CNF holds the empty clause, so it is recorded unsat
-    # with no solver run, fresh and resumed, and its CNF is still written.
+    # with no solver run, fresh and resumed, its detail names that entry,
+    # and its CNF is still written.
     label = "id=1,t=0,delta=0,full=0"
     ran = tmp_path / "ran"
     solver = _fake_solver(tmp_path, f"""case "$1" in
@@ -148,7 +151,8 @@ esac
         assert report.verdict() == "ruled_out"
         (status,) = [st for st in report.statuses if st.spec.label() == label]
         assert (status.state, status.detail) == (
-            "unsat", "the CNF holds the empty clause, no solver run")
+            "unsat", "empty clause: kept entry ((0, 0), (0, 0), (0, 0)) has target 1 "
+                     "and no surviving product, no solver run")
         assert cnf.exists() and not ran.exists()
 
     run()
@@ -164,9 +168,10 @@ esac
 def test_combos_decided_by_support_are_one_empty_clause_and_run_no_solver(tmp_path):
     # cyc-sw n=3 up to rank 4: 8 of the 10 combos of positive rank have
     # orbit kinds that leave a target-1 entry with no surviving product.
-    # Each is recorded unsat, its CNF file is the empty clause over its
-    # primaries, and the solver, which logs every file it is given, runs
-    # only on the other two.
+    # Each is recorded unsat with the CNF's comment naming that entry as
+    # its detail, its CNF file is the empty clause over its primaries,
+    # and the solver, which logs every file it is given, runs only on the
+    # other two.
     log = tmp_path / "solver.log"
     solver = _fake_solver(tmp_path, f'echo "$1" >> {log}; echo "s UNSATISFIABLE"\n')
     work = tmp_path / "work"
@@ -182,10 +187,10 @@ def test_combos_decided_by_support_are_one_empty_clause_and_run_no_solver(tmp_pa
         _, varmap = build_symbolic_orbits(GroupId.CYCLIC_SANDWICH, 3, st.spec.counts_dict())
         text = open(path).read()
         assert st.state == "unsat"
-        if st.detail == "the CNF holds the empty clause, no solver run":
+        if st.detail.startswith("empty clause: kept entry "):
             decided += 1
-            assert text.endswith(f"p cnf {len(varmap.primary)} 1\n 0\n")
-            assert "c empty clause: kept entry " in text
+            assert text.endswith(f"c {st.detail.removesuffix(', no solver run')}\n"
+                                 f"p cnf {len(varmap.primary)} 1\n 0\n")
             assert path not in solved
         else:
             assert st.detail == "" and path in solved
@@ -284,11 +289,11 @@ def test_campaign_resume_runs_nothing(tmp_path, monkeypatch):
 
 
 def test_campaign_checkpoint_holds_every_recorded_combo(tmp_path, monkeypatch):
-    # Combos that finish together are written in one checkpoint, so there
-    # are at most one write before any combo runs, one per combo and one
-    # at the end.  Every write holds exactly the statuses the campaign has
-    # recorded: the combos it shows finished are ones the solver returned,
-    # and a later write keeps every one an earlier write showed.
+    # There are at least two writes, one before any combo runs and one at
+    # the end, and at most one more per combo.  Every write holds exactly
+    # the statuses the campaign has recorded: the combos it shows finished
+    # are ones the solver returned, and a later write keeps every one an
+    # earlier write showed.
     finished = {}
     lock = threading.Lock()
     original_solve = driver.solve_combo
@@ -320,42 +325,166 @@ def test_campaign_checkpoint_holds_every_recorded_combo(tmp_path, monkeypatch):
                           checkpoint_path=str(tmp_path / "ckpt.json"),
                           work_dir=str(tmp_path / "work"))
     assert report.verdict() == "ruled_out"
-    assert 3 <= len(written) <= 1 + len(report.statuses) + 1
+    assert 2 <= len(written) <= 1 + len(report.statuses) + 1
     assert written[0] == {} and written[-1] == finished
     assert len(finished) == len(report.statuses)
 
 
-def test_campaign_combos_finishing_together_are_written_once(tmp_path, monkeypatch):
-    # Both combos finish before the campaign looks for a finished one,
-    # so they are recorded and written together: one write before any
-    # combo runs, one for the pair and one at the end.
-    specs = enumerate_combos(GroupId.CYCLIC, 1)
-    assert len(specs) == 2
+class _FakeClock:
+    """driver.monotonic for campaigns of one worker whose solves each
+    advance it by their combo's step.  A solve starts only once the
+    campaign's thread has read the clock since the previous solve ended,
+    so every completion is handled alone, in order, at the time its
+    solve ended."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._read = threading.Event()
+
+    def __call__(self):
+        if threading.current_thread() is threading.main_thread():
+            self._read.set()
+        return self.now
+
+    def solver(self, steps, sat=None):
+        def solve(group, n, spec, solver_cmd, *args):
+            assert self._read.wait(10)
+            self._read.clear()
+            self.now += steps[spec]
+            return ComboStatus(spec, "sat" if spec == sat else "unsat", steps[spec],
+                               solver_cmd)
+        return solve
+
+
+def test_campaign_checkpoint_writes_follow_the_clock(tmp_path, monkeypatch):
+    # The checkpoint is written when the campaign starts, at once on a
+    # sat, after another completion only if CHECKPOINT_INTERVAL_S has
+    # passed since the last write, and at the end only if a status
+    # changed since then.
+    assert driver.CHECKPOINT_INTERVAL_S == 1.0
+    specs = enumerate_combos(GroupId.CYCLIC, 4)
+    assert len(specs) == 7
+    clock = _FakeClock()
     writes = []
     original_write = driver.write_checkpoint
-    original_wait = driver.wait
 
     def write(path, *args):
         original_write(path, *args)
-        writes.append(load_checkpoint(path))
+        writes.append("".join(c["state"][0] for c in load_checkpoint(path)["combos"]))
 
-    def wait_for_all(fs, **kwargs):
-        deadline = time.monotonic() + 10
-        while not all(f.done() for f in fs) and time.monotonic() < deadline:
-            time.sleep(0.001)
-        return original_wait(fs, **kwargs)
-
+    monkeypatch.setattr(driver, "monotonic", clock)
     monkeypatch.setattr(driver, "write_checkpoint", write)
-    monkeypatch.setattr(driver, "wait", wait_for_all)
-    monkeypatch.setattr(driver, "solve_combo",
-                        lambda group, n, spec, solver_cmd, *args:
-                        ComboStatus(spec, "unsat", 0.0, solver_cmd))
-    report = run_campaign(GroupId.CYCLIC, 2, 1, "unused {cnf}", workers=2,
-                          checkpoint_path=str(tmp_path / "ckpt.json"),
-                          work_dir=str(tmp_path / "work"))
-    assert report.verdict() == "ruled_out"
-    assert [[c["state"] for c in w["combos"]] for w in writes] == [
-        ["pending", "pending"], ["unsat", "unsat"], ["unsat", "unsat"]]
+
+    def campaign(steps, ckpt, sat=None):
+        writes.clear()
+        monkeypatch.setattr(driver, "solve_combo",
+                            clock.solver(dict(zip(specs, steps)), sat))
+        return run_campaign(GroupId.CYCLIC, 2, 4, "unused {cnf}", workers=1,
+                            checkpoint_path=str(tmp_path / ckpt),
+                            work_dir=str(tmp_path / "work"))
+
+    # All seven finish within 1 s of the first write: written at the end.
+    assert campaign([0.1] * 7, "a.json").verdict() == "ruled_out"
+    assert writes == ["ppppppp", "uuuuuuu"]
+    # The second finishes 1 s after the first write and is written at once
+    # with the first; the other five follow within 1 s of it.
+    assert campaign([0.5, 0.5] + [0.1] * 5, "b.json").verdict() == "ruled_out"
+    assert writes == ["ppppppp", "uuppppp", "uuuuuuu"]
+    # A sat is written at once (with a combo still running after it, see
+    # test_campaign_sat_short_circuit_with_two_workers); nothing changes
+    # after it, so the end writes nothing, and neither does a resume of
+    # the finished campaign.
+    assert campaign([0.1] * 7, "c.json", sat=specs[2]).verdict() == "found"
+    assert writes == ["ppppppp", "uuspppp"]
+    assert campaign([0.1] * 7, "c.json").verdict() == "found"
+    assert writes == ["uuspppp"]
+
+
+def _alive(pid: int) -> bool:
+    """Whether a process with this pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
+def test_killed_campaign_resumes_exactly_its_unfinished_combos(tmp_path, monkeypatch):
+    # A campaign killed with its process group between two checkpoint
+    # writes leaves no solver running.  Its resume runs exactly the combos
+    # that the last checkpoint does not show finished, keeps the others'
+    # records, and reaches the verdict of a campaign never killed.
+    (tmp_path / "slow").mkdir()
+    (tmp_path / "fast").mkdir()
+    pids, calls = tmp_path / "pids", tmp_path / "calls"
+    slow = _fake_solver(tmp_path / "slow", f"""echo $$ >> {pids}
+sleep 0.2 &
+echo $! >> {pids}
+wait $!
+echo "s UNSATISFIABLE"
+""")
+    fast = _fake_solver(tmp_path / "fast", f'echo "$1" >> {calls}; echo "s UNSATISFIABLE"\n')
+    ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
+    src = os.path.dirname(os.path.dirname(driver.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mmtsat.cli", "search", "--group", "cyc", "--n", "2",
+         "--max-rank", "7", "--solver", slow, "--checkpoint", str(ckpt),
+         "--work-dir", str(work)],
+        env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+    def shown_finished() -> bool:
+        try:
+            return any(c["state"] != "pending" for c in load_checkpoint(ckpt)["combos"])
+        except (FileNotFoundError, ValueError):
+            return False
+
+    try:
+        deadline = time.monotonic() + 60
+        while not shown_finished():
+            assert proc.poll() is None, "the campaign ended before it was killed"
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(10)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(10)
+    deadline = time.monotonic() + 10
+    started = [int(p) for p in pids.read_text().split()]
+    while any(map(_alive, started)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert started and not any(map(_alive, started))
+
+    killed = {json.dumps(c["counts"], sort_keys=True): c
+              for c in load_checkpoint(ckpt)["combos"]}
+    unfinished = {k for k, c in killed.items() if c["state"] == "pending"}
+    assert unfinished and len(unfinished) < len(killed)
+    ran = []
+    original_solve = driver.solve_combo
+
+    def solve(group, n, spec, *args):
+        ran.append(json.dumps(spec.counts_dict(), sort_keys=True))
+        return original_solve(group, n, spec, *args)
+
+    monkeypatch.setattr(driver, "solve_combo", solve)
+    resumed = run_campaign(GroupId.CYCLIC, 2, 7, fast, checkpoint_path=str(ckpt),
+                           work_dir=str(work))
+    assert sorted(ran) == sorted(unfinished)
+    assert len(calls.read_text().splitlines()) == sum(
+        1 for k in unfinished if any(json.loads(k).values()))  # rank 0 runs no solver
+    for st in resumed.statuses:
+        key = json.dumps(st.spec.counts_dict(), sort_keys=True)
+        if key not in unfinished:
+            assert driver._combo_record(st) == killed[key]
+    whole = run_campaign(GroupId.CYCLIC, 2, 7, fast, work_dir=str(tmp_path / "whole"))
+    assert resumed.verdict() == whole.verdict() == "ruled_out"
+    assert [st.state for st in resumed.statuses] == [st.state for st in whole.statuses]
+    assert load_checkpoint(ckpt) == checkpoint_to_json(GroupId.CYCLIC, 2, 7, resumed.statuses)
 
 
 def test_campaign_sat_short_circuit_with_two_workers(tmp_path, monkeypatch):
