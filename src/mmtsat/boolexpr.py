@@ -6,9 +6,9 @@ majority `maj` fold constants and repeated or complementary arguments
 before they allocate a variable (MAJ of an equal pair is that literal, of
 a complementary pair its third argument, with True the OR and with False
 the AND of the other two), and share one gate per sorted argument set.
-An XOR gate is a balanced tree of parity blocks of at most XOR_WIDTH
-inputs, each defining one variable (a block of w inputs costs 2^w
-clauses); the others are standard Tseitin gates.
+An XOR gate allocates its variable v and asserts XOR(inputs, v) = 0
+as any other XOR is asserted (a gate of w <= XOR_WIDTH inputs is one
+block of 2^w clauses); the others are standard Tseitin gates.
 
 `lex_less` compiles a lexicographic comparison to one literal, a chain of
 MAJ gates.  The top-level constraint `assert_parity` takes products,
@@ -18,9 +18,9 @@ first, so a lone product becomes unit clauses or one clause, never a gate.
 Otherwise the XOR of k literals is asserted directly as one block when
 k <= XOR_WIDTH + 1 (2^(k-1) clauses), and else as a chain of the fewest
 blocks that define a variable each, with the root block asserted: this
-uses fewer variables and clauses than reducing it by the XOR gate's
-tree and asserting that literal, and propagation still forces the last
-free input.  `fold_products` and `assert_xor` are the two halves of
+uses fewer variables and clauses than reducing it by a balanced tree of
+blocks and asserting that literal, and propagation still forces the
+last free input.  `fold_products` and `assert_xor` are the two halves of
 `assert_parity`, for callers that gate products themselves, and
 `share_xor` hands the builder XOR gates built elsewhere.
 
@@ -29,12 +29,12 @@ order with a 0 after each clause, from the gates to the DIMACS text: a
 gate appends its literals and terminators directly.  A parity block
 picks all of its clauses, terminators included, out of
 (l_0, -l_0, l_1, -l_1, ..., 0) with one precomputed `itemgetter`, in
-mask order, and `assert_xor` picks a whole chain and its root the same
-way, with auxiliaries in the pool, from a selector compiled once per
+mask order, and an asserted XOR's whole chain and root are picked the
+same way, with auxiliaries in the pool, by a selector compiled once per
 (k, parity).  `assert_xors` applies that selector once to many XORs of
 the same k and parity, to columns that each hold one pool position
-across all of them.  `clauses` is a read-only view of the list as
-tuples.
+across all of them; `assert_xor` is its call for one XOR.  `clauses`
+is a read-only view of the list as tuples.
 `CnfInstance.to_dimacs` renders it with one join over a shared table of
 literal strings ("v " at v, "-v " at -v from the end, "0\n" at 0), so
 a clause's line ends where its terminator is; an empty clause's line is
@@ -245,18 +245,14 @@ def _parity_selector(k: int, parity: int) -> itemgetter:
     return _selector(picks)
 
 
-_PARITY_SELECTORS = {(k, parity): _parity_selector(k, parity)
-                     for k in range(XOR_WIDTH + 2) for parity in (0, 1)}
-
-
 @lru_cache(maxsize=None)
 def _xor_layout(k: int, parity: int) -> tuple[int, itemgetter]:
-    """What assert_xor emits for k variables and parity, compiled once:
-    the number m of auxiliaries it allocates, and one selector of all its
+    """How an XOR of k variables is asserted to parity, compiled once:
+    the number m of auxiliaries it needs, and one selector of all its
     clauses over (l_0, -l_0, ..., l_{k-1}, -l_{k-1}, a_0, -a_0, ...,
-    a_{m-1}, -a_{m-1}, 0), where a_j is the j-th auxiliary allocated.
-    assert_xors applies the same selector to columns of that pool, and
-    callers that number auxiliaries ahead of it read m here.
+    a_{m-1}, -a_{m-1}, 0), where a_j is the j-th auxiliary.  assert_xors
+    applies the selector to columns of that pool, and callers that
+    number auxiliaries ahead of it read m here.
 
     The layout is one block, or past XOR_WIDTH + 1 variables the chain
     of `_chain_blocks` and its root block, as compiled for the variables
@@ -299,22 +295,7 @@ class CnfBuilder:
     def _parity_clauses(self, lits, parity: int) -> None:
         """Clauses forcing XOR of lits == parity (at most XOR_WIDTH + 1)."""
         pool = (*[x for l in lits for x in (l, -l)], 0)
-        self.lits += _PARITY_SELECTORS[len(lits), parity](pool)
-
-    def _xor_to_lit(self, lits) -> int:
-        """Balanced reduction of an XOR chain to a single literal."""
-        while len(lits) > 1:
-            nxt = []
-            for i in range(0, len(lits), XOR_WIDTH):
-                chunk = list(lits[i:i + XOR_WIDTH])
-                if len(chunk) == 1:
-                    nxt.append(chunk[0])
-                    continue
-                v = self.fresh_var()
-                self._parity_clauses(chunk + [v], 0)
-                nxt.append(v)
-            lits = nxt
-        return lits[0]
+        self.lits += _parity_selector(len(lits), parity)(pool)
 
     def _and_gate(self, lits: tuple[int, ...]) -> int:
         v = self._gates.get(("and", lits))
@@ -344,7 +325,8 @@ class CnfBuilder:
         else:
             v = self._gates.get(("xor", odd))
             if v is None:
-                v = self._gates["xor", odd] = self._xor_to_lit(odd)
+                v = self._gates["xor", odd] = self.fresh_var()
+                self.assert_xor([*odd, v], 0)
         return -v if parity else v
 
     def maj(self, x: Lit, y: Lit, z: Lit) -> Lit:
@@ -397,20 +379,15 @@ class CnfBuilder:
         """The XOR of distinct variables, in ascending order, equals parity:
         one block, or a chain of blocks past XOR_WIDTH + 1 variables, whose
         auxiliaries it allocates next; no variable and odd parity is the
-        empty clause.  `_xor_layout` holds the layout."""
-        if not lits and parity:
-            self.has_empty_clause = True
-        aux, select = _xor_layout(len(lits), parity)
-        start = self.num_vars
-        self.num_vars += aux
-        pool = [x for l in (*lits, *range(start + 1, start + aux + 1)) for x in (l, -l)]
-        pool.append(0)
-        self.lits += select(pool)
+        empty clause.  `assert_xors` of this one XOR."""
+        first = self.num_vars + 1
+        self.num_vars += _xor_layout(len(lits), parity)[0]
+        self.assert_xors([[l] for l in lits], parity, [first])
 
     def assert_xors(self, columns, parity: int, firsts: list[int]) -> None:
-        """For each i, the XOR of columns[0][i], columns[1][i], ... equals
-        parity, with the clauses assert_xor gives those ascending variables
-        when its auxiliaries are numbered from firsts[i] on; the caller has
+        """For each i, the XOR of the ascending variables columns[0][i],
+        columns[1][i], ... equals parity, laid out by `_xor_layout` with
+        its auxiliaries numbered from firsts[i] on; the caller has
         allocated them.  One selection over the columns, each a pool
         position across all the XORs, picks every XOR's clauses, which
         are emitted XOR by XOR."""

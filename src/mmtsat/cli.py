@@ -43,11 +43,15 @@ def _parse_combo(text: str, group: GroupId) -> dict[str, int]:
     return combo
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int of at least low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def _positive_seconds(text: str) -> float:
@@ -104,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--combo", required=True, help="e.g. id=2,delta=1")
     p.add_argument("--out", required=True)
-    p.add_argument("--varmap", help="variable-map sidecar JSON path")
 
     p = sub.add_parser("solve-one", parents=[solving],
                        help="encode and solve a single combo")
@@ -118,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--checkpoint")
     p.add_argument("--work-dir")
 
@@ -137,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--nodes", type=int, help="optional DFS node limit")
+    p.add_argument("--max-rank", type=_int_at_least(0), required=True)
+    p.add_argument("--nodes", type=_int_at_least(1), help="optional DFS node limit")
 
     return parser
 
@@ -146,10 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_encode(args) -> int:
     group = GroupId.from_name(args.group)
     combo = _parse_combo(args.combo, group)
-    cnf, varmap = encode(group, args.n, combo)
+    cnf, _ = encode(group, args.n, combo)
     cnf.write(args.out)
-    if args.varmap:
-        varmap.write(args.varmap)
     _emit(args, f"wrote {args.out}: {cnf.num_vars} vars, {len(cnf.clauses)} clauses",
           {"out": args.out, "vars": cnf.num_vars, "clauses": len(cnf.clauses)})
     return EXIT_OK

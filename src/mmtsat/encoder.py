@@ -65,7 +65,6 @@ clause to it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, groupby, product, repeat
@@ -102,37 +101,13 @@ class VarEntry:
 
 @dataclass
 class VarMap:
+    """The primaries 1..len(primary), each with its label; the CNF's
+    comments name the same labels."""
     primary: list[VarEntry] = field(default_factory=list)
-    aux_start: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "primary": [
-                {"var": e.var, "orbit": e.orbit, "index": e.index,
-                 "mat": e.mat, "row": e.row, "col": e.col}
-                for e in self.primary
-            ],
-            "aux_start": self.aux_start,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "VarMap":
-        return cls(
-            primary=[VarEntry(e["var"], e["orbit"], e["index"],
-                              e["mat"], e["row"], e["col"])
-                     for e in obj["primary"]],
-            aux_start=obj["aux_start"],
-        )
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "VarMap":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+    @property
+    def aux_start(self) -> int:
+        return len(self.primary) + 1
 
 
 # -- symbolic matrix algebra -------------------------------------------------
@@ -268,7 +243,6 @@ def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
                 rep.append(tuple(tuple(reduce(xor, (cells[c] for c in basis[i * n + j]), 0)
                                        for j in range(n)) for i in range(n)))
             reps[kind.tag].append(tuple(rep))
-    varmap.aux_start = next_var + 1
     return reps, varmap
 
 

@@ -132,11 +132,9 @@ def test_criterion_7_encode_determinism(tmp_path):
     blobs = []
     for tag in ("first", "second"):
         cnf = tmp_path / f"{tag}.cnf"
-        vm = tmp_path / f"{tag}.vars.json"
         assert main(["encode", "--group", "cyc-sw", "--n", "3", "--combo",
-                     "id=1,sw=1,delta=1,full=1", "--out", str(cnf),
-                     "--varmap", str(vm)]) == 0
-        blobs.append((cnf.read_bytes(), vm.read_bytes()))
+                     "id=1,sw=1,delta=1,full=1", "--out", str(cnf)]) == 0
+        blobs.append(cnf.read_bytes())
     assert blobs[0] == blobs[1]
-    _report(7, "repeated encode runs are byte-identical (CNF and VarMap)",
+    _report(7, "repeated encode runs are byte-identical (CNF)",
             started)

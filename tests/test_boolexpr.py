@@ -266,6 +266,24 @@ def test_xor_width_splitting_is_sound():
         for assignment in _assignments(n):
             want = sum(assignment.values()) % 2 == parity
             assert propagate(builder.clauses, assignment) == want
+    # An xor() gate v asserts XOR(inputs, v) = 0 as any XOR is asserted:
+    # up to XOR_WIDTH inputs that is the one block the balanced tree it
+    # replaced gave, and past that a chain, whose v propagation fixes to
+    # the inputs' parity.
+    for k in range(2, 2 * XOR_WIDTH + 2):
+        args = [-(i + 1) if i % 3 == 0 else i + 1 for i in range(k)]
+        builder = CnfBuilder(k)
+        g = builder.xor(*args)
+        v = abs(g)
+        assert v == k + 1 and (g < 0) == (len(args[::3]) % 2 == 1)
+        if k <= XOR_WIDTH:
+            assert list(builder.clauses) == _reference_parity_clauses([*range(1, k + 1), v], 0)
+            continue
+        assert max(map(len, builder.clauses)) <= XOR_WIDTH + 1
+        for assignment in _assignments(k):
+            closure = unit_closure(builder.clauses, assignment)
+            assert closure is not None and len(closure) == builder.num_vars, k
+            assert _value(g, closure) == (sum(_value(x, assignment) for x in args) % 2 == 1)
 
 
 def _layout_sizes(k):

@@ -89,29 +89,26 @@ def test_encode_rejects_an_n_the_group_is_not_defined_at(capsys):
     assert "only defined for n = 3" in capsys.readouterr().err
 
 
-def test_encode_writes_dimacs_and_varmap(tmp_path, capsys):
+def test_encode_writes_dimacs_with_its_legend(tmp_path, capsys):
     out = tmp_path / "inst.cnf"
-    vm = tmp_path / "inst.vars.json"
     rc = main(["encode", "--group", "cyc", "--n", "2", "--combo",
-               "id=2,delta=1", "--out", str(out), "--varmap", str(vm), "--json"])
+               "id=2,delta=1", "--out", str(out), "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["vars"] > 0 and payload["clauses"] > 0
     text = out.read_text()
     assert text.startswith("c mmtsat group=cyc")
     assert "p cnf" in text
-    sidecar = json.loads(vm.read_text())
-    assert sidecar["aux_start"] == 29  # 2*12 id vars + 4 delta vars, then aux
+    assert "c aux vars start at 29\n" in text  # 2*12 id vars + 4 delta vars, then aux
 
 
 def test_encode_byte_identical_across_runs(tmp_path, capsys):
     paths = []
     for tag in ("a", "b"):
         out = tmp_path / f"{tag}.cnf"
-        vm = tmp_path / f"{tag}.vars.json"
         assert main(["encode", "--group", "cyc-t", "--n", "3", "--combo",
-                     "t=1,full=1", "--out", str(out), "--varmap", str(vm)]) == 0
-        paths.append((out.read_bytes(), vm.read_bytes()))
+                     "t=1,full=1", "--out", str(out)]) == 0
+        paths.append(out.read_bytes())
     assert paths[0] == paths[1]
     capsys.readouterr()
 
@@ -193,6 +190,22 @@ def test_brute_command(capsys):
     assert main(["brute", "--n", "2", "--k", "2", "--m", "2",
                  "--max-rank", "7", "--nodes", "10"]) == 20
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--nodes", "0", "must be at least 1"),
+    ("--nodes", "-5", "must be at least 1"),
+    ("--max-rank", "-1", "must be at least 0"),
+])
+def test_brute_rejects_nonsense_bounds(option, value, message, capsys):
+    # A node limit below 1 cannot bound a search and a negative rank bound
+    # admits nothing: usage errors, not a "budget exceeded" or "ruled out".
+    args = {"--max-rank": "3", "--nodes": "100", option: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["brute", "--n", "2", "--k", "2", "--m", "2",
+              *(x for kv in args.items() for x in kv)])
+    assert exc.value.code == 2
+    assert f"{option}: {message}, got {value}" in capsys.readouterr().err
 
 
 def test_solver_resolution_precedence(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,6 @@ from mmtsat.boolexpr import CnfBuilder, CnfInstance, fold_products
 from mmtsat.canonical import canonicalize, check_canonical
 from mmtsat.encoder import (
     DecodeError,
-    VarMap,
     _block,
     _entry_terms,
     _equation_entries,
@@ -162,7 +161,7 @@ def test_encode_is_deterministic():
     cnf1, vm1 = encode(GroupId.CYCLIC, 2, combo)
     cnf2, vm2 = encode(GroupId.CYCLIC, 2, combo)
     assert cnf1.to_dimacs() == cnf2.to_dimacs()
-    assert vm1.to_json() == vm2.to_json()
+    assert vm1.primary == vm2.primary
 
 
 def test_comment_legend_names_primary_variables():
@@ -170,17 +169,6 @@ def test_comment_legend_names_primary_variables():
     text = cnf.to_dimacs()
     assert "c var 1 = delta[0].D[0][0]" in text
     assert f"c aux vars start at {varmap.aux_start}" in text
-
-
-def test_varmap_json_round_trip(tmp_path):
-    _, varmap = encode(GroupId.CYCLIC_TRANSPOSE, 2, {"t": 1, "full": 1})
-    path = tmp_path / "vm.json"
-    varmap.write(path)
-    back = VarMap.load(path)
-    assert back.to_json() == varmap.to_json()
-    obj = varmap.to_json()
-    assert set(obj) == {"primary", "aux_start"}
-    assert set(obj["primary"][0]) == {"var", "orbit", "index", "mat", "row", "col"}
 
 
 def _model_from_symmetric(sd, varmap):
