@@ -24,22 +24,24 @@ last free input.  `fold_products` and `assert_xor` are the two halves of
 `assert_parity`, for callers that gate products themselves, and
 `share_xor` hands the builder XOR gates built elsewhere.
 
-Clauses are kept in one flat list of ints, `CnfBuilder.lits`, in DIMACS
-order with a 0 after each clause, from the gates to the DIMACS text: a
-gate appends its literals and terminators directly.  A parity block
-picks all of its clauses, terminators included, out of
+A `CnfBuilder` is the `CnfInstance` it builds: it adds the gate table
+to the instance's fields, and a caller hands it on as the CNF with its
+comments set.  Clauses are kept in one flat list of ints, `lits`, in
+DIMACS order with a 0 after each clause, from the gates to the DIMACS
+text: a gate appends its literals and terminators directly.  A parity
+block picks all of its clauses, terminators included, out of
 (l_0, -l_0, l_1, -l_1, ..., 0) with one precomputed `itemgetter`, in
 mask order, and an asserted XOR's whole chain and root are picked the
 same way, with auxiliaries in the pool, by a selector compiled once per
 (k, parity).  `assert_xors` applies that selector once to many XORs of
 the same k and parity, to columns that each hold one pool position
 across all of them; `assert_xor` is its call for one XOR.  `clauses`
-is a read-only view of the list as tuples.
-`CnfInstance.to_dimacs` renders it with one join over a shared table of
-literal strings ("v " at v, "-v " at -v from the end, "0\n" at 0), so
-a clause's line ends where its terminator is; an empty clause's line is
-" 0".  The builder records when it emits the empty clause, so a caller
-can tell a CNF refuted by construction without scanning it.
+is a read-only view of the list as tuples.  `to_dimacs` renders it
+with one join over a shared table of literal strings ("v " at v, "-v "
+at -v from the end, "0\n" at 0), so a clause's line ends where its
+terminator is; an empty clause's line is " 0".  The instance records
+when the empty clause is emitted, so a caller can tell a CNF refuted by
+construction without scanning it.
 """
 
 from __future__ import annotations
@@ -180,15 +182,6 @@ class CnfInstance:
         self.has_empty_clause = empty
         self.comments = comments if comments is not None else []
 
-    @classmethod
-    def from_lits(cls, num_vars: int, lits: list[int], has_empty_clause: bool,
-                  comments: list[str] | None = None) -> "CnfInstance":
-        """The instance of a flat literal list that a builder produced."""
-        inst = cls(num_vars, (), comments)
-        inst.lits = lits
-        inst.has_empty_clause = has_empty_clause
-        return inst
-
     @property
     def clauses(self) -> Clauses:
         return Clauses(self.lits)
@@ -268,18 +261,13 @@ def _xor_layout(k: int, parity: int) -> tuple[int, itemgetter]:
                                       for l in b.lits])
 
 
-class CnfBuilder:
-    """Folding Tseitin gates with one gate per kind and sorted arguments."""
+class CnfBuilder(CnfInstance):
+    """An instance grown by folding Tseitin gates, with one gate per kind
+    and sorted arguments."""
 
     def __init__(self, num_primary: int):
-        self.num_vars = num_primary
-        self.lits: list[int] = []  # every clause's literals, then a 0
-        self.has_empty_clause = False
+        super().__init__(num_primary, ())
         self._gates: dict[tuple, int] = {}  # (kind, sorted args) -> variable
-
-    @property
-    def clauses(self) -> Clauses:
-        return Clauses(self.lits)
 
     def fresh_var(self) -> int:
         self.num_vars += 1
@@ -426,7 +414,3 @@ class CnfBuilder:
             self._parity_clauses([*carry, *lits[start:end], v], 0)
             carry, start = [v], end
         return [*carry, *lits[start:]]
-
-    def build(self, comments: list[str] | None = None) -> CnfInstance:
-        return CnfInstance.from_lits(self.num_vars, self.lits, self.has_empty_clause,
-                                     comments or [])

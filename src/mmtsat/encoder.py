@@ -6,16 +6,16 @@ cell of its space, every other cell the XOR of free-cell variables.
 Each matrix of the space is the image of exactly one assignment, so no
 side equations are emitted; a free cell equals its variable, so a
 primary's (mat, row, col) label names its cell.  Every symbolic cell is
-an affine form of the primaries, held as an int mask (bit v is primary v, bit 0 the constant
-1), so the linear image ops act on cells by XOR of masks, and a model
-gives a cell the parity of its mask's true bits.  The encoder expands
-orbits with the same expansion function the concrete expander uses,
-compiles each cell it needs to one literal of a `CnfBuilder`, emits the
-per-entry tensor equations plus the lexicographic symmetry-breaking
-constraints, and can decode any model back into a verified
-decomposition.  Roles, side conditions, expansions and ordering
-constraints are all read from the same table in symmetry that
-check_canonical reads.
+a linear form of the primaries, held as an int mask (bit v is primary v;
+no cell has a constant term), so the linear image ops act on cells by
+XOR of masks, and a model gives a cell the parity of its mask's true
+bits.  The encoder expands orbits with the same expansion function the
+concrete expander uses, compiles each cell it needs to one literal of a
+`CnfBuilder`, emits the per-entry tensor equations plus the
+lexicographic symmetry-breaking constraints, and can decode any model
+back into a verified decomposition.  Roles, side conditions, expansions
+and ordering constraints are all read from the same table in symmetry
+that check_canonical reads.
 
 Tensor equations are kept only at the free entries of one GF(2)
 elimination.  The expanded symbolic decomposition is invariant under
@@ -46,21 +46,21 @@ lengths.  `encode` stamps each representative's block as one copy,
 renaming every literal with one `itemgetter` over its renaming list (0
 renames to 0, so terminators stay), and then asserts the entries'
 combined XORs a batch at a time, one batch per (number of literals,
-parity).  Whether one product survives at an entry, which decides a
-count-1 kind's solo entries (see `_stamp_equations`), is read from
-folding its cell masks, so no block is compiled only for that.
+parity).
 
-Some combos are refuted by their support alone.  Whether a product
-survives at a kept entry depends only on which kinds are present, since
-products of different representatives never cancel; the entries where a
-single representative of a kind has one are cached per kind, and their
-union per set of present kinds.  If the target has a 1 at a kept entry
-outside that union, the equation there is an XOR of nothing equal to 1,
-which no assignment satisfies: entry-major compilation would emit the
-empty clause there.  `encode` then compiles nothing and gives that
-clause alone over the combo's primaries, with a comment naming the
-entry.  Every other combo is compiled as above, and the check adds no
-clause to it.
+Whether a product survives at a kept entry depends only on which kinds
+are present, since products of different representatives never cancel.
+So each kind's solo-free block, which records how many products survive
+at every entry, decides two things per set of present kinds, cached in
+`_support`: the entries where a count-1 kind's lone product is the only
+one (its solo entries, see `_stamp_equations`), and whether the target
+has a 1 at a kept entry where no product survives.  The equation there
+is an XOR of nothing equal to 1, which no assignment satisfies:
+entry-major compilation would emit the empty clause there.  `encode`
+then stamps nothing and gives that clause alone over the combo's
+primaries, with a comment naming the entry.  Every other combo is
+compiled as above, and the check adds no clause to it.  `encode`
+returns its builder, which is the CNF instance.
 """
 
 from __future__ import annotations
@@ -201,8 +201,7 @@ def cell_literals(builder: CnfBuilder, lits: dict[int, Lit] | None = None):
             while rest:
                 low = rest & -rest
                 rest ^= low
-                # Bit 0 is the constant 1, bit v the variable v.
-                args.append(low.bit_length() - 1 or True)
+                args.append(low.bit_length() - 1)  # bit v is variable v
             lits[mask] = builder.xor(*args)
         return lits[mask]
     return lit
@@ -323,26 +322,11 @@ class _Block:
 
 
 @lru_cache
-def _surviving(group: GroupId, n: int, tag: str) -> tuple[frozenset[int], frozenset[int]]:
-    """The kept entries where one, and where at least one, product of a
-    single representative of kind tag survives folding.  A cell has no
-    constant term and compiles to one literal per mask, so products fold
-    as their tuples of masks do, and no block need be compiled."""
-    reps, _ = build_symbolic_orbits(group, n, {tag: 1})
-    one, some = set(), set()
-    for i, (_, products, _) in enumerate(tensor_equations(group, n, reps)):
-        odd, _ = fold_products(products, 0)
-        if odd:
-            some.add(i)
-            if len(odd) == 1:
-                one.add(i)
-    return frozenset(one), frozenset(some)
-
-
-@lru_cache
 def _block(group: GroupId, n: int, tag: str, solo: frozenset[int]) -> _Block:
     """The block of one representative of kind tag, with the lone
-    surviving product asserted at each entry in solo."""
+    surviving product asserted at each entry in solo.  The solo-free
+    block's widths count the products that survive at every kept entry,
+    which is what `_support` reads."""
     reps, varmap = build_symbolic_orbits(group, n, {tag: 1})
     primaries = len(varmap.primary)
     builder = CnfBuilder(primaries)
@@ -380,6 +364,23 @@ def _target_bits(group: GroupId, n: int) -> tuple[int, ...]:
     return tuple(target.get(*sum(entry, ())) for entry in _equation_entries(group, n)[0])
 
 
+@lru_cache
+def _support(group: GroupId, n: int, tags: frozenset[str]
+             ) -> tuple[int | None, dict[str, frozenset[int]]]:
+    """For a combo whose present kinds are tags: the first kept entry with
+    target bit 1 where no product survives, or None, and per kind its
+    solo entries, where one product survives in all and it is that kind's.
+    Products of different representatives never cancel, so the counts do
+    not matter: both are read from each kind's solo-free block widths."""
+    widths = {tag: _block(group, n, tag, frozenset()).widths for tag in tags}
+    total = list(map(sum, zip(*widths.values())))
+    unsupported = next((i for i, (bit, width) in enumerate(zip(_target_bits(group, n), total))
+                        if bit and not width), None)
+    return unsupported, {tag: frozenset(i for i, (w, t) in enumerate(zip(ws, total))
+                                        if w == t == 1)
+                         for tag, ws in widths.items()}
+
+
 def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
                      combo: dict[str, int]) -> None:
     """Assert the tensor equation at every kept entry, with the variables
@@ -388,10 +389,11 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
     Products of different representatives share no variable, so they
     never cancel or share a gate, and each representative's gates are
     its kind's block renamed.  An entry is solo when one product survives
-    in the whole combo: only at a kind of count 1, none of whose other
-    kinds has a product there.  Variables are numbered as assert_parity
-    allocates them, entry by entry: cell-XOR gates of each representative
-    in turn, then AND gates, then the chain of the entry's combined XOR.
+    in the whole combo, which `_support` reads per kind of count 1; that
+    kind's block asserts the product there.  Variables are numbered as
+    assert_parity allocates them, entry by entry: cell-XOR gates of each
+    representative in turn, then AND gates, then the chain of the entry's
+    combined XOR.
     A cell has no constant term, so folding never flips a parity.
 
     Every run of that numbering has a known length, so one accumulate
@@ -403,13 +405,10 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
     """
     present = [(kind.tag, combo[kind.tag]) for kind in orbit_kinds(group)
                if combo.get(kind.tag, 0) > 0]
-    kinds = []  # (block, count), in variable order
-    for tag, count in present:
-        solo = frozenset()
-        if count == 1:
-            solo = _surviving(group, n, tag)[0].difference(
-                *(_surviving(group, n, t)[1] for t, _ in present if t != tag))
-        kinds.append((_block(group, n, tag, solo), count))
+    _, solos = _support(group, n, frozenset(tag for tag, _ in present))
+    # (block, count), in variable order
+    kinds = [(_block(group, n, tag, solos[tag] if count == 1 else frozenset()), count)
+             for tag, count in present]
     bits = _target_bits(group, n)
     size = len(bits)
     xor_lits = [0] * size  # each entry's number of XOR literals
@@ -463,17 +462,6 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
         start = stop
 
 
-@lru_cache
-def _unsupported_entry(group: GroupId, n: int, tags: frozenset[str]) -> int | None:
-    """The index of the first kept entry with target bit 1 where no
-    product survives in a combo whose present kinds are tags, or None.
-    Products of different representatives never cancel, so the counts
-    do not matter."""
-    covered = frozenset().union(*(_surviving(group, n, tag)[1] for tag in tags))
-    return next((i for i, bit in enumerate(_target_bits(group, n))
-                 if bit and i not in covered), None)
-
-
 def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, VarMap]:
     """CNF whose models are exactly the canonical-form symmetric
     decompositions of <n,n,n> with the given orbit counts.
@@ -490,8 +478,8 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
         raise ValueError("total rank must be at least 1")
     reps, varmap = build_symbolic_orbits(group, n, combo)
     builder = CnfBuilder(varmap.aux_start - 1)
-    unsupported = _unsupported_entry(group, n, frozenset(tag for tag, count in combo.items()
-                                                         if count > 0))
+    unsupported, _ = _support(group, n, frozenset(tag for tag, count in combo.items()
+                                                  if count > 0))
     if unsupported is None:
         _stamp_equations(builder, group, n, combo)
         nonzero_representatives(builder, varmap)
@@ -499,16 +487,17 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     else:
         builder.add_clause(())
 
-    comments = [f"mmtsat group={group.value} n={n} "
+    builder.comments = [f"mmtsat group={group.value} n={n} "
                 f"combo={','.join(f'{k}={v}' for k, v in sorted(combo.items()))} "
                 f"rank={rank}"]
-    comments.extend(f"var {e.var} = {e.orbit}[{e.index}].{e.mat}[{e.row}][{e.col}]"
+    builder.comments.extend(f"var {e.var} = {e.orbit}[{e.index}].{e.mat}[{e.row}][{e.col}]"
                     for e in varmap.primary)
-    comments.append(f"aux vars start at {varmap.aux_start}")
+    builder.comments.append(f"aux vars start at {varmap.aux_start}")
     if unsupported is not None:
         entry = _equation_entries(group, n)[0][unsupported]
-        comments.append(f"empty clause: kept entry {entry} has target 1 and no surviving product")
-    return builder.build(comments), varmap
+        builder.comments.append(
+            f"empty clause: kept entry {entry} has target 1 and no surviving product")
+    return builder, varmap
 
 
 # -- decoding ----------------------------------------------------------------
@@ -531,7 +520,7 @@ def decode(model: dict[int, bool], varmap: VarMap, group: GroupId,
     for e in varmap.primary:
         if e.var not in model:
             raise DecodeError(f"incomplete model: model does not assign variable {e.var}")
-    bits = 1 | sum(1 << e.var for e in varmap.primary if model[e.var])
+    bits = sum(1 << e.var for e in varmap.primary if model[e.var])
     orbits = {tag: tuple(tuple(Gf2Matrix.from_rows(
                   [[(cell & bits).bit_count() & 1 for cell in row] for row in mat])
                   for mat in rep) for rep in tag_reps)

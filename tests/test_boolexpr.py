@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from mmtsat import boolexpr
-from mmtsat.boolexpr import XOR_WIDTH, CnfBuilder, CnfInstance, neg
+from mmtsat.boolexpr import XOR_WIDTH, Clauses, CnfBuilder, CnfInstance, neg
 
 from conftest import propagate, unit_closure
 
@@ -154,14 +154,15 @@ def test_literal_table_is_shared_and_bounded(monkeypatch):
 
 def test_builder_records_the_empty_clause():
     # From add_clause, also given an iterator, and from an asserted XOR
-    # of no variable with odd parity; the instance carries the record.
+    # of no variable with odd parity; the builder is the instance, so its
+    # DIMACS text shows the empty clause.
     b = CnfBuilder(2)
     b.add_clause(x for x in (1, 2))
     b.assert_xor([], 0)
     b.assert_xor([1, 2], 1)
-    assert not b.has_empty_clause and not b.build().has_empty_clause
+    assert not b.has_empty_clause
     b.add_clause(iter(()))
-    assert b.has_empty_clause and b.build().has_empty_clause
+    assert b.has_empty_clause and b.to_dimacs().endswith("\n 0\n")
     c = CnfBuilder(0)
     c.assert_xor([], 1)
     assert c.has_empty_clause and list(c.clauses) == [()]
@@ -369,8 +370,7 @@ def test_batched_xors_equal_one_assert_xor_each():
             firsts.append(one.num_vars + 1)
             start = len(one.lits)
             one.assert_xor(row, parity)
-            each.append(Counter(CnfInstance.from_lits(one.num_vars, one.lits[start:],
-                                                      False).clauses))
+            each.append(Counter(Clauses(one.lits[start:])))
         batch = CnfBuilder(one.num_vars)
         batch.assert_xors([list(col) for col in zip(*rows)], parity, firsts)
         clauses = list(batch.clauses)

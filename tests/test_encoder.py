@@ -1,9 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
-import os
 import random
-import subprocess
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +21,7 @@ from mmtsat.encoder import (
     _equation_entries,
     _fixed_space,
     _lift,
-    _unsupported_entry,
+    _support,
     build_symbolic_orbits,
     cell_literals,
     decode,
@@ -48,8 +46,8 @@ from conftest import propagate, random_symmetric_decomposition
 
 def _read(mask, model):
     """A cell's value under a model: the parity of its mask's primaries
-    that are true, with bit 0 the constant 1."""
-    bits = 1 | sum(1 << v for v, value in model.items() if value)
+    that are true."""
+    bits = sum(1 << v for v, value in model.items() if value)
     return (mask & bits).bit_count() & 1
 
 
@@ -525,16 +523,20 @@ def _census_combos():
 def test_support_check_agrees_with_direct_compilation():
     # On every census combo, the support check fires exactly when the
     # entry-major assert_parity reference holds the empty clause, and
-    # encode then gives that clause alone.
+    # encode then gives that clause alone.  The solo entries read from the
+    # blocks' widths are those of folding the whole combo's cell masks.
     combos = _census_combos()
     assert len(combos) == 144
     decided = Counter()
     for group, n, combo in combos:
         cnf, varmap = encode(group, n, combo)
         direct = _direct_encode(group, n, combo, cnf.comments)
-        fires = _unsupported_entry(group, n, frozenset(t for t, c in combo.items() if c))
+        fires, solos = _support(group, n, frozenset(t for t, c in combo.items() if c))
         assert (fires is not None) == direct.has_empty_clause == cnf.has_empty_clause, \
             (group, n, combo)
+        expected = _solo_entries(group, n, combo)
+        assert {tag: solos[tag] for tag, c in combo.items() if c == 1} == \
+            {tag: expected[tag] for tag, c in combo.items() if c == 1}, (group, n, combo)
         if fires is not None:
             _assert_lone_empty_clause(cnf, varmap, group, n, combo)
             decided[group.value, n] += 1
@@ -580,23 +582,6 @@ def test_blocks_are_built_once_and_immutable(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == digests
-
-
-def test_a_lone_kind_of_count_1_compiles_one_block(tmp_path):
-    # Its solo entries come from folding cell masks, not from compiling
-    # the kind's solo-free block as well.
-    script = ("import sys\n"
-              "from mmtsat.cli import main\n"
-              "from mmtsat.encoder import _block\n"
-              "main(['encode', '--group', 'none', '--n', '3', '--combo', 'id=1',\n"
-              "      '--out', sys.argv[1]])\n"
-              "print(_block.cache_info().misses)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "id1.cnf")],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "1"
 
 
 @pytest.mark.parametrize("group,n,combo", [
