@@ -137,9 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brute", parents=[common],
                        help="exhaustive minimum-rank search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_at_least(1), required=True)
     p.add_argument("--max-rank", type=_int_at_least(0), required=True)
     p.add_argument("--nodes", type=_int_at_least(1), help="optional DFS node limit")
 

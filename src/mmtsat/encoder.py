@@ -487,11 +487,12 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     else:
         builder.add_clause(())
 
+    # Every kind of the group, zeros included: one combo, one header.
+    counts = sorted((kind.tag, combo.get(kind.tag, 0)) for kind in orbit_kinds(group))
     builder.comments = [f"mmtsat group={group.value} n={n} "
-                f"combo={','.join(f'{k}={v}' for k, v in sorted(combo.items()))} "
-                f"rank={rank}"]
+                        f"combo={','.join(f'{k}={v}' for k, v in counts)} rank={rank}"]
     builder.comments.extend(f"var {e.var} = {e.orbit}[{e.index}].{e.mat}[{e.row}][{e.col}]"
-                    for e in varmap.primary)
+                            for e in varmap.primary)
     builder.comments.append(f"aux vars start at {varmap.aux_start}")
     if unsupported is not None:
         entry = _equation_entries(group, n)[0][unsupported]

@@ -196,14 +196,18 @@ def test_brute_command(capsys):
     ("--nodes", "0", "must be at least 1"),
     ("--nodes", "-5", "must be at least 1"),
     ("--max-rank", "-1", "must be at least 0"),
+    ("--n", "-1", "must be at least 1"),
+    ("--k", "0", "must be at least 1"),
+    ("--m", "-2", "must be at least 1"),
 ])
 def test_brute_rejects_nonsense_bounds(option, value, message, capsys):
-    # A node limit below 1 cannot bound a search and a negative rank bound
-    # admits nothing: usage errors, not a "budget exceeded" or "ruled out".
-    args = {"--max-rank": "3", "--nodes": "100", option: value}
+    # A node limit below 1 cannot bound a search, a negative rank bound
+    # admits nothing and a dimension below 1 has no matrices: usage
+    # errors, not a "budget exceeded", a "ruled out" or an oracle error.
+    args = {"--n": "2", "--k": "2", "--m": "2", "--max-rank": "3", "--nodes": "100",
+            option: value}
     with pytest.raises(SystemExit) as exc:
-        main(["brute", "--n", "2", "--k", "2", "--m", "2",
-              *(x for kv in args.items() for x in kv)])
+        main(["brute", *(x for kv in args.items() for x in kv)])
     assert exc.value.code == 2
     assert f"{option}: {message}, got {value}" in capsys.readouterr().err
 

@@ -169,6 +169,16 @@ def test_comment_legend_names_primary_variables():
     assert f"c aux vars start at {varmap.aux_start}" in text
 
 
+def test_header_spells_every_kind_of_the_group():
+    # One combo, one DIMACS text: the header names every kind, sorted by
+    # tag, whether or not its zero count is given.
+    short = encode(GroupId.CYCLIC_TRANSPOSE, 2, {"t": 2, "full": 1})[0].to_dimacs()
+    spelled = encode(GroupId.CYCLIC_TRANSPOSE, 2,
+                     {"id": 0, "t": 2, "delta": 0, "full": 1})[0].to_dimacs()
+    assert short == spelled
+    assert short.startswith("c mmtsat group=cyc-t n=2 combo=delta=0,full=1,id=0,t=2 rank=7\n")
+
+
 def _model_from_symmetric(sd, varmap):
     model = {}
     for e in varmap.primary:
