@@ -159,8 +159,9 @@ def check_canonical(sd: SymmetricDecomposition) -> list[str]:
 
     A representative whose matrices are all zero breaks the non-zero
     clause; one with only some zero roles is admitted, as in the CNF.
-    The ordering constraints come from lex_constraints, the same
-    function the encoder compiles to CNF.
+    One whose distinct roles hold equal matrices breaks the encoder's
+    distinct-roles clause.  The ordering constraints come from
+    lex_constraints, the same function the encoder compiles to CNF.
     """
     v: list[str] = []
     image = scheme(sd.group).image
@@ -168,6 +169,10 @@ def check_canonical(sd: SymmetricDecomposition) -> list[str]:
         reps = sd.orbits.get(kind.tag, ())
         v.extend(f"{kind.tag}[{i}]: representative is zero"
                  for i, rep in enumerate(reps) if all(m.is_zero() for m in rep))
+        if kind.distinct:
+            r, s = kind.distinct
+            v.extend(f"{kind.tag}[{i}]: {kind.roles[r]} equals {kind.roles[s]}, "
+                     "a degenerate orbit" for i, rep in enumerate(reps) if rep[r] == rep[s])
         for i, what, lhs, rhs in lex_constraints(kind, reps, image):
             if not _rep_key(lhs) < _rep_key(rhs):
                 v.append(f"{kind.tag}[{i}]: {what}")

@@ -272,7 +272,10 @@ def nonzero_representatives(builder: CnfBuilder, varmap: VarMap) -> None:
 
 def symmetry_breaking(builder: CnfBuilder, group: GroupId, n: int, reps) -> None:
     """Assert the canonical form's lex-order constraints on symbolic
-    representatives."""
+    representatives, and that a kind's distinct roles differ: one clause
+    per representative over their cells' XORs.  Roles have disjoint
+    primaries, so a cell XOR is constant only where both cells are 0,
+    where the roles never differ."""
     lit = cell_literals(builder)
 
     def flat(mats):
@@ -282,6 +285,11 @@ def symmetry_breaking(builder: CnfBuilder, group: GroupId, n: int, reps) -> None
     for kind in orbit_kinds(group):
         for _, _, lhs, rhs in lex_constraints(kind, reps[kind.tag], image):
             builder.assert_parity([(builder.lex_less(flat(lhs), flat(rhs)),)], 1)
+        if kind.distinct:
+            r, s = kind.distinct
+            for rep in reps[kind.tag]:
+                builder.add_clause([lit(x ^ y) for rx, sx in zip(rep[r], rep[s])
+                                    for x, y in zip(rx, sx) if x ^ y])
 
 
 @dataclass(frozen=True)

@@ -168,8 +168,8 @@ def _kind_candidates(group: GroupId, tag: str, n: int):
             if s.bits != s.transpose().bits:
                 continue
             for h in mats:
-                if s.is_zero() and h.is_zero():
-                    continue  # all-zero triplet is excluded, S=0 alone is not
+                if h.bits == s.bits:
+                    continue  # H = S, zero or not, lists (S,S,S) thrice; S=0 alone is allowed
                 ht = h.transpose()
                 orbit = [(s, h, ht), (h, ht, s), (ht, s, h)]
                 out.append(((s, h), h.flat_bits(),

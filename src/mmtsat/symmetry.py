@@ -6,9 +6,10 @@ involutive matrix 110;010;001.  Each group has a single image op
 (transposition for cyc-t, conjugation by F for cyc-sw, both
 involutions), its generators as triplet words over A, B, C, and its
 orbit kinds.  A kind is given by its first triplet word, the roles the
-image op fixes (its side conditions) and the two lex-ordering fields of
-the canonical form; its expansion, the generators' orbit of the first
-triplet, and its weight are derived.
+image op fixes (its side conditions), the two lex-ordering fields of
+the canonical form and the roles that must differ (its degenerate
+case); its expansion, the generators' orbit of the first triplet, and
+its weight are derived.
 
 Concrete orbit expansion, side-condition checks, the encoder's symbolic
 expansion and symmetry breaking, check_canonical and canonicalize all
@@ -91,7 +92,9 @@ class OrbitKind:
     and the concatenated `chain` roles must strictly increase across
     adjacent representatives.  At most one role lies outside the chain;
     every triplet is linear in it, so representatives sharing a chain
-    key merge by adding that role.
+    key merge by adding that role.  The roles in `distinct` (none, or
+    two) must hold different matrices: where they are equal the orbit
+    is degenerate, a smaller orbit of another kind listed more than once.
     """
     tag: str
     roles: tuple[str, ...]
@@ -99,6 +102,7 @@ class OrbitKind:
     expansion: tuple[Row, ...]
     min_width: int
     chain: tuple[int, ...]
+    distinct: tuple[int, ...]
 
     @property
     def arity(self) -> int:
@@ -110,8 +114,9 @@ class OrbitKind:
 
 
 def _kind(generators: tuple[Row, ...], tag: str, first: str, min_width: int,
-          chain: str, fixed: str = "") -> OrbitKind:
-    """A kind from its first triplet word and the roles the image op fixes.
+          chain: str, fixed: str = "", distinct: str = "") -> OrbitKind:
+    """A kind from its first triplet word, the roles the image op fixes
+    and the roles that must differ.
 
     The expansion is the closure of the first triplet under the generator
     rows.  A generator slot (r, primed) takes matrix r of the triplet and
@@ -133,7 +138,8 @@ def _kind(generators: tuple[Row, ...], tag: str, first: str, min_width: int,
                 out.append(new)
                 (new,) = _substitute(generators[:1], new, toggle)
     return OrbitKind(tag, tuple(roles), flags, tuple(out), min_width,
-                     tuple(roles.index(r) for r in chain))
+                     tuple(roles.index(r) for r in chain),
+                     tuple(roles.index(r) for r in distinct))
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,8 @@ class GroupScheme:
 def _scheme(image, generators: str, *kinds: tuple) -> GroupScheme:
     """A group from its image op, its generator words over ABC (the
     rotation first) and, per orbit kind, (tag, first triplet word,
-    min_width, chain roles, roles the image op fixes)."""
+    min_width, chain roles, roles the image op fixes, roles that must
+    differ)."""
     rows = tuple(_row(w, "ABC") for w in generators.split())
     return GroupScheme(image, rows, tuple(_kind(rows, *k) for k in kinds))
 
@@ -157,7 +164,8 @@ _SCHEMES: dict[GroupId, GroupScheme] = {
                             ("id", "ABC", 3, "AB"), ("delta", "DDD", 0, "D")),
     GroupId.CYCLIC_TRANSPOSE: _scheme(
         Gf2Matrix.transpose, "BCA C'B'A'",
-        ("id", "ABC", 3, "AB"), ("t", "SHH'", 0, "H", "S"),
+        # A t orbit with H = S lists (S, S, S) three times: one full orbit.
+        ("id", "ABC", 3, "AB"), ("t", "SHH'", 0, "H", "S", "SH"),
         ("delta", "DDD", 1, "D"), ("full", "ZZZ", 0, "Z", "Z")),
     GroupId.CYCLIC_SANDWICH: _scheme(
         f_conjugate, "BCA A'B'C'",

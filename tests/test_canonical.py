@@ -78,8 +78,10 @@ def test_t_orbit_with_s_equal_h_collapses_to_full():
     s = _m("11;10")
     sd = SymmetricDecomposition(GroupId.CYCLIC_TRANSPOSE, 2,
                                 {"t": ((s, s),)})
+    assert check_canonical(sd) == ["t[0]: S equals H, a degenerate orbit"]
     out = canonicalize(sd)
     assert out.counts()["t"] == 0 and out.counts()["full"] == 1
+    assert check_canonical(out) == []
     assert evaluate(out.expand()).bits == evaluate(sd.expand()).bits
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from mmtsat import boolexpr
 from mmtsat.boolexpr import CnfBuilder, CnfInstance, fold_products
-from mmtsat.canonical import canonicalize, check_canonical
+from mmtsat.canonical import SymmetricDecomposition, canonicalize, check_canonical
 from mmtsat.encoder import (
     DecodeError,
     _block,
@@ -349,19 +349,59 @@ def test_symmetry_breaking_agrees_with_check_canonical(group, n):
     # the encoder emits.
     rng = random.Random(sum(map(ord, group.value)) + 5)
     seen = set()
+    degenerate = 0
     for _ in range(150):
         raw = random_symmetric_decomposition(rng, group, n, max_per_kind=3)
-        for sd in (raw, canonicalize(raw)):
+        for sd in (raw, canonicalize(raw), *_with_equal_distinct_roles(raw)):
             reps, varmap = build_symbolic_orbits(group, n, sd.counts())
             model = _model_from_symmetric(sd, varmap)
             builder = CnfBuilder(varmap.aux_start - 1)
             nonzero_representatives(builder, varmap)
             symmetry_breaking(builder, group, n, reps)
             encoded = propagate(builder.clauses, model)
-            canonical = check_canonical(sd) == []
-            assert encoded == canonical, sd
-            seen.add(canonical)
+            violations = check_canonical(sd)
+            assert encoded == (violations == []), sd
+            seen.add(violations == [])
+            degenerate += any("degenerate" in v for v in violations)
     assert seen == {True, False}
+    assert (degenerate > 0) == any(kind.distinct for kind in orbit_kinds(group))
+
+
+def _with_equal_distinct_roles(sd):
+    """sd and its canonical form with the first representative of a kind
+    with distinct roles given equal matrices there (the first role's,
+    whose side condition the second role's space contains), or nothing
+    when it has no such representative: random draws never give one."""
+    for kind in orbit_kinds(sd.group):
+        reps = sd.orbits.get(kind.tag, ())
+        if kind.distinct and reps:
+            r, s = kind.distinct
+            rep = list(reps[0])
+            rep[s] = rep[r]
+            sd = dataclasses.replace(sd, orbits={**sd.orbits,
+                                                 kind.tag: (tuple(rep), *reps[1:])})
+            return [sd, canonicalize(sd)]
+    return []
+
+
+def test_degenerate_t_orbit_conflicts():
+    # Strassen's cyc-t canonical form (t=2, full=1) with its full orbit Z
+    # written as the t orbit (Z, Z): the same tensor in combo t=3, with
+    # (Z, Z, Z) listed three times.  Its primaries must conflict, and
+    # check_canonical must name the degenerate orbit.
+    m, group = Gf2Matrix.parse, GroupId.CYCLIC_TRANSPOSE
+    z = m("10;01")
+    strassen = SymmetricDecomposition(group, 2, {
+        "t": ((m("10;00"), m("01;01")), (m("00;01"), m("10;10"))), "full": ((z,),)})
+    rewritten = SymmetricDecomposition(group, 2, {
+        "t": ((m("10;00"), m("01;01")), (z, z), (m("00;01"), m("10;10")))})
+    assert verify(strassen.expand()) and verify(rewritten.expand())
+    assert check_canonical(strassen) == []
+    assert check_canonical(rewritten) == ["t[1]: S equals H, a degenerate orbit"]
+    assert canonicalize(rewritten) == canonicalize(strassen)
+    for sd, canonical in ((strassen, True), (rewritten, False)):
+        cnf, varmap = encode(group, 2, sd.counts())
+        assert propagate(cnf.clauses, _model_from_symmetric(sd, varmap)) == canonical
 
 
 def _clause_lines(text):
@@ -381,8 +421,8 @@ def _clause_lines(text):
      "f5c907b7159bb032e5685e441b24b23d99ca5c8827774196be2c74163ae46121",
      "6223ebaeb67e1edad0be732d1ba3dbf6903dcb15b973015fdff17ed30291dd15"),
     (GroupId.CYCLIC_TRANSPOSE, 3, {"id": 1, "t": 1, "delta": 1, "full": 1},
-     "b36ec17e71bb939dc2f553a32166fdf19e38d0d355700243ed3a2927b9be6ac4",
-     "cd73a21f9223f060e75698b792ab9b8eebb79ffed242e70773e3b79078f69d55"),
+     "c0643c751998158f9f9e5702bba0a1715cd3ed78d5b0fcde6cc2c67d023ca067",
+     "8b69248a51c95582ebc950fbb235b4103cefd37c213848e8dce2fd2827c76ef4"),
     (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1},
      "43bfca5bb1a2216991ed62aa5fe33bc8d14eb507531cee8baebb6b5c7eda19b8",
      "2a977ee55367c56bf532e847dc0676f54259b75c9686e64a957a400e3edfcc3a"),

@@ -1,8 +1,11 @@
 import pytest
 
+from mmtsat.canonical import SymmetricDecomposition, check_canonical
+from mmtsat.gf2 import Gf2Matrix
 from mmtsat.oracle import (
     BudgetExceeded,
     SearchBudget,
+    _kind_candidates,
     brute_min_rank,
     brute_symmetric_feasible,
     brute_triplet_count,
@@ -57,6 +60,22 @@ def test_symmetric_feasibility_examples():
     assert not brute_symmetric_feasible(GroupId.CYCLIC, 2, {"id": 1, "delta": 3})
     assert not brute_symmetric_feasible(GroupId.CYCLIC, 2, {})
     assert not brute_symmetric_feasible(GroupId.CYCLIC, 2, {"delta": 7})
+
+
+def test_t_candidates_are_the_canonical_lone_representatives():
+    # The oracle's own t loop admits exactly the (S, H) that
+    # check_canonical accepts as a lone representative: S symmetric and
+    # H != S, so no degenerate orbit and no zero one.
+    group = GroupId.CYCLIC_TRANSPOSE
+    got = {tuple(m.bits for m in rep) for rep, _, _ in _kind_candidates(group, "t", 2)}
+    want = set()
+    for s in range(16):
+        for h in range(16):
+            rep = (Gf2Matrix(2, 2, s), Gf2Matrix(2, 2, h))
+            if rep[0] == rep[0].transpose() and \
+                    not check_canonical(SymmetricDecomposition(group, 2, {"t": (rep,)})):
+                want.add((s, h))
+    assert got == want and len(got) == 8 * 15
 
 
 def test_symmetric_feasibility_guard():

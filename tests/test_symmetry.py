@@ -91,6 +91,10 @@ def test_orbit_kind_tables():
         ("delta", "DDD D'D'D'", ""),
         ("full", "UUU", "U")]
 
+    # Only t names roles that must differ: H = S is a degenerate orbit.
+    assert [(g.value, k.tag, "".join(k.roles[r] for r in k.distinct))
+            for g in GroupId for k in orbit_kinds(g) if k.distinct] == [("cyc-t", "t", "SH")]
+
 
 def test_total_rank_is_weighted_sum():
     assert total_rank(GroupId.CYCLIC, {"id": 2, "delta": 1}) == 7
