@@ -201,7 +201,7 @@ def cell_literals(builder: CnfBuilder, lits: dict[int, Lit] | None = None):
             while rest:
                 low = rest & -rest
                 rest ^= low
-                args.append(low.bit_length() - 1)  # bit v is variable v
+                args.append(low.bit_length() - 1)
             lits[mask] = builder.xor(*args)
         return lits[mask]
     return lit
@@ -373,36 +373,36 @@ def _target_bits(group: GroupId, n: int) -> tuple[int, ...]:
 
 
 @lru_cache
-def _support(group: GroupId, n: int, tags: frozenset[str]
-             ) -> tuple[int | None, dict[str, frozenset[int]]]:
+def _support(group: GroupId, n: int, tags: tuple[str, ...]
+             ) -> tuple[int | None, tuple[frozenset[int], ...]]:
     """For a combo whose present kinds are tags: the first kept entry with
     target bit 1 where no product survives, or None, and per kind its
     solo entries, where one product survives in all and it is that kind's.
     Products of different representatives never cancel, so the counts do
     not matter: both are read from each kind's solo-free block widths."""
-    widths = {tag: _block(group, n, tag, frozenset()).widths for tag in tags}
-    total = list(map(sum, zip(*widths.values())))
+    widths = [_block(group, n, tag, frozenset()).widths for tag in tags]
+    total = list(map(sum, zip(*widths)))
     unsupported = next((i for i, (bit, width) in enumerate(zip(_target_bits(group, n), total))
                         if bit and not width), None)
-    return unsupported, {tag: frozenset(i for i, (w, t) in enumerate(zip(ws, total))
-                                        if w == t == 1)
-                         for tag, ws in widths.items()}
+    return unsupported, tuple(frozenset(i for i, (w, t) in enumerate(zip(ws, total))
+                                        if w == t == 1) for ws in widths)
 
 
-def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
-                     combo: dict[str, int]) -> None:
+def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> None:
     """Assert the tensor equation at every kept entry, with the variables
-    and clauses assert_parity gives it, from one block per kind.
+    and clauses assert_parity gives it, from one block per kind; present
+    holds (tag, count, solo entries) of each kind of nonzero count, in
+    the group's order.
 
     Products of different representatives share no variable, so they
     never cancel or share a gate, and each representative's gates are
     its kind's block renamed.  An entry is solo when one product survives
-    in the whole combo, which `_support` reads per kind of count 1; that
-    kind's block asserts the product there.  Variables are numbered as
+    in the whole combo (`_support` names them); the block of its kind,
+    of count 1, asserts that product there.  Variables are numbered as
     assert_parity allocates them, entry by entry: cell-XOR gates of each
     representative in turn, then AND gates, then the chain of the entry's
-    combined XOR.
-    A cell has no constant term, so folding never flips a parity.
+    combined XOR.  A cell has no constant term, so folding never flips a
+    parity.
 
     Every run of that numbering has a known length, so one accumulate
     numbers them all.  Clauses come in another order: each
@@ -411,12 +411,9 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int,
     with one sort of (entry's batch, entry, variable) keys, so every
     batch lies in one run, entry by entry.
     """
-    present = [(kind.tag, combo[kind.tag]) for kind in orbit_kinds(group)
-               if combo.get(kind.tag, 0) > 0]
-    _, solos = _support(group, n, frozenset(tag for tag, _ in present))
     # (block, count), in variable order
-    kinds = [(_block(group, n, tag, solos[tag] if count == 1 else frozenset()), count)
-             for tag, count in present]
+    kinds = [(_block(group, n, tag, solo if count == 1 else frozenset()), count)
+             for tag, count, solo in present]
     bits = _target_bits(group, n)
     size = len(bits)
     xor_lits = [0] * size  # each entry's number of XOR literals
@@ -486,10 +483,11 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
         raise ValueError("total rank must be at least 1")
     reps, varmap = build_symbolic_orbits(group, n, combo)
     builder = CnfBuilder(varmap.aux_start - 1)
-    unsupported, _ = _support(group, n, frozenset(tag for tag, count in combo.items()
-                                                  if count > 0))
+    tags = tuple(kind.tag for kind in orbit_kinds(group) if combo.get(kind.tag, 0) > 0)
+    unsupported, solos = _support(group, n, tags)
     if unsupported is None:
-        _stamp_equations(builder, group, n, combo)
+        _stamp_equations(builder, group, n, [(tag, combo[tag], solo)
+                                             for tag, solo in zip(tags, solos)])
         nonzero_representatives(builder, varmap)
         symmetry_breaking(builder, group, n, reps)
     else:
