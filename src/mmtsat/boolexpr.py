@@ -28,12 +28,13 @@ A `CnfBuilder` is the `CnfInstance` it builds: it adds the gate table
 to the instance's fields, and a caller hands it on as the CNF with its
 comments set.  Clauses are kept in one flat list of ints, `lits`, in
 DIMACS order with a 0 after each clause, from the gates to the DIMACS
-text: a gate appends its literals and terminators directly.  A parity
-block picks all of its clauses, terminators included, out of
-(l_0, -l_0, l_1, -l_1, ..., 0) with one precomputed `itemgetter`, in
-mask order, and an asserted XOR's whole chain and root are picked the
-same way, with auxiliaries in the pool, by a selector compiled once per
-(k, parity).  `assert_xors` applies that selector once to many XORs of
+text: a gate appends its literals and terminators directly.  An
+asserted XOR picks all of its clauses, terminators included, out of the
+pool (l_0, -l_0, ..., l_{k-1}, -l_{k-1}, a_0, -a_0, ..., 0) of its
+variables and auxiliaries with one `itemgetter`: `_xor_layout`, the one
+layout compiler, writes it once per (k, parity) straight over pool
+slots, block by block and each block's clauses in mask order.
+`assert_xors` applies that selector once to many XORs of
 the same k and parity, to columns that each hold one pool position
 across all of them; `assert_xor` is its call for one XOR.  `clauses`
 is a read-only view of the list as tuples.  `to_dimacs` renders it
@@ -225,40 +226,45 @@ def _selector(picks: list[int]) -> itemgetter:
     return itemgetter(*picks)
 
 
-def _parity_selector(k: int, parity: int) -> itemgetter:
-    """The clauses forcing the XOR of k literals to parity, one per
-    forbidden truth-value pattern (mask bit i set: l_i is true), each
-    with its terminator, as one selector over (l_0, -l_0, ..., l_{k-1},
-    -l_{k-1}, 0)."""
-    picks = []
-    for mask in range(1 << k):
-        if bin(mask).count("1") % 2 != parity:
-            picks += [2 * i + (mask >> i & 1) for i in range(k)]
-            picks.append(2 * k)
-    return _selector(picks)
-
-
 @lru_cache(maxsize=None)
 def _xor_layout(k: int, parity: int) -> tuple[int, itemgetter]:
     """How an XOR of k variables is asserted to parity, compiled once:
     the number m of auxiliaries it needs, and one selector of all its
-    clauses over (l_0, -l_0, ..., l_{k-1}, -l_{k-1}, a_0, -a_0, ...,
-    a_{m-1}, -a_{m-1}, 0), where a_j is the j-th auxiliary.  assert_xors
-    applies the selector to columns of that pool, and callers that
-    number auxiliaries ahead of it read m here.
+    clauses over the pool (l_0, -l_0, ..., l_{k-1}, -l_{k-1}, a_0, -a_0,
+    ..., a_{m-1}, -a_{m-1}, 0), where a_j is the j-th auxiliary: slot s
+    < k + m holds variable s at 2s and its negation at 2s + 1, and the
+    terminator is at 2(k + m).  assert_xors applies the selector to
+    columns of that pool, and callers that number auxiliaries ahead of
+    it read m here.
 
-    The layout is one block, or past XOR_WIDTH + 1 variables the chain
-    of `_chain_blocks` and its root block, as compiled for the variables
-    1..k.
+    Up to XOR_WIDTH + 1 variables the layout is one block.  Past that it
+    is a chain of the fewest blocks, each defining one auxiliary as the
+    XOR of at most XOR_WIDTH inputs, the previous block's auxiliary
+    first, and then the asserted root.  The k + m - 1 inputs that are
+    not the last auxiliary are spread as evenly as possible over the
+    blocks and the root, so no block costs more than it must (2^w
+    clauses for w inputs, 2^(w-1) for the root, which takes the last
+    auxiliary on top).  A block over slots forbids each truth-value
+    pattern of the wrong parity (mask bit i set: the i-th slot's
+    variable is true) by one clause, in mask order.
     """
-    b = CnfBuilder(k)
-    lits = list(range(1, k + 1))
-    if k > XOR_WIDTH + 1:
-        lits = b._chain_blocks(lits)
-    b._parity_clauses(lits, parity)
-    end = 2 * b.num_vars
-    return b.num_vars - k, _selector([2 * l - 2 if l > 0 else end if l == 0 else -2 * l - 1
-                                      for l in b.lits])
+    m = max(0, -(-(k - XOR_WIDTH - 1) // (XOR_WIDTH - 1)))
+    share, extra = divmod(k + m - 1, m + 1)
+    blocks = []
+    carry: list[int] = []
+    start = 0
+    for a in range(k, k + m):
+        end = start + share + (a - k < extra) - len(carry)
+        blocks.append(([*carry, *range(start, end), a], 0))
+        carry, start = [a], end
+    blocks.append(([*carry, *range(start, k)], parity))
+    picks = []
+    for slots, odd in blocks:
+        for mask in range(1 << len(slots)):
+            if bin(mask).count("1") % 2 != odd:
+                picks += [2 * s + (mask >> i & 1) for i, s in enumerate(slots)]
+                picks.append(2 * (k + m))
+    return m, _selector(picks)
 
 
 class CnfBuilder(CnfInstance):
@@ -279,11 +285,6 @@ class CnfBuilder(CnfInstance):
         if len(self.lits) == start:
             self.has_empty_clause = True
         self.lits.append(0)
-
-    def _parity_clauses(self, lits, parity: int) -> None:
-        """Clauses forcing XOR of lits == parity (at most XOR_WIDTH + 1)."""
-        pool = (*[x for l in lits for x in (l, -l)], 0)
-        self.lits += _parity_selector(len(lits), parity)(pool)
 
     def _and_gate(self, lits: tuple[int, ...]) -> int:
         v = self._gates.get(("and", lits))
@@ -392,25 +393,3 @@ class CnfBuilder(CnfInstance):
         """Reuse gates built elsewhere: each (sorted variables, literal)
         stands for their XOR, as if xor() had built it here."""
         self._gates.update((("xor", odd), v) for odd, v in gates)
-
-    def _chain_blocks(self, lits) -> list:
-        """Chain the fewest auxiliary blocks over lits; returns the root's
-        literals (at most XOR_WIDTH + 1), whose XOR is that of lits.
-
-        Each of the m blocks defines one auxiliary as the XOR of at most
-        XOR_WIDTH inputs, the previous block's auxiliary first.  The
-        k + m - 1 inputs that are not the last auxiliary are spread as
-        evenly as possible over the blocks and the root, so no block
-        costs more than it must (2^w clauses for w inputs, 2^(w-1) for
-        the asserted root, which takes the last auxiliary on top).
-        """
-        m = -(-(len(lits) - XOR_WIDTH - 1) // (XOR_WIDTH - 1))
-        share, extra = divmod(len(lits) + m - 1, m + 1)
-        carry: list = []
-        start = 0
-        for i in range(m):
-            end = start + share + (i < extra) - len(carry)
-            v = self.fresh_var()
-            self._parity_clauses([*carry, *lits[start:end], v], 0)
-            carry, start = [v], end
-        return [*carry, *lits[start:]]

@@ -70,7 +70,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, chain, groupby, product, repeat
 from operator import add, itemgetter, mul, neg, xor
 
-from .boolexpr import CnfBuilder, CnfInstance, Lit, _xor_layout, fold_products
+from .boolexpr import CnfBuilder, CnfInstance, Lit, _selector, _xor_layout, fold_products
 from .canonical import SymmetricDecomposition
 from .gf2 import Gf2Matrix
 from .symmetry import (
@@ -320,14 +320,6 @@ class _Block:
     widths: tuple[int, ...]
     xor_gates: tuple[tuple[tuple[int, ...], int], ...]
 
-    def renamer(self):
-        """A map from a renaming list ren to lits with every literal l
-        renamed to ren[l]: negative l index ren from the end, and ren[0]
-        is 0, so each terminator stays."""
-        if not self.lits:  # a block at n = 1 may hold no clause
-            return lambda ren: ()
-        return itemgetter(*self.lits)
-
 
 @lru_cache
 def _block(group: GroupId, n: int, tag: str, solo: frozenset[int]) -> _Block:
@@ -442,7 +434,7 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> No
                *chain.from_iterable(map(range, gates, map(add, gates, block.new_vars)))]
         primary += count * block.primaries
         at = list(map(mul, map(codes.__getitem__, block.entries), repeat(top)))
-        rename = block.renamer()
+        rename = _selector(block.lits)
         ren = [0, *run, *map(neg, reversed(run))]
         for j in range(count):
             if j:  # each copy's runs follow the previous copy's

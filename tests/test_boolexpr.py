@@ -180,7 +180,7 @@ def test_parity_blocks_match_the_mask_loop():
         lits = [(-1) ** i * (3 * i + 2) for i in range(k)]
         for parity in (0, 1):
             b = CnfBuilder(3 * k + 2)
-            b._parity_clauses(lits, parity)
+            b.assert_xor(lits, parity)
             assert list(b.clauses) == _reference_parity_clauses(lits, parity), (k, parity)
 
 
@@ -301,7 +301,7 @@ def _balanced_tree_reference(builder, lits, parity):
     # block, else reduced to one literal by a balanced tree of blocks of
     # XOR_WIDTH and asserted by a unit clause.
     if len(lits) <= XOR_WIDTH:
-        builder._parity_clauses(lits, parity)
+        builder.assert_xor(lits, parity)
         return
     while len(lits) > 1:
         nxt = []
@@ -311,7 +311,7 @@ def _balanced_tree_reference(builder, lits, parity):
                 nxt.append(chunk[0])
                 continue
             v = builder.fresh_var()
-            builder._parity_clauses([*chunk, v], 0)
+            builder.assert_xor([*chunk, v], 0)
             nxt.append(v)
         lits = nxt
     builder.add_clause((lits[0] if parity else -lits[0],))
@@ -328,6 +328,34 @@ def test_asserted_parity_uses_the_fewest_blocks():
             _balanced_tree_reference(tree, list(range(1, k + 1)), parity)
             assert size[0] <= tree.num_vars - k and size[1] <= len(tree.clauses), (k, parity)
             assert max(map(len, b.clauses)) <= XOR_WIDTH + 1
+
+
+def _reference_chain(k, parity):
+    # The chain over variables 1..k: the fewest blocks, block j defining
+    # auxiliary k + 1 + j from the previous auxiliary and its share of
+    # the inputs, then the asserted root over the last auxiliary and the
+    # rest; the k + m - 1 inputs other than the last auxiliary are split
+    # as evenly as possible, the larger shares first.
+    m, _ = _layout_sizes(k)
+    q, r = divmod(k + m - 1, m + 1)
+    inputs = iter(range(1, k + 1))
+    clauses: list = []
+    carry: list = []
+    for j in range(m):
+        v = k + 1 + j
+        block = [*carry, *itertools.islice(inputs, q + (j < r) - len(carry)), v]
+        clauses += _reference_parity_clauses(block, 0)
+        carry = [v]
+    return m, clauses + _reference_parity_clauses([*carry, *inputs], parity)
+
+
+def test_asserted_xor_is_the_chain_clause_for_clause():
+    for k in range(65):
+        for parity in (0, 1):
+            b = CnfBuilder(k)
+            b.assert_xor(list(range(1, k + 1)), parity)
+            m, clauses = _reference_chain(k, parity)
+            assert (b.num_vars - k, list(b.clauses)) == (m, clauses), (k, parity)
 
 
 def test_asserted_parity_propagates_like_the_xor():
