@@ -382,21 +382,23 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
             stop.set()
         return status
 
-    _save(now=True)
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_solve, spec): spec for spec in pending}
-            try:
-                for fut in as_completed(futures):
-                    status = fut.result()  # EncoderSoundnessError propagates
-                    if status is not None:
-                        statuses[futures[fut]] = status
-                        changed = True
-                        _save(now=status.state == "sat")
-            finally:
-                stop.set()  # also on an interrupt of the main thread
-    finally:
         _save(now=True)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = {pool.submit(_solve, spec): spec for spec in pending}
+                try:
+                    for fut in as_completed(futures):
+                        status = fut.result()  # EncoderSoundnessError propagates
+                        if status is not None:
+                            statuses[futures[fut]] = status
+                            changed = True
+                            _save(now=status.state == "sat")
+                finally:
+                    stop.set()  # also on an interrupt of the main thread
+        finally:
+            _save(now=True)
+    finally:  # even when a checkpoint write raises
         if own_work_dir:
             for name in os.listdir(work_dir):
                 if name.endswith(".cnf"):

@@ -580,6 +580,40 @@ def test_campaign_own_work_dir_keeps_only_the_found_pair(tmp_path, monkeypatch):
                                                 os.path.basename(found) + ".sym"]
 
 
+def test_campaign_removes_its_work_dir_when_the_first_checkpoint_write_fails(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(FileNotFoundError):
+        run_campaign(GroupId.CYCLIC, 2, 2, "true {cnf}",
+                     checkpoint_path=str(tmp_path / "missing" / "c.json"))
+    assert not list(tmp_path.glob("mmtsat-*"))
+
+
+def test_campaign_removes_its_work_dir_when_the_last_checkpoint_write_fails(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(driver, "CHECKPOINT_INTERVAL_S", float("inf"))
+    writes = []
+
+    def fake_solve(group, n, spec, solver_cmd, timeout, work_dir):
+        open(os.path.join(work_dir, spec.label() + ".cnf"), "w").close()
+        return ComboStatus(spec, "unsat", 0.0, solver_cmd)
+
+    def failing_write(path, *args):
+        writes.append(path)
+        if len(writes) > 1:  # the first write, before any combo, succeeds
+            raise OSError("disk full")
+        write_checkpoint(path, *args)
+
+    monkeypatch.setattr(driver, "solve_combo", fake_solve)
+    monkeypatch.setattr(driver, "write_checkpoint", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        run_campaign(GroupId.CYCLIC, 2, 2, "unused {cnf}",
+                     checkpoint_path=str(tmp_path / "c.json"))
+    assert len(writes) == 2
+    assert not list(tmp_path.glob("mmtsat-*"))
+
+
 @requires_solver
 def test_campaign_rules_out_low_ranks_and_checkpoints(tmp_path):
     ckpt = tmp_path / "ckpt.json"
