@@ -39,6 +39,8 @@ def _parse_combo(text: str, group: GroupId) -> dict[str, int]:
         tag, _, value = part.partition("=")
         if tag not in tags or not value.isdigit():
             raise ValueError(f"bad combo entry {part!r}; known kinds: {sorted(tags)}")
+        if tag in combo:
+            raise ValueError(f"combo entry {part!r} repeats kind {tag!r}")
         combo[tag] = int(value)
     return combo
 
@@ -105,22 +107,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", parents=[common],
                        help="write a DIMACS instance for one combo")
     p.add_argument("--group", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--combo", required=True, help="e.g. id=2,delta=1")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("solve-one", parents=[solving],
                        help="encode and solve a single combo")
     p.add_argument("--group", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--combo", required=True)
     p.add_argument("--work-dir", default=".")
 
     p = sub.add_parser("search", parents=[solving],
                        help="campaign over all combos up to a rank")
     p.add_argument("--group", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-rank", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--max-rank", type=_int_at_least(0), required=True)
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--checkpoint")
     p.add_argument("--work-dir")

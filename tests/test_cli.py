@@ -73,7 +73,7 @@ def test_search_rejects_a_malformed_checkpoint(spoil, message, tmp_path, capsys)
     assert ckpt.read_bytes() == before
 
 
-def test_domain_errors_exit_1(capsys):
+def test_domain_errors_exit_1(tmp_path, capsys):
     assert main(["encode", "--group", "octahedral", "--n", "2",
                  "--combo", "id=1", "--out", "/dev/null"]) == 1
     assert main(["encode", "--group", "cyc", "--n", "2",
@@ -81,6 +81,34 @@ def test_domain_errors_exit_1(capsys):
     assert main(["verify", "/nonexistent/file.json"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    # A kind given twice is not silently the last count.
+    out = tmp_path / "twice.cnf"
+    assert main(["encode", "--group", "cyc", "--n", "2",
+                 "--combo", "id=1,id=2", "--out", str(out)]) == 1
+    assert "repeats kind 'id'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["encode", "--combo", "id=1", "--out"],
+    ["solve-one", "--solver", "true {cnf}", "--combo", "id=1", "--work-dir"],
+    ["search", "--solver", "true {cnf}", "--max-rank", "1", "--work-dir"],
+], ids=["encode", "solve-one", "search"])
+def test_commands_reject_nonsense_bounds(command, tmp_path, capsys):
+    # A dimension below 1 or a negative rank bound is a usage error; a
+    # dimension past the encoder's range stays a domain error.
+    cases = [("--n", "0", "must be at least 1"), ("--n", "-1", "must be at least 1")]
+    if command[0] == "search":
+        cases.append(("--max-rank", "-1", "must be at least 0"))
+    for option, value, message in cases:
+        args = [*command, str(tmp_path / "w"), "--group", "cyc", "--n", "2", option, value]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"{option}: {message}, got {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main([*command, str(tmp_path / "w"), "--group", "cyc", "--n", "5"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_encode_rejects_an_n_the_group_is_not_defined_at(capsys):
