@@ -34,13 +34,13 @@ pool (l_0, -l_0, ..., l_{k-1}, -l_{k-1}, a_0, -a_0, ..., 0) of its
 variables and auxiliaries with one `itemgetter`: `_xor_layout`, the one
 layout compiler, writes it once per (k, parity) straight over pool
 slots, block by block and each block's clauses in mask order.
-`assert_xors` applies that selector once to many XORs of
-the same k and parity, to columns that each hold one pool position
-across all of them; `assert_xor` is its call for one XOR.  `clauses`
-is a read-only view of the list as tuples.  `to_dimacs` renders it
-with one join over a shared table of literal strings ("v " at v, "-v "
-at -v from the end, "0\n" at 0), so a clause's line ends where its
-terminator is; an empty clause's line is " 0".  The instance records
+`assert_xors` applies that selector once to many XORs of the same k and
+parity, given as rows of literals that it turns into columns, each one
+pool position across all of them; `assert_xor` is its call for one XOR.
+`clauses` is a read-only view of the list as tuples.  `to_dimacs`
+renders it with one join over a shared table of literal strings ("v "
+at v, "-v " at -v from the end, "0\n" at 0), so a clause's line ends
+where its terminator is; an empty clause's line is " 0".  The instance records
 when the empty clause is emitted, so a caller can tell a CNF refuted by
 construction without scanning it.
 """
@@ -371,15 +371,16 @@ class CnfBuilder(CnfInstance):
         empty clause.  `assert_xors` of this one XOR."""
         first = self.num_vars + 1
         self.num_vars += _xor_layout(len(lits), parity)[0]
-        self.assert_xors([[l] for l in lits], parity, [first])
+        self.assert_xors([lits], parity, [first])
 
-    def assert_xors(self, columns, parity: int, firsts: list[int]) -> None:
-        """For each i, the XOR of the ascending variables columns[0][i],
-        columns[1][i], ... equals parity, laid out by `_xor_layout` with
-        its auxiliaries numbered from firsts[i] on; the caller has
-        allocated them.  One selection over the columns, each a pool
-        position across all the XORs, picks every XOR's clauses, which
-        are emitted XOR by XOR."""
+    def assert_xors(self, rows, parity: int, firsts: list[int]) -> None:
+        """For each i, the XOR of the ascending variables rows[i], all rows
+        of one length, equals parity, laid out by `_xor_layout` with its
+        auxiliaries numbered from firsts[i] on; the caller has allocated
+        them.  One selection over the rows' columns, each a pool position
+        across all the XORs, picks every XOR's clauses, which are emitted
+        XOR by XOR."""
+        columns = list(zip(*rows))
         if firsts and not columns and parity:
             self.has_empty_clause = True
         aux, select = _xor_layout(len(columns), parity)

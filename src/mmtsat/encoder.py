@@ -301,8 +301,8 @@ class _Block:
     clauses as a builder does, each clause's literals followed by a 0.
     At kept entry i (the i-th of `_equation_entries`), the block
     allocates new_vars[2i] cell-XOR gate variables, then new_vars[2i + 1]
-    AND gate variables, and at an entry in `solo` it asserts its lone
-    surviving product.  `survivors` lists, entry by entry, the literals
+    AND gate variables, and at a solo entry it was built for it asserts
+    its lone surviving product.  `survivors` lists, entry by entry, the literals
     whose XOR is its part of each other entry's equation, `entries` the
     entry of each and `widths` how many each entry has.  A stamped copy
     numbers its primaries and each entry's gates as consecutive runs,
@@ -310,7 +310,6 @@ class _Block:
     `steps[l]` is how far each copy's number for literal l (negative
     from the end) lies from the previous copy's.
     """
-    solo: frozenset[int]
     primaries: int
     lits: tuple[int, ...]
     new_vars: tuple[int, ...]
@@ -348,7 +347,7 @@ def _block(group: GroupId, n: int, tag: str, solo: frozenset[int]) -> _Block:
     for k in new_vars:
         steps += [k] * k
     return _Block(
-        solo, primaries, tuple(builder.lits), tuple(new_vars),
+        primaries, tuple(builder.lits), tuple(new_vars),
         (0, *steps, *map(neg, reversed(steps))),
         tuple(chain.from_iterable(survivors)),
         tuple(i for i, odd in enumerate(survivors) for _ in odd),
@@ -399,9 +398,9 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> No
     Every run of that numbering has a known length, so one accumulate
     numbers them all.  Clauses come in another order: each
     representative's block as one copy, then the chains, a batch per
-    (number of literals, parity).  Each entry's literals are sorted
-    with one sort of (entry's batch, entry, variable) keys, so every
-    batch lies in one run, entry by entry.
+    (number of literals, parity) and entry by entry within it.  Each
+    copy appends its XOR literals to their entries' lists as it is
+    stamped, and each list is sorted when its batch is asserted.
     """
     # (block, count), in variable order
     kinds = [(_block(group, n, tag, solo if count == 1 else frozenset()), count)
@@ -418,13 +417,8 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> No
     runs.append(map(itemgetter(0), map(_xor_layout, xor_lits, bits)))
     width = len(runs)
     heads = list(accumulate(chain.from_iterable(zip(*runs)), initial=builder.num_vars + 1))
-    top = heads.pop()
-    builder.num_vars = top - 1
-    # Each XOR literal's sort key is its entry's code times top plus the
-    # literal, a code ordering entries by (literals, parity, entry).
-    codes = list(map(add, map(mul, xor_lits, repeat(2 * size)),
-                     map(add, map(mul, bits, repeat(size)), range(size))))
-    keys: list[int] = []
+    builder.num_vars = heads.pop() - 1
+    xors: list[list[int]] = [[] for _ in range(size)]  # each entry's XOR literals
     primary = 1
     for x, (block, count) in enumerate(kinds):
         gates = [0] * (2 * size)
@@ -433,7 +427,6 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> No
         run = [*range(primary, primary + block.primaries),
                *chain.from_iterable(map(range, gates, map(add, gates, block.new_vars)))]
         primary += count * block.primaries
-        at = list(map(mul, map(codes.__getitem__, block.entries), repeat(top)))
         rename = _selector(block.lits)
         ren = [0, *run, *map(neg, reversed(run))]
         for j in range(count):
@@ -441,22 +434,18 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> No
                 ren = list(map(add, ren, block.steps))
             builder.share_xor((tuple(map(ren.__getitem__, odd)), ren[v])
                               for odd, v in block.xor_gates)
-            keys += map(add, at, map(ren.__getitem__, block.survivors))
+            for i, l in zip(block.entries, map(ren.__getitem__, block.survivors)):
+                xors[i].append(l)
             builder.lits += rename(ren)
-    keys.sort()
-    xors = list(map(top.__rmod__, keys))
-    del keys  # freed before the batches allocate: a lower peak RSS in campaigns
-    solo = frozenset().union(*(block.solo for block, _ in kinds))
     auxes = heads[width - 1::width]
-    start = 0
-    for batch, batch_codes in groupby(sorted(set(codes).difference(map(codes.__getitem__, solo))),
-                                      size.__rfloordiv__):
-        k, parity = divmod(batch, 2)
-        entries = list(map(size.__rmod__, batch_codes))
-        stop = start + k * len(entries)
-        builder.assert_xors([xors[start + p:stop:k] for p in range(k)], parity,
-                            list(map(auxes.__getitem__, entries)))
-        start = stop
+    # An entry with no XOR literal is solo, or its XOR of nothing is 0.
+    # The sort is stable, so each batch keeps its entries in order.
+    batch_of = list(zip(xor_lits, bits)).__getitem__
+    kept = sorted(filter(xor_lits.__getitem__, range(size)), key=batch_of)
+    for (_, parity), batch in groupby(kept, batch_of):
+        batch = list(batch)
+        builder.assert_xors([sorted(xors[i]) for i in batch], parity,
+                            [auxes[i] for i in batch])
 
 
 def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, VarMap]:

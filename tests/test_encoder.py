@@ -617,7 +617,7 @@ def test_blocks_are_built_once_and_immutable(monkeypatch):
         block = _block(group, n, tag, solo)
         assert all(_immutable(getattr(block, f.name)) for f in dataclasses.fields(block))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        block.solo = frozenset()
+        block.lits = ()
     # Campaign workers share the cache and the DIMACS literal table:
     # threads that build and stamp the same blocks and grow the table at
     # once, switching often, give the same CNFs.
