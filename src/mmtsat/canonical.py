@@ -21,6 +21,7 @@ from .symmetry import (
     GroupId,
     OrbitKind,
     expand_orbit,
+    generators,
     kind_by_tag,
     lex_constraints,
     orbit_kinds,
@@ -28,7 +29,14 @@ from .symmetry import (
     total_rank,
     validate_reps,
 )
-from .tensor import Decomposition, Triplet, json_dims, json_fields, json_typed
+from .tensor import (
+    MAX_TENSOR_DIM,
+    Decomposition,
+    Triplet,
+    json_dims,
+    json_fields,
+    json_typed,
+)
 
 Rep = tuple[Gf2Matrix, ...]
 
@@ -40,6 +48,9 @@ class SymmetricDecomposition:
     orbits: dict[str, tuple[Rep, ...]]
 
     def __post_init__(self):
+        if not 1 <= self.n <= MAX_TENSOR_DIM:
+            raise ValueError(f"n = {self.n} out of range 1..{MAX_TENSOR_DIM}")
+        generators(self.group, self.n)  # raises for an n the group is not defined at
         tags = {k.tag for k in orbit_kinds(self.group)}
         for tag, reps in self.orbits.items():
             if tag not in tags:

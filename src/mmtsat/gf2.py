@@ -89,9 +89,6 @@ class Gf2Matrix:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
     def __str__(self) -> str:
         return self.format()
 

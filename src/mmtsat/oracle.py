@@ -84,10 +84,6 @@ def brute_min_rank(n: int, k: int, m: int, budget: SearchBudget) -> int | None:
     return None
 
 
-def brute_triplet_count(n: int, k: int, m: int) -> int:
-    return ((1 << (n * k)) - 1) * ((1 << (k * m)) - 1) * ((1 << (m * n)) - 1)
-
-
 # -- symmetric feasibility ----------------------------------------------------
 #
 # Orbit tensors are precomputed from the printed per-group triplet lists;

@@ -29,16 +29,10 @@ class Tensor6:
     def get(self, a: int, b: int, c: int, d: int, e: int, f: int) -> int:
         return (self.bits >> self.flat_index(a, b, c, d, e, f)) & 1
 
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
     def __xor__(self, other: "Tensor6") -> "Tensor6":
         if (self.n, self.k, self.m) != (other.n, other.k, other.m):
             raise ShapeError("tensor shape mismatch")
         return Tensor6(self.n, self.k, self.m, self.bits ^ other.bits)
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
 
 @dataclass(frozen=True)
@@ -57,9 +51,6 @@ class Triplet:
     def flat_bits(self) -> tuple[int, ...]:
         """Row-major flattening A || B || C, the triplet comparison key."""
         return self.a.flat_bits() + self.b.flat_bits() + self.c.flat_bits()
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero() and self.c.is_zero()
 
 
 @dataclass(frozen=True)

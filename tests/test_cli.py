@@ -182,6 +182,10 @@ _TRIPLET = {"A": _ROWS, "B": _ROWS, "C": _ROWS}
     ("canonicalize", {"group": "cyc", "n": 2, "orbits": []}),
     ("canonicalize", {"group": "cyc", "n": 2, "orbits": {"delta": ["10;01"]}}),
     ("canonicalize", {"group": "cyc", "n": 2, "orbits": {"delta": [[5]]}}),
+    ("canonicalize", {"group": "cyc", "n": 5,
+                      "orbits": {"delta": [["10000;01000;00100;00010;00001"]]}}),
+    ("canonicalize", {"group": "cyc-sw", "n": -4, "orbits": {}}),
+    ("canonicalize", {"group": "cyc-sw", "n": 2, "orbits": {}}),
 ])
 def test_malformed_json_is_an_error_not_a_crash(command, obj, tmp_path, capsys):
     path = tmp_path / "bad.json"

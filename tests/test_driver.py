@@ -183,17 +183,17 @@ def test_combos_decided_by_support_are_one_empty_clause_and_run_no_solver(tmp_pa
     for st in report.statuses:
         if st.spec.total_rank() == 0:
             continue
-        path = str(work / f"cyc-sw-{st.spec.label()}.cnf")
+        cnf = work / f"cyc-sw-{st.spec.label()}.cnf"
         _, varmap = build_symbolic_orbits(GroupId.CYCLIC_SANDWICH, 3, st.spec.counts_dict())
-        text = open(path).read()
+        text = cnf.read_text()
         assert st.state == "unsat"
         if st.detail.startswith("empty clause: kept entry "):
             decided += 1
             assert text.endswith(f"c {st.detail.removesuffix(', no solver run')}\n"
                                  f"p cnf {len(varmap.primary)} 1\n 0\n")
-            assert path not in solved
+            assert str(cnf) not in solved
         else:
-            assert st.detail == "" and path in solved
+            assert st.detail == "" and str(cnf) in solved
     assert decided == 8 and len(solved) == 2
 
 

@@ -122,4 +122,4 @@ def test_multiplication_distributes(a, b, c):
 def test_flat_bits_row_major():
     m = Gf2Matrix.parse("01;10")
     assert m.flat_bits() == (0, 1, 1, 0)
-    assert m.popcount() == 2
+    assert m.bits.bit_count() == 2

@@ -8,7 +8,6 @@ from mmtsat.oracle import (
     _kind_candidates,
     brute_min_rank,
     brute_symmetric_feasible,
-    brute_triplet_count,
 )
 from mmtsat.symmetry import GroupId
 
@@ -45,11 +44,6 @@ def test_node_budget_raises():
 def test_dims_guard():
     with pytest.raises(ValueError):
         brute_min_rank(2, 3, 2, SearchBudget(max_rank=1))
-
-
-def test_triplet_count():
-    assert brute_triplet_count(1, 1, 1) == 1
-    assert brute_triplet_count(2, 2, 2) == 15 ** 3
 
 
 def test_symmetric_feasibility_examples():
