@@ -40,9 +40,9 @@ pool position across all of them; `assert_xor` is its call for one XOR.
 `clauses` is a read-only view of the list as tuples.  `to_dimacs`
 renders it with one join over a shared table of literal strings ("v "
 at v, "-v " at -v from the end, "0\n" at 0), so a clause's line ends
-where its terminator is; an empty clause's line is " 0".  The instance records
-when the empty clause is emitted, so a caller can tell a CNF refuted by
-construction without scanning it.
+where its terminator is; an empty clause's line is " 0".  The instance
+records when the empty clause is emitted, so a caller can tell a CNF
+refuted by construction without scanning it.
 """
 
 from __future__ import annotations

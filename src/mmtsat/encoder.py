@@ -301,10 +301,11 @@ class _Block:
     clauses as a builder does, each clause's literals followed by a 0.
     At kept entry i (the i-th of `_equation_entries`), the block
     allocates new_vars[2i] cell-XOR gate variables, then new_vars[2i + 1]
-    AND gate variables, and at a solo entry it was built for it asserts
-    its lone surviving product.  `survivors` lists, entry by entry, the literals
-    whose XOR is its part of each other entry's equation, `entries` the
-    entry of each and `widths` how many each entry has.  A stamped copy
+    AND gate variables, and at each solo entry it was built for it
+    asserts its lone surviving product.  `survivors` lists, entry by
+    entry, the literals whose XOR is its part of each other entry's
+    equation, `entries` the entry of each and `widths` how many each
+    entry has.  A stamped copy
     numbers its primaries and each entry's gates as consecutive runs,
     and the next representative's runs follow right after them, so
     `steps[l]` is how far each copy's number for literal l (negative
