@@ -9,13 +9,13 @@ if a status changed since then; so a killed campaign resumes where it
 stopped, re-running at most the combos of the last interval.  A combo
 of rank 0, or whose CNF holds the empty clause, is recorded `unsat`
 without a solver run.  The encoder gives that clause alone to a combo
-whose orbit kinds leave a target-1 entry with no surviving product (see
-`encoder.encode`); its CNF is still written, and its `detail` is the
-encoder's comment naming that entry.  `solve_combo` maps every end of
-one run to a recorded state: a timeout, a solver that fails to start,
-an UNKNOWN answer, unparsable output or a model that does not decode
-(unassigned primaries) is recorded as `timeout`/`error` with its
-reason, and the campaign goes on.  A decoded model is verified
+whose orbit kinds cannot span the target (see `span.certificate`); its
+CNF is still written, and its `detail` is the encoder's comment naming
+the tensor entries where the combo's equations XOR to 0 = 1.
+`solve_combo` maps every end of one run to a recorded state: a timeout,
+a solver that fails to start, an UNKNOWN answer, unparsable output or a
+model that does not decode (unassigned primaries) is recorded as
+`timeout`/`error` with its reason, and the campaign goes on.  A decoded model is verified
 independently; one that fails verification raises EncoderSoundnessError,
 because then the encoding itself is wrong.  The first `sat`, and the
 first combo that raises, stop the combos still queued from running;
@@ -286,8 +286,8 @@ def _run_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
     stem = os.path.join(work_dir, f"{group.value}-{spec.label()}")
     cnf.write(stem + ".cnf")
     if cnf.has_empty_clause:
-        # The encoder's last comment names the entry when the combo's
-        # kinds leave a target-1 entry with no surviving product.
+        # The encoder's last comment names the entries of the span
+        # certificate when the combo's kinds cannot span the target.
         reason = cnf.comments[-1] if cnf.comments[-1].startswith("empty clause: ") \
             else "the CNF holds the empty clause"
         return "unsat", f"{reason}, no solver run"

@@ -22,7 +22,7 @@ elimination.  The expanded symbolic decomposition is invariant under
 every group generator, and so is the target tensor, so for every
 assignment the residual (the decomposition's tensor XOR the target)
 lies in the space W of tensors the generators' linear action on entries
-fixes.  `_fixed_space` reduces that action and names, for each entry,
+fixes.  `gf2.fixed_space` reduces that action and names, for each entry,
 the free entries whose XOR gives it on W.  So each dropped equation is
 the XOR of the kept equations its basis names, for every assignment:
 the residual is zero exactly when it is zero at the free entries.  The
@@ -51,16 +51,20 @@ parity).
 Whether a product survives at a kept entry depends only on which kinds
 are present, since products of different representatives never cancel.
 So each kind's solo-free block, which records how many products survive
-at every entry, decides two things per set of present kinds, cached in
-`_support`: the entries where a count-1 kind's lone product is the only
-one (its solo entries, see `_stamp_equations`), and whether the target
-has a 1 at a kept entry where no product survives.  The equation there
-is an XOR of nothing equal to 1, which no assignment satisfies:
-entry-major compilation would emit the empty clause there.  `encode`
-then stamps nothing and gives that clause alone over the combo's
-primaries, with a comment naming the entry.  Every other combo is
-compiled as above, and the check adds no clause to it.  `encode`
-returns its builder, which is the CNF instance.
+at every entry, gives per set of present kinds the entries where a
+count-1 kind's lone product is the only one (its solo entries, see
+`_stamp_equations`), cached in `_support`.
+
+Before any of this, `span.certificate` checks whether the present kinds'
+orbit tensors can span the target at all.  When they cannot, a set of
+kept entries has odd parity on the target and even parity on every
+orbit tensor of those kinds, so the XOR of the equations there reads
+0 = 1 whatever the counts.  `encode` then builds no gate and gives that
+combo the empty clause alone over its primaries, with a comment naming
+the entries.  A kept entry with target 1 where no product survives is
+the case of a single entry.  Every other combo is compiled as above, and
+the check adds no clause to it.  `encode` returns its builder, which is
+the CNF instance.
 """
 
 from __future__ import annotations
@@ -72,7 +76,8 @@ from operator import add, itemgetter, mul, neg, xor
 
 from .boolexpr import CnfBuilder, CnfInstance, Lit, _selector, _xor_layout, fold_products
 from .canonical import SymmetricDecomposition
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, entry_terms, fixed_space
+from .span import certificate
 from .symmetry import (
     GroupId,
     expand,
@@ -113,57 +118,13 @@ class VarMap:
 # -- symbolic matrix algebra -------------------------------------------------
 
 
-@lru_cache
-def _entry_terms(op, n: int) -> tuple[tuple[Cell, ...], ...]:
-    """For a GF(2)-linear map on n x n matrices: for each output cell, in
-    row-major order, the input cells whose XOR gives it."""
-    units = {(k, l): op(Gf2Matrix(n, n, 1 << (k * n + l)))
-             for k in range(n) for l in range(n)}
-    return tuple(tuple(kl for kl, u in units.items() if u.get(i, j))
-                 for i in range(n) for j in range(n))
-
-
 def _lift(op, n: int):
     """A GF(2)-linear map on concrete matrices, as a map on SymMatrix."""
     if op is None:
         return None
-    terms = _entry_terms(op, n)
+    terms = entry_terms(op, n)
     return lambda m: tuple(tuple(reduce(xor, (m[k][l] for k, l in terms[i * n + j]), 0)
                                  for j in range(n)) for i in range(n))
-
-
-@lru_cache
-def _fixed_space(coords: tuple, maps: tuple) -> tuple[tuple, tuple]:
-    """The vectors over `coords` that every GF(2)-linear map in `maps` fixes.
-
-    A map gives, for each coordinate, the coordinates whose XOR is its
-    image there.  The equations map(v)[c] + v[c] = 0 are reduced over
-    GF(2), each pivoting on its last coordinate.  Returns the coordinates
-    without a pivot, in order, and for each coordinate the free
-    coordinates whose XOR gives it; a free coordinate is given by itself.
-    Each pivot is given by earlier free coordinates, so a coordinate is
-    free exactly when its value on the fixed space is independent of the
-    values of the coordinates before it.
-    """
-    bit = {c: 1 << k for k, c in enumerate(coords)}
-    rows: dict[int, int] = {}  # pivot bit -> its reduced equation, as a mask
-    for m in maps:
-        for c, terms in zip(coords, m):
-            eq = bit[c]
-            for t in terms:
-                eq ^= bit[t]
-            for p, row in rows.items():
-                if eq & p:
-                    eq ^= row
-            if eq:
-                pivot = 1 << (eq.bit_length() - 1)
-                for p, row in rows.items():
-                    if row & pivot:
-                        rows[p] = row ^ eq
-                rows[pivot] = eq
-    free = tuple(c for c in coords if bit[c] not in rows)
-    return free, tuple(tuple(f for f in free if rows[bit[c]] & bit[f])
-                       if bit[c] in rows else (c,) for c in coords)
 
 
 @lru_cache
@@ -177,7 +138,7 @@ def _equation_entries(group: GroupId, n: int) -> tuple[tuple[Entry, ...], tuple]
     """
     s = scheme(group)
     cells = tuple(product(range(n), repeat=2))
-    terms = dict(zip(cells, _entry_terms(s.image, n))) if s.image else {}
+    terms = dict(zip(cells, entry_terms(s.image, n))) if s.image else {}
     entries = tuple(product(cells, repeat=3))
 
     def image_terms(row, y):
@@ -186,8 +147,8 @@ def _equation_entries(group: GroupId, n: int) -> tuple[tuple[Entry, ...], tuple]
             choices[r] = terms[cell] if im else (cell,)
         return tuple(product(*choices))
 
-    return _fixed_space(entries, tuple(tuple(image_terms(row, y) for y in entries)
-                                       for row in s.generators))
+    return fixed_space(entries, tuple(tuple(image_terms(row, y) for y in entries)
+                                      for row in s.generators))
 
 
 def cell_literals(builder: CnfBuilder, lits: dict[int, Lit] | None = None):
@@ -215,7 +176,7 @@ def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
 
     Each role gets one variable per free cell of its space (all matrices,
     or those the image op fixes), and every cell is the XOR of the
-    variables `_fixed_space` names.  Returns (reps, varmap) where reps
+    variables `gf2.fixed_space` names.  Returns (reps, varmap) where reps
     maps each orbit tag to its list of representative SymMatrix tuples.
     """
     image = scheme(group).image
@@ -231,8 +192,8 @@ def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
         for idx in range(count):
             rep = []
             for role, fixed in zip(kind.roles, kind.fixed):
-                free, basis = _fixed_space(tuple(product(range(n), repeat=2)),
-                                           (_entry_terms(image, n),) if fixed else ())
+                free, basis = fixed_space(tuple(product(range(n), repeat=2)),
+                                          (entry_terms(image, n),) if fixed else ())
                 cells: dict[Cell, int] = {}
                 for i, j in free:
                     next_var += 1
@@ -365,19 +326,15 @@ def _target_bits(group: GroupId, n: int) -> tuple[int, ...]:
 
 
 @lru_cache
-def _support(group: GroupId, n: int, tags: tuple[str, ...]
-             ) -> tuple[int | None, tuple[frozenset[int], ...]]:
-    """For a combo whose present kinds are tags: the first kept entry with
-    target bit 1 where no product survives, or None, and per kind its
-    solo entries, where one product survives in all and it is that kind's.
+def _support(group: GroupId, n: int, tags: tuple[str, ...]) -> tuple[frozenset[int], ...]:
+    """For a combo whose present kinds are tags: per kind its solo
+    entries, where one product survives in all and it is that kind's.
     Products of different representatives never cancel, so the counts do
-    not matter: both are read from each kind's solo-free block widths."""
+    not matter: they are read from each kind's solo-free block widths."""
     widths = [_block(group, n, tag, frozenset()).widths for tag in tags]
     total = list(map(sum, zip(*widths)))
-    unsupported = next((i for i, (bit, width) in enumerate(zip(_target_bits(group, n), total))
-                        if bit and not width), None)
-    return unsupported, tuple(frozenset(i for i, (w, t) in enumerate(zip(ws, total))
-                                        if w == t == 1) for ws in widths)
+    return tuple(frozenset(i for i, (w, t) in enumerate(zip(ws, total)) if w == t == 1)
+                 for ws in widths)
 
 
 def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> None:
@@ -439,8 +396,9 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> No
                 xors[i].append(l)
             builder.lits += rename(ren)
     auxes = heads[width - 1::width]
-    # An entry with no XOR literal is solo, or its XOR of nothing is 0.
-    # The sort is stable, so each batch keeps its entries in order.
+    # An entry with no XOR literal is solo, or its XOR of nothing is 0
+    # (the span check rules out 1).  The sort is stable, so each batch
+    # keeps its entries in order.
     batch_of = list(zip(xor_lits, bits)).__getitem__
     kept = sorted(filter(xor_lits.__getitem__, range(size)), key=batch_of)
     for (_, parity), batch in groupby(kept, batch_of):
@@ -453,11 +411,11 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     """CNF whose models are exactly the canonical-form symmetric
     decompositions of <n,n,n> with the given orbit counts.
 
-    A combo with a kept entry whose target bit is 1 and where no product
-    of its kinds survives has no model: its equation there is an XOR of
-    nothing equal to 1.  Such a combo is decided from its kinds alone,
-    before any gate is built, and its CNF is the empty clause over its
-    primaries, with a comment naming that entry.
+    A combo whose present kinds' orbit tensors cannot span the target
+    has no model: `span.certificate` names kept entries where the XOR of
+    the tensor equations reads 0 = 1.  Such a combo is decided from its
+    kinds alone, before any gate is built, and its CNF is the empty
+    clause over its primaries, with a comment naming those entries.
     """
     generators(group, n)  # raises for an n the group is not defined at
     rank = total_rank(group, combo)
@@ -466,10 +424,10 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     reps, varmap = build_symbolic_orbits(group, n, combo)
     builder = CnfBuilder(varmap.aux_start - 1)
     tags = tuple(kind.tag for kind in orbit_kinds(group) if combo.get(kind.tag, 0) > 0)
-    unsupported, solos = _support(group, n, tags)
-    if unsupported is None:
-        _stamp_equations(builder, group, n, [(tag, combo[tag], solo)
-                                             for tag, solo in zip(tags, solos)])
+    phi = certificate(group, n, tags)
+    if phi is None:
+        _stamp_equations(builder, group, n, [(tag, combo[tag], solo) for tag, solo
+                                             in zip(tags, _support(group, n, tags))])
         nonzero_representatives(builder, varmap)
         symmetry_breaking(builder, group, n, reps)
     else:
@@ -482,10 +440,11 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     builder.comments.extend(f"var {e.var} = {e.orbit}[{e.index}].{e.mat}[{e.row}][{e.col}]"
                             for e in varmap.primary)
     builder.comments.append(f"aux vars start at {varmap.aux_start}")
-    if unsupported is not None:
-        entry = _equation_entries(group, n)[0][unsupported]
+    if phi is not None:
         builder.comments.append(
-            f"empty clause: kept entry {entry} has target 1 and no surviving product")
+            f"empty clause: the tensor equations at entries {', '.join(map(str, phi))} "
+            "XOR to 0 = 1: every orbit tensor of the present kinds has even parity "
+            "there, the target odd")
     return builder, varmap
 
 

@@ -2,12 +2,16 @@
 
 Matrices are capped at 8x8 so the whole bit field fits in one machine
 word; entry (i, j) lives at bit i*cols + j (row-major).  All operations
-return new values; nothing is mutated in place.
+return new values; nothing is mutated in place.  `entry_terms` and
+`fixed_space` give a linear map on matrices cell by cell and the space
+a set of such maps fixes, which the encoder and the span certificates
+both build on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 MAX_DIM = 8
 
@@ -154,3 +158,47 @@ def conjugate(m: Gf2Matrix, f: Gf2Matrix) -> Gf2Matrix:
     if f_inv is None:
         raise ShapeError("conjugating matrix is singular")
     return f * m * f_inv
+
+
+@lru_cache
+def entry_terms(op, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For a GF(2)-linear map on n x n matrices: for each output cell, in
+    row-major order, the input cells whose XOR gives it."""
+    units = {(k, l): op(Gf2Matrix(n, n, 1 << (k * n + l)))
+             for k in range(n) for l in range(n)}
+    return tuple(tuple(kl for kl, u in units.items() if u.get(i, j))
+                 for i in range(n) for j in range(n))
+
+
+@lru_cache
+def fixed_space(coords: tuple, maps: tuple) -> tuple[tuple, tuple]:
+    """The vectors over `coords` that every GF(2)-linear map in `maps` fixes.
+
+    A map gives, for each coordinate, the coordinates whose XOR is its
+    image there.  The equations map(v)[c] + v[c] = 0 are reduced over
+    GF(2), each pivoting on its last coordinate.  Returns the coordinates
+    without a pivot, in order, and for each coordinate the free
+    coordinates whose XOR gives it; a free coordinate is given by itself.
+    Each pivot is given by earlier free coordinates, so a coordinate is
+    free exactly when its value on the fixed space is independent of the
+    values of the coordinates before it.
+    """
+    bit = {c: 1 << k for k, c in enumerate(coords)}
+    rows: dict[int, int] = {}  # pivot bit -> its reduced equation, as a mask
+    for m in maps:
+        for c, terms in zip(coords, m):
+            eq = bit[c]
+            for t in terms:
+                eq ^= bit[t]
+            for p, row in rows.items():
+                if eq & p:
+                    eq ^= row
+            if eq:
+                pivot = 1 << (eq.bit_length() - 1)
+                for p, row in rows.items():
+                    if row & pivot:
+                        rows[p] = row ^ eq
+                rows[pivot] = eq
+    free = tuple(c for c in coords if bit[c] not in rows)
+    return free, tuple(tuple(f for f in free if rows[bit[c]] & bit[f])
+                       if bit[c] in rows else (c,) for c in coords)

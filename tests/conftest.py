@@ -85,6 +85,19 @@ def strassen():
     return STRASSEN_MOD2
 
 
+def present_kinds(group: GroupId, counts: dict) -> tuple[str, ...]:
+    """The tags of the kinds with a nonzero count, in the group's order."""
+    return tuple(kind.tag for kind in orbit_kinds(group) if counts.get(kind.tag))
+
+
+def certificate_comment(phi) -> str:
+    """The encoder's last comment on a combo refuted by the span
+    certificate phi, which names phi's entries."""
+    return (f"empty clause: the tensor equations at entries {', '.join(map(str, phi))} "
+            "XOR to 0 = 1: every orbit tensor of the present kinds has even parity "
+            "there, the target odd")
+
+
 def random_matrix(rng: random.Random, n: int) -> Gf2Matrix:
     return Gf2Matrix(n, n, rng.getrandbits(n * n))
 

@@ -26,9 +26,10 @@ from mmtsat.driver import (
     write_checkpoint,
 )
 from mmtsat.encoder import build_symbolic_orbits
-from mmtsat.symmetry import GroupId
+from mmtsat.span import certificate
+from mmtsat.symmetry import GroupId, orbit_kinds
 
-from conftest import SOLVER_CMD, requires_solver
+from conftest import SOLVER_CMD, certificate_comment, present_kinds, requires_solver
 
 
 def test_enumerate_combo_counts():
@@ -132,9 +133,10 @@ def test_solve_combo_rank_zero_short_circuits(tmp_path):
 
 def test_combo_with_the_empty_clause_runs_no_solver(tmp_path):
     # cyc-t n=2 id=1 has a kept entry with target 1 where no product
-    # survives: its CNF holds the empty clause, so it is recorded unsat
-    # with no solver run, fresh and resumed, its detail names that entry,
-    # and its CNF is still written.
+    # survives, so a span certificate of that one entry refutes it: its
+    # CNF holds the empty clause, so it is recorded unsat with no solver
+    # run, fresh and resumed, its detail names that entry, and its CNF is
+    # still written.
     label = "id=1,t=0,delta=0,full=0"
     ran = tmp_path / "ran"
     solver = _fake_solver(tmp_path, f"""case "$1" in
@@ -151,8 +153,7 @@ esac
         assert report.verdict() == "ruled_out"
         (status,) = [st for st in report.statuses if st.spec.label() == label]
         assert (status.state, status.detail) == (
-            "unsat", "empty clause: kept entry ((0, 0), (0, 0), (0, 0)) has target 1 "
-                     "and no surviving product, no solver run")
+            "unsat", certificate_comment([((0, 0), (0, 0), (0, 0))]) + ", no solver run")
         assert cnf.exists() and not ran.exists()
 
     run()
@@ -165,17 +166,18 @@ esac
     run()
 
 
-def test_combos_decided_by_support_are_one_empty_clause_and_run_no_solver(tmp_path):
-    # cyc-sw n=3 up to rank 4: 8 of the 10 combos of positive rank have
-    # orbit kinds that leave a target-1 entry with no surviving product.
-    # Each is recorded unsat with the CNF's comment naming that entry as
-    # its detail, its CNF file is the empty clause over its primaries,
-    # and the solver, which logs every file it is given, runs only on the
-    # other two.
+def test_combos_decided_by_span_certificates_are_one_empty_clause_and_run_no_solver(
+        tmp_path):
+    # cyc-sw n=3 up to rank 7: 31 of the 32 combos of positive rank lack
+    # the id kind, or have it with neither sw nor full, so their orbit
+    # tensors cannot span the target.  Each is recorded unsat with the
+    # CNF's comment naming the certificate's entries as its detail, its
+    # CNF file is the empty clause over its primaries, and the solver,
+    # which logs every file it is given, runs only on id=1,full=1.
     log = tmp_path / "solver.log"
     solver = _fake_solver(tmp_path, f'echo "$1" >> {log}; echo "s UNSATISFIABLE"\n')
     work = tmp_path / "work"
-    report = run_campaign(GroupId.CYCLIC_SANDWICH, 3, 4, solver, workers=2,
+    report = run_campaign(GroupId.CYCLIC_SANDWICH, 3, 7, solver, workers=2,
                           work_dir=str(work))
     assert report.verdict() == "ruled_out"
     solved = log.read_text().splitlines()
@@ -187,26 +189,63 @@ def test_combos_decided_by_support_are_one_empty_clause_and_run_no_solver(tmp_pa
         _, varmap = build_symbolic_orbits(GroupId.CYCLIC_SANDWICH, 3, st.spec.counts_dict())
         text = cnf.read_text()
         assert st.state == "unsat"
-        if st.detail.startswith("empty clause: kept entry "):
+        if st.detail.startswith("empty clause: "):
             decided += 1
             assert text.endswith(f"c {st.detail.removesuffix(', no solver run')}\n"
                                  f"p cnf {len(varmap.primary)} 1\n 0\n")
             assert str(cnf) not in solved
         else:
             assert st.detail == "" and str(cnf) in solved
-    assert decided == 8 and len(solved) == 2
+    assert decided == 31 and solved == [str(work / "cyc-sw-id=1,sw=0,delta=0,full=1.cnf")]
+
+
+def test_span_refuted_combos_name_their_certificate_in_the_records(tmp_path, capsys):
+    # A whole cyc-t n=2 campaign through the CLI: the --json report and
+    # the checkpoint agree, each of the 35 combos without the t kind has
+    # the span certificate's entries as its detail, and the solver, which
+    # leaves a marker file beside each CNF it is given, ran on none of
+    # them and on each of the other 24.
+    solver = _fake_solver(tmp_path, 'touch "$1.ran"; echo "s UNSATISFIABLE"\n')
+    ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
+    group = GroupId.CYCLIC_TRANSPOSE
+    assert main(["search", "--group", "cyc-t", "--n", "2", "--max-rank", "9",
+                 "--solver", solver, "--checkpoint", str(ckpt), "--work-dir", str(work),
+                 "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert load_checkpoint(ckpt)["combos"] == report["combos"]
+    refuted = solved = 0
+    for rec in report["combos"]:
+        counts = rec["counts"]
+        if not any(counts.values()):
+            continue
+        label = ",".join(f"{kind.tag}={counts[kind.tag]}" for kind in orbit_kinds(group))
+        marker = work / f"cyc-t-{label}.cnf.ran"
+        phi = certificate(group, 2, present_kinds(group, counts))
+        assert rec["state"] == "unsat"
+        if phi is None:
+            assert rec["detail"] == "" and marker.exists()
+            solved += 1
+        else:
+            assert rec["detail"] == certificate_comment(phi) + ", no solver run"
+            assert not marker.exists()
+            assert all(str(entry) in rec["detail"] for entry in phi)
+            assert counts["t"] == 0
+            refuted += 1
+    assert (refuted, solved) == (35, 24)
 
 
 def test_solve_combo_with_fake_unsat_solver(tmp_path):
-    spec = ComboSpec(GroupId.CYCLIC, (("id", 0), ("delta", 1)))
+    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 0)))
     solver = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
     status = solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
-    assert status.state == "unsat"
-    assert (tmp_path / "cyc-id=0,delta=1.cnf").exists()
+    assert (status.state, status.detail) == ("unsat", "")
+    assert (tmp_path / "cyc-id=1,delta=0.cnf").exists()
 
 
+# The fake-solver tests below use cyc n=2 id=1, which no span certificate
+# refutes, so its CNF reaches the solver.
 def test_solve_combo_reports_unparsable_output(tmp_path):
-    spec = ComboSpec(GroupId.CYCLIC, (("id", 0), ("delta", 1)))
+    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 0)))
     solver = _fake_solver(tmp_path, "echo nonsense\n")
     status = solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
     assert status.state == "error"
@@ -214,7 +253,7 @@ def test_solve_combo_reports_unparsable_output(tmp_path):
 
 
 def test_solve_combo_missing_solver_is_an_error(tmp_path):
-    spec = ComboSpec(GroupId.CYCLIC, (("id", 0), ("delta", 1)))
+    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 0)))
     status = solve_combo(GroupId.CYCLIC, 2, spec,
                          "/nonexistent/solver {cnf}", None, str(tmp_path))
     assert status.state == "error"
@@ -222,9 +261,10 @@ def test_solve_combo_missing_solver_is_an_error(tmp_path):
 
 
 def test_solve_combo_complete_wrong_model_raises(tmp_path):
-    # All four delta entries false: a complete model of the zero matrix.
-    spec = ComboSpec(GroupId.CYCLIC, (("id", 0), ("delta", 1)))
-    solver = _fake_solver(tmp_path, r"printf 's SATISFIABLE\nv -1 -2 -3 -4 0\n'" "\n")
+    # All twelve id entries false: a complete model of the zero matrices.
+    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 0)))
+    model = " ".join(f"-{v}" for v in range(1, 13))
+    solver = _fake_solver(tmp_path, f"printf 's SATISFIABLE\\nv {model} 0\\n'\n")
     with pytest.raises(EncoderSoundnessError):
         solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
 
@@ -475,8 +515,10 @@ echo "s UNSATISFIABLE"
     resumed = run_campaign(GroupId.CYCLIC, 2, 7, fast, checkpoint_path=str(ckpt),
                            work_dir=str(work))
     assert sorted(ran) == sorted(unfinished)
+    # Neither rank 0 nor a combo that a span certificate refutes (id=0)
+    # runs a solver.
     assert len(calls.read_text().splitlines()) == sum(
-        1 for k in unfinished if any(json.loads(k).values()))  # rank 0 runs no solver
+        1 for k in unfinished if json.loads(k)["id"])
     for st in resumed.statuses:
         key = json.dumps(st.spec.counts_dict(), sort_keys=True)
         if key not in unfinished:

@@ -17,9 +17,7 @@ from mmtsat.canonical import SymmetricDecomposition, canonicalize, check_canonic
 from mmtsat.encoder import (
     DecodeError,
     _block,
-    _entry_terms,
     _equation_entries,
-    _fixed_space,
     _lift,
     _support,
     build_symbolic_orbits,
@@ -31,7 +29,8 @@ from mmtsat.encoder import (
     tensor_equations,
 )
 from mmtsat.driver import enumerate_combos
-from mmtsat.gf2 import Gf2Matrix
+from mmtsat.gf2 import Gf2Matrix, entry_terms, fixed_space
+from mmtsat.span import certificate
 from mmtsat.symmetry import (
     GroupId,
     expand,
@@ -41,7 +40,12 @@ from mmtsat.symmetry import (
 )
 from mmtsat.tensor import evaluate, mm_tensor, verify
 
-from conftest import propagate, random_symmetric_decomposition
+from conftest import (
+    certificate_comment,
+    present_kinds,
+    propagate,
+    random_symmetric_decomposition,
+)
 
 
 def _read(mask, model):
@@ -111,14 +115,13 @@ def test_role_spans_exactly_its_fixed_space(group, tag, n):
 
 def test_fixed_space_reduces_equations_that_share_cells():
     # m -> A m A^T: its equations share pivot cells, so both the forward
-    # and the back elimination of _fixed_space matter here.
+    # and the back elimination of fixed_space matter here.
     a = Gf2Matrix.parse("110;011;001")
 
     def op(m):
         return a * m * a.transpose()
 
-    free, basis = _fixed_space(tuple(product(range(3), repeat=2)),
-                               (_entry_terms(op, 3),))
+    free, basis = fixed_space(tuple(product(range(3), repeat=2)), (entry_terms(op, 3),))
     span = set()
     for values in product((0, 1), repeat=len(free)):
         x = dict(zip(free, values))
@@ -513,31 +516,49 @@ def _stamping_combos():
     return out
 
 
-_STAMPING_COMBOS = _stamping_combos()
+# Combos that no span certificate refutes in each cyc group at n=3,
+# among them ones with solo entries beside other kinds' products (cyc-t
+# t=1 and cyc-sw sw=1 with delta=1): the random picks above lack id in
+# most, so they compile their tensor equations only for none, cyc id=1
+# and cyc-sw id=1.
+_STAMPING_COMBOS = _stamping_combos() + [
+    (GroupId.CYCLIC, {"id": 3, "delta": 1}),
+    (GroupId.CYCLIC_TRANSPOSE, {"id": 1, "t": 1, "delta": 1, "full": 0}),
+    (GroupId.CYCLIC_TRANSPOSE, {"id": 1, "t": 2, "delta": 0, "full": 0}),
+    (GroupId.CYCLIC_SANDWICH, {"id": 1, "sw": 1, "delta": 1, "full": 0}),
+]
 
 
 def test_stamping_combos_cover_solo_entries_and_shared_gates():
-    # Solo entries, also beside other kinds' products, and symmetry
-    # breaking that reuses a stamped cell-XOR gate.  Only cyc-sw has such
-    # gates: transposition permutes cells, so every cell of the other
-    # groups is one primary.
-    solo = [(g, c) for g, c in _STAMPING_COMBOS if any(_solo_entries(g, 3, c).values())]
+    # Among the combos that are compiled: solo entries, also beside other
+    # kinds' products, and symmetry breaking that reuses a stamped
+    # cell-XOR gate.  Only cyc-sw has such gates: transposition permutes
+    # cells, so every cell of the other groups is one primary.
+    compiled = [(g, c) for g, c in _STAMPING_COMBOS
+                if certificate(g, 3, present_kinds(g, c)) is None]
+    solo = [(g, c) for g, c in compiled if any(_solo_entries(g, 3, c).values())]
     assert any(sum(map(bool, c.values())) > 1 for _, c in solo)
-    assert any(_lex_reuses_a_gate(g, 3, c) for g, c in _STAMPING_COMBOS
+    assert any(_lex_reuses_a_gate(g, 3, c) for g, c in compiled
                if g is GroupId.CYCLIC_SANDWICH)
 
 
 def _assert_lone_empty_clause(cnf, varmap, group, n, combo):
-    """The CNF of a combo decided by its kinds' support: the empty clause
-    over the primaries, after a comment naming the first kept entry with
-    target 1 where no product of the whole combo survives."""
+    """The CNF of a combo that a span certificate refutes: the empty
+    clause over the primaries, after a comment naming the certificate's
+    entries.  They are kept entries, and the XOR of the combo's own
+    tensor equations there, as polynomials in its primaries, is 0 = 1."""
+    phi = certificate(group, n, present_kinds(group, combo))
+    assert phi is not None and set(phi) <= set(_equation_entries(group, n)[0])
     reps, _ = build_symbolic_orbits(group, n, combo)
-    entry = next(entry for entry, products, bit in tensor_equations(group, n, reps)
-                 if bit and not fold_products(products, 0)[0])
+    image = _lift(scheme(group).image, n)
+    triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
+                for trip in expand(kind, rep, image)]
+    target = mm_tensor(n, n, n)
+    assert reduce(frozenset.symmetric_difference,
+                  (_equation_anf(triplets, target, entry) for entry in phi)) == {0}
     assert list(cnf.clauses) == [()] and cnf.has_empty_clause
     assert cnf.num_vars == len(varmap.primary) == varmap.aux_start - 1
-    assert cnf.comments[-1] == (f"empty clause: kept entry {entry} has target 1 "
-                                "and no surviving product")
+    assert cnf.comments[-1] == certificate_comment(phi)
     assert cnf.to_dimacs().endswith(f"p cnf {cnf.num_vars} 1\n 0\n")
 
 
@@ -546,14 +567,14 @@ def _assert_lone_empty_clause(cnf, varmap, group, n, combo):
                               for g, c in _STAMPING_COMBOS])
 def test_stamped_cnf_equals_direct_compilation(group, combo):
     # The same variables and the same clauses; only their order differs.
-    # A combo the reference refutes by the empty clause (cyc-t id=1 and
-    # cyc-sw sw=4 and sw=1 here) is decided by its kinds' support: its
-    # CNF is that clause alone.
+    # A combo that a span certificate refutes (here every id=0 combo of
+    # the cyc groups, and cyc-t id=1) is the empty clause alone, checked
+    # against its own tensor equations instead.
     cnf, varmap = encode(group, 3, combo)
-    direct = _direct_encode(group, 3, combo, cnf.comments)
-    if direct.has_empty_clause:
+    if certificate(group, 3, present_kinds(group, combo)) is not None:
         _assert_lone_empty_clause(cnf, varmap, group, 3, combo)
         return
+    direct = _direct_encode(group, 3, combo, cnf.comments)
     text, direct_text = cnf.to_dimacs(), direct.to_dimacs()
     assert text[:text.index("p cnf ")] == direct_text[:direct_text.index("p cnf ")]
     assert cnf.num_vars == direct.num_vars
@@ -570,28 +591,31 @@ def _census_combos():
             for s in enumerate_combos(group, max_rank) if s.total_rank()]
 
 
-def test_support_check_agrees_with_direct_compilation():
-    # On every census combo, the support check fires exactly when the
-    # entry-major assert_parity reference holds the empty clause, and
-    # encode then gives that clause alone.  The solo entries read from the
-    # blocks' widths are those of folding the whole combo's cell masks.
+def test_span_check_agrees_with_direct_compilation():
+    # On every census combo, encode gives the lone empty clause exactly
+    # when a span certificate refutes the combo.  Every other combo has no
+    # target-1 entry where no product survives, so its entry-major
+    # assert_parity reference holds no empty clause either, and its solo
+    # entries read from the blocks' widths are those of folding the whole
+    # combo's cell masks.
     combos = _census_combos()
-    assert len(combos) == 144
+    assert len(combos) == 456
     decided = Counter()
     for group, n, combo in combos:
         cnf, varmap = encode(group, n, combo)
-        direct = _direct_encode(group, n, combo, cnf.comments)
-        tags = tuple(kind.tag for kind in orbit_kinds(group) if combo.get(kind.tag, 0) > 0)
-        fires, solos = _support(group, n, tags)
-        assert (fires is not None) == direct.has_empty_clause == cnf.has_empty_clause, \
-            (group, n, combo)
-        expected = _solo_entries(group, n, combo)
-        assert {tag: solo for tag, solo in zip(tags, solos) if combo[tag] == 1} == \
-            {tag: expected[tag] for tag in tags if combo[tag] == 1}, (group, n, combo)
-        if fires is not None:
+        tags = present_kinds(group, combo)
+        if certificate(group, n, tags) is not None:
             _assert_lone_empty_clause(cnf, varmap, group, n, combo)
             decided[group.value, n] += 1
-    assert decided == {("cyc-t", 2): 6, ("cyc-t", 3): 4, ("cyc-sw", 3): 15}
+            continue
+        assert not cnf.has_empty_clause, (group, n, combo)
+        assert not _direct_encode(group, n, combo, cnf.comments).has_empty_clause
+        expected = _solo_entries(group, n, combo)
+        assert {tag: solo for tag, solo in zip(tags, _support(group, n, tags))
+                if combo[tag] == 1} == \
+            {tag: expected[tag] for tag in tags if combo[tag] == 1}, (group, n, combo)
+    assert decided == {("cyc", 2): 7, ("cyc", 3): 7, ("cyc-t", 2): 35, ("cyc-t", 3): 209,
+                       ("cyc-sw", 3): 106}
 
 
 def _immutable(value):
@@ -639,7 +663,8 @@ def test_blocks_are_built_once_and_immutable(monkeypatch):
     (GroupId.TRIVIAL, 2, {"id": 7}),
     (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1}),
     # The target has a 1 at kept entries where the lone id representative
-    # has no surviving product, so this CNF is the empty clause.
+    # has no surviving product, so a span certificate refutes this combo
+    # and its CNF is the empty clause.
     (GroupId.CYCLIC_TRANSPOSE, 2, {"id": 1, "t": 0, "delta": 0, "full": 0}),
 ], ids=["none", "cyc-sw", "cyc-t-empty-clause"])
 def test_clause_view_rebuilds_the_same_instance(group, n, combo):
@@ -650,7 +675,7 @@ def test_clause_view_rebuilds_the_same_instance(group, n, combo):
     clauses = list(inst.clauses)
     assert all(type(c) is tuple for c in clauses) and len(clauses) == len(inst.clauses)
     if inst.has_empty_clause:
-        # Decided by its kinds' support, so the empty clause is all it holds.
+        # Refuted by a span certificate, so the empty clause is all it holds.
         _assert_lone_empty_clause(inst, varmap, group, n, combo)
         assert _direct_encode(group, n, combo, inst.comments).has_empty_clause
         assert inst.clauses[0:1] == clauses and inst.clauses.index(()) == 0

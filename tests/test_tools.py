@@ -20,8 +20,8 @@ def test_cnf_census_matches_the_committed_file(tmp_path):
                           capture_output=True, text=True, timeout=300, cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert out.read_bytes() == committed.read_bytes()
-    assert "DIMACS text changed on 0 of 144 combos" in proc.stdout
-    assert "clause sets changed on 0 of 144 combos" in proc.stdout
+    assert "DIMACS text changed on 0 of 456 combos" in proc.stdout
+    assert "clause sets changed on 0 of 456 combos" in proc.stdout
     none = json.loads(committed.read_text())["totals"]["none"]
     vars_, clauses = none["vars"], none["clauses"]
     assert (f"none    vars {vars_} -> {vars_} (+0.0%) "
@@ -40,13 +40,15 @@ def test_census_totals_print_the_change_in_percent():
 
 def test_census_counts_combos_holding_the_empty_clause(tmp_path):
     # Another census set, on stderr per entry; without --out no JSON is
-    # written, so the committed census is left alone.
+    # written, so the committed census is left alone.  A span certificate
+    # refutes the cyc-t combos without a t orbit and the cyc ones without
+    # an id orbit.
     committed = ROOT / "BENCH_cnf.json"
     before = committed.read_bytes()
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "cnf_sizes.py"),
                            "--census", "cyc-t:2:9", "--census", "cyc:2:7"],
                           capture_output=True, text=True, timeout=300, cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert ("combos holding the empty clause: cyc-t n=2 r<=9 6 of 59, "
-            "cyc n=2 r<=7 0 of 14") in proc.stderr.splitlines()
+    assert ("combos holding the empty clause: cyc-t n=2 r<=9 35 of 59, "
+            "cyc n=2 r<=7 7 of 14") in proc.stderr.splitlines()
     assert list(tmp_path.iterdir()) == [] and committed.read_bytes() == before
