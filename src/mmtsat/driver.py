@@ -9,9 +9,12 @@ if a status changed since then; so a killed campaign resumes where it
 stopped, re-running at most the combos of the last interval.  A combo
 of rank 0, or whose CNF holds the empty clause, is recorded `unsat`
 without a solver run.  The encoder gives that clause alone to a combo
-whose orbit kinds cannot span the target (see `span.certificate`); its
-CNF is still written, and its `detail` is the encoder's comment naming
-the tensor entries where the combo's equations XOR to 0 = 1.
+whose orbit kinds cannot span the target (see `span.certificate`), or
+whose count of 1 or 2 orbits of a kind cannot reach it modulo the other
+kinds' spans (see `span.count_certificate`); its CNF is still written,
+and its `detail` is the encoder's comment saying why: the tensor
+entries where the combo's equations XOR to 0 = 1, or the kind, its
+count, the other kinds and the number of distinct images.
 `solve_combo` maps every end of one run to a recorded state: a timeout,
 a solver that fails to start, an UNKNOWN answer, unparsable output or a
 model that does not decode (unassigned primaries) is recorded as
@@ -286,8 +289,8 @@ def _run_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
     stem = os.path.join(work_dir, f"{group.value}-{spec.label()}")
     cnf.write(stem + ".cnf")
     if cnf.has_empty_clause:
-        # The encoder's last comment names the entries of the span
-        # certificate when the combo's kinds cannot span the target.
+        # The encoder's last comment says why when a span or a count
+        # certificate refutes the combo.
         reason = cnf.comments[-1] if cnf.comments[-1].startswith("empty clause: ") \
             else "the CNF holds the empty clause"
         return "unsat", f"{reason}, no solver run"

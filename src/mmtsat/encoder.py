@@ -59,12 +59,15 @@ Before any of this, `span.certificate` checks whether the present kinds'
 orbit tensors can span the target at all.  When they cannot, a set of
 kept entries has odd parity on the target and even parity on every
 orbit tensor of those kinds, so the XOR of the equations there reads
-0 = 1 whatever the counts.  `encode` then builds no gate and gives that
-combo the empty clause alone over its primaries, with a comment naming
-the entries.  A kept entry with target 1 where no product survives is
-the case of a single entry.  Every other combo is compiled as above, and
-the check adds no clause to it.  `encode` returns its builder, which is
-the CNF instance.
+0 = 1 whatever the counts.  When they can, `span.count_certificate`
+checks, for each present kind of count 1 or 2, whether that many of its
+orbit tensors can sum to the target modulo the spans of the other
+present kinds.  A combo that either check refutes has no model, and
+`encode` then builds no gate and gives it the empty clause alone over
+its primaries, with a comment saying why.  A kept entry with target 1
+where no product survives is the span check's case of a single entry.
+Every other combo is compiled as above, and the checks add no clause
+to it.  `encode` returns its builder, which is the CNF instance.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from operator import add, itemgetter, mul, neg, xor
 from .boolexpr import CnfBuilder, CnfInstance, Lit, _selector, _xor_layout, fold_products
 from .canonical import SymmetricDecomposition
 from .gf2 import Gf2Matrix, entry_terms, fixed_space
-from .span import certificate
+from .span import certificate, count_certificate
 from .symmetry import (
     GroupId,
     expand,
@@ -407,15 +410,33 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> No
                             [auxes[i] for i in batch])
 
 
+def _refutation(group: GroupId, n: int, combo: dict[str, int],
+                tags: tuple[str, ...]) -> str | None:
+    """Why the span or the count check rules the combo out, or None."""
+    phi = certificate(group, n, tags)
+    if phi is not None:
+        return (f"the tensor equations at entries {', '.join(map(str, phi))} XOR to 0 = 1: "
+                "every orbit tensor of the present kinds has even parity there, the target odd")
+    bound = count_certificate(group, n, combo)
+    if bound is None:
+        return None
+    tag, images = bound
+    others = ", ".join(t for t in tags if t != tag) or "none"
+    return (f"modulo the spans of the other present kinds ({others}), no {combo[tag]} of "
+            f"the {images} distinct images of {tag} orbit tensors sum to the target's")
+
+
 def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, VarMap]:
     """CNF whose models are exactly the canonical-form symmetric
     decompositions of <n,n,n> with the given orbit counts.
 
     A combo whose present kinds' orbit tensors cannot span the target
     has no model: `span.certificate` names kept entries where the XOR of
-    the tensor equations reads 0 = 1.  Such a combo is decided from its
-    kinds alone, before any gate is built, and its CNF is the empty
-    clause over its primaries, with a comment naming those entries.
+    the tensor equations reads 0 = 1.  Nor has one where a kind's count
+    of 1 or 2 orbit tensors cannot reach the target modulo the other
+    kinds' spans (`span.count_certificate`).  Such a combo is decided
+    before any gate is built, and its CNF is the empty clause over its
+    primaries, with a comment saying why.
     """
     generators(group, n)  # raises for an n the group is not defined at
     rank = total_rank(group, combo)
@@ -424,8 +445,8 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     reps, varmap = build_symbolic_orbits(group, n, combo)
     builder = CnfBuilder(varmap.aux_start - 1)
     tags = tuple(kind.tag for kind in orbit_kinds(group) if combo.get(kind.tag, 0) > 0)
-    phi = certificate(group, n, tags)
-    if phi is None:
+    refutation = _refutation(group, n, combo, tags)
+    if refutation is None:
         _stamp_equations(builder, group, n, [(tag, combo[tag], solo) for tag, solo
                                              in zip(tags, _support(group, n, tags))])
         nonzero_representatives(builder, varmap)
@@ -440,11 +461,8 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     builder.comments.extend(f"var {e.var} = {e.orbit}[{e.index}].{e.mat}[{e.row}][{e.col}]"
                             for e in varmap.primary)
     builder.comments.append(f"aux vars start at {varmap.aux_start}")
-    if phi is not None:
-        builder.comments.append(
-            f"empty clause: the tensor equations at entries {', '.join(map(str, phi))} "
-            "XOR to 0 = 1: every orbit tensor of the present kinds has even parity "
-            "there, the target odd")
+    if refutation is not None:
+        builder.comments.append("empty clause: " + refutation)
     return builder, varmap
 
 

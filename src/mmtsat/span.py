@@ -1,4 +1,5 @@
-"""Span certificates: combos that their orbit kinds alone rule out.
+"""Span and count certificates: combos that their orbit kinds or counts
+alone rule out.
 
 A decomposition with given orbit counts is the XOR of one orbit tensor
 per representative, so its tensor lies in the sum of the spans S_k of
@@ -19,6 +20,16 @@ of Hamming weight at most 3, so the orbit tensors at those points span
 S_k.  `kind_span` builds that basis once per (group, n, kind), on first
 use.
 
+Counts refine this.  Modulo the sum M of the spans of the other present
+kinds, the c orbit tensors of a present kind k must sum to the target.
+`count_refutes` enumerates every representative of k that the encoder
+allows, keeps the set of their orbit tensors' images modulo M, once per
+(group, n, present kinds, k) and on first use, and rules a count of 1 or
+2 out when no 1 or 2 images sum to the target's image.  The canonical
+form's ordering constraints are dropped, so this is a relaxation and
+sound.  `count_certificate` applies it to every present kind whose
+representative space has at most MAX_REP_SPACE points.
+
 Tensors are ints in Tensor6's flat row-major entry order, and a basis is
 kept in echelon form, each row keyed by its lowest bit.  Every orbit
 tensor and the target are invariant under the group, and the lowest bit
@@ -30,14 +41,20 @@ lowest bit of the target's residue, names kept entries only.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
+from operator import xor
 
-from .gf2 import Gf2Matrix, entry_terms, fixed_space
-from .symmetry import GroupId, expand_orbit, kind_by_tag, scheme
-from .tensor import Decomposition, evaluate, mm_tensor
+from .gf2 import entry_terms, fixed_space
+from .symmetry import GroupId, expand, kind_by_tag, orbit_kinds, scheme
+from .tensor import mm_tensor, outer_bits
 
 Entry = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+
+# The most representatives a count check enumerates for one kind.  At
+# n=3 this takes in every kind but id, whose 2^27 representatives are far
+# too many to enumerate in Python; at n=2 every kind (id has 2^12).
+MAX_REP_SPACE = 1 << 15
 
 
 def _add_row(rows: dict[int, int], v: int) -> None:
@@ -51,24 +68,85 @@ def _add_row(rows: dict[int, int], v: int) -> None:
         v ^= rows[low]
 
 
+def _reduced(vectors) -> dict[int, int]:
+    """The fully reduced echelon basis of the span of vectors: each row
+    keyed by its lowest bit, the only pivot it has a 1 at."""
+    rows: dict[int, int] = {}
+    for v in vectors:
+        _add_row(rows, v)
+    pivots = sorted(rows)
+    for i in reversed(range(len(pivots))):  # each row cleared at the later pivots
+        row = rows[pivots[i]]
+        for q in pivots[i + 1:]:
+            if row & q:
+                row ^= rows[q]
+        rows[pivots[i]] = row
+    return rows
+
+
+def _residue(rows: dict[int, int], v: int) -> int:
+    """v reduced against fully reduced rows: 0 at every pivot."""
+    for p, row in rows.items():
+        if v & p:
+            v ^= row
+    return v
+
+
+@lru_cache
+def _role_bases(group: GroupId, n: int, tag: str) -> tuple[tuple[int, ...], ...]:
+    """Per role of kind tag, a basis of its matrices as bit fields: the
+    unit matrices for a free role, a basis of its fixed space for a
+    fixed one."""
+    cells = tuple(product(range(n), repeat=2))
+    bases = []
+    for fixed in kind_by_tag(group, tag).fixed:
+        free, basis = fixed_space(cells, (entry_terms(scheme(group).image, n),) if fixed else ())
+        bases.append(tuple(sum(1 << k for k, terms in enumerate(basis) if f in terms)
+                           for f in free))
+    return tuple(bases)
+
+
+def _rep_space_bits(group: GroupId, n: int, tag: str) -> int:
+    """log2 of the number of points of kind tag's representative space."""
+    return sum(map(len, _role_bases(group, n, tag)))
+
+
+@lru_cache
+def _image_op(group: GroupId, n: int):
+    """The group's image op on matrix bit fields."""
+    op = scheme(group).image
+    if op is None:
+        return None
+    masks = [sum(1 << k * n + l for k, l in terms) for terms in entry_terms(op, n)]
+    return lambda bits: sum(((bits & m).bit_count() & 1) << c for c, m in enumerate(masks))
+
+
+def _orbit_tensor(group: GroupId, n: int, tag: str, rep) -> int:
+    """The orbit tensor of a representative given as matrix bit fields."""
+    return reduce(xor, (outer_bits(a, b, c, n, n, n) for a, b, c in
+                        expand(kind_by_tag(group, tag), rep, _image_op(group, n))), 0)
+
+
+def _points(basis) -> list[int]:
+    """Every XOR of a subset of basis, the subsets in binary order."""
+    points = [0]
+    for b in basis:
+        points += [p ^ b for p in points]
+    return points
+
+
 @lru_cache
 def kind_span(group: GroupId, n: int, tag: str) -> tuple[int, ...]:
     """An echelon basis of the span of the orbit tensors of kind tag."""
-    kind = kind_by_tag(group, tag)
-    cells = tuple(product(range(n), repeat=2))
-    coords = []  # (role, basis matrix bits) of the representative space
-    for role, fixed in enumerate(kind.fixed):
-        free, basis = fixed_space(cells, (entry_terms(scheme(group).image, n),) if fixed else ())
-        coords += [(role, sum(1 << k for k, terms in enumerate(basis) if f in terms))
-                   for f in free]
+    bases = _role_bases(group, n, tag)
+    coords = [(role, bits) for role, basis in enumerate(bases) for bits in basis]
     rows: dict[int, int] = {}
     for weight in (1, 2, 3):
         for point in combinations(coords, weight):
-            rep = [0] * kind.arity
+            rep = [0] * len(bases)
             for role, bits in point:
                 rep[role] ^= bits
-            orbit = expand_orbit(group, tag, tuple(Gf2Matrix(n, n, bits) for bits in rep))
-            _add_row(rows, evaluate(Decomposition(n, n, n, tuple(orbit))).bits)
+            _add_row(rows, _orbit_tensor(group, n, tag, rep))
     return tuple(rows.values())
 
 
@@ -84,26 +162,91 @@ def certificate(group: GroupId, n: int, tags: tuple[str, ...]) -> tuple[Entry, .
     each row then has even parity on φ, and the target that of the
     residue, which is 0 at every pivot.
     """
-    residue = mm_tensor(n, n, n).bits  # raises for an n out of range, before any work
-    rows: dict[int, int] = {}
-    for tag in tags:
-        for row in kind_span(group, n, tag):
-            _add_row(rows, row)
-    pivots = sorted(rows)
-    for p in pivots:
-        if residue & p:
-            residue ^= rows[p]
+    target = mm_tensor(n, n, n).bits  # raises for an n out of range, before any work
+    rows = _reduced(row for tag in tags for row in kind_span(group, n, tag))
+    residue = _residue(rows, target)
     if not residue:
         return None
     j = residue & -residue
-    phi = j
-    for i in reversed(range(len(pivots))):  # each row cleared at the later pivots
-        row = rows[pivots[i]]
-        for q in pivots[i + 1:]:
-            if row & q:
-                row ^= rows[q]
-        rows[pivots[i]] = row
-        if row & j:
-            phi |= pivots[i]
+    phi = j | sum(p for p, row in rows.items() if row & j)
     entries = tuple(product(product(range(n), repeat=2), repeat=3))  # flat order
     return tuple(entries[x] for x in range(phi.bit_length()) if phi >> x & 1)
+
+
+@lru_cache
+def _quotient_images(group: GroupId, n: int, tags: tuple[str, ...],
+                     tag: str) -> tuple[int, frozenset[int]]:
+    """The target's image, and the set of images of the orbit tensors of
+    every representative of kind tag that the encoder allows (nonzero,
+    its distinct roles different), modulo the sum M of the spans of the
+    other kinds in tags.
+
+    The residues modulo M of the target and of the kind's span are kept
+    in echelon form; a residue of their span is fixed by its bits at
+    that form's pivots J, and its bit at j is the parity of the tensor on
+    j and the pivots of M's rows that have a 1 at j.  So an image is
+    those |J| parities, as an int.  A kind's orbit tensor is linear in
+    its role outside the chain, if it has one, so over that role the
+    images are XORs of those at the role's basis.
+    """
+    kind = kind_by_tag(group, tag)
+    rows = _reduced(row for other in tags if other != tag for row in kind_span(group, n, other))
+    target = mm_tensor(n, n, n).bits
+    pivots: dict[int, int] = {}
+    for v in (target, *kind_span(group, n, tag)):
+        _add_row(pivots, _residue(rows, v))
+    masks = [j | sum(p for p, row in rows.items() if row & j) for j in pivots]
+
+    def image(v: int) -> int:
+        return sum(((v & m).bit_count() & 1) << i for i, m in enumerate(masks))
+
+    def allowed(rep) -> bool:
+        return any(rep) and not (kind.distinct and rep[kind.distinct[0]] == rep[kind.distinct[1]])
+
+    bases = _role_bases(group, n, tag)
+    linear = next((r for r in range(kind.arity) if r not in kind.chain), None)
+    images = set()
+    for rep in product(*([0] if r == linear else _points(b) for r, b in enumerate(bases))):
+        rep = list(rep)
+        if linear is None:
+            if allowed(rep):
+                images.add(image(_orbit_tensor(group, n, tag, rep)))
+            continue
+        columns = []
+        for bits in bases[linear]:
+            rep[linear] = bits
+            columns.append(image(_orbit_tensor(group, n, tag, rep)))
+        for bits, v in zip(_points(bases[linear]), _points(columns)):
+            rep[linear] = bits
+            if allowed(rep):
+                images.add(v)
+    return image(target), frozenset(images)
+
+
+def count_refutes(group: GroupId, n: int, tags: tuple[str, ...], tag: str,
+                  count: int) -> int | None:
+    """For count orbits of kind tag among present kinds tags: the number
+    of distinct images modulo the other kinds' spans when no count of
+    them sum to the target's image there; None when some do, or when
+    count is above 2."""
+    if count > 2:
+        return None
+    target, images = _quotient_images(group, n, tags, tag)
+    if target in images if count == 1 else any(target ^ x in images for x in images):
+        return None
+    return len(images)
+
+
+def count_certificate(group: GroupId, n: int,
+                      combo: dict[str, int]) -> tuple[str, int] | None:
+    """The first present kind, smallest representative space first, whose
+    count `count_refutes` rules out, with its number of distinct images;
+    None when there is none.  A kind with more than MAX_REP_SPACE
+    representatives is never enumerated."""
+    tags = tuple(k.tag for k in orbit_kinds(group) if combo.get(k.tag, 0) > 0)
+    for tag in sorted(tags, key=lambda tag: _rep_space_bits(group, n, tag)):
+        if 1 << _rep_space_bits(group, n, tag) <= MAX_REP_SPACE:
+            images = count_refutes(group, n, tags, tag, combo[tag])
+            if images is not None:
+                return tag, images
+    return None

@@ -83,19 +83,28 @@ def mm_tensor(n: int, k: int, m: int) -> Tensor6:
     return Tensor6(n, k, m, bits)
 
 
+def _spread(x: int, block: int, stride: int) -> int:
+    """block copied to bit i * stride for each set bit i of x."""
+    bits = 0
+    while x:
+        low = x & -x
+        bits |= block << (low.bit_length() - 1) * stride
+        x ^= low
+    return bits
+
+
+def outer_bits(a: int, b: int, c: int, n: int, k: int, m: int) -> int:
+    """The bits of A x B x C from the bit fields of an n x k A, a k x m
+    B and an m x n C: entry (a,b,c,d,e,f) sits at bit
+    (a*k+b) * k*m*m*n + (c*m+d) * m*n + e*n+f, so the product is C's
+    bits at each set bit of B, and that block at each set bit of A."""
+    return _spread(a, _spread(b, c, m * n), k * m * m * n)
+
+
 def outer(t: Triplet) -> Tensor6:
     """Outer product A x B x C as a 6-index GF(2) tensor."""
     n, k, m = t.dims()
-    res = Tensor6(n, k, m, 0)
-    a_ones = [(i, j) for i in range(n) for j in range(k) if t.a.get(i, j)]
-    b_ones = [(i, j) for i in range(k) for j in range(m) if t.b.get(i, j)]
-    c_ones = [(i, j) for i in range(m) for j in range(n) if t.c.get(i, j)]
-    bits = 0
-    for (a, b) in a_ones:
-        for (c, d) in b_ones:
-            for (e, f) in c_ones:
-                bits |= 1 << res.flat_index(a, b, c, d, e, f)
-    return Tensor6(n, k, m, bits)
+    return Tensor6(n, k, m, outer_bits(t.a.bits, t.b.bits, t.c.bits, n, k, m))
 
 
 def evaluate(d: Decomposition) -> Tensor6:

@@ -248,21 +248,22 @@ def test_solver_resolution_precedence(tmp_path, capsys, monkeypatch):
     # No flag, config, or environment: domain error.
     monkeypatch.delenv("MMTSAT_SOLVER", raising=False)
     assert main(["solve-one", "--group", "cyc", "--n", "2",
-                 "--combo", "id=1", "--work-dir", str(tmp_path)]) == 1
+                 "--combo", "id=1,delta=1", "--work-dir", str(tmp_path)]) == 1
     assert "no solver configured" in capsys.readouterr().err
     # Config file beats the environment; a bogus env solver must not run.
-    # cyc n=2 id=1 reaches a solver: no span certificate refutes it.
+    # cyc n=2 id=1,delta=1 reaches a solver: no span or count certificate
+    # refutes it (a count certificate refutes id=1 alone).
     monkeypatch.setenv("MMTSAT_SOLVER", "/nonexistent/env-solver {cnf}")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": "/nonexistent/config-solver {cnf}"}))
     assert main(["solve-one", "--group", "cyc", "--n", "2",
-                 "--combo", "id=1", "--work-dir", str(tmp_path),
+                 "--combo", "id=1,delta=1", "--work-dir", str(tmp_path),
                  "--config", str(cfg), "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert "config-solver" in payload["detail"]
     # The flag beats both.
     assert main(["solve-one", "--group", "cyc", "--n", "2",
-                 "--combo", "id=1", "--work-dir", str(tmp_path),
+                 "--combo", "id=1,delta=1", "--work-dir", str(tmp_path),
                  "--solver", "/nonexistent/flag-solver {cnf}", "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert "flag-solver" in payload["detail"]

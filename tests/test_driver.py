@@ -29,7 +29,13 @@ from mmtsat.encoder import build_symbolic_orbits
 from mmtsat.span import certificate
 from mmtsat.symmetry import GroupId, orbit_kinds
 
-from conftest import SOLVER_CMD, certificate_comment, present_kinds, requires_solver
+from conftest import (
+    SOLVER_CMD,
+    certificate_comment,
+    present_kinds,
+    refutation_comment,
+    requires_solver,
+)
 
 
 def test_enumerate_combo_counts():
@@ -202,9 +208,12 @@ def test_combos_decided_by_span_certificates_are_one_empty_clause_and_run_no_sol
 def test_span_refuted_combos_name_their_certificate_in_the_records(tmp_path, capsys):
     # A whole cyc-t n=2 campaign through the CLI: the --json report and
     # the checkpoint agree, each of the 35 combos without the t kind has
-    # the span certificate's entries as its detail, and the solver, which
-    # leaves a marker file beside each CNF it is given, ran on none of
-    # them and on each of the other 24.
+    # the span certificate's entries as its detail, each of the 13 with
+    # too few t orbits to reach the target modulo the other kinds' spans
+    # has the count certificate's kind, count, modulus kinds and number of
+    # images as its detail, and the solver, which leaves a marker file
+    # beside each CNF it is given, ran on none of them and on each of the
+    # other 11.
     solver = _fake_solver(tmp_path, 'touch "$1.ran"; echo "s UNSATISFIABLE"\n')
     ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
     group = GroupId.CYCLIC_TRANSPOSE
@@ -213,7 +222,7 @@ def test_span_refuted_combos_name_their_certificate_in_the_records(tmp_path, cap
                  "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert load_checkpoint(ckpt)["combos"] == report["combos"]
-    refuted = solved = 0
+    refuted = counted = solved = 0
     for rec in report["combos"]:
         counts = rec["counts"]
         if not any(counts.values()):
@@ -221,31 +230,40 @@ def test_span_refuted_combos_name_their_certificate_in_the_records(tmp_path, cap
         label = ",".join(f"{kind.tag}={counts[kind.tag]}" for kind in orbit_kinds(group))
         marker = work / f"cyc-t-{label}.cnf.ran"
         phi = certificate(group, 2, present_kinds(group, counts))
+        comment = refutation_comment(group, 2, counts)
         assert rec["state"] == "unsat"
-        if phi is None:
+        if comment is None:
             assert rec["detail"] == "" and marker.exists()
             solved += 1
+            continue
+        assert rec["detail"] == comment + ", no solver run"
+        assert not marker.exists()
+        if phi is None:
+            assert counts["t"] in (1, 2)
+            assert f"no {counts['t']} of the " in rec["detail"]
+            assert "images of t orbit tensors" in rec["detail"]
+            counted += 1
         else:
             assert rec["detail"] == certificate_comment(phi) + ", no solver run"
-            assert not marker.exists()
             assert all(str(entry) in rec["detail"] for entry in phi)
             assert counts["t"] == 0
             refuted += 1
-    assert (refuted, solved) == (35, 24)
+    assert (refuted, counted, solved) == (35, 13, 11)
 
 
 def test_solve_combo_with_fake_unsat_solver(tmp_path):
-    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 0)))
+    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 1)))
     solver = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
     status = solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
     assert (status.state, status.detail) == ("unsat", "")
-    assert (tmp_path / "cyc-id=1,delta=0.cnf").exists()
+    assert (tmp_path / "cyc-id=1,delta=1.cnf").exists()
 
 
-# The fake-solver tests below use cyc n=2 id=1, which no span certificate
-# refutes, so its CNF reaches the solver.
+# The fake-solver tests use cyc n=2 id=1,delta=1, which no span or count
+# certificate refutes, so its CNF reaches the solver (a count certificate
+# refutes id=1 alone).
 def test_solve_combo_reports_unparsable_output(tmp_path):
-    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 0)))
+    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 1)))
     solver = _fake_solver(tmp_path, "echo nonsense\n")
     status = solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
     assert status.state == "error"
@@ -253,7 +271,7 @@ def test_solve_combo_reports_unparsable_output(tmp_path):
 
 
 def test_solve_combo_missing_solver_is_an_error(tmp_path):
-    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 0)))
+    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 1)))
     status = solve_combo(GroupId.CYCLIC, 2, spec,
                          "/nonexistent/solver {cnf}", None, str(tmp_path))
     assert status.state == "error"
@@ -261,9 +279,10 @@ def test_solve_combo_missing_solver_is_an_error(tmp_path):
 
 
 def test_solve_combo_complete_wrong_model_raises(tmp_path):
-    # All twelve id entries false: a complete model of the zero matrices.
-    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 0)))
-    model = " ".join(f"-{v}" for v in range(1, 13))
+    # All twelve id and four delta entries false: a complete model of
+    # the zero matrices.
+    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 1)))
+    model = " ".join(f"-{v}" for v in range(1, 17))
     solver = _fake_solver(tmp_path, f"printf 's SATISFIABLE\\nv {model} 0\\n'\n")
     with pytest.raises(EncoderSoundnessError):
         solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
@@ -454,7 +473,9 @@ def test_killed_campaign_resumes_exactly_its_unfinished_combos(tmp_path, monkeyp
     # A campaign killed with its process group between two checkpoint
     # writes leaves no solver running.  Its resume runs exactly the combos
     # that the last checkpoint does not show finished, keeps the others'
-    # records, and reaches the verdict of a campaign never killed.
+    # records, and reaches the verdict of a campaign never killed.  Up
+    # to rank 9, 10 combos reach the solver, 2 s of slow solver runs, so
+    # a checkpoint is written while some are still pending.
     (tmp_path / "slow").mkdir()
     (tmp_path / "fast").mkdir()
     pids, calls = tmp_path / "pids", tmp_path / "calls"
@@ -471,7 +492,7 @@ echo "s UNSATISFIABLE"
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "mmtsat.cli", "search", "--group", "cyc", "--n", "2",
-         "--max-rank", "7", "--solver", slow, "--checkpoint", str(ckpt),
+         "--max-rank", "9", "--solver", slow, "--checkpoint", str(ckpt),
          "--work-dir", str(work)],
         env=env, start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -512,21 +533,22 @@ echo "s UNSATISFIABLE"
         return original_solve(group, n, spec, *args)
 
     monkeypatch.setattr(driver, "solve_combo", solve)
-    resumed = run_campaign(GroupId.CYCLIC, 2, 7, fast, checkpoint_path=str(ckpt),
+    resumed = run_campaign(GroupId.CYCLIC, 2, 9, fast, checkpoint_path=str(ckpt),
                            work_dir=str(work))
     assert sorted(ran) == sorted(unfinished)
-    # Neither rank 0 nor a combo that a span certificate refutes (id=0)
-    # runs a solver.
+    # Neither rank 0 nor a combo that a span certificate (id=0) or a count
+    # certificate (id=1 or id=2 alone) refutes runs a solver.
     assert len(calls.read_text().splitlines()) == sum(
-        1 for k in unfinished if json.loads(k)["id"])
+        1 for k in unfinished if any(json.loads(k).values())
+        and refutation_comment(GroupId.CYCLIC, 2, json.loads(k)) is None)
     for st in resumed.statuses:
         key = json.dumps(st.spec.counts_dict(), sort_keys=True)
         if key not in unfinished:
             assert driver._combo_record(st) == killed[key]
-    whole = run_campaign(GroupId.CYCLIC, 2, 7, fast, work_dir=str(tmp_path / "whole"))
+    whole = run_campaign(GroupId.CYCLIC, 2, 9, fast, work_dir=str(tmp_path / "whole"))
     assert resumed.verdict() == whole.verdict() == "ruled_out"
     assert [st.state for st in resumed.statuses] == [st.state for st in whole.statuses]
-    assert load_checkpoint(ckpt) == checkpoint_to_json(GroupId.CYCLIC, 2, 7, resumed.statuses)
+    assert load_checkpoint(ckpt) == checkpoint_to_json(GroupId.CYCLIC, 2, 9, resumed.statuses)
 
 
 def test_campaign_sat_short_circuit_with_two_workers(tmp_path, monkeypatch):

@@ -30,7 +30,7 @@ from mmtsat.encoder import (
 )
 from mmtsat.driver import enumerate_combos
 from mmtsat.gf2 import Gf2Matrix, entry_terms, fixed_space
-from mmtsat.span import certificate
+from mmtsat.span import certificate, count_certificate
 from mmtsat.symmetry import (
     GroupId,
     expand,
@@ -41,10 +41,10 @@ from mmtsat.symmetry import (
 from mmtsat.tensor import evaluate, mm_tensor, verify
 
 from conftest import (
-    certificate_comment,
     present_kinds,
     propagate,
     random_symmetric_decomposition,
+    refutation_comment,
 )
 
 
@@ -423,9 +423,10 @@ def _clause_lines(text):
     (GroupId.CYCLIC, 2, {"id": 2, "delta": 1},
      "f5c907b7159bb032e5685e441b24b23d99ca5c8827774196be2c74163ae46121",
      "6223ebaeb67e1edad0be732d1ba3dbf6903dcb15b973015fdff17ed30291dd15"),
-    (GroupId.CYCLIC_TRANSPOSE, 3, {"id": 1, "t": 1, "delta": 1, "full": 1},
-     "c0643c751998158f9f9e5702bba0a1715cd3ed78d5b0fcde6cc2c67d023ca067",
-     "8b69248a51c95582ebc950fbb235b4103cefd37c213848e8dce2fd2827c76ef4"),
+    # t=2: a count certificate refutes t=1 beside id and full.
+    (GroupId.CYCLIC_TRANSPOSE, 3, {"id": 1, "t": 2, "delta": 1, "full": 1},
+     "94a9c7f2f9a15f272410a0305adec55c55f1778173900638cf2c8c2d6a514f59",
+     "abb68fe6c40f5a37cbf2cf93c4a19c7c818f3000b4bc443fbfa126852282eb6a"),
     (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1},
      "43bfca5bb1a2216991ed62aa5fe33bc8d14eb507531cee8baebb6b5c7eda19b8",
      "2a977ee55367c56bf532e847dc0676f54259b75c9686e64a957a400e3edfcc3a"),
@@ -516,15 +517,17 @@ def _stamping_combos():
     return out
 
 
-# Combos that no span certificate refutes in each cyc group at n=3,
-# among them ones with solo entries beside other kinds' products (cyc-t
-# t=1 and cyc-sw sw=1 with delta=1): the random picks above lack id in
-# most, so they compile their tensor equations only for none, cyc id=1
-# and cyc-sw id=1.
+# Combos that no span certificate refutes in each cyc group at n=3.  A
+# count certificate refutes the cyc-t ones with t=1 or t=2 and no full,
+# so they are checked as such, and cyc-t id=1,t=2,full=1 is compiled.
+# Of the compiled ones, cyc-sw sw=1 with delta=1 has solo entries beside
+# other kinds' products.  The random picks above lack id in most, so they
+# compile their tensor equations only for none, cyc id=1 and cyc-sw id=1.
 _STAMPING_COMBOS = _stamping_combos() + [
     (GroupId.CYCLIC, {"id": 3, "delta": 1}),
     (GroupId.CYCLIC_TRANSPOSE, {"id": 1, "t": 1, "delta": 1, "full": 0}),
     (GroupId.CYCLIC_TRANSPOSE, {"id": 1, "t": 2, "delta": 0, "full": 0}),
+    (GroupId.CYCLIC_TRANSPOSE, {"id": 1, "t": 2, "delta": 0, "full": 1}),
     (GroupId.CYCLIC_SANDWICH, {"id": 1, "sw": 1, "delta": 1, "full": 0}),
 ]
 
@@ -534,8 +537,8 @@ def test_stamping_combos_cover_solo_entries_and_shared_gates():
     # kinds' products, and symmetry breaking that reuses a stamped
     # cell-XOR gate.  Only cyc-sw has such gates: transposition permutes
     # cells, so every cell of the other groups is one primary.
-    compiled = [(g, c) for g, c in _STAMPING_COMBOS
-                if certificate(g, 3, present_kinds(g, c)) is None]
+    compiled = [(g, c) for g, c in _STAMPING_COMBOS if refutation_comment(g, 3, c) is None]
+    assert (GroupId.CYCLIC_TRANSPOSE, {"id": 1, "t": 2, "delta": 0, "full": 1}) in compiled
     solo = [(g, c) for g, c in compiled if any(_solo_entries(g, 3, c).values())]
     assert any(sum(map(bool, c.values())) > 1 for _, c in solo)
     assert any(_lex_reuses_a_gate(g, 3, c) for g, c in compiled
@@ -543,22 +546,26 @@ def test_stamping_combos_cover_solo_entries_and_shared_gates():
 
 
 def _assert_lone_empty_clause(cnf, varmap, group, n, combo):
-    """The CNF of a combo that a span certificate refutes: the empty
-    clause over the primaries, after a comment naming the certificate's
-    entries.  They are kept entries, and the XOR of the combo's own
-    tensor equations there, as polynomials in its primaries, is 0 = 1."""
+    """The CNF of a combo that a span or a count certificate refutes: the
+    empty clause over the primaries, after a comment saying why.  A span
+    certificate's entries are kept entries, and the XOR of the combo's
+    own tensor equations there, as polynomials in its primaries, is
+    0 = 1; `tests/test_span.py` re-derives each count certificate."""
     phi = certificate(group, n, present_kinds(group, combo))
-    assert phi is not None and set(phi) <= set(_equation_entries(group, n)[0])
-    reps, _ = build_symbolic_orbits(group, n, combo)
-    image = _lift(scheme(group).image, n)
-    triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
-                for trip in expand(kind, rep, image)]
-    target = mm_tensor(n, n, n)
-    assert reduce(frozenset.symmetric_difference,
-                  (_equation_anf(triplets, target, entry) for entry in phi)) == {0}
+    if phi is None:
+        assert count_certificate(group, n, combo) is not None
+    else:
+        assert set(phi) <= set(_equation_entries(group, n)[0])
+        reps, _ = build_symbolic_orbits(group, n, combo)
+        image = _lift(scheme(group).image, n)
+        triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
+                    for trip in expand(kind, rep, image)]
+        target = mm_tensor(n, n, n)
+        assert reduce(frozenset.symmetric_difference,
+                      (_equation_anf(triplets, target, entry) for entry in phi)) == {0}
     assert list(cnf.clauses) == [()] and cnf.has_empty_clause
     assert cnf.num_vars == len(varmap.primary) == varmap.aux_start - 1
-    assert cnf.comments[-1] == certificate_comment(phi)
+    assert cnf.comments[-1] == refutation_comment(group, n, combo)
     assert cnf.to_dimacs().endswith(f"p cnf {cnf.num_vars} 1\n 0\n")
 
 
@@ -568,10 +575,11 @@ def _assert_lone_empty_clause(cnf, varmap, group, n, combo):
 def test_stamped_cnf_equals_direct_compilation(group, combo):
     # The same variables and the same clauses; only their order differs.
     # A combo that a span certificate refutes (here every id=0 combo of
-    # the cyc groups, and cyc-t id=1) is the empty clause alone, checked
-    # against its own tensor equations instead.
+    # the cyc groups, and cyc-t id=1) or a count certificate refutes
+    # (cyc-t t=1 or t=2 without full) is the empty clause alone, checked
+    # as such instead.
     cnf, varmap = encode(group, 3, combo)
-    if certificate(group, 3, present_kinds(group, combo)) is not None:
+    if refutation_comment(group, 3, combo) is not None:
         _assert_lone_empty_clause(cnf, varmap, group, 3, combo)
         return
     direct = _direct_encode(group, 3, combo, cnf.comments)
@@ -593,7 +601,8 @@ def _census_combos():
 
 def test_span_check_agrees_with_direct_compilation():
     # On every census combo, encode gives the lone empty clause exactly
-    # when a span certificate refutes the combo.  Every other combo has no
+    # when a span or a count certificate refutes the combo, and the
+    # combos each rule decides are pinned.  Every other combo has no
     # target-1 entry where no product survives, so its entry-major
     # assert_parity reference holds no empty clause either, and its solo
     # entries read from the blocks' widths are those of folding the whole
@@ -604,9 +613,10 @@ def test_span_check_agrees_with_direct_compilation():
     for group, n, combo in combos:
         cnf, varmap = encode(group, n, combo)
         tags = present_kinds(group, combo)
-        if certificate(group, n, tags) is not None:
+        if refutation_comment(group, n, combo) is not None:
             _assert_lone_empty_clause(cnf, varmap, group, n, combo)
-            decided[group.value, n] += 1
+            rule = "span" if certificate(group, n, tags) is not None else "count"
+            decided[group.value, n, rule] += 1
             continue
         assert not cnf.has_empty_clause, (group, n, combo)
         assert not _direct_encode(group, n, combo, cnf.comments).has_empty_clause
@@ -614,8 +624,11 @@ def test_span_check_agrees_with_direct_compilation():
         assert {tag: solo for tag, solo in zip(tags, _support(group, n, tags))
                 if combo[tag] == 1} == \
             {tag: expected[tag] for tag in tags if combo[tag] == 1}, (group, n, combo)
-    assert decided == {("cyc", 2): 7, ("cyc", 3): 7, ("cyc-t", 2): 35, ("cyc-t", 3): 209,
-                       ("cyc-sw", 3): 106}
+    assert decided == {("cyc", 2, "span"): 7, ("cyc", 3, "span"): 7,
+                       ("cyc-t", 2, "span"): 35, ("cyc-t", 3, "span"): 209,
+                       ("cyc-sw", 3, "span"): 106,
+                       ("none", 2, "count"): 2, ("cyc", 2, "count"): 2,
+                       ("cyc-t", 2, "count"): 13, ("cyc-t", 3, "count"): 19}
 
 
 def _immutable(value):

@@ -1,6 +1,7 @@
 import importlib.util
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from mmtsat.driver import enumerate_combos
 from mmtsat.gf2 import Gf2Matrix
 from mmtsat.oracle import brute_symmetric_feasible
-from mmtsat.span import certificate, kind_span
+from mmtsat.span import certificate, count_certificate, count_refutes, kind_span
 from mmtsat.symmetry import GroupId, expand_orbit, kind_by_tag, orbit_kinds, scheme
 from mmtsat.tensor import Decomposition, evaluate, mm_tensor
 
@@ -138,6 +139,101 @@ def test_a_span_sum_that_drops_a_kind_fails_the_checker(group, n):
     assert mutants
 
 
+# -- the count rule, checked independently ------------------------------------
+
+
+@lru_cache
+def _every_orbit_tensor(group, n, tag):
+    """The distinct orbit tensors of every representative of kind tag
+    that the encoder allows: each fixed role a matrix the image op fixes,
+    not every role zero, its distinct roles different."""
+    kind = kind_by_tag(group, tag)
+    image = scheme(group).image
+    matrices = [Gf2Matrix(n, n, bits) for bits in range(1 << n * n)]
+    spaces = [[m for m in matrices if not fixed or image(m) == m] for fixed in kind.fixed]
+    return frozenset(
+        evaluate(Decomposition(n, n, n, tuple(expand_orbit(group, tag, rep)))).bits
+        for rep in product(*spaces)
+        if any(not m.is_zero() for m in rep)
+        and not (kind.distinct and rep[kind.distinct[0]] == rep[kind.distinct[1]]))
+
+
+def _remainder(vectors):
+    """The map from a tensor to its remainder modulo the span of vectors,
+    through an echelon basis keyed by each row's highest bit and cleared
+    from the highest pivot down."""
+    rows = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in rows:
+                rows[top] = v
+                break
+            v ^= rows[top]
+    pivots = sorted(rows.items(), reverse=True)
+
+    def remainder(v):
+        for p, row in pivots:
+            if v >> p & 1:
+                v ^= row
+        return v
+    return remainder
+
+
+def _count_refutation_holds(group, n, tags, tag, count):
+    """Whether no sum of count or fewer (count at most 2) orbit tensors of
+    kind tag equals the target modulo the span of the other kinds' orbit
+    tensors, and in how many classes there the tensors of kind tag fall."""
+    remainder = _remainder([t for other in tags if other != tag
+                            for t in _orbit_tensors(group, n, other)])
+    target = remainder(mm_tensor(n, n, n).bits)
+    classes = {remainder(t) for t in _every_orbit_tensor(group, n, tag)}
+    reached = target == 0 or target in classes or (
+        count == 2 and any(target ^ x in classes for x in classes))
+    return not reached, len(classes)
+
+
+def _count_refuted(cases):
+    """(group, n, present kinds, kind, count, images) of every combo of
+    cases, (group, n, max rank) each, that no span certificate and a
+    count certificate refutes, once each."""
+    out = set()
+    for group, n, max_rank in cases:
+        for spec in enumerate_combos(group, max_rank):
+            combo = spec.counts_dict()
+            tags = present_kinds(group, combo)
+            if tags and certificate(group, n, tags) is None:
+                bound = count_certificate(group, n, combo)
+                if bound is not None:
+                    tag, images = bound
+                    out.add((group, n, tags, tag, combo[tag], images))
+    return sorted(out, key=str)
+
+
+@pytest.mark.parametrize("cases,pinned", [
+    ([(GroupId.TRIVIAL, 2, 7), (GroupId.CYCLIC, 2, 7), (GroupId.CYCLIC_TRANSPOSE, 2, 12)], {
+        ("none", ("id",), "id", 1), ("none", ("id",), "id", 2),
+        ("cyc", ("id",), "id", 1), ("cyc", ("id",), "id", 2),
+        ("cyc-t", ("t",), "t", 1), ("cyc-t", ("t",), "t", 2),
+        ("cyc-t", ("id", "t"), "t", 1), ("cyc-t", ("t", "delta"), "t", 1),
+        ("cyc-t", ("t", "delta"), "t", 2), ("cyc-t", ("t", "full"), "t", 1),
+        ("cyc-t", ("id", "t", "delta"), "t", 1)}),
+    # the census sets at n=3
+    ([(GroupId.CYCLIC, 3, 7), (GroupId.CYCLIC_TRANSPOSE, 3, 15),
+      (GroupId.CYCLIC_SANDWICH, 3, 12)], {
+        ("cyc-t", ("id", "t"), "t", 1), ("cyc-t", ("id", "t"), "t", 2),
+        ("cyc-t", ("id", "t", "delta"), "t", 1), ("cyc-t", ("id", "t", "delta"), "t", 2),
+        ("cyc-t", ("id", "t", "full"), "t", 1),
+        ("cyc-t", ("id", "t", "delta", "full"), "t", 1)}),
+], ids=["n2", "n3"])
+def test_every_count_certificate_passes_the_independent_checker(cases, pinned):
+    refuted = _count_refuted(cases)
+    for group, n, tags, tag, count, images in refuted:
+        assert _count_refutation_holds(group, n, tags, tag, count) == (True, images), \
+            (group, n, tags, tag, count)
+    assert {(g.value, tags, tag, count) for g, _, tags, tag, count, _ in refuted} == pinned
+
+
 # -- no known decomposition and no oracle-feasible combo is refuted ---------------
 
 
@@ -151,7 +247,8 @@ def _modelcheck():
 
 def test_no_known_decomposition_is_refuted():
     # Strassen's decomposition in each group at n=2 and the schoolbook
-    # rank-27 one at n=3, conjugated into each group by every conjugator.
+    # rank-27 one at n=3, conjugated into each group by every conjugator,
+    # by neither rule.
     modelcheck = _modelcheck()
     seen = {}
     for group, n, base in modelcheck.KNOWN:
@@ -159,6 +256,7 @@ def test_no_known_decomposition_is_refuted():
             sd = modelcheck.to_symmetric(modelcheck.conjugate_decomposition(base, q), group)
             tags = present_kinds(group, sd.counts())
             assert certificate(group, n, tags) is None, (group, n, sd.counts())
+            assert count_certificate(group, n, sd.counts()) is None, (group, n, sd.counts())
             seen.setdefault((group.value, n), set()).add(tags)
     assert seen == {("none", 2): {("id",)}, ("cyc", 2): {("id", "delta")},
                     ("cyc-t", 2): {("t", "full")}, ("none", 3): {("id",)},
@@ -166,21 +264,57 @@ def test_no_known_decomposition_is_refuted():
                     ("cyc-sw", 3): {("id", "delta", "full")}}
 
 
-@pytest.mark.parametrize("group,max_rank,refuted,feasible", [
-    (GroupId.CYCLIC, 7, 7, 2),
-    (GroupId.CYCLIC_TRANSPOSE, 9, 35, 5),
-])
-def test_no_oracle_feasible_combo_is_refuted(group, max_rank, refuted, feasible):
-    # Every n=2 combo of positive rank; the counts are pinned so that a
-    # rule that quietly weakens, or an oracle that changes, shows up.
-    counts = {"refuted": 0, "feasible": 0}
+def _refuting_rule(group, n, combo, count_rule):
+    """Which rule refutes a combo: "span", "count" or None."""
+    if certificate(group, n, present_kinds(group, combo)) is not None:
+        return "span"
+    return "count" if count_rule(group, n, combo) is not None else None
+
+
+def _oracle_tally(group, max_rank, count_rule=count_certificate):
+    """Over every n=2 combo of positive rank: how many each rule refutes
+    and the oracle finds feasible, and the refuted combos it finds
+    feasible."""
+    tally, wrong = Counter(), []
     for spec in enumerate_combos(group, max_rank):
         combo = spec.counts_dict()
         if not spec.total_rank():
             continue
-        is_refuted = certificate(group, 2, present_kinds(group, combo)) is not None
-        is_feasible = brute_symmetric_feasible(group, 2, combo)
-        assert not (is_refuted and is_feasible), combo
-        counts["refuted"] += is_refuted
-        counts["feasible"] += is_feasible
-    assert counts == {"refuted": refuted, "feasible": feasible}
+        rule = _refuting_rule(group, 2, combo, count_rule)
+        feasible = brute_symmetric_feasible(group, 2, combo)
+        if rule and feasible:
+            wrong.append(combo)
+        if rule:
+            tally[rule] += 1
+        tally["feasible"] += feasible
+    return dict(tally), wrong
+
+
+@pytest.mark.parametrize("group,max_rank,refuted", [
+    (GroupId.CYCLIC, 7, {"span": 7, "count": 2, "feasible": 2}),
+    (GroupId.CYCLIC_TRANSPOSE, 9, {"span": 35, "count": 13, "feasible": 5}),
+    (GroupId.CYCLIC_TRANSPOSE, 12, {"span": 65, "count": 20, "feasible": 21}),
+], ids=["cyc-r7", "cyc-t-r9", "cyc-t-r12"])
+def test_no_oracle_feasible_combo_is_refuted(group, max_rank, refuted):
+    # Every n=2 combo of positive rank; the counts per rule are pinned so
+    # that a rule that quietly weakens, or an oracle that changes, shows up.
+    tally, wrong = _oracle_tally(group, max_rank)
+    assert wrong == []
+    assert tally == refuted
+
+
+def test_a_count_modulus_that_drops_a_kind_refutes_a_feasible_combo():
+    # The count rule with one other present kind left out of the modulus
+    # refutes Strassen's cyc-t combo t=2,full=1, and the oracle check
+    # above catches it, as does the independent checker.
+    def dropping_one(group, n, combo):
+        tags = present_kinds(group, combo)
+        return next((tag for tag in tags for dropped in tags if dropped != tag
+                     and count_refutes(group, n, tuple(t for t in tags if t != dropped),
+                                       tag, combo[tag]) is not None), None)
+
+    _, wrong = _oracle_tally(GroupId.CYCLIC_TRANSPOSE, 7, dropping_one)
+    assert {"id": 0, "t": 2, "delta": 0, "full": 1} in wrong
+    assert count_refutes(GroupId.CYCLIC_TRANSPOSE, 2, ("t",), "t", 2) is not None
+    holds, _ = _count_refutation_holds(GroupId.CYCLIC_TRANSPOSE, 2, ("t", "full"), "t", 2)
+    assert not holds

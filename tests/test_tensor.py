@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -56,6 +57,24 @@ def test_outer_entry_formula():
                         for f in range(2):
                             assert o.get(a, b, c, d, e, f) == \
                                 t.a.get(a, b) & t.b.get(c, d) & t.c.get(e, f)
+
+
+def test_outer_matches_a_per_cell_reference_on_random_shapes():
+    # The bit-field spreads against one bit per triple of set cells,
+    # placed by the row-major index formula, on <n,k,m> shapes up to 4.
+    rng = random.Random(6)
+    for _ in range(300):
+        n, k, m = (rng.randint(1, 4) for _ in range(3))
+        t = Triplet(Gf2Matrix(n, k, rng.getrandbits(n * k)),
+                    Gf2Matrix(k, m, rng.getrandbits(k * m)),
+                    Gf2Matrix(m, n, rng.getrandbits(m * n)))
+        want = 0
+        for (a, b), (c, d), (e, f) in product(product(range(n), range(k)),
+                                              product(range(k), range(m)),
+                                              product(range(m), range(n))):
+            if t.a.get(a, b) and t.b.get(c, d) and t.c.get(e, f):
+                want |= 1 << ((((a * k + b) * k + c) * m + d) * m + e) * n + f
+        assert outer(t).bits == want, (n, k, m)
 
 
 def test_evaluate_duplicate_triplets_cancel():

@@ -39,16 +39,17 @@ def test_census_totals_print_the_change_in_percent():
 
 
 def test_census_counts_combos_holding_the_empty_clause(tmp_path):
-    # Another census set, on stderr per entry; without --out no JSON is
-    # written, so the committed census is left alone.  A span certificate
-    # refutes the cyc-t combos without a t orbit and the cyc ones without
-    # an id orbit.
+    # Another census set, on stderr per entry and per rule; without --out
+    # no JSON is written, so the committed census is left alone.  A span
+    # certificate refutes the cyc-t combos without a t orbit and the cyc
+    # ones without an id orbit; a count certificate refutes 13 cyc-t
+    # combos with one or two t orbits, and cyc id=1 and id=2 alone.
     committed = ROOT / "BENCH_cnf.json"
     before = committed.read_bytes()
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "cnf_sizes.py"),
                            "--census", "cyc-t:2:9", "--census", "cyc:2:7"],
                           capture_output=True, text=True, timeout=300, cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert ("combos holding the empty clause: cyc-t n=2 r<=9 35 of 59, "
-            "cyc n=2 r<=7 7 of 14") in proc.stderr.splitlines()
+    assert ("combos holding the empty clause: cyc-t n=2 r<=9 48 of 59 (span 35, count 13); "
+            "cyc n=2 r<=7 9 of 14 (span 7, count 2)") in proc.stderr.splitlines()
     assert list(tmp_path.iterdir()) == [] and committed.read_bytes() == before

@@ -6,7 +6,8 @@ text and the SHA-256 of its clause lines sorted (which clause order does
 not change), plus per-group totals, to a JSON file, and prints the totals, and
 on stderr the encode and DIMACS CPU times, the encode CPU time per
 group and, per census entry, how many combos hold the empty clause (a
-campaign records them unsat with no solver run).  With --against
+campaign records them unsat with no solver run), split into those a
+span certificate and those a count certificate decides.  With --against
 OLD.json it also prints each group's variables and clauses as old ->
 new with the change in percent, and how many combos' DIMACS text and
 how many combos' clause sets differ from OLD.json, and exits 1 if any
@@ -34,13 +35,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from mmtsat.driver import enumerate_combos  # noqa: E402
 from mmtsat.encoder import encode  # noqa: E402
+from mmtsat.span import certificate  # noqa: E402
 from mmtsat.symmetry import GroupId  # noqa: E402
 
 # (group, n, max rank): 456 combos of total rank >= 1.  A span
-# certificate decides 364 of them with the empty clause alone; the n=3
-# cyc-t and cyc-sw ranks are high enough to hold combos with the kinds
-# that span the target (id and t; id and sw or full), so 92 combos
-# still compile their tensor equations.
+# certificate decides 364 of them with the empty clause alone, and a
+# count certificate 36 more; the n=3 cyc-t and cyc-sw ranks are high
+# enough to hold combos with the kinds that span the target (id and t;
+# id and sw or full), so 56 combos still compile their tensor equations.
 CENSUS = [
     (GroupId.TRIVIAL, 2, 7), (GroupId.TRIVIAL, 3, 4),
     (GroupId.CYCLIC, 2, 7), (GroupId.CYCLIC, 3, 7),
@@ -53,14 +55,14 @@ SIZES = ("vars", "clauses", "bytes")
 def census(entries=CENSUS) -> tuple[dict, dict[str, float], float, list[str]]:
     """The census of entries, the CPU seconds spent encoding per group,
     those spent rendering DIMACS, and per entry how many of its combos
-    hold the empty clause."""
+    a span and a count certificate decide with the empty clause."""
     encode_cpu = {group.value: 0.0 for group, _, _ in entries}
     empty = []
     dimacs_cpu = 0.0
     combos = []
     totals: dict[str, dict[str, int]] = {}
     for group, n, max_rank in entries:
-        with_empty = encoded = 0
+        by_span = by_count = encoded = 0
         for spec in enumerate_combos(group, max_rank):
             if spec.total_rank() < 1:
                 continue
@@ -70,7 +72,12 @@ def census(entries=CENSUS) -> tuple[dict, dict[str, float], float, list[str]]:
             text = cnf.to_dimacs().encode()
             encode_cpu[group.value] += mid - start
             dimacs_cpu += time.process_time() - mid
-            with_empty += cnf.has_empty_clause
+            if cnf.has_empty_clause:
+                tags = tuple(tag for tag, count in spec.counts if count)
+                if certificate(group, n, tags) is None:
+                    by_count += 1
+                else:
+                    by_span += 1
             encoded += 1
             row = {"group": group.value, "n": n, "combo": spec.label(),
                    "vars": cnf.num_vars, "clauses": len(cnf.clauses),
@@ -81,7 +88,8 @@ def census(entries=CENSUS) -> tuple[dict, dict[str, float], float, list[str]]:
             total["combos"] += 1
             for key in SIZES:
                 total[key] += row[key]
-        empty.append(f"{group.value} n={n} r<={max_rank} {with_empty} of {encoded}")
+        empty.append(f"{group.value} n={n} r<={max_rank} {by_span + by_count} of {encoded} "
+                     f"(span {by_span}, count {by_count})")
     return {"census": [[g.value, n, r] for g, n, r in entries],
             "totals": totals, "combos": combos}, encode_cpu, dimacs_cpu, empty
 
@@ -160,7 +168,7 @@ def main(argv=None) -> int:
           file=sys.stderr)
     print("encode CPU per group: " + ", ".join(
         f"{group} {seconds:.2f} s" for group, seconds in encode_cpu.items()), file=sys.stderr)
-    print("combos holding the empty clause: " + ", ".join(empty), file=sys.stderr)
+    print("combos holding the empty clause: " + "; ".join(empty), file=sys.stderr)
     if old is not None:
         for line in total_changes(result, old):
             print(line)
