@@ -20,8 +20,8 @@ from .symmetry import (
     ConstraintError,
     GroupId,
     OrbitKind,
+    check_n,
     expand_orbit,
-    generators,
     kind_by_tag,
     lex_constraints,
     orbit_kinds,
@@ -30,7 +30,6 @@ from .symmetry import (
     validate_reps,
 )
 from .tensor import (
-    MAX_TENSOR_DIM,
     Decomposition,
     Triplet,
     json_dims,
@@ -48,9 +47,7 @@ class SymmetricDecomposition:
     orbits: dict[str, tuple[Rep, ...]]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_TENSOR_DIM:
-            raise ValueError(f"n = {self.n} out of range 1..{MAX_TENSOR_DIM}")
-        generators(self.group, self.n)  # raises for an n the group is not defined at
+        check_n(self.group, self.n)
         tags = {k.tag for k in orbit_kinds(self.group)}
         for tag, reps in self.orbits.items():
             if tag not in tags:

@@ -43,7 +43,7 @@ from time import monotonic
 from .boolexpr import write_bytes
 from .canonical import check_canonical, dump_symmetric
 from .encoder import DecodeError, decode, encode
-from .symmetry import GroupId, is_group_symmetric, orbit_kinds, total_rank
+from .symmetry import GroupId, check_n, is_group_symmetric, orbit_kinds, total_rank
 from .tensor import dump_decomposition, json_fields, json_typed, verify
 
 
@@ -282,6 +282,7 @@ def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
 def _run_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
                timeout: float | None, work_dir: str) -> tuple[str, str]:
     """(state, detail) for every way one combo's run can end."""
+    check_n(group, n)
     if spec.total_rank() == 0:
         # The empty decomposition cannot equal a nonzero tensor.
         return "unsat", "rank 0: empty decomposition, no solver run"
@@ -334,6 +335,7 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
     combos that finished with it but were not yet recorded stay
     `pending` and run again on resume."""
     started = monotonic()
+    check_n(group, n)  # before the checkpoint or the work dir is touched
     specs = enumerate_combos(group, max_rank)
     statuses = {spec: ComboStatus(spec, solver=solver_cmd) for spec in specs}
 

@@ -83,8 +83,8 @@ from .gf2 import Gf2Matrix, entry_terms, fixed_space
 from .span import certificate, count_certificate
 from .symmetry import (
     GroupId,
+    check_n,
     expand,
-    generators,
     lex_constraints,
     orbit_kinds,
     scheme,
@@ -438,7 +438,7 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     before any gate is built, and its CNF is the empty clause over its
     primaries, with a comment saying why.
     """
-    generators(group, n)  # raises for an n the group is not defined at
+    check_n(group, n)
     rank = total_rank(group, combo)
     if rank < 1:
         raise ValueError("total rank must be at least 1")

@@ -5,13 +5,16 @@ word; entry (i, j) lives at bit i*cols + j (row-major).  All operations
 return new values; nothing is mutated in place.  `entry_terms` and
 `fixed_space` give a linear map on matrices cell by cell and the space
 a set of such maps fixes, which the encoder and the span certificates
-both build on.
+both build on.  `echelon` is the tool's one GF(2) elimination:
+`fixed_space`, `Gf2Matrix.inverse` and the span certificates all go
+through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 MAX_DIM = 8
 
@@ -123,31 +126,16 @@ class Gf2Matrix:
         return Gf2Matrix(self.cols, self.rows, bits)
 
     def inverse(self) -> "Gf2Matrix | None":
-        """Gauss-Jordan inverse, or None when singular."""
+        """The inverse, or None when singular: the reduced echelon form of
+        [M | I], with M in the low bits, is [I | M^-1] exactly when every
+        bit of M is a pivot."""
         if self.rows != self.cols:
             raise ShapeError("inverse of non-square matrix")
         n = self.rows
-        # Augmented rows [M | I] packed as 2n-bit ints.
-        aug = []
-        for i in range(n):
-            left = (self.bits >> (i * n)) & ((1 << n) - 1)
-            aug.append(left | (1 << (n + i)))
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if (aug[r] >> col) & 1:
-                    pivot = r
-                    break
-            if pivot is None:
-                return None
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            for r in range(n):
-                if r != col and ((aug[r] >> col) & 1):
-                    aug[r] ^= aug[col]
-        bits = 0
-        for i in range(n):
-            bits |= (aug[i] >> n) << (i * n)
-        return Gf2Matrix(n, n, bits)
+        rows = echelon((self.bits >> (i * n) & ((1 << n) - 1)) | 1 << (n + i) for i in range(n))
+        if any(1 << i not in rows for i in range(n)):
+            return None
+        return Gf2Matrix(n, n, sum((rows[1 << i] >> n) << (i * n) for i in range(n)))
 
 
 def conjugate(m: Gf2Matrix, f: Gf2Matrix) -> Gf2Matrix:
@@ -170,35 +158,58 @@ def entry_terms(op, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                  for i in range(n) for j in range(n))
 
 
+def echelon(vectors) -> dict[int, int]:
+    """The fully reduced echelon basis of the span of vectors, as bit-set
+    ints: each row keyed by its lowest bit, the only pivot it has a 1 at.
+
+    Each vector is reduced at its lowest bit until that bit is no pivot.
+    Then each row, the last pivot first, is cleared at the later pivots
+    it holds, by rows already cleared, so no pivot comes back."""
+    rows: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            low = v & -v
+            if low not in rows:
+                rows[low] = v
+                break
+            v ^= rows[low]
+    pivots = sum(rows)
+    for p in sorted(rows, reverse=True):
+        row = rows[p]
+        hits = row & (pivots ^ p)
+        while hits:
+            q = hits & -hits
+            row ^= rows[q]
+            hits ^= q
+        rows[p] = row
+    return rows
+
+
+def residue(rows: dict[int, int], v: int) -> int:
+    """v reduced against the rows `echelon` returns: 0 at every pivot."""
+    for p, row in rows.items():
+        if v & p:
+            v ^= row
+    return v
+
+
 @lru_cache
 def fixed_space(coords: tuple, maps: tuple) -> tuple[tuple, tuple]:
     """The vectors over `coords` that every GF(2)-linear map in `maps` fixes.
 
     A map gives, for each coordinate, the coordinates whose XOR is its
-    image there.  The equations map(v)[c] + v[c] = 0 are reduced over
-    GF(2), each pivoting on its last coordinate.  Returns the coordinates
-    without a pivot, in order, and for each coordinate the free
-    coordinates whose XOR gives it; a free coordinate is given by itself.
-    Each pivot is given by earlier free coordinates, so a coordinate is
-    free exactly when its value on the fixed space is independent of the
-    values of the coordinates before it.
+    image there.  The equations map(v)[c] + v[c] = 0 go through
+    `echelon`, with the last coordinate as the lowest bit, so each
+    pivots on its last coordinate.  Returns the coordinates without a
+    pivot, in order, and for each coordinate the free coordinates whose
+    XOR gives it; a free coordinate is given by itself.  Each pivot is
+    given by earlier free coordinates, so a coordinate is free exactly
+    when its value on the fixed space is independent of the values of
+    the coordinates before it.
     """
-    bit = {c: 1 << k for k, c in enumerate(coords)}
-    rows: dict[int, int] = {}  # pivot bit -> its reduced equation, as a mask
-    for m in maps:
-        for c, terms in zip(coords, m):
-            eq = bit[c]
-            for t in terms:
-                eq ^= bit[t]
-            for p, row in rows.items():
-                if eq & p:
-                    eq ^= row
-            if eq:
-                pivot = 1 << (eq.bit_length() - 1)
-                for p, row in rows.items():
-                    if row & pivot:
-                        rows[p] = row ^ eq
-                rows[pivot] = eq
+    bit = {c: 1 << k for k, c in enumerate(reversed(coords))}
+    rows = echelon(reduce(xor, map(bit.__getitem__, terms), bit[c])
+                   for m in maps for c, terms in zip(coords, m))
     free = tuple(c for c in coords if bit[c] not in rows)
     return free, tuple(tuple(f for f in free if rows[bit[c]] & bit[f])
                        if bit[c] in rows else (c,) for c in coords)

@@ -24,19 +24,21 @@ Counts refine this.  Modulo the sum M of the spans of the other present
 kinds, the c orbit tensors of a present kind k must sum to the target.
 `count_refutes` enumerates every representative of k that the encoder
 allows, keeps the set of their orbit tensors' images modulo M, once per
-(group, n, present kinds, k) and on first use, and rules a count of 1 or
-2 out when no 1 or 2 images sum to the target's image.  The canonical
-form's ordering constraints are dropped, so this is a relaxation and
-sound.  `count_certificate` applies it to every present kind whose
+(group, n, present kinds, k) and on first use, until the set holds
+every value of the quotient, and rules a count of 1 or 2 out when no 1
+or 2 images sum to the target's image.  The canonical form's ordering
+constraints are dropped, so this is a relaxation and sound.
+`count_certificate` applies it to every present kind whose
 representative space has at most MAX_REP_SPACE points.
 
-Tensors are ints in Tensor6's flat row-major entry order, and a basis is
-kept in echelon form, each row keyed by its lowest bit.  Every orbit
-tensor and the target are invariant under the group, and the lowest bit
-of a nonzero invariant tensor is an entry whose value on invariant
-tensors does not follow from the entries before it, which is an entry
-the encoder keeps an equation for.  So φ, made of pivots and the
-lowest bit of the target's residue, names kept entries only.
+Tensors are ints in Tensor6's flat row-major entry order, and every
+basis is `gf2.echelon`'s fully reduced form, each row keyed by its
+lowest bit, the only pivot it has a 1 at.  Every orbit tensor and the
+target are invariant under the group, and the lowest bit of a nonzero
+invariant tensor is an entry whose value on invariant tensors does not
+follow from the entries before it, which is an entry the encoder keeps
+an equation for.  So φ, made of pivots and the lowest bit of the
+target's residue, names kept entries only.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, product
 from operator import xor
 
-from .gf2 import entry_terms, fixed_space
+from .gf2 import echelon, entry_terms, fixed_space, residue
 from .symmetry import GroupId, expand, kind_by_tag, orbit_kinds, scheme
 from .tensor import mm_tensor, outer_bits
 
@@ -55,41 +57,6 @@ Entry = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 # n=3 this takes in every kind but id, whose 2^27 representatives are far
 # too many to enumerate in Python; at n=2 every kind (id has 2^12).
 MAX_REP_SPACE = 1 << 15
-
-
-def _add_row(rows: dict[int, int], v: int) -> None:
-    """Reduce v against the echelon rows and keep what is left, if
-    anything, under its lowest bit."""
-    while v:
-        low = v & -v
-        if low not in rows:
-            rows[low] = v
-            return
-        v ^= rows[low]
-
-
-def _reduced(vectors) -> dict[int, int]:
-    """The fully reduced echelon basis of the span of vectors: each row
-    keyed by its lowest bit, the only pivot it has a 1 at."""
-    rows: dict[int, int] = {}
-    for v in vectors:
-        _add_row(rows, v)
-    pivots = sorted(rows)
-    for i in reversed(range(len(pivots))):  # each row cleared at the later pivots
-        row = rows[pivots[i]]
-        for q in pivots[i + 1:]:
-            if row & q:
-                row ^= rows[q]
-        rows[pivots[i]] = row
-    return rows
-
-
-def _residue(rows: dict[int, int], v: int) -> int:
-    """v reduced against fully reduced rows: 0 at every pivot."""
-    for p, row in rows.items():
-        if v & p:
-            v ^= row
-    return v
 
 
 @lru_cache
@@ -137,17 +104,19 @@ def _points(basis) -> list[int]:
 
 @lru_cache
 def kind_span(group: GroupId, n: int, tag: str) -> tuple[int, ...]:
-    """An echelon basis of the span of the orbit tensors of kind tag."""
+    """The fully reduced echelon basis of the span of the orbit tensors of
+    kind tag."""
     bases = _role_bases(group, n, tag)
     coords = [(role, bits) for role, basis in enumerate(bases) for bits in basis]
-    rows: dict[int, int] = {}
-    for weight in (1, 2, 3):
-        for point in combinations(coords, weight):
-            rep = [0] * len(bases)
-            for role, bits in point:
-                rep[role] ^= bits
-            _add_row(rows, _orbit_tensor(group, n, tag, rep))
-    return tuple(rows.values())
+
+    def tensors():
+        for weight in (1, 2, 3):
+            for point in combinations(coords, weight):
+                rep = [0] * len(bases)
+                for role, bits in point:
+                    rep[role] ^= bits
+                yield _orbit_tensor(group, n, tag, rep)
+    return tuple(echelon(tensors()).values())
 
 
 @lru_cache
@@ -162,12 +131,11 @@ def certificate(group: GroupId, n: int, tags: tuple[str, ...]) -> tuple[Entry, .
     each row then has even parity on φ, and the target that of the
     residue, which is 0 at every pivot.
     """
-    target = mm_tensor(n, n, n).bits  # raises for an n out of range, before any work
-    rows = _reduced(row for tag in tags for row in kind_span(group, n, tag))
-    residue = _residue(rows, target)
-    if not residue:
+    rows = echelon(row for tag in tags for row in kind_span(group, n, tag))
+    rest = residue(rows, mm_tensor(n, n, n).bits)
+    if not rest:
         return None
-    j = residue & -residue
+    j = rest & -rest
     phi = j | sum(p for p, row in rows.items() if row & j)
     entries = tuple(product(product(range(n), repeat=2), repeat=3))  # flat order
     return tuple(entries[x] for x in range(phi.bit_length()) if phi >> x & 1)
@@ -187,14 +155,13 @@ def _quotient_images(group: GroupId, n: int, tags: tuple[str, ...],
     j and the pivots of M's rows that have a 1 at j.  So an image is
     those |J| parities, as an int.  A kind's orbit tensor is linear in
     its role outside the chain, if it has one, so over that role the
-    images are XORs of those at the role's basis.
+    images are XORs of those at the role's basis.  The enumeration stops
+    once the images take all 2^|J| values.
     """
     kind = kind_by_tag(group, tag)
-    rows = _reduced(row for other in tags if other != tag for row in kind_span(group, n, other))
+    rows = echelon(row for other in tags if other != tag for row in kind_span(group, n, other))
     target = mm_tensor(n, n, n).bits
-    pivots: dict[int, int] = {}
-    for v in (target, *kind_span(group, n, tag)):
-        _add_row(pivots, _residue(rows, v))
+    pivots = echelon(residue(rows, v) for v in (target, *kind_span(group, n, tag)))
     masks = [j | sum(p for p, row in rows.items() if row & j) for j in pivots]
 
     def image(v: int) -> int:
@@ -207,6 +174,8 @@ def _quotient_images(group: GroupId, n: int, tags: tuple[str, ...],
     linear = next((r for r in range(kind.arity) if r not in kind.chain), None)
     images = set()
     for rep in product(*([0] if r == linear else _points(b) for r, b in enumerate(bases))):
+        if len(images) == 1 << len(masks):  # every image: no count is refuted
+            break
         rep = list(rep)
         if linear is None:
             if allowed(rep):

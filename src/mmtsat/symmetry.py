@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 from .gf2 import Gf2Matrix, conjugate
-from .tensor import Decomposition, Triplet
+from .tensor import MAX_TENSOR_DIM, Decomposition, Triplet
 
 
 class GroupId(Enum):
@@ -258,10 +258,17 @@ class Transform:
                                     self.image)[0])
 
 
-def generators(group: GroupId, n: int) -> list[Transform]:
-    s = _SCHEMES[group]
-    if s.image is f_conjugate and n != F_SANDWICH.rows:
+def check_n(group: GroupId, n: int) -> None:
+    """ValueError unless <n,n,n> is in range and the group is defined at n."""
+    if not 1 <= n <= MAX_TENSOR_DIM:
+        raise ValueError(f"n = {n} out of range 1..{MAX_TENSOR_DIM}")
+    if _SCHEMES[group].image is f_conjugate and n != F_SANDWICH.rows:
         raise ValueError(f"group {group.value} is only defined for n = {F_SANDWICH.rows}")
+
+
+def generators(group: GroupId, n: int) -> list[Transform]:
+    check_n(group, n)
+    s = _SCHEMES[group]
     return [Transform(row, s.image) for row in s.generators]
 
 

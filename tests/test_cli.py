@@ -117,6 +117,24 @@ def test_encode_rejects_an_n_the_group_is_not_defined_at(capsys):
     assert "only defined for n = 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,message", [
+    (["search", "--group", "cyc", "--n", "5", "--max-rank", "0"], "n = 5 out of range 1..4"),
+    (["search", "--group", "cyc-sw", "--n", "2", "--max-rank", "3"],
+     "group cyc-sw is only defined for n = 3"),
+    (["solve-one", "--group", "cyc-sw", "--n", "2", "--combo", "delta=0"],
+     "group cyc-sw is only defined for n = 3"),
+], ids=["search out of range", "search not defined", "solve-one not defined"])
+def test_solving_commands_reject_an_n_the_group_is_not_defined_at(command, message,
+                                                                  tmp_path, capsys):
+    # Before the rank-0 shortcut, and before a checkpoint or a work dir
+    # is written: a later valid campaign at the same checkpoint path runs.
+    if command[0] == "search":
+        command = [*command, "--checkpoint", str(tmp_path / "ckpt.json")]
+    assert main([*command, "--solver", "true {cnf}", "--work-dir", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_encode_writes_dimacs_with_its_legend(tmp_path, capsys):
     out = tmp_path / "inst.cnf"
     rc = main(["encode", "--group", "cyc", "--n", "2", "--combo",

@@ -137,6 +137,17 @@ def test_solve_combo_rank_zero_short_circuits(tmp_path):
     assert "no solver run" in status.detail
 
 
+@pytest.mark.parametrize("group,n,message", [
+    (GroupId.CYCLIC, 5, "n = 5 out of range 1..4"),
+    (GroupId.CYCLIC_SANDWICH, 2, "group cyc-sw is only defined for n = 3"),
+], ids=["out of range", "not defined"])
+def test_solve_combo_rejects_an_n_before_the_rank_zero_shortcut(group, n, message, tmp_path):
+    spec = ComboSpec(group, tuple((k.tag, 0) for k in orbit_kinds(group)))
+    with pytest.raises(ValueError, match=message):
+        solve_combo(group, n, spec, "true {cnf}", None, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_combo_with_the_empty_clause_runs_no_solver(tmp_path):
     # cyc-t n=2 id=1 has a kept entry with target 1 where no product
     # survives, so a span certificate of that one entry refutes it: its

@@ -1,7 +1,11 @@
+from functools import reduce
+from itertools import combinations
+from operator import xor
+
 import pytest
 from hypothesis import given, strategies as st
 
-from mmtsat.gf2 import Gf2Matrix, ShapeError, conjugate
+from mmtsat.gf2 import Gf2Matrix, ShapeError, conjugate, echelon, residue
 
 F = Gf2Matrix.parse("110;010;001")
 
@@ -99,6 +103,15 @@ def test_inverse_all_invertible_3x3():
     assert inv_count == 168  # |GL(3, GF(2))|
 
 
+def test_inverse_of_a_singular_4x4_is_none():
+    # Its rows sum to 0 and any three are independent, so the elimination
+    # of [M | I] has three pivots in M and one in I.
+    m = Gf2Matrix.parse("1100;0110;0011;1001")
+    assert m.inverse() is None
+    m = Gf2Matrix.parse("1100;0110;0011;0001")
+    assert (m * m.inverse()).bits == Gf2Matrix.identity(4).bits
+
+
 def test_conjugate_rejects_singular():
     with pytest.raises(ShapeError):
         conjugate(Gf2Matrix.identity(2), Gf2Matrix.zero(2, 2))
@@ -123,3 +136,22 @@ def test_flat_bits_row_major():
     m = Gf2Matrix.parse("01;10")
     assert m.flat_bits() == (0, 1, 1, 0)
     assert m.bits.bit_count() == 2
+
+
+def _subset_xors(vectors):
+    """The XOR of every subset of vectors, by enumeration."""
+    return {reduce(xor, subset, 0) for size in range(len(vectors) + 1)
+            for subset in combinations(vectors, size)}
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 7) - 1), max_size=7))
+def test_echelon_and_residue_against_subset_enumeration(vectors):
+    rows = echelon(vectors)
+    for p, row in rows.items():
+        assert p == row & -row
+        assert all(not other & p for q, other in rows.items() if q != p)
+    span = _subset_xors(vectors)
+    assert _subset_xors(list(rows.values())) == span
+    assert len(span) == 1 << len(rows)
+    for v in range(1 << 7):
+        assert (residue(rows, v) == 0) == (v in span)
