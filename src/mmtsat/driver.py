@@ -1,9 +1,12 @@
 """Campaign orchestration over an external DIMACS solver.
 
-Enumerates every orbit-count combination up to a rank bound and runs the
-configured solver subprocess on each instance (hardest first, across a
-worker pool).  The checkpoint is written when the campaign starts, at
-once when a combo is `sat`, after any other completion only if
+Enumerates every orbit-count combination up to a rank bound and takes
+them in that order (hardest first) on one thread: each combo is encoded
+and its CNF written there, then its solver starts as a subprocess, and
+the next combo is encoded while up to `workers` solvers run.  One
+selector drains the solvers' output and enforces each one's timeout.
+The checkpoint is written when the campaign starts, at once when a
+combo is `sat`, after any other completion only if
 CHECKPOINT_INTERVAL_S has passed since the last write, and at the end
 if a status changed since then; so a killed campaign resumes where it
 stopped, re-running at most the combos of the last interval.  A combo
@@ -15,15 +18,17 @@ kinds' spans (see `span.count_certificate`); its CNF is still written,
 and its `detail` is the encoder's comment saying why: the tensor
 entries where the combo's equations XOR to 0 = 1, or the kind, its
 count, the other kinds and the number of distinct images.
-`solve_combo` maps every end of one run to a recorded state: a timeout,
-a solver that fails to start, an UNKNOWN answer, unparsable output or a
-model that does not decode (unassigned primaries) is recorded as
-`timeout`/`error` with its reason, and the campaign goes on.  A decoded model is verified
-independently; one that fails verification raises EncoderSoundnessError,
-because then the encoding itself is wrong.  The first `sat`, and the
-first combo that raises, stop the combos still queued from running;
-those already running are recorded as they finish after a `sat`, and
-stay `pending` after a raise.
+`_finish` maps every end of one solver run to a recorded state: a
+timeout, a solver that fails to start, an UNKNOWN answer, unparsable
+output or a model that does not decode (unassigned primaries) is
+recorded as `timeout`/`error` with its reason, and the campaign goes
+on.  A decoded model is verified independently; one that fails
+verification raises EncoderSoundnessError, because then the encoding
+itself is wrong.  No combo is encoded after the first `sat`; solvers
+still running then finish and are recorded.  On a raise or an
+interrupt, each running solver is killed and reaped, and its combo
+stays `pending` with its CNF removed, before the last checkpoint write.
+Solvers run in the campaign's process group.
 """
 
 from __future__ import annotations
@@ -31,13 +36,14 @@ from __future__ import annotations
 import json
 import os
 import re
+import selectors
 import shlex
 import subprocess
 import tempfile
-import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
 from functools import lru_cache
+from math import inf
 from time import monotonic
 
 from .boolexpr import write_bytes
@@ -152,12 +158,25 @@ def solver_argv(solver_cmd: str) -> tuple[str, ...]:
         raise ValueError(f"solver command {solver_cmd!r}: {exc}") from None
 
 
+def _launch(solver_cmd: str, cnf_path: str) -> subprocess.Popen:
+    """Start the solver command template on a CNF file, in the caller's
+    process group, with its stdout a pipe and its stderr discarded;
+    OSError if it cannot start."""
+    argv = [arg.replace("{cnf}", cnf_path) for arg in solver_argv(solver_cmd)]
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+
+
 def run_solver(solver_cmd: str, cnf_path: str, timeout: float | None):
-    """Run the solver command template on a CNF file; returns the parse."""
-    argv = [arg.replace("{cnf}", str(cnf_path)) for arg in solver_argv(solver_cmd)]
-    proc = subprocess.run(argv, capture_output=True, errors="replace",
-                          timeout=timeout)
-    return parse_solver_output(proc.stdout)
+    """Run the solver command template on a CNF file; returns the parse.
+    A solver that outlives timeout is killed, and TimeoutExpired raised."""
+    with _launch(solver_cmd, str(cnf_path)) as proc:
+        try:
+            output, _ = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            raise
+    return parse_solver_output(output.decode(errors="replace"))
 
 
 # -- checkpointing ------------------------------------------------------------
@@ -271,36 +290,40 @@ class CampaignReport:
         }
 
 
-def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
-                timeout: float | None, work_dir: str) -> ComboStatus:
-    """Encode one combo, run the solver, and verify any model."""
-    started = monotonic()
-    state, detail = _run_combo(group, n, spec, solver_cmd, timeout, work_dir)
-    return ComboStatus(spec, state, monotonic() - started, solver_cmd, detail)
+def _stem(group: GroupId, spec: ComboSpec, work_dir: str) -> str:
+    return os.path.join(work_dir, f"{group.value}-{spec.label()}")
 
 
-def _run_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
-               timeout: float | None, work_dir: str) -> tuple[str, str]:
-    """(state, detail) for every way one combo's run can end."""
+def _prepare(group: GroupId, n: int, spec: ComboSpec, stem: str):
+    """Check n, then encode one combo and write its CNF to stem + ".cnf".
+    Returns (varmap, "") for a combo that its solver must decide, or
+    (None, detail) for one decided `unsat` here."""
     check_n(group, n)
     if spec.total_rank() == 0:
         # The empty decomposition cannot equal a nonzero tensor.
-        return "unsat", "rank 0: empty decomposition, no solver run"
+        return None, "rank 0: empty decomposition, no solver run"
     cnf, varmap = encode(group, n, spec.counts_dict())
-    stem = os.path.join(work_dir, f"{group.value}-{spec.label()}")
     cnf.write(stem + ".cnf")
     if cnf.has_empty_clause:
         # The encoder's last comment says why when a span or a count
         # certificate refutes the combo.
         reason = cnf.comments[-1] if cnf.comments[-1].startswith("empty clause: ") \
             else "the CNF holds the empty clause"
-        return "unsat", f"{reason}, no solver run"
-    try:
-        result, payload = run_solver(solver_cmd, stem + ".cnf", timeout)
-    except subprocess.TimeoutExpired:
-        return "timeout", f"timeout after {timeout}s"
-    except OSError as exc:
-        return "error", f"solver failed to run: {exc}"
+        return None, f"{reason}, no solver run"
+    return varmap, ""
+
+
+def _finish(group: GroupId, n: int, spec: ComboSpec, stem: str, varmap,
+            answer) -> tuple[str, str]:
+    """(state, detail) for every way one solver run can end: answer is
+    the parse of its output, or the TimeoutExpired or OSError that ended
+    it.  A model is decoded, verified, checked canonical and dumped
+    beside the CNF; one that fails a check raises EncoderSoundnessError."""
+    if isinstance(answer, subprocess.TimeoutExpired):
+        return "timeout", f"timeout after {answer.timeout}s"
+    if isinstance(answer, OSError):
+        return "error", f"solver failed to run: {answer}"
+    result, payload = answer
     if result == "unsat":
         return "unsat", ""
     if result != "sat":
@@ -324,16 +347,93 @@ def _run_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
     return "sat", stem + ".json"
 
 
+def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
+                timeout: float | None, work_dir: str) -> ComboStatus:
+    """Encode one combo, run the solver, and verify any model."""
+    started = monotonic()
+    stem = _stem(group, spec, work_dir)
+    varmap, detail = _prepare(group, n, spec, stem)
+    state = "unsat"
+    if varmap is not None:
+        try:
+            answer = run_solver(solver_cmd, stem + ".cnf", timeout)
+        except (subprocess.TimeoutExpired, OSError) as exc:
+            answer = exc
+        state, detail = _finish(group, n, spec, stem, varmap, answer)
+    return ComboStatus(spec, state, monotonic() - started, solver_cmd, detail)
+
+
+@dataclass(eq=False)
+class _Run:
+    """One combo of a campaign, from the start of its encode until it is
+    recorded."""
+    spec: ComboSpec
+    stem: str
+    started: float
+    varmap: object = None
+    proc: subprocess.Popen | None = None
+    deadline: float = inf
+    output: list[bytes] = field(default_factory=list)
+    answer: object = None  # for _finish, once the solver has ended
+
+
+def _stop(proc: subprocess.Popen) -> None:
+    """Kill a solver unless it has exited, reap it and close its pipe."""
+    proc.kill()
+    proc.wait()
+    proc.stdout.close()
+
+
+def _ended(sel: selectors.BaseSelector, timeout: float | None,
+           block: bool) -> list[_Run]:
+    """The runs registered with sel whose solver has ended, each
+    unregistered, reaped and given its answer.  Reads the output that is
+    ready and kills a solver past its deadline; with block, first waits
+    until some output is ready or the first deadline passes."""
+    runs = [key.data for key in sel.get_map().values()]
+    wait = 0.0
+    if block:
+        wait = min(run.deadline for run in runs) - monotonic()
+        wait = None if wait == inf else max(wait, 0.0)
+    closed = []
+    for key, _ in sel.select(wait):
+        chunk = os.read(key.fd, 1 << 16)
+        if chunk:
+            key.data.output.append(chunk)
+        else:
+            closed.append(key.data)
+    now = monotonic()
+    ended = []
+    for run in runs:
+        if run in closed:
+            # A solver exits as its output ends, unless it closed its
+            # stdout early; then it still has until its deadline.
+            left = run.deadline - now
+            with suppress(subprocess.TimeoutExpired):
+                run.proc.wait(None if left == inf else max(left, 0.0))
+        elif run.deadline > now:
+            continue
+        if run in closed and run.proc.poll() is not None:
+            run.answer = parse_solver_output(b"".join(run.output).decode(errors="replace"))
+        else:  # past its deadline
+            run.answer = subprocess.TimeoutExpired(run.proc.args, timeout)
+        sel.unregister(run.proc.stdout)
+        _stop(run.proc)
+        ended.append(run)
+    return ended
+
+
 def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                  workers: int = 1, timeout: float | None = None,
                  checkpoint_path: str | None = None,
                  work_dir: str | None = None) -> CampaignReport:
-    """Solve every combo up to max_rank until the first sat.  Without a
-    work_dir, a fresh temp dir is used; its CNF files are deleted at the
-    end and any found pair stays in it.  Combos are recorded one at a
-    time as they finish, so when one raises EncoderSoundnessError, the
-    combos that finished with it but were not yet recorded stay
-    `pending` and run again on resume."""
+    """Solve every combo up to max_rank until the first sat, with at
+    most `workers` solvers running at once.  Without a work_dir, a fresh
+    temp dir is used; its CNF files are deleted at the end and any found
+    pair stays in it.  Combos are recorded one at a time as they finish,
+    so when one raises EncoderSoundnessError, the combos that finished
+    with it but were not yet recorded stay `pending` and run again on
+    resume."""
     started = monotonic()
     check_n(group, n)  # before the checkpoint or the work dir is touched
     specs = enumerate_combos(group, max_rank)
@@ -371,37 +471,57 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
 
     found = any(st.state == "sat" for st in statuses.values())
     pending = [] if found else [s for s in specs if statuses[s].state == "pending"]
-    stop = threading.Event()
+    live: list[_Run] = []  # encoding or solving, not yet recorded
+    sel = selectors.DefaultSelector()  # the running solvers' stdout
 
-    def _solve(spec: ComboSpec) -> ComboStatus | None:
-        # The worker that finds a model or raises sets `stop` itself, so
-        # no queued combo starts in the time the main thread takes to see it.
-        if stop.is_set():
-            return None
-        try:
-            status = solve_combo(group, n, spec, solver_cmd, timeout, work_dir)
-        except BaseException:
-            stop.set()
-            raise
-        if status.state == "sat":
-            stop.set()
-        return status
+    def _record(run: _Run, state: str, detail: str) -> None:
+        nonlocal changed, found
+        statuses[run.spec] = ComboStatus(run.spec, state, monotonic() - run.started,
+                                         solver_cmd, detail)
+        live.remove(run)
+        changed = True
+        found = found or state == "sat"
+        _save(now=state == "sat")
+
+    def _settle(block: bool) -> None:
+        for run in _ended(sel, timeout, block):
+            _record(run, *_finish(group, n, run.spec, run.stem, run.varmap, run.answer))
 
     try:
         _save(now=True)
         try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(_solve, spec): spec for spec in pending}
-                try:
-                    for fut in as_completed(futures):
-                        status = fut.result()  # EncoderSoundnessError propagates
-                        if status is not None:
-                            statuses[futures[fut]] = status
-                            changed = True
-                            _save(now=status.state == "sat")
-                finally:
-                    stop.set()  # also on an interrupt of the main thread
+            for spec in pending:
+                while len(sel.get_map()) >= workers and not found:
+                    _settle(block=True)
+                if found:
+                    break
+                run = _Run(spec, _stem(group, spec, work_dir), monotonic())
+                live.append(run)
+                run.varmap, detail = _prepare(group, n, spec, run.stem)
+                if run.varmap is None:
+                    _record(run, "unsat", detail)
+                else:
+                    try:
+                        run.proc = _launch(solver_cmd, run.stem + ".cnf")
+                    except OSError as exc:
+                        _record(run, *_finish(group, n, spec, run.stem, run.varmap, exc))
+                    else:
+                        if timeout is not None:
+                            run.deadline = monotonic() + timeout
+                        sel.register(run.proc.stdout, selectors.EVENT_READ, run)
+                # A sat that ended while this combo was encoded stops the next one.
+                _settle(block=False)
+            while sel.get_map():  # solvers still running after a sat finish too
+                _settle(block=True)
         finally:
+            # After a raise or an interrupt: each combo not recorded stays
+            # pending, so its solver is stopped and its CNF removed.
+            for run in live:
+                if run.proc is not None:
+                    _stop(run.proc)
+                with suppress(FileNotFoundError):
+                    os.unlink(run.stem + ".cnf")
+            sel.close()
             _save(now=True)
     finally:  # even when a checkpoint write raises
         if own_work_dir:

@@ -5,12 +5,13 @@ import stat
 import subprocess
 import sys
 import tempfile
-import threading
 import time
+from contextlib import suppress
 
 import pytest
 
 import mmtsat.driver as driver
+from mmtsat.canonical import SymmetricDecomposition, canonicalize
 from mmtsat.cli import EXIT_UNDETERMINED, main
 from mmtsat.driver import (
     ComboSpec,
@@ -27,10 +28,11 @@ from mmtsat.driver import (
 )
 from mmtsat.encoder import build_symbolic_orbits
 from mmtsat.span import certificate
-from mmtsat.symmetry import GroupId, orbit_kinds
+from mmtsat.symmetry import GroupId, kind_by_tag, orbit_kinds
 
 from conftest import (
     SOLVER_CMD,
+    STRASSEN_MOD2,
     certificate_comment,
     present_kinds,
     refutation_comment,
@@ -299,40 +301,68 @@ def test_solve_combo_complete_wrong_model_raises(tmp_path):
         solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
 
 
-# One faulty reply for the cyc n=2 combo id=1,delta=1 of a max-rank-4
-# campaign; every other combo is UNSAT.
+# One reply for the cyc n=2 combo id=1,delta=4, the first combo of a
+# max-rank-7 campaign to reach the solver, and the state and detail it
+# ends in; the four other combos that reach the solver are UNSAT.  Only
+# the hanging reply runs under a 0.5 s timeout; the others have 60 s, so
+# a campaign that stopped reading a solver's output ends in a timeout,
+# not a hang.
 _FAULTS = {
-    "partial model": (r"printf 's SATISFIABLE\nv 1 -2 0\n'",
+    "partial model": (r"printf 's SATISFIABLE\nv 1 -2 0\n'", "error",
                       "incomplete model: model does not assign variable 3"),
-    "bad v token": (r"printf 's SATISFIABLE\nv 1 x 0\n'",
+    "bad v token": (r"printf 's SATISFIABLE\nv 1 x 0\n'", "error",
                     "unparsable solver output: bad literal 'x' in a v line"),
-    "non-UTF-8 output": (r"printf 's SATISFIABLE\nv 1 \377 0\n'",
+    "non-UTF-8 output": (r"printf 's SATISFIABLE\nv 1 \377 0\n'", "error",
                          "unparsable solver output: bad literal '\ufffd' in a v line"),
-    "UNKNOWN answer": (r"printf 's UNKNOWN\n'",
-                       "solver answered UNKNOWN"),
+    "UNKNOWN answer": (r"printf 's UNKNOWN\n'", "error", "solver answered UNKNOWN"),
+    "hang": ("exec sleep 30", "timeout", "timeout after 0.5s"),
+    "non-zero exit without a status line": ("echo crashed; exit 3", "error",
+                                            "unparsable solver output: no status line found"),
+    "contradictory status lines": (r"printf 's SATISFIABLE\ns UNSATISFIABLE\n'", "error",
+                                   "unparsable solver output: contradictory status lines"),
+    "over 1 MB of comments": ("yes 'c 0123456789012345678901234567890123456789' "
+                              "| head -n 25000; echo 's UNSATISFIABLE'", "unsat", ""),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
 def test_search_records_faulty_combo_and_finishes(fault, tmp_path, capsys):
-    reply, reason = _FAULTS[fault]
+    reply, state, detail = _FAULTS[fault]
     solver = _fake_solver(tmp_path, f"""case "$1" in
-*/cyc-id=1,delta=1.cnf) {reply} ;;
+*/cyc-id=1,delta=4.cnf) {reply} ;;
 *) echo "s UNSATISFIABLE" ;;
 esac
 """)
-    rc = main(["search", "--group", "cyc", "--n", "2", "--max-rank", "4",
+    rc = main(["search", "--group", "cyc", "--n", "2", "--max-rank", "7",
                "--solver", solver, "--workers", "2",
+               "--timeout", "0.5" if state == "timeout" else "60",
                "--work-dir", str(tmp_path / "work"), "--json"])
-    assert rc == EXIT_UNDETERMINED
     report = json.loads(capsys.readouterr().out)
-    assert report["verdict"] == "undetermined"
+    assert (rc, report["verdict"]) == ((0, "ruled_out") if state == "unsat"
+                                       else (EXIT_UNDETERMINED, "undetermined"))
     states = {json.dumps(c["counts"], sort_keys=True): (c["state"], c["detail"])
               for c in report["combos"]}
-    faulty = states.pop(json.dumps({"delta": 1, "id": 1}))
-    assert faulty == ("error", reason)
-    assert len(states) == len(enumerate_combos(GroupId.CYCLIC, 4)) - 1
+    faulty = states.pop(json.dumps({"delta": 4, "id": 1}))
+    assert faulty == (state, detail)
+    assert report["wall_seconds"] < 10  # a hanging solver is killed at its timeout
+    assert len(states) == len(enumerate_combos(GroupId.CYCLIC, 7)) - 1
     assert all(state == "unsat" for state, _ in states.values())
+    assert list(states.values()).count(("unsat", "")) == 4  # the solver ran on these
+
+
+def test_campaign_with_a_missing_solver_records_an_error_on_every_solver_combo(tmp_path):
+    report = run_campaign(GroupId.CYCLIC, 2, 7, "/nonexistent/solver {cnf}", workers=2,
+                          work_dir=str(tmp_path / "work"))
+    assert report.verdict() == "undetermined"
+    errors = 0
+    for st in report.statuses:
+        if st.spec.total_rank() and \
+                refutation_comment(GroupId.CYCLIC, 2, st.spec.counts_dict()) is None:
+            assert st.state == "error" and st.detail.startswith("solver failed to run: ")
+            errors += 1
+        else:
+            assert st.state == "unsat" and st.detail.endswith("no solver run")
+    assert errors == 5
 
 
 def test_campaign_resume_runs_nothing(tmp_path, monkeypatch):
@@ -341,9 +371,9 @@ def test_campaign_resume_runs_nothing(tmp_path, monkeypatch):
     run_campaign(GroupId.CYCLIC, 2, 3, unsat, checkpoint_path=str(ckpt))
 
     def boom(*args, **kwargs):
-        raise AssertionError("solve_combo should not run on resume")
+        raise AssertionError("no combo should be encoded on resume")
 
-    monkeypatch.setattr(driver, "solve_combo", boom)
+    monkeypatch.setattr(driver, "_prepare", boom)
     report = run_campaign(GroupId.CYCLIC, 2, 3, unsat, checkpoint_path=str(ckpt))
     assert report.verdict() == "ruled_out"
     # A checkpoint that already holds a sat runs nothing, even with
@@ -362,17 +392,21 @@ def test_campaign_checkpoint_holds_every_recorded_combo(tmp_path, monkeypatch):
     # There are at least two writes, one before any combo runs and one at
     # the end, and at most one more per combo.  Every write holds exactly
     # the statuses the campaign has recorded: the combos it shows finished
-    # are ones the solver returned, and a later write keeps every one an
-    # earlier write showed.
+    # are ones that _prepare decided or _finish answered, and a later
+    # write keeps every one an earlier write showed.
     finished = {}
-    lock = threading.Lock()
-    original_solve = driver.solve_combo
+    original_prepare, original_finish = driver._prepare, driver._finish
 
-    def solve(group, n, spec, *args):
-        status = original_solve(group, n, spec, *args)
-        with lock:
-            finished[json.dumps(spec.counts_dict(), sort_keys=True)] = status.state
-        return status
+    def prepare(group, n, spec, stem):
+        varmap, detail = original_prepare(group, n, spec, stem)
+        if varmap is None:
+            finished[json.dumps(spec.counts_dict(), sort_keys=True)] = "unsat"
+        return varmap, detail
+
+    def finish(group, n, spec, *args):
+        state, detail = original_finish(group, n, spec, *args)
+        finished[json.dumps(spec.counts_dict(), sort_keys=True)] = state
+        return state, detail
 
     written = []
     original_write = driver.write_checkpoint
@@ -380,15 +414,15 @@ def test_campaign_checkpoint_holds_every_recorded_combo(tmp_path, monkeypatch):
     def write(path, *args):
         original_write(path, *args)
         assert load_checkpoint(path) == checkpoint_to_json(*args)
-        with lock:
-            done = dict(finished)
+        done = dict(finished)
         shown = {json.dumps(c["counts"], sort_keys=True): c["state"]
                  for c in load_checkpoint(path)["combos"] if c["state"] != "pending"}
         assert shown.items() <= done.items()
         assert not written or written[-1].items() <= shown.items()
         written.append(shown)
 
-    monkeypatch.setattr(driver, "solve_combo", solve)
+    monkeypatch.setattr(driver, "_prepare", prepare)
+    monkeypatch.setattr(driver, "_finish", finish)
     monkeypatch.setattr(driver, "write_checkpoint", write)
     unsat = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
     report = run_campaign(GroupId.CYCLIC, 2, 4, unsat, workers=2,
@@ -401,29 +435,29 @@ def test_campaign_checkpoint_holds_every_recorded_combo(tmp_path, monkeypatch):
 
 
 class _FakeClock:
-    """driver.monotonic for campaigns of one worker whose solves each
-    advance it by their combo's step.  A solve starts only once the
-    campaign's thread has read the clock since the previous solve ended,
-    so every completion is handled alone, in order, at the time its
-    solve ended."""
+    """driver.monotonic for campaigns of one worker in which encoding a
+    combo advances it by that combo's step, and every combo reaches its
+    solver.  With one worker, a combo is encoded only once the one before
+    it is recorded, so every completion is handled alone, in order, at
+    the time its encode ended."""
 
     def __init__(self):
         self.now = 0.0
-        self._read = threading.Event()
 
     def __call__(self):
-        if threading.current_thread() is threading.main_thread():
-            self._read.set()
         return self.now
 
-    def solver(self, steps, sat=None):
-        def solve(group, n, spec, solver_cmd, *args):
-            assert self._read.wait(10)
-            self._read.clear()
+    def install(self, monkeypatch, steps, sat=None):
+        def prepare(group, n, spec, stem):
             self.now += steps[spec]
-            return ComboStatus(spec, "sat" if spec == sat else "unsat", steps[spec],
-                               solver_cmd)
-        return solve
+            return {}, ""
+
+        def finish(group, n, spec, stem, varmap, answer):
+            assert answer == ("unsat", None)
+            return ("sat", stem + ".json") if spec == sat else ("unsat", "")
+
+        monkeypatch.setattr(driver, "_prepare", prepare)
+        monkeypatch.setattr(driver, "_finish", finish)
 
 
 def test_campaign_checkpoint_writes_follow_the_clock(tmp_path, monkeypatch):
@@ -444,12 +478,12 @@ def test_campaign_checkpoint_writes_follow_the_clock(tmp_path, monkeypatch):
 
     monkeypatch.setattr(driver, "monotonic", clock)
     monkeypatch.setattr(driver, "write_checkpoint", write)
+    unsat = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
 
     def campaign(steps, ckpt, sat=None):
         writes.clear()
-        monkeypatch.setattr(driver, "solve_combo",
-                            clock.solver(dict(zip(specs, steps)), sat))
-        return run_campaign(GroupId.CYCLIC, 2, 4, "unused {cnf}", workers=1,
+        clock.install(monkeypatch, dict(zip(specs, steps)), sat)
+        return run_campaign(GroupId.CYCLIC, 2, 4, unsat, workers=1,
                             checkpoint_path=str(tmp_path / ckpt),
                             work_dir=str(tmp_path / "work"))
 
@@ -479,6 +513,28 @@ def _alive(pid: int) -> bool:
         return False
 
 
+def _spawn_search(*args: str) -> subprocess.Popen:
+    """`mmtsat search` with these arguments, in a process group of its own."""
+    src = os.path.dirname(os.path.dirname(driver.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen(
+        [sys.executable, "-m", "mmtsat.cli", "search", *args],
+        env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
+def _assert_only_finished_combos_keep_a_cnf(work, group: GroupId, combos) -> None:
+    """Each checkpoint record of a finished combo with nonzero counts has
+    exactly one CNF file in work, and a pending one has none."""
+    names = []
+    for c in combos:
+        if c["state"] != "pending" and any(c["counts"].values()):
+            label = ",".join(f"{k.tag}={c['counts'][k.tag]}" for k in orbit_kinds(group))
+            names.append(f"{group.value}-{label}.cnf")
+    assert sorted(p.name for p in work.glob("*.cnf")) == sorted(names)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
 def test_killed_campaign_resumes_exactly_its_unfinished_combos(tmp_path, monkeypatch):
     # A campaign killed with its process group between two checkpoint
@@ -498,15 +554,8 @@ echo "s UNSATISFIABLE"
 """)
     fast = _fake_solver(tmp_path / "fast", f'echo "$1" >> {calls}; echo "s UNSATISFIABLE"\n')
     ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
-    src = os.path.dirname(os.path.dirname(driver.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "mmtsat.cli", "search", "--group", "cyc", "--n", "2",
-         "--max-rank", "9", "--solver", slow, "--checkpoint", str(ckpt),
-         "--work-dir", str(work)],
-        env=env, start_new_session=True,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    proc = _spawn_search("--group", "cyc", "--n", "2", "--max-rank", "9", "--solver", slow,
+                         "--checkpoint", str(ckpt), "--work-dir", str(work))
 
     def shown_finished() -> bool:
         try:
@@ -537,13 +586,13 @@ echo "s UNSATISFIABLE"
     unfinished = {k for k, c in killed.items() if c["state"] == "pending"}
     assert unfinished and len(unfinished) < len(killed)
     ran = []
-    original_solve = driver.solve_combo
+    original_prepare = driver._prepare
 
-    def solve(group, n, spec, *args):
+    def prepare(group, n, spec, stem):
         ran.append(json.dumps(spec.counts_dict(), sort_keys=True))
-        return original_solve(group, n, spec, *args)
+        return original_prepare(group, n, spec, stem)
 
-    monkeypatch.setattr(driver, "solve_combo", solve)
+    monkeypatch.setattr(driver, "_prepare", prepare)
     resumed = run_campaign(GroupId.CYCLIC, 2, 9, fast, checkpoint_path=str(ckpt),
                            work_dir=str(work))
     assert sorted(ran) == sorted(unfinished)
@@ -562,28 +611,131 @@ echo "s UNSATISFIABLE"
     assert load_checkpoint(ckpt) == checkpoint_to_json(GroupId.CYCLIC, 2, 9, resumed.statuses)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
+def test_interrupted_campaign_stops_its_solvers_at_once(tmp_path):
+    # A SIGINT to the campaign's process alone, while its two workers each
+    # run a solver that would sleep 30 s: the campaign kills and reaps
+    # both and exits within 3 s.  Its checkpoint shows only the combos
+    # that finished, both killed combos among the pending ones, and no
+    # pending combo keeps a CNF.
+    pids = tmp_path / "pids"
+    solver = _fake_solver(tmp_path, f"echo $$ >> {pids}\nexec sleep 30\n")
+    ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
+    proc = _spawn_search("--group", "cyc", "--n", "2", "--max-rank", "7", "--solver", solver,
+                         "--workers", "2", "--checkpoint", str(ckpt), "--work-dir", str(work))
+    try:
+        deadline = time.monotonic() + 60
+        started = []
+        while len(started) < 2:
+            assert proc.poll() is None, "the campaign ended before it was interrupted"
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+            started = [int(p) for p in pids.read_text().split()] if pids.exists() else []
+        os.kill(proc.pid, signal.SIGINT)
+        sent = time.monotonic()
+        proc.wait(10)
+        assert time.monotonic() - sent < 3
+        assert not any(map(_alive, started))
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(10)
+    assert proc.returncode != 0
+    combos = load_checkpoint(ckpt)["combos"]
+    finished = [c for c in combos if c["state"] != "pending"]
+    assert finished and all(c["state"] == "unsat" and c["detail"].endswith("no solver run")
+                            for c in finished)
+    pending = {json.dumps(c["counts"], sort_keys=True) for c in combos
+               if c["state"] == "pending"}
+    assert {json.dumps({"delta": 4, "id": 1}), json.dumps({"delta": 1, "id": 2})} <= pending
+    _assert_only_finished_combos_keep_a_cnf(work, GroupId.CYCLIC, combos)
+
+
+def _strassen_literals() -> list[int]:
+    """The primaries of cyc n=2 id=2,delta=1 set to Strassen's
+    decomposition mod 2, which is cyc-symmetric, in canonical form."""
+    t = STRASSEN_MOD2.triplets
+    sd = canonicalize(SymmetricDecomposition(GroupId.CYCLIC, 2, {
+        "id": ((t[1].a, t[1].b, t[1].c), (t[3].a, t[3].b, t[3].c)), "delta": ((t[0].a,),)}))
+    _, varmap = build_symbolic_orbits(GroupId.CYCLIC, 2, sd.counts())
+    lits = []
+    for e in varmap.primary:
+        m = sd.orbits[e.orbit][e.index][kind_by_tag(GroupId.CYCLIC, e.orbit).roles.index(e.mat)]
+        lits.append(e.var if m.get(e.row, e.col) else -e.var)
+    return lits
+
+
+@pytest.mark.parametrize("ending", ["sat", "soundness error"])
+def test_only_finished_combos_keep_their_cnf(ending, tmp_path):
+    # A cyc n=2 campaign up to rank 7 with 2 workers.  Its second solver
+    # combo, id=2,delta=1, gets Strassen's model, or that model with every
+    # primary false, which fails verification; the first, id=1,delta=4,
+    # answers UNSAT after 1 s, so it is still running then.  After a sat
+    # it finishes and is recorded; after the raise it is killed and stays
+    # pending.  Either way, only finished combos keep their CNF.
+    lits = _strassen_literals()
+    if ending != "sat":
+        lits = [-abs(lit) for lit in lits]
+    model = tmp_path / "model.txt"
+    model.write_text(f"s SATISFIABLE\nv {' '.join(map(str, lits))} 0\n")
+    solver = _fake_solver(tmp_path, f"""case "$1" in
+*/cyc-id=2,delta=1.cnf) cat {model} ;;
+*/cyc-id=1,delta=4.cnf) sleep 1; echo "s UNSATISFIABLE" ;;
+*) echo "s UNSATISFIABLE" ;;
+esac
+""")
+    ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
+
+    def campaign():
+        return run_campaign(GroupId.CYCLIC, 2, 7, solver, workers=2,
+                            checkpoint_path=str(ckpt), work_dir=str(work))
+
+    if ending == "sat":
+        report = campaign()
+        assert report.verdict() == "found"
+        assert report.decomposition_path == str(work / "cyc-id=2,delta=1.json")
+        assert {st.spec.label(): st.state for st in report.statuses}["id=1,delta=4"] == "unsat"
+    else:
+        with pytest.raises(EncoderSoundnessError, match="id=2,delta=1"):
+            campaign()
+    combos = load_checkpoint(ckpt)["combos"]
+    states = {json.dumps(c["counts"], sort_keys=True): c["state"] for c in combos}
+    assert "pending" in states.values()
+    if ending != "sat":
+        assert states[json.dumps({"delta": 4, "id": 1})] == "pending"
+    _assert_only_finished_combos_keep_a_cnf(work, GroupId.CYCLIC, combos)
+
+
 def test_campaign_sat_short_circuit_with_two_workers(tmp_path, monkeypatch):
+    # Every combo reaches the solver, which answers SAT at once on all but
+    # the first combo; on the first it answers UNSAT once the sat is
+    # recorded, so it is still running then.
     specs = enumerate_combos(GroupId.CYCLIC, 7)
     first, winner = specs[0], specs[1]
-    sat_recorded = threading.Event()
+    sat_recorded = tmp_path / "sat-recorded"
     original = driver.write_checkpoint
 
     def write(path, group, n, max_rank, statuses):
         original(path, group, n, max_rank, statuses)
         if any(st.state == "sat" for st in statuses):
-            sat_recorded.set()
+            sat_recorded.touch()
 
-    def fake_solve(group, n, spec, solver_cmd, timeout, work_dir):
-        if spec == winner:
-            return ComboStatus(spec, "sat", 0.0, solver_cmd, "found.json")
-        # Still running when the sat is recorded.
-        assert sat_recorded.wait(10)
-        return ComboStatus(spec, "unsat", 0.0, solver_cmd)
+    def finish(group, n, spec, stem, varmap, answer):
+        return ("sat", "found.json") if answer[0] == "sat" else ("unsat", "")
 
     monkeypatch.setattr(driver, "write_checkpoint", write)
-    monkeypatch.setattr(driver, "solve_combo", fake_solve)
+    monkeypatch.setattr(driver, "_prepare", lambda *args: ({}, ""))
+    monkeypatch.setattr(driver, "_finish", finish)
+    solver = _fake_solver(tmp_path, f"""case "$1" in
+*/cyc-{first.label()}.cnf)
+  i=0
+  while [ ! -e {sat_recorded} ] && [ $i -lt 1000 ]; do sleep 0.01; i=$((i + 1)); done
+  echo "s UNSATISFIABLE" ;;
+*) echo "s SATISFIABLE" ;;
+esac
+""")
     ckpt = tmp_path / "ckpt.json"
-    report = run_campaign(GroupId.CYCLIC, 2, 7, "unused {cnf}", workers=2,
+    report = run_campaign(GroupId.CYCLIC, 2, 7, solver, workers=2,
                           checkpoint_path=str(ckpt),
                           work_dir=str(tmp_path / "work"))
     assert report.verdict() == "found"
@@ -601,23 +753,24 @@ def test_campaign_sat_short_circuit_with_two_workers(tmp_path, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 4])
 def test_campaign_stops_queued_combos_after_a_combo_raises(workers, tmp_path,
                                                            monkeypatch):
+    # Every combo reaches the solver, and every model fails verification.
     calls = []
 
-    def fake_solve(group, n, spec, solver_cmd, timeout, work_dir):
+    def prepare(group, n, spec, stem):
         calls.append(spec)
+        return {}, ""
+
+    def finish(group, n, spec, *args):
         raise EncoderSoundnessError(f"combo {spec.label()}: wrong model")
 
-    monkeypatch.setattr(driver, "solve_combo", fake_solve)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with pytest.raises(EncoderSoundnessError):
-            run_campaign(GroupId.CYCLIC, 2, 7, "unused {cnf}", workers=workers,
-                         checkpoint_path=str(tmp_path / "ckpt.json"),
-                         work_dir=str(tmp_path / "work"))
-    finally:
-        sys.setswitchinterval(interval)
-    # Only combos already running when the first one raised were called.
+    monkeypatch.setattr(driver, "_prepare", prepare)
+    monkeypatch.setattr(driver, "_finish", finish)
+    solver = _fake_solver(tmp_path, 'echo "s SATISFIABLE"\n')
+    with pytest.raises(EncoderSoundnessError):
+        run_campaign(GroupId.CYCLIC, 2, 7, solver, workers=workers,
+                     checkpoint_path=str(tmp_path / "ckpt.json"),
+                     work_dir=str(tmp_path / "work"))
+    # Only combos already running when the first one raised were encoded.
     assert 1 <= len(calls) <= workers
     assert set(calls) == set(enumerate_combos(GroupId.CYCLIC, 7)[:len(calls)])
     states = {c["state"] for c in load_checkpoint(tmp_path / "ckpt.json")["combos"]}
@@ -630,26 +783,30 @@ def test_campaign_own_work_dir_keeps_only_the_found_pair(tmp_path, monkeypatch):
     winner = None
     work_dirs = []
 
-    def fake_solve(group, n, spec, solver_cmd, timeout, work_dir):
-        work_dirs.append(work_dir)
-        stem = os.path.join(work_dir, spec.label())
+    def prepare(group, n, spec, stem):
+        work_dirs.append(os.path.dirname(stem))
         open(stem + ".cnf", "w").close()
+        return {}, ""
+
+    def finish(group, n, spec, stem, varmap, answer):
         if spec != winner:
-            return ComboStatus(spec, "unsat", 0.0, solver_cmd)
+            return "unsat", ""
         open(stem + ".json", "w").close()
         open(stem + ".json.sym", "w").close()
-        return ComboStatus(spec, "sat", 0.0, solver_cmd, stem + ".json")
+        return "sat", stem + ".json"
 
-    monkeypatch.setattr(driver, "solve_combo", fake_solve)
-    report = run_campaign(GroupId.CYCLIC, 2, 4, "unused {cnf}")
+    monkeypatch.setattr(driver, "_prepare", prepare)
+    monkeypatch.setattr(driver, "_finish", finish)
+    solver = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
+    report = run_campaign(GroupId.CYCLIC, 2, 4, solver)
     assert report.verdict() == "ruled_out"
     assert len(set(work_dirs)) == 1 and not os.path.exists(work_dirs[0])
 
     winner = specs[-2]  # the last combo with rank > 0, so every combo runs
     work_dirs.clear()
-    report = run_campaign(GroupId.CYCLIC, 2, 4, "unused {cnf}")
+    report = run_campaign(GroupId.CYCLIC, 2, 4, solver)
     assert report.verdict() == "found"
-    found = os.path.join(work_dirs[0], winner.label() + ".json")
+    found = os.path.join(work_dirs[0], f"cyc-{winner.label()}.json")
     assert report.decomposition_path == found
     assert sorted(os.listdir(work_dirs[0])) == [os.path.basename(found),
                                                 os.path.basename(found) + ".sym"]
@@ -670,9 +827,9 @@ def test_campaign_removes_its_work_dir_when_the_last_checkpoint_write_fails(
     monkeypatch.setattr(driver, "CHECKPOINT_INTERVAL_S", float("inf"))
     writes = []
 
-    def fake_solve(group, n, spec, solver_cmd, timeout, work_dir):
-        open(os.path.join(work_dir, spec.label() + ".cnf"), "w").close()
-        return ComboStatus(spec, "unsat", 0.0, solver_cmd)
+    def prepare(group, n, spec, stem):
+        open(stem + ".cnf", "w").close()
+        return None, "decided"
 
     def failing_write(path, *args):
         writes.append(path)
@@ -680,7 +837,7 @@ def test_campaign_removes_its_work_dir_when_the_last_checkpoint_write_fails(
             raise OSError("disk full")
         write_checkpoint(path, *args)
 
-    monkeypatch.setattr(driver, "solve_combo", fake_solve)
+    monkeypatch.setattr(driver, "_prepare", prepare)
     monkeypatch.setattr(driver, "write_checkpoint", failing_write)
     with pytest.raises(OSError, match="disk full"):
         run_campaign(GroupId.CYCLIC, 2, 2, "unused {cnf}",
@@ -709,9 +866,9 @@ def test_campaign_resume_skips_finished_combos(tmp_path, monkeypatch):
     run_campaign(GroupId.CYCLIC, 2, 3, SOLVER_CMD, checkpoint_path=str(ckpt))
     # A resumed campaign with everything terminal never encodes again.
     def boom(*args, **kwargs):
-        raise AssertionError("solve_combo should not run on resume")
+        raise AssertionError("no combo should be encoded on resume")
 
-    monkeypatch.setattr(driver, "solve_combo", boom)
+    monkeypatch.setattr(driver, "_prepare", boom)
     report = run_campaign(GroupId.CYCLIC, 2, 3, SOLVER_CMD,
                           checkpoint_path=str(ckpt))
     assert report.verdict() == "ruled_out"
