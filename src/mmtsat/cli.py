@@ -173,7 +173,7 @@ def _cmd_solve_one(args) -> int:
         _emit(args, f"SAT: decomposition written to {status.detail}", payload)
         return EXIT_FOUND
     if status.state == "unsat":
-        _emit(args, "UNSAT", payload)
+        _emit(args, f"UNSAT: {status.detail}" if status.detail else "UNSAT", payload)
         return EXIT_OK
     if status.state == "timeout":
         _emit(args, f"timeout: {status.detail}", payload)

@@ -10,14 +10,10 @@ combo is `sat`, after any other completion only if
 CHECKPOINT_INTERVAL_S has passed since the last write, and at the end
 if a status changed since then; so a killed campaign resumes where it
 stopped, re-running at most the combos of the last interval.  A combo
-of rank 0, or whose CNF holds the empty clause, is recorded `unsat`
-without a solver run.  The encoder gives that clause alone to a combo
-whose orbit kinds cannot span the target (see `span.certificate`), or
-whose count of 1 or 2 orbits of a kind cannot reach it modulo the other
-kinds' spans (see `span.count_certificate`); its CNF is still written,
-and its `detail` is the encoder's comment saying why: the tensor
-entries where the combo's equations XOR to 0 = 1, or the kind, its
-count, the other kinds and the number of distinct images.
+of rank 0, or one that `span.refute` rules out, is recorded `unsat`
+without a solver run.  The encoder gives a refuted combo the empty
+clause alone; its CNF is still written, and its `detail` is the
+encoder's comment saying why.
 `_finish` maps every end of one solver run to a recorded state: a
 timeout, a solver that fails to start, an UNKNOWN answer, unparsable
 output or a model that does not decode (unassigned primaries) is
@@ -28,7 +24,8 @@ itself is wrong.  No combo is encoded after the first `sat`; solvers
 still running then finish and are recorded.  On a raise or an
 interrupt, each running solver is killed and reaped, and its combo
 stays `pending` with its CNF removed, before the last checkpoint write.
-Solvers run in the campaign's process group.
+Each solver runs in a process group of its own, killed whole when the
+solver ends or is stopped, so no process it started outlives it.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ import os
 import re
 import selectors
 import shlex
+import signal
 import subprocess
 import tempfile
 from contextlib import suppress
@@ -48,7 +46,8 @@ from time import monotonic
 
 from .boolexpr import write_bytes
 from .canonical import check_canonical, dump_symmetric
-from .encoder import DecodeError, decode, encode
+from .encoder import DecodeError, decode, empty_clause_comment, encode
+from .span import refute
 from .symmetry import GroupId, check_n, is_group_symmetric, orbit_kinds, total_rank
 from .tensor import dump_decomposition, json_fields, json_typed, verify
 
@@ -159,23 +158,31 @@ def solver_argv(solver_cmd: str) -> tuple[str, ...]:
 
 
 def _launch(solver_cmd: str, cnf_path: str) -> subprocess.Popen:
-    """Start the solver command template on a CNF file, in the caller's
-    process group, with its stdout a pipe and its stderr discarded;
-    OSError if it cannot start."""
+    """Start the solver command template on a CNF file, in a new session
+    and so a process group of its own, with its stdout a pipe and its
+    stderr discarded; OSError if it cannot start."""
     argv = [arg.replace("{cnf}", cnf_path) for arg in solver_argv(solver_cmd)]
-    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                            start_new_session=True)
+
+
+def _stop(proc: subprocess.Popen) -> None:
+    """Kill a solver's process group unless it is gone, reap the solver
+    and close its pipe."""
+    with suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+    proc.stdout.close()
 
 
 def run_solver(solver_cmd: str, cnf_path: str, timeout: float | None):
     """Run the solver command template on a CNF file; returns the parse.
-    A solver that outlives timeout is killed, and TimeoutExpired raised."""
-    with _launch(solver_cmd, str(cnf_path)) as proc:
-        try:
-            output, _ = proc.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-            raise
+    TimeoutExpired if it outlives timeout.  Its process group is killed."""
+    proc = _launch(solver_cmd, str(cnf_path))
+    try:
+        output, _ = proc.communicate(timeout=timeout)
+    finally:
+        _stop(proc)
     return parse_solver_output(output.decode(errors="replace"))
 
 
@@ -304,12 +311,9 @@ def _prepare(group: GroupId, n: int, spec: ComboSpec, stem: str):
         return None, "rank 0: empty decomposition, no solver run"
     cnf, varmap = encode(group, n, spec.counts_dict())
     cnf.write(stem + ".cnf")
-    if cnf.has_empty_clause:
-        # The encoder's last comment says why when a span or a count
-        # certificate refutes the combo.
-        reason = cnf.comments[-1] if cnf.comments[-1].startswith("empty clause: ") \
-            else "the CNF holds the empty clause"
-        return None, f"{reason}, no solver run"
+    refutation = refute(group, n, spec.counts_dict())  # cached: encode decided it
+    if refutation is not None:
+        return None, empty_clause_comment(refutation) + ", no solver run"
     return varmap, ""
 
 
@@ -375,13 +379,6 @@ class _Run:
     deadline: float = inf
     output: list[bytes] = field(default_factory=list)
     answer: object = None  # for _finish, once the solver has ended
-
-
-def _stop(proc: subprocess.Popen) -> None:
-    """Kill a solver unless it has exited, reap it and close its pipe."""
-    proc.kill()
-    proc.wait()
-    proc.stdout.close()
 
 
 def _ended(sel: selectors.BaseSelector, timeout: float | None,

@@ -55,19 +55,12 @@ at every entry, gives per set of present kinds the entries where a
 count-1 kind's lone product is the only one (its solo entries, see
 `_stamp_equations`), cached in `_support`.
 
-Before any of this, `span.certificate` checks whether the present kinds'
-orbit tensors can span the target at all.  When they cannot, a set of
-kept entries has odd parity on the target and even parity on every
-orbit tensor of those kinds, so the XOR of the equations there reads
-0 = 1 whatever the counts.  When they can, `span.count_certificate`
-checks, for each present kind of count 1 or 2, whether that many of its
-orbit tensors can sum to the target modulo the spans of the other
-present kinds.  A combo that either check refutes has no model, and
-`encode` then builds no gate and gives it the empty clause alone over
-its primaries, with a comment saying why.  A kept entry with target 1
-where no product survives is the span check's case of a single entry.
-Every other combo is compiled as above, and the checks add no clause
-to it.  `encode` returns its builder, which is the CNF instance.
+Before any of this, `encode` asks `span.refute`, which holds the rules,
+whether the combo's orbit kinds or counts alone rule it out.  A refuted
+combo has no model, and `encode` then builds no gate and gives it the
+empty clause alone over its primaries, with a comment saying why.  Every
+other combo is compiled as above, and the rules add no clause to it.
+`encode` returns its builder, which is the CNF instance.
 """
 
 from __future__ import annotations
@@ -80,7 +73,7 @@ from operator import add, itemgetter, mul, neg, xor
 from .boolexpr import CnfBuilder, CnfInstance, Lit, _selector, _xor_layout, fold_products
 from .canonical import SymmetricDecomposition
 from .gf2 import Gf2Matrix, entry_terms, fixed_space
-from .span import certificate, count_certificate
+from .span import Refutation, refute
 from .symmetry import (
     GroupId,
     check_n,
@@ -410,31 +403,17 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> No
                             [auxes[i] for i in batch])
 
 
-def _refutation(group: GroupId, n: int, combo: dict[str, int],
-                tags: tuple[str, ...]) -> str | None:
-    """Why the span or the count check rules the combo out, or None."""
-    phi = certificate(group, n, tags)
-    if phi is not None:
-        return (f"the tensor equations at entries {', '.join(map(str, phi))} XOR to 0 = 1: "
-                "every orbit tensor of the present kinds has even parity there, the target odd")
-    bound = count_certificate(group, n, combo)
-    if bound is None:
-        return None
-    tag, images = bound
-    others = ", ".join(t for t in tags if t != tag) or "none"
-    return (f"modulo the spans of the other present kinds ({others}), no {combo[tag]} of "
-            f"the {images} distinct images of {tag} orbit tensors sum to the target's")
+def empty_clause_comment(refutation: Refutation) -> str:
+    """The last comment of a refuted combo's CNF, saying why it holds
+    the empty clause."""
+    return "empty clause: " + refutation.detail
 
 
 def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, VarMap]:
     """CNF whose models are exactly the canonical-form symmetric
     decompositions of <n,n,n> with the given orbit counts.
 
-    A combo whose present kinds' orbit tensors cannot span the target
-    has no model: `span.certificate` names kept entries where the XOR of
-    the tensor equations reads 0 = 1.  Nor has one where a kind's count
-    of 1 or 2 orbit tensors cannot reach the target modulo the other
-    kinds' spans (`span.count_certificate`).  Such a combo is decided
+    A combo that `span.refute` rules out has no model.  It is decided
     before any gate is built, and its CNF is the empty clause over its
     primaries, with a comment saying why.
     """
@@ -444,9 +423,9 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
         raise ValueError("total rank must be at least 1")
     reps, varmap = build_symbolic_orbits(group, n, combo)
     builder = CnfBuilder(varmap.aux_start - 1)
-    tags = tuple(kind.tag for kind in orbit_kinds(group) if combo.get(kind.tag, 0) > 0)
-    refutation = _refutation(group, n, combo, tags)
+    refutation = refute(group, n, combo)
     if refutation is None:
+        tags = tuple(kind.tag for kind in orbit_kinds(group) if combo.get(kind.tag, 0) > 0)
         _stamp_equations(builder, group, n, [(tag, combo[tag], solo) for tag, solo
                                              in zip(tags, _support(group, n, tags))])
         nonzero_representatives(builder, varmap)
@@ -462,7 +441,7 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
                             for e in varmap.primary)
     builder.comments.append(f"aux vars start at {varmap.aux_start}")
     if refutation is not None:
-        builder.comments.append("empty clause: " + refutation)
+        builder.comments.append(empty_clause_comment(refutation))
     return builder, varmap
 
 

@@ -28,8 +28,11 @@ allows, keeps the set of their orbit tensors' images modulo M, once per
 every value of the quotient, and rules a count of 1 or 2 out when no 1
 or 2 images sum to the target's image.  The canonical form's ordering
 constraints are dropped, so this is a relaxation and sound.
-`count_certificate` applies it to every present kind whose
-representative space has at most MAX_REP_SPACE points.
+
+`refute` alone decides that a combo is ruled out without a solver:
+by `certificate`, else by `count_refutes` on each present kind of at
+most MAX_REP_SPACE representatives.  The encoder, the driver and
+tools/cnf_sizes.py all read its record.
 
 Tensors are ints in Tensor6's flat row-major entry order, and every
 basis is `gf2.echelon`'s fully reduced form, each row keyed by its
@@ -43,6 +46,7 @@ target's residue, names kept entries only.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from operator import xor
@@ -206,16 +210,36 @@ def count_refutes(group: GroupId, n: int, tags: tuple[str, ...], tag: str,
     return len(images)
 
 
-def count_certificate(group: GroupId, n: int,
-                      combo: dict[str, int]) -> tuple[str, int] | None:
-    """The first present kind, smallest representative space first, whose
-    count `count_refutes` rules out, with its number of distinct images;
-    None when there is none.  A kind with more than MAX_REP_SPACE
-    representatives is never enumerated."""
-    tags = tuple(k.tag for k in orbit_kinds(group) if combo.get(k.tag, 0) > 0)
-    for tag in sorted(tags, key=lambda tag: _rep_space_bits(group, n, tag)):
+@dataclass(frozen=True)
+class Refutation:
+    """Why a combo has no model: its rule, "span" or "count", and how."""
+    rule: str
+    detail: str
+
+
+def refute(group: GroupId, n: int, combo: dict[str, int]) -> Refutation | None:
+    """The span rule's refutation of a combo, else the count rule's for
+    its first present kind, smallest representative space first, that
+    `count_refutes` rules out; None when neither refutes it.  Cached per
+    present counts, so the encoder and the driver pay for one decision."""
+    return _refute(group, n, tuple((kind.tag, combo[kind.tag]) for kind in orbit_kinds(group)
+                                   if combo.get(kind.tag, 0) > 0))
+
+
+@lru_cache
+def _refute(group: GroupId, n: int, counts: tuple[tuple[str, int], ...]) -> Refutation | None:
+    tags = tuple(tag for tag, _ in counts)
+    phi = certificate(group, n, tags)
+    if phi is not None:
+        return Refutation("span", f"the tensor equations at entries {', '.join(map(str, phi))} "
+                          "XOR to 0 = 1: every orbit tensor of the present kinds has even "
+                          "parity there, the target odd")
+    for tag, count in sorted(counts, key=lambda tc: _rep_space_bits(group, n, tc[0])):
         if 1 << _rep_space_bits(group, n, tag) <= MAX_REP_SPACE:
-            images = count_refutes(group, n, tags, tag, combo[tag])
+            images = count_refutes(group, n, tags, tag, count)
             if images is not None:
-                return tag, images
+                others = ", ".join(t for t in tags if t != tag) or "none"
+                return Refutation("count", f"modulo the spans of the other present kinds "
+                                  f"({others}), no {count} of the {images} distinct images "
+                                  f"of {tag} orbit tensors sum to the target's")
     return None

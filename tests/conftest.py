@@ -5,7 +5,6 @@ import pytest
 
 from mmtsat.canonical import SymmetricDecomposition
 from mmtsat.gf2 import Gf2Matrix
-from mmtsat.span import certificate, count_certificate
 from mmtsat.symmetry import GroupId, orbit_kinds, scheme
 from mmtsat.tensor import Decomposition, Triplet
 
@@ -89,31 +88,6 @@ def strassen():
 def present_kinds(group: GroupId, counts: dict) -> tuple[str, ...]:
     """The tags of the kinds with a nonzero count, in the group's order."""
     return tuple(kind.tag for kind in orbit_kinds(group) if counts.get(kind.tag))
-
-
-def certificate_comment(phi) -> str:
-    """The encoder's last comment on a combo refuted by the span
-    certificate phi, which names phi's entries."""
-    return (f"empty clause: the tensor equations at entries {', '.join(map(str, phi))} "
-            "XOR to 0 = 1: every orbit tensor of the present kinds has even parity "
-            "there, the target odd")
-
-
-def refutation_comment(group: GroupId, n: int, combo: dict) -> str | None:
-    """The encoder's last comment on a combo that a span or a count
-    certificate refutes; None when neither does."""
-    tags = present_kinds(group, combo)
-    phi = certificate(group, n, tags)
-    if phi is not None:
-        return certificate_comment(phi)
-    bound = count_certificate(group, n, combo)
-    if bound is None:
-        return None
-    tag, images = bound
-    others = ", ".join(t for t in tags if t != tag) or "none"
-    return (f"empty clause: modulo the spans of the other present kinds ({others}), "
-            f"no {combo[tag]} of the {images} distinct images of {tag} orbit tensors "
-            "sum to the target's")
 
 
 def random_matrix(rng: random.Random, n: int) -> Gf2Matrix:

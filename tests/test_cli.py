@@ -4,6 +4,7 @@ import pytest
 
 from mmtsat.cli import main
 from mmtsat.driver import ComboStatus, checkpoint_to_json, enumerate_combos
+from mmtsat.span import refute
 from mmtsat.symmetry import GroupId
 from mmtsat.tensor import dump_decomposition, load_decomposition, verify
 
@@ -333,13 +334,33 @@ def test_unparsable_solver_exits_1_before_any_encoding(command, tmp_path, capsys
     assert not work.exists()
 
 
+@pytest.mark.parametrize("combo,detail", [
+    ("id=0,delta=6", "empty clause: " + refute(GroupId.CYCLIC, 2, {"delta": 6}).detail
+     + ", no solver run"),
+    ("id=0,delta=0", "rank 0: empty decomposition, no solver run"),
+    ("id=1,delta=1", ""),
+], ids=["refuted", "rank 0", "solved"])
+def test_solve_one_says_why_a_combo_decided_without_a_solver_is_unsat(combo, detail, tmp_path,
+                                                                       capsys):
+    # cyc n=2 id=0,delta=6 lacks the id kind, so the span rule refutes it;
+    # a combo decided without a solver prints its detail after UNSAT, and
+    # one the solver decides a bare UNSAT.  --json is unchanged.
+    args = ["solve-one", "--group", "cyc", "--n", "2", "--combo", combo,
+            "--solver", "echo s UNSATISFIABLE {cnf}", "--work-dir", str(tmp_path)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (f"UNSAT: {detail}\n" if detail else "UNSAT\n")
+    assert main(args + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["state"], payload["detail"]) == ("unsat", detail)
+
+
 @requires_solver
 def test_solve_one_exit_codes(tmp_path, capsys):
     rc = main(["solve-one", "--group", "cyc", "--n", "2", "--combo",
                "id=0,delta=6", "--solver", SOLVER_CMD,
                "--work-dir", str(tmp_path)])
     assert rc == 0
-    assert "UNSAT" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("UNSAT: empty clause: ")
     rc = main(["solve-one", "--group", "cyc", "--n", "2", "--combo",
                "id=2,delta=1", "--solver", SOLVER_CMD,
                "--work-dir", str(tmp_path), "--json"])

@@ -27,15 +27,13 @@ from mmtsat.driver import (
     write_checkpoint,
 )
 from mmtsat.encoder import build_symbolic_orbits
-from mmtsat.span import certificate
+from mmtsat.span import certificate, refute
 from mmtsat.symmetry import GroupId, kind_by_tag, orbit_kinds
 
 from conftest import (
     SOLVER_CMD,
     STRASSEN_MOD2,
-    certificate_comment,
     present_kinds,
-    refutation_comment,
     requires_solver,
 )
 
@@ -172,7 +170,9 @@ esac
         assert report.verdict() == "ruled_out"
         (status,) = [st for st in report.statuses if st.spec.label() == label]
         assert (status.state, status.detail) == (
-            "unsat", certificate_comment([((0, 0), (0, 0), (0, 0))]) + ", no solver run")
+            "unsat", "empty clause: the tensor equations at entries ((0, 0), (0, 0), (0, 0)) "
+            "XOR to 0 = 1: every orbit tensor of the present kinds has even parity there, "
+            "the target odd, no solver run")
         assert cnf.exists() and not ran.exists()
 
     run()
@@ -242,22 +242,21 @@ def test_span_refuted_combos_name_their_certificate_in_the_records(tmp_path, cap
             continue
         label = ",".join(f"{kind.tag}={counts[kind.tag]}" for kind in orbit_kinds(group))
         marker = work / f"cyc-t-{label}.cnf.ran"
-        phi = certificate(group, 2, present_kinds(group, counts))
-        comment = refutation_comment(group, 2, counts)
+        refutation = refute(group, 2, counts)
         assert rec["state"] == "unsat"
-        if comment is None:
+        if refutation is None:
             assert rec["detail"] == "" and marker.exists()
             solved += 1
             continue
-        assert rec["detail"] == comment + ", no solver run"
+        assert rec["detail"] == f"empty clause: {refutation.detail}, no solver run"
         assert not marker.exists()
-        if phi is None:
+        if refutation.rule == "count":
             assert counts["t"] in (1, 2)
             assert f"no {counts['t']} of the " in rec["detail"]
             assert "images of t orbit tensors" in rec["detail"]
             counted += 1
         else:
-            assert rec["detail"] == certificate_comment(phi) + ", no solver run"
+            phi = certificate(group, 2, present_kinds(group, counts))
             assert all(str(entry) in rec["detail"] for entry in phi)
             assert counts["t"] == 0
             refuted += 1
@@ -357,7 +356,7 @@ def test_campaign_with_a_missing_solver_records_an_error_on_every_solver_combo(t
     errors = 0
     for st in report.statuses:
         if st.spec.total_rank() and \
-                refutation_comment(GroupId.CYCLIC, 2, st.spec.counts_dict()) is None:
+                refute(GroupId.CYCLIC, 2, st.spec.counts_dict()) is None:
             assert st.state == "error" and st.detail.startswith("solver failed to run: ")
             errors += 1
         else:
@@ -600,7 +599,7 @@ echo "s UNSATISFIABLE"
     # certificate (id=1 or id=2 alone) refutes runs a solver.
     assert len(calls.read_text().splitlines()) == sum(
         1 for k in unfinished if any(json.loads(k).values())
-        and refutation_comment(GroupId.CYCLIC, 2, json.loads(k)) is None)
+        and refute(GroupId.CYCLIC, 2, json.loads(k)) is None)
     for st in resumed.statuses:
         key = json.dumps(st.spec.counts_dict(), sort_keys=True)
         if key not in unfinished:
@@ -649,6 +648,59 @@ def test_interrupted_campaign_stops_its_solvers_at_once(tmp_path):
                if c["state"] == "pending"}
     assert {json.dumps({"delta": 4, "id": 1}), json.dumps({"delta": 1, "id": 2})} <= pending
     _assert_only_finished_combos_keep_a_cnf(work, GroupId.CYCLIC, combos)
+
+
+def _assert_gone(pids) -> None:
+    """Within 10 s, no process whose pid the file pids lists is alive."""
+    started = [int(p) for p in pids.read_text().split()]
+    deadline = time.monotonic() + 10
+    while any(map(_alive, started)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert started and not any(map(_alive, started))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
+def test_run_solver_timeout_leaves_no_process_behind(tmp_path):
+    # The wrapper's background sleep holds its stdout, so the solver times
+    # out; its whole process group is killed, the sleep with it.
+    pids = tmp_path / "pids"
+    solver = _fake_solver(tmp_path, f"sleep 30 & echo $! >> {pids}; wait\n")
+    with pytest.raises(subprocess.TimeoutExpired):
+        run_solver(solver, str(tmp_path / "x.cnf"), 0.5)
+    _assert_gone(pids)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
+@pytest.mark.parametrize("ending", ["timeout", "SIGINT"])
+def test_a_solver_leaves_no_process_behind(ending, tmp_path):
+    # A wrapper solver that starts a background sleep, writes the sleep's
+    # pid to a file of its own and hangs on one combo: when that combo
+    # times out, or the campaign is interrupted, the campaign kills the
+    # wrapper's whole process group, so the sleep is not left running.
+    pids = tmp_path / "pids"
+    solver = _fake_solver(tmp_path, f"""case "$1" in
+*/cyc-id=1,delta=4.cnf) sleep 30 & echo $! >> {pids}; wait ;;
+*) echo "s UNSATISFIABLE" ;;
+esac
+""")
+    timeout = ["--timeout", "0.5"] if ending == "timeout" else []
+    proc = _spawn_search("--group", "cyc", "--n", "2", "--max-rank", "7", "--solver", solver,
+                         "--workers", "2", *timeout, "--work-dir", str(tmp_path / "work"))
+    try:
+        if ending == "SIGINT":
+            deadline = time.monotonic() + 60
+            while not (pids.exists() and pids.read_text().endswith("\n")):
+                assert proc.poll() is None, "the campaign ended before it was interrupted"
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            os.kill(proc.pid, signal.SIGINT)
+        proc.wait(60)
+        _assert_gone(pids)  # before the campaign's own group is killed below
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(10)
+    assert (proc.returncode == EXIT_UNDETERMINED) if ending == "timeout" else proc.returncode != 0
 
 
 def _strassen_literals() -> list[int]:

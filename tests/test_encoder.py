@@ -30,7 +30,7 @@ from mmtsat.encoder import (
 )
 from mmtsat.driver import enumerate_combos
 from mmtsat.gf2 import Gf2Matrix, entry_terms, fixed_space
-from mmtsat.span import certificate, count_certificate
+from mmtsat.span import certificate, refute
 from mmtsat.symmetry import (
     GroupId,
     expand,
@@ -44,7 +44,6 @@ from conftest import (
     present_kinds,
     propagate,
     random_symmetric_decomposition,
-    refutation_comment,
 )
 
 
@@ -537,7 +536,7 @@ def test_stamping_combos_cover_solo_entries_and_shared_gates():
     # kinds' products, and symmetry breaking that reuses a stamped
     # cell-XOR gate.  Only cyc-sw has such gates: transposition permutes
     # cells, so every cell of the other groups is one primary.
-    compiled = [(g, c) for g, c in _STAMPING_COMBOS if refutation_comment(g, 3, c) is None]
+    compiled = [(g, c) for g, c in _STAMPING_COMBOS if refute(g, 3, c) is None]
     assert (GroupId.CYCLIC_TRANSPOSE, {"id": 1, "t": 2, "delta": 0, "full": 1}) in compiled
     solo = [(g, c) for g, c in compiled if any(_solo_entries(g, 3, c).values())]
     assert any(sum(map(bool, c.values())) > 1 for _, c in solo)
@@ -546,15 +545,15 @@ def test_stamping_combos_cover_solo_entries_and_shared_gates():
 
 
 def _assert_lone_empty_clause(cnf, varmap, group, n, combo):
-    """The CNF of a combo that a span or a count certificate refutes: the
-    empty clause over the primaries, after a comment saying why.  A span
-    certificate's entries are kept entries, and the XOR of the combo's
-    own tensor equations there, as polynomials in its primaries, is
-    0 = 1; `tests/test_span.py` re-derives each count certificate."""
-    phi = certificate(group, n, present_kinds(group, combo))
-    if phi is None:
-        assert count_certificate(group, n, combo) is not None
-    else:
+    """The CNF of a combo that `span.refute` rules out: the empty clause
+    over the primaries, after a comment giving the refutation's detail.
+    A span certificate's entries are kept entries, and the XOR of the
+    combo's own tensor equations there, as polynomials in its primaries,
+    is 0 = 1; `tests/test_span.py` re-derives each count certificate."""
+    refutation = refute(group, n, combo)
+    assert refutation is not None
+    if refutation.rule == "span":
+        phi = certificate(group, n, present_kinds(group, combo))
         assert set(phi) <= set(_equation_entries(group, n)[0])
         reps, _ = build_symbolic_orbits(group, n, combo)
         image = _lift(scheme(group).image, n)
@@ -565,7 +564,7 @@ def _assert_lone_empty_clause(cnf, varmap, group, n, combo):
                       (_equation_anf(triplets, target, entry) for entry in phi)) == {0}
     assert list(cnf.clauses) == [()] and cnf.has_empty_clause
     assert cnf.num_vars == len(varmap.primary) == varmap.aux_start - 1
-    assert cnf.comments[-1] == refutation_comment(group, n, combo)
+    assert cnf.comments[-1] == "empty clause: " + refutation.detail
     assert cnf.to_dimacs().endswith(f"p cnf {cnf.num_vars} 1\n 0\n")
 
 
@@ -574,12 +573,12 @@ def _assert_lone_empty_clause(cnf, varmap, group, n, combo):
                               for g, c in _STAMPING_COMBOS])
 def test_stamped_cnf_equals_direct_compilation(group, combo):
     # The same variables and the same clauses; only their order differs.
-    # A combo that a span certificate refutes (here every id=0 combo of
-    # the cyc groups, and cyc-t id=1) or a count certificate refutes
-    # (cyc-t t=1 or t=2 without full) is the empty clause alone, checked
-    # as such instead.
+    # A combo that the span rule refutes (here every id=0 combo of the
+    # cyc groups, and cyc-t id=1) or the count rule refutes (cyc-t t=1 or
+    # t=2 without full) is the empty clause alone, checked as such
+    # instead.
     cnf, varmap = encode(group, 3, combo)
-    if refutation_comment(group, 3, combo) is not None:
+    if refute(group, 3, combo) is not None:
         _assert_lone_empty_clause(cnf, varmap, group, 3, combo)
         return
     direct = _direct_encode(group, 3, combo, cnf.comments)
@@ -601,7 +600,7 @@ def _census_combos():
 
 def test_span_check_agrees_with_direct_compilation():
     # On every census combo, encode gives the lone empty clause exactly
-    # when a span or a count certificate refutes the combo, and the
+    # when `span.refute` rules the combo out, and the
     # combos each rule decides are pinned.  Every other combo has no
     # target-1 entry where no product survives, so its entry-major
     # assert_parity reference holds no empty clause either, and its solo
@@ -613,10 +612,10 @@ def test_span_check_agrees_with_direct_compilation():
     for group, n, combo in combos:
         cnf, varmap = encode(group, n, combo)
         tags = present_kinds(group, combo)
-        if refutation_comment(group, n, combo) is not None:
+        refutation = refute(group, n, combo)
+        if refutation is not None:
             _assert_lone_empty_clause(cnf, varmap, group, n, combo)
-            rule = "span" if certificate(group, n, tags) is not None else "count"
-            decided[group.value, n, rule] += 1
+            decided[group.value, n, refutation.rule] += 1
             continue
         assert not cnf.has_empty_clause, (group, n, combo)
         assert not _direct_encode(group, n, combo, cnf.comments).has_empty_clause

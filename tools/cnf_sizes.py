@@ -6,8 +6,8 @@ text and the SHA-256 of its clause lines sorted (which clause order does
 not change), plus per-group totals, to a JSON file, and prints the totals, and
 on stderr the encode and DIMACS CPU times, the encode CPU time per
 group and, per census entry, how many combos hold the empty clause (a
-campaign records them unsat with no solver run), split into those a
-span certificate and those a count certificate decides.  With --against
+campaign records them unsat with no solver run), split by the rule of
+`span.refute` that decides them.  With --against
 OLD.json it also prints each group's variables and clauses as old ->
 new with the change in percent, and how many combos' DIMACS text and
 how many combos' clause sets differ from OLD.json, and exits 1 if any
@@ -35,7 +35,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from mmtsat.driver import enumerate_combos  # noqa: E402
 from mmtsat.encoder import encode  # noqa: E402
-from mmtsat.span import certificate  # noqa: E402
+from mmtsat.span import refute  # noqa: E402
 from mmtsat.symmetry import GroupId  # noqa: E402
 
 # (group, n, max rank): 456 combos of total rank >= 1.  A span
@@ -62,7 +62,8 @@ def census(entries=CENSUS) -> tuple[dict, dict[str, float], float, list[str]]:
     combos = []
     totals: dict[str, dict[str, int]] = {}
     for group, n, max_rank in entries:
-        by_span = by_count = encoded = 0
+        by_rule = {"span": 0, "count": 0}
+        encoded = 0
         for spec in enumerate_combos(group, max_rank):
             if spec.total_rank() < 1:
                 continue
@@ -72,12 +73,9 @@ def census(entries=CENSUS) -> tuple[dict, dict[str, float], float, list[str]]:
             text = cnf.to_dimacs().encode()
             encode_cpu[group.value] += mid - start
             dimacs_cpu += time.process_time() - mid
-            if cnf.has_empty_clause:
-                tags = tuple(tag for tag, count in spec.counts if count)
-                if certificate(group, n, tags) is None:
-                    by_count += 1
-                else:
-                    by_span += 1
+            refutation = refute(group, n, spec.counts_dict())  # cached by encode
+            if refutation is not None:
+                by_rule[refutation.rule] += 1
             encoded += 1
             row = {"group": group.value, "n": n, "combo": spec.label(),
                    "vars": cnf.num_vars, "clauses": len(cnf.clauses),
@@ -88,8 +86,8 @@ def census(entries=CENSUS) -> tuple[dict, dict[str, float], float, list[str]]:
             total["combos"] += 1
             for key in SIZES:
                 total[key] += row[key]
-        empty.append(f"{group.value} n={n} r<={max_rank} {by_span + by_count} of {encoded} "
-                     f"(span {by_span}, count {by_count})")
+        empty.append(f"{group.value} n={n} r<={max_rank} {sum(by_rule.values())} of {encoded} "
+                     f"(span {by_rule['span']}, count {by_rule['count']})")
     return {"census": [[g.value, n, r] for g, n, r in entries],
             "totals": totals, "combos": combos}, encode_cpu, dimacs_cpu, empty
 
