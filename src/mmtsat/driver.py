@@ -24,8 +24,9 @@ itself is wrong.  No combo is encoded after the first `sat`; solvers
 still running then finish and are recorded.  On a raise or an
 interrupt, each running solver is killed and reaped, and its combo
 stays `pending` with its CNF removed, before the last checkpoint write.
-Each solver runs in a process group of its own, killed whole when the
-solver ends or is stopped, so no process it started outlives it.
+Each solver runs in a process group of its own, killed whole once its
+output ends or when it is stopped, so no process it started outlives
+it; should the campaign die first, even by SIGKILL, `_guard` kills it.
 """
 
 from __future__ import annotations
@@ -157,33 +158,69 @@ def solver_argv(solver_cmd: str) -> tuple[str, ...]:
         raise ValueError(f"solver command {solver_cmd!r}: {exc}") from None
 
 
-def _launch(solver_cmd: str, cnf_path: str) -> subprocess.Popen:
-    """Start the solver command template on a CNF file, in a new session
-    and so a process group of its own, with its stdout a pipe and its
-    stderr discarded; OSError if it cannot start."""
+@lru_cache(maxsize=1)
+def _guard() -> int:
+    """The write end of a pipe to a shell in a session of its own.  It
+    keeps the process group ids written to it ("+ id" as a solver starts,
+    "- id" as it is stopped) and kills the groups it still keeps once the
+    pipe closes, that is once this process ends, even by SIGKILL."""
+    read, write = os.pipe()
+    os.posix_spawnp("sh", ["sh", "-c", 'exec >/dev/null 2>&1; while read -r op g; do '
+                    'if [ "$op" = + ]; then live="$live $g"; else kept=; for k in $live; do '
+                    '[ "$k" = "$g" ] || kept="$kept $k"; done; live=$kept; fi; done; '
+                    'for g in $live; do kill -s KILL -- "-$g"; done'],
+                    os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, read, 0)], setsid=True)
+    os.close(read)
+    return write
+
+
+def _tell_guard(op: str, pid: int) -> None:
+    with suppress(BrokenPipeError):  # the guard is gone, and with it this protection
+        os.write(_guard(), f"{op} {pid}\n".encode())
+
+
+def _launch(run: _Run, sel: selectors.BaseSelector, solver_cmd: str, cnf_path: str,
+            timeout: float | None) -> None:
+    """Start run's solver, the command template on a CNF file, in a new
+    session and so a process group of its own, which _guard kills if this
+    process dies first; its stdout is registered with sel and its stderr
+    discarded.  OSError if it cannot start."""
     argv = [arg.replace("{cnf}", cnf_path) for arg in solver_argv(solver_cmd)]
-    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                            start_new_session=True)
+    run.proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                                start_new_session=True)
+    _tell_guard("+", run.proc.pid)
+    if timeout is not None:
+        run.deadline = monotonic() + timeout
+    sel.register(run.proc.stdout, selectors.EVENT_READ, run)
 
 
 def _stop(proc: subprocess.Popen) -> None:
-    """Kill a solver's process group unless it is gone, reap the solver
-    and close its pipe."""
-    with suppress(ProcessLookupError):
-        os.killpg(proc.pid, signal.SIGKILL)
+    """Kill a solver's process group, reap the solver and close its pipe.
+    The group is killed only while the solver is unreaped, since its id
+    may be reused after that."""
+    if proc.returncode is None:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        _tell_guard("-", proc.pid)
     proc.wait()
     proc.stdout.close()
 
 
 def run_solver(solver_cmd: str, cnf_path: str, timeout: float | None):
-    """Run the solver command template on a CNF file; returns the parse.
-    TimeoutExpired if it outlives timeout.  Its process group is killed."""
-    proc = _launch(solver_cmd, str(cnf_path))
-    try:
-        output, _ = proc.communicate(timeout=timeout)
-    finally:
-        _stop(proc)
-    return parse_solver_output(output.decode(errors="replace"))
+    """Run the solver command template on a CNF file as a campaign runs
+    it; returns the parse of its output, or raises TimeoutExpired if its
+    output does not end within timeout."""
+    run = _Run(None, "", 0.0)
+    with selectors.DefaultSelector() as sel:
+        _launch(run, sel, solver_cmd, str(cnf_path), timeout)
+        try:
+            while not _ended(sel, timeout, block=True):
+                pass
+        finally:  # after an interrupt too
+            _stop(run.proc)
+    if isinstance(run.answer, subprocess.TimeoutExpired):
+        raise run.answer
+    return run.answer
 
 
 # -- checkpointing ------------------------------------------------------------
@@ -370,7 +407,7 @@ def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
 @dataclass(eq=False)
 class _Run:
     """One combo of a campaign, from the start of its encode until it is
-    recorded."""
+    recorded, or the one solver of run_solver."""
     spec: ComboSpec
     stem: str
     started: float
@@ -383,10 +420,10 @@ class _Run:
 
 def _ended(sel: selectors.BaseSelector, timeout: float | None,
            block: bool) -> list[_Run]:
-    """The runs registered with sel whose solver has ended, each
-    unregistered, reaped and given its answer.  Reads the output that is
-    ready and kills a solver past its deadline; with block, first waits
-    until some output is ready or the first deadline passes."""
+    """The runs registered with sel whose output has ended or whose
+    deadline has passed, each unregistered, stopped and given its answer.
+    Reads the output that is ready; with block, first waits until some
+    output is ready or the first deadline passes."""
     runs = [key.data for key in sel.get_map().values()]
     wait = 0.0
     if block:
@@ -402,18 +439,12 @@ def _ended(sel: selectors.BaseSelector, timeout: float | None,
     now = monotonic()
     ended = []
     for run in runs:
-        if run in closed:
-            # A solver exits as its output ends, unless it closed its
-            # stdout early; then it still has until its deadline.
-            left = run.deadline - now
-            with suppress(subprocess.TimeoutExpired):
-                run.proc.wait(None if left == inf else max(left, 0.0))
-        elif run.deadline > now:
-            continue
-        if run in closed and run.proc.poll() is not None:
+        if run in closed:  # its output is complete, so its group is killed
             run.answer = parse_solver_output(b"".join(run.output).decode(errors="replace"))
-        else:  # past its deadline
+        elif run.deadline <= now:
             run.answer = subprocess.TimeoutExpired(run.proc.args, timeout)
+        else:
+            continue
         sel.unregister(run.proc.stdout)
         _stop(run.proc)
         ended.append(run)
@@ -499,13 +530,9 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                     _record(run, "unsat", detail)
                 else:
                     try:
-                        run.proc = _launch(solver_cmd, run.stem + ".cnf")
+                        _launch(run, sel, solver_cmd, run.stem + ".cnf", timeout)
                     except OSError as exc:
                         _record(run, *_finish(group, n, spec, run.stem, run.varmap, exc))
-                    else:
-                        if timeout is not None:
-                            run.deadline = monotonic() + timeout
-                        sel.register(run.proc.stdout, selectors.EVENT_READ, run)
                 # A sat that ended while this combo was encoded stops the next one.
                 _settle(block=False)
             while sel.get_map():  # solvers still running after a sat finish too

@@ -512,6 +512,15 @@ def _alive(pid: int) -> bool:
         return False
 
 
+def _assert_gone(pids) -> None:
+    """Within 10 s, no process whose pid the file pids lists is alive."""
+    started = [int(p) for p in pids.read_text().split()]
+    deadline = time.monotonic() + 10
+    while any(map(_alive, started)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert started and not any(map(_alive, started))
+
+
 def _spawn_search(*args: str) -> subprocess.Popen:
     """`mmtsat search` with these arguments, in a process group of its own."""
     src = os.path.dirname(os.path.dirname(driver.__file__))
@@ -537,18 +546,25 @@ def _assert_only_finished_combos_keep_a_cnf(work, group: GroupId, combos) -> Non
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
 def test_killed_campaign_resumes_exactly_its_unfinished_combos(tmp_path, monkeypatch):
     # A campaign killed with its process group between two checkpoint
-    # writes leaves no solver running.  Its resume runs exactly the combos
-    # that the last checkpoint does not show finished, keeps the others'
-    # records, and reaches the verdict of a campaign never killed.  Up
-    # to rank 9, 10 combos reach the solver, 2 s of slow solver runs, so
-    # a checkpoint is written while some are still pending.
+    # writes leaves no solver running, though the one it runs then, and
+    # that solver's background child, would sleep 30 s.  Its resume runs
+    # exactly the combos that the last checkpoint does not show finished,
+    # keeps the others' records, and reaches the verdict of a campaign
+    # never killed.  Up to rank 9, 10 combos reach the solver, 2 s of
+    # slow solver runs, so a checkpoint is written while some are still
+    # pending.
     (tmp_path / "slow").mkdir()
     (tmp_path / "fast").mkdir()
     pids, calls = tmp_path / "pids", tmp_path / "calls"
+    hang, hung = tmp_path / "hang", tmp_path / "hung"
     slow = _fake_solver(tmp_path / "slow", f"""echo $$ >> {pids}
-sleep 0.2 &
-echo $! >> {pids}
-wait $!
+if [ -e {hang} ]; then
+  sleep 30 &
+  echo $! >> {pids}
+  : > {hung}
+  wait
+fi
+sleep 0.2
 echo "s UNSATISFIABLE"
 """)
     fast = _fake_solver(tmp_path / "fast", f'echo "$1" >> {calls}; echo "s UNSATISFIABLE"\n')
@@ -568,17 +584,18 @@ echo "s UNSATISFIABLE"
             assert proc.poll() is None, "the campaign ended before it was killed"
             assert time.monotonic() < deadline
             time.sleep(0.01)
+        hang.touch()
+        while not hung.exists():
+            assert proc.poll() is None, "the campaign ended before it was killed"
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(10)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(10)
-    deadline = time.monotonic() + 10
-    started = [int(p) for p in pids.read_text().split()]
-    while any(map(_alive, started)) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert started and not any(map(_alive, started))
+    _assert_gone(pids)
 
     killed = {json.dumps(c["counts"], sort_keys=True): c
               for c in load_checkpoint(ckpt)["combos"]}
@@ -613,19 +630,20 @@ echo "s UNSATISFIABLE"
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
 def test_interrupted_campaign_stops_its_solvers_at_once(tmp_path):
     # A SIGINT to the campaign's process alone, while its two workers each
-    # run a solver that would sleep 30 s: the campaign kills and reaps
-    # both and exits within 3 s.  Its checkpoint shows only the combos
-    # that finished, both killed combos among the pending ones, and no
-    # pending combo keeps a CNF.
+    # run a solver that waits for a background sleep of 30 s: the campaign
+    # kills both solvers' process groups, so the sleeps too, and exits
+    # within 3 s.  Its checkpoint shows only the combos that finished,
+    # both killed combos among the pending ones, and no pending combo
+    # keeps a CNF.
     pids = tmp_path / "pids"
-    solver = _fake_solver(tmp_path, f"echo $$ >> {pids}\nexec sleep 30\n")
+    solver = _fake_solver(tmp_path, f"echo $$ >> {pids}\nsleep 30 &\necho $! >> {pids}\nwait\n")
     ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
     proc = _spawn_search("--group", "cyc", "--n", "2", "--max-rank", "7", "--solver", solver,
                          "--workers", "2", "--checkpoint", str(ckpt), "--work-dir", str(work))
     try:
         deadline = time.monotonic() + 60
         started = []
-        while len(started) < 2:
+        while len(started) < 4:
             assert proc.poll() is None, "the campaign ended before it was interrupted"
             assert time.monotonic() < deadline
             time.sleep(0.01)
@@ -634,7 +652,7 @@ def test_interrupted_campaign_stops_its_solvers_at_once(tmp_path):
         sent = time.monotonic()
         proc.wait(10)
         assert time.monotonic() - sent < 3
-        assert not any(map(_alive, started))
+        _assert_gone(pids)
     finally:
         with suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
@@ -650,15 +668,6 @@ def test_interrupted_campaign_stops_its_solvers_at_once(tmp_path):
     _assert_only_finished_combos_keep_a_cnf(work, GroupId.CYCLIC, combos)
 
 
-def _assert_gone(pids) -> None:
-    """Within 10 s, no process whose pid the file pids lists is alive."""
-    started = [int(p) for p in pids.read_text().split()]
-    deadline = time.monotonic() + 10
-    while any(map(_alive, started)) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert started and not any(map(_alive, started))
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
 def test_run_solver_timeout_leaves_no_process_behind(tmp_path):
     # The wrapper's background sleep holds its stdout, so the solver times
@@ -671,36 +680,27 @@ def test_run_solver_timeout_leaves_no_process_behind(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
-@pytest.mark.parametrize("ending", ["timeout", "SIGINT"])
-def test_a_solver_leaves_no_process_behind(ending, tmp_path):
+def test_a_timed_out_solver_leaves_no_process_behind(tmp_path):
     # A wrapper solver that starts a background sleep, writes the sleep's
     # pid to a file of its own and hangs on one combo: when that combo
-    # times out, or the campaign is interrupted, the campaign kills the
-    # wrapper's whole process group, so the sleep is not left running.
+    # times out, the campaign kills the wrapper's whole process group, so
+    # the sleep is not left running.
     pids = tmp_path / "pids"
     solver = _fake_solver(tmp_path, f"""case "$1" in
 */cyc-id=1,delta=4.cnf) sleep 30 & echo $! >> {pids}; wait ;;
 *) echo "s UNSATISFIABLE" ;;
 esac
 """)
-    timeout = ["--timeout", "0.5"] if ending == "timeout" else []
     proc = _spawn_search("--group", "cyc", "--n", "2", "--max-rank", "7", "--solver", solver,
-                         "--workers", "2", *timeout, "--work-dir", str(tmp_path / "work"))
+                         "--workers", "2", "--timeout", "0.5", "--work-dir", str(tmp_path / "work"))
     try:
-        if ending == "SIGINT":
-            deadline = time.monotonic() + 60
-            while not (pids.exists() and pids.read_text().endswith("\n")):
-                assert proc.poll() is None, "the campaign ended before it was interrupted"
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-            os.kill(proc.pid, signal.SIGINT)
         proc.wait(60)
         _assert_gone(pids)  # before the campaign's own group is killed below
     finally:
         with suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(10)
-    assert (proc.returncode == EXIT_UNDETERMINED) if ending == "timeout" else proc.returncode != 0
+    assert proc.returncode == EXIT_UNDETERMINED
 
 
 def _strassen_literals() -> list[int]:
