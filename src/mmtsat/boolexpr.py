@@ -137,7 +137,8 @@ class Clauses:
 
 # The DIMACS text of each literal: "0\n" at 0, "v " at v and "-v " at -v
 # (from the end) for v = 1..(len - 1) // 2.  Shared by every instance and
-# only ever replaced by a larger table, so a thread keeps the one it read.
+# only ever replaced by a larger table, never changed in place, so a table
+# already handed out stays valid.
 _LIT_TEXT: list[str] = ["0\n"]
 # Instances with more variables render through a table of their own
 # literals, so one instance cannot make the shared table arbitrarily large.

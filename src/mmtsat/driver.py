@@ -4,7 +4,7 @@ Enumerates every orbit-count combination up to a rank bound and takes
 them in that order (hardest first) on one thread: each combo is encoded
 and its CNF written there, then its solver starts as a subprocess, and
 the next combo is encoded while up to `workers` solvers run.  One
-selector drains the solvers' output and enforces each one's timeout.
+selector watches the solvers' pidfds and enforces each one's timeout.
 The checkpoint is written when the campaign starts, at once when a
 combo is `sat`, after any other completion only if
 CHECKPOINT_INTERVAL_S has passed since the last write, and at the end
@@ -14,19 +14,21 @@ of rank 0, or one that `span.refute` rules out, is recorded `unsat`
 without a solver run.  The encoder gives a refuted combo the empty
 clause alone; its CNF is still written, and its `detail` is the
 encoder's comment saying why.
+A solver run ends when the solver exits (watched through a pidfd, so
+Linux >= 5.3), at its deadline, or when it is stopped; `_stop` then
+kills its process group, so nothing it started outlives it, reaps it
+and reads its output from an unlinked file.
 `_finish` maps every end of one solver run to a recorded state: a
 timeout, a solver that fails to start, an UNKNOWN answer, unparsable
 output or a model that does not decode (unassigned primaries) is
 recorded as `timeout`/`error` with its reason, and the campaign goes
 on.  A decoded model is verified independently; one that fails
 verification raises EncoderSoundnessError, because then the encoding
-itself is wrong.  No combo is encoded after the first `sat`; solvers
-still running then finish and are recorded.  On a raise or an
-interrupt, each running solver is killed and reaped, and its combo
-stays `pending` with its CNF removed, before the last checkpoint write.
-Each solver runs in a process group of its own, killed whole once its
-output ends or when it is stopped, so no process it started outlives
-it; should the campaign die first, even by SIGKILL, `_guard` kills it.
+itself is wrong.  After the first `sat`, a raise or an interrupt, no
+combo is encoded, each running solver is stopped, and its combo stays
+`pending` with its CNF removed, before the last checkpoint write.
+Should the campaign die first, even by SIGKILL, `_guard` kills the
+solvers' process groups.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ import signal
 import subprocess
 import tempfile
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 from time import monotonic
+from typing import IO
 
 from .boolexpr import write_bytes
 from .canonical import check_canonical, dump_symmetric
@@ -183,44 +186,57 @@ def _launch(run: _Run, sel: selectors.BaseSelector, solver_cmd: str, cnf_path: s
             timeout: float | None) -> None:
     """Start run's solver, the command template on a CNF file, in a new
     session and so a process group of its own, which _guard kills if this
-    process dies first; its stdout is registered with sel and its stderr
-    discarded.  OSError if it cannot start."""
+    process dies first.  Its stdout goes to an unlinked temporary file,
+    its stderr is discarded, and a pidfd that is ready once it exits is
+    registered with sel.  OSError if it cannot start or be watched; a
+    solver that started is then stopped first."""
     argv = [arg.replace("{cnf}", cnf_path) for arg in solver_argv(solver_cmd)]
-    run.proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                                start_new_session=True)
-    _tell_guard("+", run.proc.pid)
+    _guard()  # started before the solver, so that telling it cannot fail after
+    run.stdout = tempfile.TemporaryFile()
+    try:
+        run.proc = subprocess.Popen(argv, stdout=run.stdout, stderr=subprocess.DEVNULL,
+                                    start_new_session=True)
+        _tell_guard("+", run.proc.pid)
+        run.pidfd = os.pidfd_open(run.proc.pid)
+        sel.register(run.pidfd, selectors.EVENT_READ, run)
+    except BaseException:
+        _stop(run)
+        raise
     if timeout is not None:
         run.deadline = monotonic() + timeout
-    sel.register(run.proc.stdout, selectors.EVENT_READ, run)
 
 
-def _stop(proc: subprocess.Popen) -> None:
-    """Kill a solver's process group, reap the solver and close its pipe.
-    The group is killed only while the solver is unreaped, since its id
-    may be reused after that."""
-    if proc.returncode is None:
+def _stop(run: _Run) -> str:
+    """End run's solver, the one way a run ends: kill its process group,
+    so anything it left running, reap the solver, close its pidfd and
+    return what it wrote to stdout.  The group is killed while the
+    solver is still unreaped, since its id may be reused after that."""
+    if run.proc is not None:
         with suppress(ProcessLookupError):
-            os.killpg(proc.pid, signal.SIGKILL)
-        _tell_guard("-", proc.pid)
-    proc.wait()
-    proc.stdout.close()
+            os.killpg(run.proc.pid, signal.SIGKILL)
+        _tell_guard("-", run.proc.pid)
+        run.proc.wait()
+    if run.pidfd is not None:
+        os.close(run.pidfd)
+    with run.stdout:
+        run.stdout.seek(0)
+        return run.stdout.read().decode(errors="replace")
 
 
 def run_solver(solver_cmd: str, cnf_path: str, timeout: float | None):
     """Run the solver command template on a CNF file as a campaign runs
-    it; returns the parse of its output, or raises TimeoutExpired if its
-    output does not end within timeout."""
+    it; returns the parse of its output once it exits, or raises
+    TimeoutExpired if it has not exited within timeout."""
     run = _Run(None, "", 0.0)
     with selectors.DefaultSelector() as sel:
         _launch(run, sel, solver_cmd, str(cnf_path), timeout)
         try:
-            while not _ended(sel, timeout, block=True):
-                pass
+            exited = sel.select(timeout)
         finally:  # after an interrupt too
-            _stop(run.proc)
-    if isinstance(run.answer, subprocess.TimeoutExpired):
-        raise run.answer
-    return run.answer
+            output = _stop(run)
+    if not exited:
+        raise subprocess.TimeoutExpired(run.proc.args, timeout)
+    return parse_solver_output(output)
 
 
 # -- checkpointing ------------------------------------------------------------
@@ -413,41 +429,31 @@ class _Run:
     started: float
     varmap: object = None
     proc: subprocess.Popen | None = None
+    stdout: IO[bytes] | None = None  # the solver's, an unlinked file
+    pidfd: int | None = None  # ready once the solver exits
     deadline: float = inf
-    output: list[bytes] = field(default_factory=list)
     answer: object = None  # for _finish, once the solver has ended
 
 
 def _ended(sel: selectors.BaseSelector, timeout: float | None,
            block: bool) -> list[_Run]:
-    """The runs registered with sel whose output has ended or whose
+    """The runs registered with sel whose solver has exited or whose
     deadline has passed, each unregistered, stopped and given its answer.
-    Reads the output that is ready; with block, first waits until some
-    output is ready or the first deadline passes."""
+    With block, first waits until a solver exits or the first deadline
+    passes."""
     runs = [key.data for key in sel.get_map().values()]
     wait = 0.0
     if block:
         wait = min(run.deadline for run in runs) - monotonic()
         wait = None if wait == inf else max(wait, 0.0)
-    closed = []
-    for key, _ in sel.select(wait):
-        chunk = os.read(key.fd, 1 << 16)
-        if chunk:
-            key.data.output.append(chunk)
-        else:
-            closed.append(key.data)
+    exited = {key.data for key, _ in sel.select(wait)}
     now = monotonic()
-    ended = []
-    for run in runs:
-        if run in closed:  # its output is complete, so its group is killed
-            run.answer = parse_solver_output(b"".join(run.output).decode(errors="replace"))
-        elif run.deadline <= now:
-            run.answer = subprocess.TimeoutExpired(run.proc.args, timeout)
-        else:
-            continue
-        sel.unregister(run.proc.stdout)
-        _stop(run.proc)
-        ended.append(run)
+    ended = [run for run in runs if run in exited or run.deadline <= now]
+    for run in ended:
+        sel.unregister(run.pidfd)
+        output = _stop(run)
+        run.answer = (parse_solver_output(output) if run in exited
+                      else subprocess.TimeoutExpired(run.proc.args, timeout))
     return ended
 
 
@@ -500,7 +506,7 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
     found = any(st.state == "sat" for st in statuses.values())
     pending = [] if found else [s for s in specs if statuses[s].state == "pending"]
     live: list[_Run] = []  # encoding or solving, not yet recorded
-    sel = selectors.DefaultSelector()  # the running solvers' stdout
+    sel = selectors.DefaultSelector()  # the running solvers' pidfds
 
     def _record(run: _Run, state: str, detail: str) -> None:
         nonlocal changed, found
@@ -535,17 +541,17 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                         _record(run, *_finish(group, n, spec, run.stem, run.varmap, exc))
                 # A sat that ended while this combo was encoded stops the next one.
                 _settle(block=False)
-            while sel.get_map():  # solvers still running after a sat finish too
+            while sel.get_map() and not found:
                 _settle(block=True)
         finally:
-            # After a raise or an interrupt: each combo not recorded stays
-            # pending, so its solver is stopped and its CNF removed.
+            # After a sat, a raise or an interrupt: each combo not recorded
+            # stays pending, so its solver is stopped and its CNF removed.
+            for key in list(sel.get_map().values()):
+                _stop(key.data)
+            sel.close()
             for run in live:
-                if run.proc is not None:
-                    _stop(run.proc)
                 with suppress(FileNotFoundError):
                     os.unlink(run.stem + ".cnf")
-            sel.close()
             _save(now=True)
     finally:  # even when a checkpoint write raises
         if own_work_dir:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -304,8 +305,7 @@ def test_solve_combo_complete_wrong_model_raises(tmp_path):
 # max-rank-7 campaign to reach the solver, and the state and detail it
 # ends in; the four other combos that reach the solver are UNSAT.  Only
 # the hanging reply runs under a 0.5 s timeout; the others have 60 s, so
-# a campaign that stopped reading a solver's output ends in a timeout,
-# not a hang.
+# a campaign that missed a solver's exit ends in a timeout, not a hang.
 _FAULTS = {
     "partial model": (r"printf 's SATISFIABLE\nv 1 -2 0\n'", "error",
                       "incomplete model: model does not assign variable 3"),
@@ -493,10 +493,10 @@ def test_campaign_checkpoint_writes_follow_the_clock(tmp_path, monkeypatch):
     # with the first; the other five follow within 1 s of it.
     assert campaign([0.5, 0.5] + [0.1] * 5, "b.json").verdict() == "ruled_out"
     assert writes == ["ppppppp", "uuppppp", "uuuuuuu"]
-    # A sat is written at once (with a combo still running after it, see
-    # test_campaign_sat_short_circuit_with_two_workers); nothing changes
-    # after it, so the end writes nothing, and neither does a resume of
-    # the finished campaign.
+    # A sat is written at once.  It stops the solvers still running, whose
+    # combos stay pending (see test_campaign_sat_short_circuit_with_two_workers),
+    # so nothing changes after it: the end writes nothing, and neither
+    # does a resume of the finished campaign.
     assert campaign([0.1] * 7, "c.json", sat=specs[2]).verdict() == "found"
     assert writes == ["ppppppp", "uuspppp"]
     assert campaign([0.1] * 7, "c.json").verdict() == "found"
@@ -703,6 +703,80 @@ esac
     assert proc.returncode == EXIT_UNDETERMINED
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
+def test_a_run_ends_when_its_solver_exits(tmp_path):
+    # The wrapper answers and exits, leaving a background sleep that holds
+    # its stdout.  The run ends at the wrapper's exit, not at its deadline,
+    # and the sleep is killed with the wrapper's process group.
+    pids = tmp_path / "pids"
+    solver = _fake_solver(tmp_path, f'sleep 30 & echo $! >> {pids}; echo "s UNSATISFIABLE"\n')
+    assert run_solver(solver, str(tmp_path / "x.cnf"), 5) == ("unsat", None)
+    _assert_gone(pids)
+    pids.unlink()
+    started = time.monotonic()
+    report = run_campaign(GroupId.CYCLIC, 2, 7, solver, workers=2, timeout=5,
+                          work_dir=str(tmp_path / "work"))
+    assert time.monotonic() - started < 3
+    assert {st.state for st in report.statuses} == {"unsat"}
+    assert len(pids.read_text().split()) == 5  # one per solver combo
+    _assert_gone(pids)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
+def test_a_solver_that_cannot_be_watched_is_stopped_and_recorded(tmp_path, monkeypatch):
+    # pidfd_open fails once the solver has started: the solver is killed
+    # and reaped before its combo, the one of cyc n=2 up to rank 4 that
+    # reaches a solver, is recorded `error`.
+    pids = tmp_path / "pids"
+
+    def pidfd_open(pid, *args):
+        with open(pids, "a") as fh:
+            fh.write(f"{pid}\n")
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "pidfd_open", pidfd_open)
+    solver = _fake_solver(tmp_path, "exec sleep 30\n")
+    report = run_campaign(GroupId.CYCLIC, 2, 4, solver, timeout=10,
+                          work_dir=str(tmp_path / "work"))
+    _assert_gone(pids)
+    errors = [st for st in report.statuses if st.state == "error"]
+    assert [st.detail for st in errors] == [
+        f"solver failed to run: [Errno {errno.EMFILE}] {os.strerror(errno.EMFILE)}"]
+    assert {st.state for st in report.statuses if st not in errors} == {"unsat"}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("ending", ["unsat", "timeout", "sat", "soundness error"])
+def test_a_campaign_leaves_no_fd_open(ending, tmp_path):
+    # A pidfd left open raises no ResourceWarning, so this counts this
+    # process's fds around an in-process cyc n=2 campaign up to rank 7
+    # with 2 workers.  Its first solver combo, id=1,delta=4, hangs but
+    # under "unsat".  Its second, id=2,delta=1, gets Strassen's model
+    # under "sat", and under "soundness error" that model with every
+    # primary false, which fails verification.  Other solvers answer UNSAT.
+    lits = _strassen_literals()
+    if ending == "soundness error":
+        lits = [-abs(lit) for lit in lits]
+    model = tmp_path / "model.txt"
+    model.write_text(f"s SATISFIABLE\nv {' '.join(map(str, lits))} 0\n")
+    cases = "*/cyc-id=1,delta=4.cnf) exec sleep 30 ;;\n" if ending != "unsat" else ""
+    if ending in ("sat", "soundness error"):
+        cases += f"*/cyc-id=2,delta=1.cnf) cat {model} ;;\n"
+    solver = _fake_solver(tmp_path, f'case "$1" in\n{cases}*) echo "s UNSATISFIABLE" ;;\nesac\n')
+    driver._guard()  # its pipe is opened once per process
+    before = len(os.listdir("/proc/self/fd"))
+    try:
+        report = run_campaign(GroupId.CYCLIC, 2, 7, solver, workers=2,
+                              timeout=0.5 if ending == "timeout" else None,
+                              work_dir=str(tmp_path / "work"))
+    except EncoderSoundnessError:
+        assert ending == "soundness error"
+    else:
+        assert report.verdict() == {"unsat": "ruled_out", "timeout": "undetermined",
+                                    "sat": "found"}[ending]
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def _strassen_literals() -> list[int]:
     """The primaries of cyc n=2 id=2,delta=1 set to Strassen's
     decomposition mod 2, which is cyc-symmetric, in canonical form."""
@@ -723,8 +797,8 @@ def test_only_finished_combos_keep_their_cnf(ending, tmp_path):
     # combo, id=2,delta=1, gets Strassen's model, or that model with every
     # primary false, which fails verification; the first, id=1,delta=4,
     # answers UNSAT after 1 s, so it is still running then.  After a sat
-    # it finishes and is recorded; after the raise it is killed and stays
-    # pending.  Either way, only finished combos keep their CNF.
+    # or the raise, it is killed and stays pending, and only finished
+    # combos keep their CNF.
     lits = _strassen_literals()
     if ending != "sat":
         lits = [-abs(lit) for lit in lits]
@@ -746,60 +820,61 @@ esac
         report = campaign()
         assert report.verdict() == "found"
         assert report.decomposition_path == str(work / "cyc-id=2,delta=1.json")
-        assert {st.spec.label(): st.state for st in report.statuses}["id=1,delta=4"] == "unsat"
     else:
         with pytest.raises(EncoderSoundnessError, match="id=2,delta=1"):
             campaign()
     combos = load_checkpoint(ckpt)["combos"]
     states = {json.dumps(c["counts"], sort_keys=True): c["state"] for c in combos}
-    assert "pending" in states.values()
-    if ending != "sat":
-        assert states[json.dumps({"delta": 4, "id": 1})] == "pending"
+    assert states[json.dumps({"delta": 4, "id": 1})] == "pending"
     _assert_only_finished_combos_keep_a_cnf(work, GroupId.CYCLIC, combos)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
 def test_campaign_sat_short_circuit_with_two_workers(tmp_path, monkeypatch):
-    # Every combo reaches the solver, which answers SAT at once on all but
-    # the first combo; on the first it answers UNSAT once the sat is
-    # recorded, so it is still running then.
+    # Every combo reaches the solver.  On the first combo it waits for a
+    # background sleep of 30 s, recording both pids; on every other combo
+    # it answers SAT once the first has started.  The sat stops the first
+    # solver and its process group at once: its combo stays pending
+    # without a CNF.
     specs = enumerate_combos(GroupId.CYCLIC, 7)
     first, winner = specs[0], specs[1]
-    sat_recorded = tmp_path / "sat-recorded"
-    original = driver.write_checkpoint
+    pids, running = tmp_path / "pids", tmp_path / "running"
 
-    def write(path, group, n, max_rank, statuses):
-        original(path, group, n, max_rank, statuses)
-        if any(st.state == "sat" for st in statuses):
-            sat_recorded.touch()
+    def prepare(group, n, spec, stem):
+        open(stem + ".cnf", "w").close()
+        return {}, ""
 
     def finish(group, n, spec, stem, varmap, answer):
         return ("sat", "found.json") if answer[0] == "sat" else ("unsat", "")
 
-    monkeypatch.setattr(driver, "write_checkpoint", write)
-    monkeypatch.setattr(driver, "_prepare", lambda *args: ({}, ""))
+    monkeypatch.setattr(driver, "_prepare", prepare)
     monkeypatch.setattr(driver, "_finish", finish)
     solver = _fake_solver(tmp_path, f"""case "$1" in
 */cyc-{first.label()}.cnf)
+  echo $$ >> {pids}
+  sleep 30 &
+  echo $! >> {pids}
+  : > {running}
+  wait ;;
+*)
   i=0
-  while [ ! -e {sat_recorded} ] && [ $i -lt 1000 ]; do sleep 0.01; i=$((i + 1)); done
-  echo "s UNSATISFIABLE" ;;
-*) echo "s SATISFIABLE" ;;
+  while [ ! -e {running} ] && [ $i -lt 1000 ]; do sleep 0.01; i=$((i + 1)); done
+  echo "s SATISFIABLE" ;;
 esac
 """)
-    ckpt = tmp_path / "ckpt.json"
+    ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
+    started = time.monotonic()
     report = run_campaign(GroupId.CYCLIC, 2, 7, solver, workers=2,
-                          checkpoint_path=str(ckpt),
-                          work_dir=str(tmp_path / "work"))
+                          checkpoint_path=str(ckpt), work_dir=str(work))
+    assert time.monotonic() - started < 5
+    _assert_gone(pids)
     assert report.verdict() == "found"
     assert report.decomposition_path == "found.json"
-    by_spec = {st.spec: st.state for st in report.statuses}
-    assert by_spec[winner] == "sat"
-    assert by_spec[first] == "unsat"  # finished after the sat, still recorded
-    states = list(by_spec.values())
-    assert set(states) == {"sat", "unsat", "pending"}
-    assert states.count("pending") >= len(specs) - 4
-    assert load_checkpoint(ckpt) == checkpoint_to_json(
-        GroupId.CYCLIC, 2, 7, report.statuses)
+    assert {st.spec: st.state for st in report.statuses} == {
+        **{spec: "pending" for spec in specs}, winner: "sat"}
+    data = load_checkpoint(ckpt)
+    assert data == checkpoint_to_json(GroupId.CYCLIC, 2, 7, report.statuses)
+    _assert_only_finished_combos_keep_a_cnf(work, GroupId.CYCLIC, data["combos"])
 
 
 @pytest.mark.parametrize("workers", [1, 4])
