@@ -21,7 +21,7 @@ from .canonical import (
 )
 from .driver import ComboSpec, run_campaign, solve_combo, solver_argv
 from .encoder import encode
-from .symmetry import GroupId, check_n, is_group_symmetric, orbit_kinds
+from .symmetry import GroupId, is_group_symmetric, orbit_kinds
 from .tensor import json_typed, load_decomposition, verify
 
 EXIT_OK = 0
@@ -37,7 +37,8 @@ def _parse_combo(text: str, group: GroupId) -> dict[str, int]:
         if not part:
             continue
         tag, _, value = part.partition("=")
-        if tag not in tags or not value.isdigit():
+        # ASCII digits only: str.isdigit alone also takes "²", and int() reads "١" as 1.
+        if tag not in tags or not (value.isascii() and value.isdigit()):
             raise ValueError(f"bad combo entry {part!r}; known kinds: {sorted(tags)}")
         if tag in combo:
             raise ValueError(f"combo entry {part!r} repeats kind {tag!r}")
@@ -164,8 +165,6 @@ def _cmd_solve_one(args) -> int:
     solver = _resolve_solver(args)
     kinds = orbit_kinds(group)
     spec = ComboSpec(group, tuple((k.tag, combo.get(k.tag, 0)) for k in kinds))
-    check_n(group, args.n)  # before the work dir is made
-    os.makedirs(args.work_dir, exist_ok=True)
     status = solve_combo(group, args.n, spec, solver, args.timeout, args.work_dir)
     payload = {"state": status.state, "seconds": round(status.seconds, 3),
                "combo": spec.counts_dict(), "detail": status.detail}

@@ -25,10 +25,14 @@ recorded as `timeout`/`error` with its reason, and the campaign goes
 on.  A decoded model is verified independently; one that fails
 verification raises EncoderSoundnessError, because then the encoding
 itself is wrong.  After the first `sat`, a raise or an interrupt, no
-combo is encoded, each running solver is stopped, and its combo stays
-`pending` with its CNF removed, before the last checkpoint write.
-Should the campaign die first, even by SIGKILL, `_guard` kills the
-solvers' process groups.
+combo is encoded, and each running solver is stopped and its combo
+left `pending`, before the last checkpoint write.  Should the campaign
+die first, even by SIGKILL, `_guard` kills the solvers' process groups.
+One rule, applied as a campaign ends however it ends, decides which
+CNF files stay: a `pending` combo keeps none, and in a work dir the
+campaign made itself no combo keeps one.
+The two entry points, `run_campaign` and `solve_combo`, each check n
+and make the work dir before any combo is encoded.
 """
 
 from __future__ import annotations
@@ -93,21 +97,20 @@ def enumerate_combos(group: GroupId, max_rank: int) -> list[ComboSpec]:
     if max_rank < 0:
         raise ValueError("max_rank must be nonnegative")
     kinds = orbit_kinds(group)
-    combos: list[tuple[int, ...]] = []
+    combos: list[tuple[int, tuple[int, ...]]] = []  # (-rank, counts)
 
     def rec(pos: int, acc: tuple[int, ...], used: int) -> None:
         if pos == len(kinds):
-            combos.append(acc)
+            combos.append((-used, acc))
             return
         w = kinds[pos].weight
         for c in range((max_rank - used) // w + 1):
             rec(pos + 1, acc + (c,), used + w * c)
 
     rec(0, (), 0)
-    specs = [ComboSpec(group, tuple(zip((k.tag for k in kinds), counts)))
-             for counts in combos]
-    specs.sort(key=lambda s: (-s.total_rank(), tuple(c for _, c in s.counts)))
-    return specs
+    combos.sort()
+    tags = [k.tag for k in kinds]
+    return [ComboSpec(group, tuple(zip(tags, counts))) for _, counts in combos]
 
 
 # -- solver subprocess --------------------------------------------------------
@@ -342,12 +345,10 @@ class CampaignReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "group": self.group.value, "dims": self.n, "max_rank": self.max_rank,
-            "verdict": self.verdict(), "wall_seconds": round(self.wall_seconds, 3),
-            "solver": self.solver, "decomposition": self.decomposition_path,
-            "combos": [_combo_record(st) for st in self.statuses],
-        }
+        """The checkpoint JSON of these statuses, plus the verdict and run facts."""
+        return {**checkpoint_to_json(self.group, self.n, self.max_rank, self.statuses),
+                "verdict": self.verdict(), "wall_seconds": round(self.wall_seconds, 3),
+                "solver": self.solver, "decomposition": self.decomposition_path}
 
 
 def _stem(group: GroupId, spec: ComboSpec, work_dir: str) -> str:
@@ -355,10 +356,9 @@ def _stem(group: GroupId, spec: ComboSpec, work_dir: str) -> str:
 
 
 def _prepare(group: GroupId, n: int, spec: ComboSpec, stem: str):
-    """Check n, then encode one combo and write its CNF to stem + ".cnf".
-    Returns (varmap, "") for a combo that its solver must decide, or
-    (None, detail) for one decided `unsat` here."""
-    check_n(group, n)
+    """Encode one combo and write its CNF to stem + ".cnf".  Returns
+    (varmap, "") for a combo that its solver must decide, or (None,
+    detail) for one decided `unsat` here."""
     if spec.total_rank() == 0:
         # The empty decomposition cannot equal a nonzero tensor.
         return None, "rank 0: empty decomposition, no solver run"
@@ -406,8 +406,11 @@ def _finish(group: GroupId, n: int, spec: ComboSpec, stem: str, varmap,
 
 def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
                 timeout: float | None, work_dir: str) -> ComboStatus:
-    """Encode one combo, run the solver, and verify any model."""
+    """Check n, make work_dir if it is missing, encode one combo, run the
+    solver, and verify any model."""
     started = monotonic()
+    check_n(group, n)  # before the work dir is made
+    os.makedirs(work_dir, exist_ok=True)
     stem = _stem(group, spec, work_dir)
     varmap, detail = _prepare(group, n, spec, stem)
     state = "unsat"
@@ -463,11 +466,11 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                  work_dir: str | None = None) -> CampaignReport:
     """Solve every combo up to max_rank until the first sat, with at
     most `workers` solvers running at once.  Without a work_dir, a fresh
-    temp dir is used; its CNF files are deleted at the end and any found
-    pair stays in it.  Combos are recorded one at a time as they finish,
-    so when one raises EncoderSoundnessError, the combos that finished
-    with it but were not yet recorded stay `pending` and run again on
-    resume."""
+    temp dir is used; every combo's CNF in it is deleted at the end, and
+    so is the dir unless a found pair stays in it.  Combos are recorded
+    one at a time as they finish, so when one raises
+    EncoderSoundnessError, the combos that finished with it but were not
+    yet recorded stay `pending` and run again on resume."""
     started = monotonic()
     check_n(group, n)  # before the checkpoint or the work dir is touched
     specs = enumerate_combos(group, max_rank)
@@ -505,14 +508,12 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
 
     found = any(st.state == "sat" for st in statuses.values())
     pending = [] if found else [s for s in specs if statuses[s].state == "pending"]
-    live: list[_Run] = []  # encoding or solving, not yet recorded
     sel = selectors.DefaultSelector()  # the running solvers' pidfds
 
     def _record(run: _Run, state: str, detail: str) -> None:
         nonlocal changed, found
         statuses[run.spec] = ComboStatus(run.spec, state, monotonic() - run.started,
                                          solver_cmd, detail)
-        live.remove(run)
         changed = True
         found = found or state == "sat"
         _save(now=state == "sat")
@@ -530,7 +531,6 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                 if found:
                     break
                 run = _Run(spec, _stem(group, spec, work_dir), monotonic())
-                live.append(run)
                 run.varmap, detail = _prepare(group, n, spec, run.stem)
                 if run.varmap is None:
                     _record(run, "unsat", detail)
@@ -545,21 +545,20 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                 _settle(block=True)
         finally:
             # After a sat, a raise or an interrupt: each combo not recorded
-            # stays pending, so its solver is stopped and its CNF removed.
+            # stays pending, so its solver is stopped.
             for key in list(sel.get_map().values()):
                 _stop(key.data)
             sel.close()
-            for run in live:
-                with suppress(FileNotFoundError):
-                    os.unlink(run.stem + ".cnf")
             _save(now=True)
     finally:  # even when a checkpoint write raises
-        if own_work_dir:
-            for name in os.listdir(work_dir):
-                if name.endswith(".cnf"):
-                    os.unlink(os.path.join(work_dir, name))
-            if not os.listdir(work_dir):
-                os.rmdir(work_dir)
+        # The one CNF rule: a pending combo keeps no CNF, nor does any
+        # combo in a work dir the campaign made itself.
+        for spec in specs:
+            if own_work_dir or statuses[spec].state == "pending":
+                with suppress(FileNotFoundError):
+                    os.unlink(_stem(group, spec, work_dir) + ".cnf")
+        if own_work_dir and not os.listdir(work_dir):
+            os.rmdir(work_dir)
 
     return CampaignReport(group, n, max_rank, [statuses[s] for s in specs],
                           wall_seconds=monotonic() - started,

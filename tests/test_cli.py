@@ -87,6 +87,12 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert main(["encode", "--group", "cyc", "--n", "2",
                  "--combo", "id=1,id=2", "--out", str(out)]) == 1
     assert "repeats kind 'id'" in capsys.readouterr().err
+    # A count is ASCII digits: a superscript two is not one, nor is an
+    # Arabic-Indic one read as 1.
+    for combo in ("id=²", "id=١"):
+        assert main(["encode", "--group", "cyc", "--n", "2",
+                     "--combo", combo, "--out", str(out)]) == 1
+        assert f"error: bad combo entry {combo!r}; known kinds: " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -668,6 +668,44 @@ def test_interrupted_campaign_stops_its_solvers_at_once(tmp_path):
     _assert_only_finished_combos_keep_a_cnf(work, GroupId.CYCLIC, combos)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_an_interrupted_campaign_stops_its_solvers_itself(tmp_path, monkeypatch):
+    # The same interrupt in this process, which lives on, so `_guard`
+    # never acts: the campaign's first solver combo, id=1,delta=4, waits
+    # for a background sleep of 30 s, and a KeyboardInterrupt comes once
+    # the second, id=2,delta=1, has written its CNF and the first has
+    # recorded both pids.  The campaign itself kills the solver's group,
+    # both combos stay pending without a CNF, and no fd stays open.
+    pids = tmp_path / "pids"
+    solver = _fake_solver(tmp_path, f"echo $$ >> {pids}\nsleep 30 &\necho $! >> {pids}\nwait\n")
+    original_prepare = driver._prepare
+
+    def prepare(group, n, spec, stem):
+        result = original_prepare(group, n, spec, stem)
+        if spec.counts_dict() == {"id": 2, "delta": 1}:
+            deadline = time.monotonic() + 10
+            while not (pids.exists() and len(pids.read_text().split()) == 2):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+        return result
+
+    monkeypatch.setattr(driver, "_prepare", prepare)
+    ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
+    driver._guard()  # its pipe is opened once per process
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(GroupId.CYCLIC, 2, 7, solver, workers=2,
+                     checkpoint_path=str(ckpt), work_dir=str(work))
+    _assert_gone(pids)
+    assert len(os.listdir("/proc/self/fd")) == before
+    combos = load_checkpoint(ckpt)["combos"]
+    states = {json.dumps(c["counts"], sort_keys=True): c["state"] for c in combos}
+    assert states[json.dumps({"delta": 4, "id": 1})] == "pending"
+    assert states[json.dumps({"delta": 1, "id": 2})] == "pending"
+    _assert_only_finished_combos_keep_a_cnf(work, GroupId.CYCLIC, combos)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
 def test_run_solver_timeout_leaves_no_process_behind(tmp_path):
     # The wrapper's background sleep holds its stdout, so the solver times
