@@ -28,6 +28,9 @@ EXIT_OK = 0
 EXIT_FOUND = 10
 EXIT_UNDETERMINED = 20
 EXIT_ERROR = 1
+# The exit code of each combo state (solve-one) and campaign verdict (search).
+_EXIT = {"sat": EXIT_FOUND, "unsat": EXIT_OK, "timeout": EXIT_UNDETERMINED, "error": EXIT_ERROR,
+         "found": EXIT_FOUND, "ruled_out": EXIT_OK, "undetermined": EXIT_UNDETERMINED}
 
 
 def _parse_combo(text: str, group: GroupId) -> dict[str, int]:
@@ -168,17 +171,10 @@ def _cmd_solve_one(args) -> int:
     status = solve_combo(group, args.n, spec, solver, args.timeout, args.work_dir)
     payload = {"state": status.state, "seconds": round(status.seconds, 3),
                "combo": spec.counts_dict(), "detail": status.detail}
-    if status.state == "sat":
-        _emit(args, f"SAT: decomposition written to {status.detail}", payload)
-        return EXIT_FOUND
-    if status.state == "unsat":
-        _emit(args, f"UNSAT: {status.detail}" if status.detail else "UNSAT", payload)
-        return EXIT_OK
-    if status.state == "timeout":
-        _emit(args, f"timeout: {status.detail}", payload)
-        return EXIT_UNDETERMINED
-    _emit(args, f"error: {status.detail}", payload)
-    return EXIT_ERROR
+    line = {"sat": f"SAT: decomposition written to {status.detail}",
+            "unsat": f"UNSAT: {status.detail}" if status.detail else "UNSAT"}
+    _emit(args, line.get(status.state, f"{status.state}: {status.detail}"), payload)
+    return _EXIT[status.state]
 
 
 def _cmd_search(args) -> int:
@@ -189,12 +185,7 @@ def _cmd_search(args) -> int:
                           checkpoint_path=args.checkpoint,
                           work_dir=args.work_dir)
     _emit(args, report.render_table(), report.to_json())
-    verdict = report.verdict()
-    if verdict == "found":
-        return EXIT_FOUND
-    if verdict == "ruled_out":
-        return EXIT_OK
-    return EXIT_UNDETERMINED
+    return _EXIT[report.verdict()]
 
 
 def _cmd_verify(args) -> int:

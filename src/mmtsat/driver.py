@@ -18,13 +18,19 @@ A solver run ends when the solver exits (watched through a pidfd, so
 Linux >= 5.3), at its deadline, or when it is stopped; `_stop` then
 kills its process group, so nothing it started outlives it, reaps it
 and reads its output from an unlinked file.
-`_finish` maps every end of one solver run to a recorded state: a
-timeout, a solver that fails to start, an UNKNOWN answer, unparsable
-output or a model that does not decode (unassigned primaries) is
-recorded as `timeout`/`error` with its reason, and the campaign goes
-on.  A decoded model is verified independently; one that fails
-verification raises EncoderSoundnessError, because then the encoding
-itself is wrong.  After the first `sat`, a raise or an interrupt, no
+Every end of a combo is one answer, a (result, payload) pair on its
+`_Run`: `_prepare` gives a combo it decides ("unsat", detail), `_launch`
+gives a solver that fails to start ("error", reason), `_ended` gives a
+solver past its deadline ("timeout", ...) and the parse of the output
+of one that exited.  `_finish` alone maps an answer to a recorded state,
+in a campaign and in `solve_combo` alike: a timeout, a solver that
+fails to start, an UNKNOWN answer, unparsable output, a model that does
+not decode (unassigned primaries) or one that falsifies a clause of the
+combo's CNF is recorded as `timeout`/`error` with its reason, and the
+campaign goes on.  A model of the CNF is then verified independently;
+one that fails verification, the symmetry check or the canonical check
+raises EncoderSoundnessError, because then the encoding itself is
+wrong.  After the first `sat`, a raise or an interrupt, no
 combo is encoded, and each running solver is stopped and its combo
 left `pending`, before the last checkpoint write.  Should the campaign
 die first, even by SIGKILL, `_guard` kills the solvers' process groups.
@@ -32,7 +38,8 @@ One rule, applied as a campaign ends however it ends, decides which
 CNF files stay: a `pending` combo keeps none, and in a work dir the
 campaign made itself no combo keeps one.
 The two entry points, `run_campaign` and `solve_combo`, each check n
-and make the work dir before any combo is encoded.
+and make the work dir before any combo is encoded; then both take a
+combo through `_prepare`, its solver and `_finish`.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from math import inf
 from time import monotonic
 from typing import IO
 
-from .boolexpr import write_bytes
+from .boolexpr import Clauses, write_bytes
 from .canonical import check_canonical, dump_symmetric
 from .encoder import DecodeError, decode, empty_clause_comment, encode
 from .span import refute
@@ -191,8 +198,8 @@ def _launch(run: _Run, sel: selectors.BaseSelector, solver_cmd: str, cnf_path: s
     session and so a process group of its own, which _guard kills if this
     process dies first.  Its stdout goes to an unlinked temporary file,
     its stderr is discarded, and a pidfd that is ready once it exits is
-    registered with sel.  OSError if it cannot start or be watched; a
-    solver that started is then stopped first."""
+    registered with sel.  If it cannot start or be watched, a solver that
+    started is stopped and run is answered ("error", reason)."""
     argv = [arg.replace("{cnf}", cnf_path) for arg in solver_argv(solver_cmd)]
     _guard()  # started before the solver, so that telling it cannot fail after
     run.stdout = tempfile.TemporaryFile()
@@ -202,7 +209,10 @@ def _launch(run: _Run, sel: selectors.BaseSelector, solver_cmd: str, cnf_path: s
         _tell_guard("+", run.proc.pid)
         run.pidfd = os.pidfd_open(run.proc.pid)
         sel.register(run.pidfd, selectors.EVENT_READ, run)
-    except BaseException:
+    except OSError as exc:
+        _stop(run)
+        run.answer = ("error", f"solver failed to run: {exc}")
+    except BaseException:  # an interrupt
         _stop(run)
         raise
     if timeout is not None:
@@ -228,18 +238,20 @@ def _stop(run: _Run) -> str:
 
 def run_solver(solver_cmd: str, cnf_path: str, timeout: float | None):
     """Run the solver command template on a CNF file as a campaign runs
-    it; returns the parse of its output once it exits, or raises
-    TimeoutExpired if it has not exited within timeout."""
+    it, and return its answer: the parse of its output once it exits,
+    ("timeout", "timeout after <t>s") if it has not exited within
+    timeout, or ("error", "solver failed to run: ...") if it could not
+    start.  ValueError if the template has no {cnf} placeholder."""
     run = _Run(None, "", 0.0)
     with selectors.DefaultSelector() as sel:
         _launch(run, sel, solver_cmd, str(cnf_path), timeout)
         try:
-            exited = sel.select(timeout)
+            while sel.get_map():
+                _ended(sel, timeout, block=True)
         finally:  # after an interrupt too
-            output = _stop(run)
-    if not exited:
-        raise subprocess.TimeoutExpired(run.proc.args, timeout)
-    return parse_solver_output(output)
+            if sel.get_map():
+                _stop(run)
+    return run.answer
 
 
 # -- checkpointing ------------------------------------------------------------
@@ -355,40 +367,41 @@ def _stem(group: GroupId, spec: ComboSpec, work_dir: str) -> str:
     return os.path.join(work_dir, f"{group.value}-{spec.label()}")
 
 
-def _prepare(group: GroupId, n: int, spec: ComboSpec, stem: str):
-    """Encode one combo and write its CNF to stem + ".cnf".  Returns
-    (varmap, "") for a combo that its solver must decide, or (None,
-    detail) for one decided `unsat` here."""
+def _prepare(group: GroupId, n: int, run: _Run) -> None:
+    """Encode run's combo and write its CNF to run.stem + ".cnf", keeping
+    its literals and varmap on run for _finish; a combo decided `unsat`
+    here is answered ("unsat", detail) and needs no solver."""
+    spec = run.spec
     if spec.total_rank() == 0:
         # The empty decomposition cannot equal a nonzero tensor.
-        return None, "rank 0: empty decomposition, no solver run"
-    cnf, varmap = encode(group, n, spec.counts_dict())
-    cnf.write(stem + ".cnf")
+        run.answer = ("unsat", "rank 0: empty decomposition, no solver run")
+        return
+    cnf, run.varmap = encode(group, n, spec.counts_dict())
+    cnf.write(run.stem + ".cnf")
+    run.lits = cnf.lits
     refutation = refute(group, n, spec.counts_dict())  # cached: encode decided it
     if refutation is not None:
-        return None, empty_clause_comment(refutation) + ", no solver run"
-    return varmap, ""
+        run.answer = ("unsat", empty_clause_comment(refutation) + ", no solver run")
 
 
-def _finish(group: GroupId, n: int, spec: ComboSpec, stem: str, varmap,
-            answer) -> tuple[str, str]:
-    """(state, detail) for every way one solver run can end: answer is
-    the parse of its output, or the TimeoutExpired or OSError that ended
-    it.  A model is decoded, verified, checked canonical and dumped
-    beside the CNF; one that fails a check raises EncoderSoundnessError."""
-    if isinstance(answer, subprocess.TimeoutExpired):
-        return "timeout", f"timeout after {answer.timeout}s"
-    if isinstance(answer, OSError):
-        return "error", f"solver failed to run: {answer}"
-    result, payload = answer
-    if result == "unsat":
-        return "unsat", ""
+def _finish(group: GroupId, n: int, run: _Run) -> tuple[str, str]:
+    """(state, detail) for every end of a combo, read from run.answer: an
+    UNKNOWN or unparsable answer is an `error`, and every other result but
+    `sat` is its own state.  A model is decoded, checked against the
+    combo's CNF, verified, checked symmetric and canonical, and dumped
+    beside the CNF; a model of the CNF that fails a check after that
+    raises EncoderSoundnessError."""
+    result, payload = run.answer
     if result != "sat":
-        return "error", payload
+        return ("error" if result == "unknown" else result), payload or ""
     try:
-        sd, d = decode(payload, varmap, group, n)
+        sd, d = decode(payload, run.varmap, group, n)
     except DecodeError as exc:
         return "error", str(exc)
+    true = {v if value else -v for v, value in payload.items()}
+    for i, clause in enumerate(Clauses(run.lits), 1):
+        if true.isdisjoint(clause):
+            return "error", f"model falsifies CNF clause {i}: {' '.join(map(str, clause))} 0"
     problems = []
     if not verify(d):
         problems.append("decoded decomposition does not evaluate to the target")
@@ -398,44 +411,41 @@ def _finish(group: GroupId, n: int, spec: ComboSpec, stem: str, varmap,
     if violations:
         problems.append(f"canonical-form violations: {violations}")
     if problems:
-        raise EncoderSoundnessError(f"combo {spec.label()}: " + "; ".join(problems))
-    dump_decomposition(d, stem + ".json")
-    dump_symmetric(sd, stem + ".json.sym")
-    return "sat", stem + ".json"
+        raise EncoderSoundnessError(f"combo {run.spec.label()}: " + "; ".join(problems))
+    dump_decomposition(d, run.stem + ".json")
+    dump_symmetric(sd, run.stem + ".json.sym")
+    return "sat", run.stem + ".json"
 
 
 def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
                 timeout: float | None, work_dir: str) -> ComboStatus:
-    """Check n, make work_dir if it is missing, encode one combo, run the
-    solver, and verify any model."""
-    started = monotonic()
+    """Check n, make work_dir if it is missing, and take one combo through
+    a campaign's steps: _prepare, the solver unless that decided it, and
+    _finish."""
+    run = _Run(spec, _stem(group, spec, work_dir), monotonic())
     check_n(group, n)  # before the work dir is made
     os.makedirs(work_dir, exist_ok=True)
-    stem = _stem(group, spec, work_dir)
-    varmap, detail = _prepare(group, n, spec, stem)
-    state = "unsat"
-    if varmap is not None:
-        try:
-            answer = run_solver(solver_cmd, stem + ".cnf", timeout)
-        except (subprocess.TimeoutExpired, OSError) as exc:
-            answer = exc
-        state, detail = _finish(group, n, spec, stem, varmap, answer)
-    return ComboStatus(spec, state, monotonic() - started, solver_cmd, detail)
+    _prepare(group, n, run)
+    if run.answer is None:
+        run.answer = run_solver(solver_cmd, run.stem + ".cnf", timeout)
+    state, detail = _finish(group, n, run)
+    return ComboStatus(spec, state, monotonic() - run.started, solver_cmd, detail)
 
 
 @dataclass(eq=False)
 class _Run:
-    """One combo of a campaign, from the start of its encode until it is
-    recorded, or the one solver of run_solver."""
+    """One combo, from the start of its encode until it is recorded, or
+    the one solver of run_solver."""
     spec: ComboSpec
     stem: str
     started: float
     varmap: object = None
+    lits: list[int] | None = None  # the CNF's clauses, each ended by a 0
     proc: subprocess.Popen | None = None
     stdout: IO[bytes] | None = None  # the solver's, an unlinked file
     pidfd: int | None = None  # ready once the solver exits
     deadline: float = inf
-    answer: object = None  # for _finish, once the solver has ended
+    answer: tuple | None = None  # (result, payload) for _finish, once the combo has ended
 
 
 def _ended(sel: selectors.BaseSelector, timeout: float | None,
@@ -456,7 +466,7 @@ def _ended(sel: selectors.BaseSelector, timeout: float | None,
         sel.unregister(run.pidfd)
         output = _stop(run)
         run.answer = (parse_solver_output(output) if run in exited
-                      else subprocess.TimeoutExpired(run.proc.args, timeout))
+                      else ("timeout", f"timeout after {timeout}s"))
     return ended
 
 
@@ -510,8 +520,9 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
     pending = [] if found else [s for s in specs if statuses[s].state == "pending"]
     sel = selectors.DefaultSelector()  # the running solvers' pidfds
 
-    def _record(run: _Run, state: str, detail: str) -> None:
+    def _record(run: _Run) -> None:
         nonlocal changed, found
+        state, detail = _finish(group, n, run)
         statuses[run.spec] = ComboStatus(run.spec, state, monotonic() - run.started,
                                          solver_cmd, detail)
         changed = True
@@ -520,7 +531,7 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
 
     def _settle(block: bool) -> None:
         for run in _ended(sel, timeout, block):
-            _record(run, *_finish(group, n, run.spec, run.stem, run.varmap, run.answer))
+            _record(run)
 
     try:
         _save(now=True)
@@ -531,14 +542,11 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                 if found:
                     break
                 run = _Run(spec, _stem(group, spec, work_dir), monotonic())
-                run.varmap, detail = _prepare(group, n, spec, run.stem)
-                if run.varmap is None:
-                    _record(run, "unsat", detail)
-                else:
-                    try:
-                        _launch(run, sel, solver_cmd, run.stem + ".cnf", timeout)
-                    except OSError as exc:
-                        _record(run, *_finish(group, n, spec, run.stem, run.varmap, exc))
+                _prepare(group, n, run)
+                if run.answer is None:
+                    _launch(run, sel, solver_cmd, run.stem + ".cnf", timeout)
+                if run.answer is not None:  # decided, or its solver failed to run
+                    _record(run)
                 # A sat that ended while this combo was encoded stops the next one.
                 _settle(block=False)
             while sel.get_map() and not found:

@@ -1,11 +1,13 @@
 import random
 import shutil
+import stat
 
 import pytest
 
-from mmtsat.canonical import SymmetricDecomposition
+from mmtsat.canonical import SymmetricDecomposition, canonicalize
+from mmtsat.encoder import encode
 from mmtsat.gf2 import Gf2Matrix
-from mmtsat.symmetry import GroupId, orbit_kinds, scheme
+from mmtsat.symmetry import GroupId, kind_by_tag, orbit_kinds, scheme
 from mmtsat.tensor import Decomposition, Triplet
 
 # Default external solver; any DIMACS solver printing s/v lines works.
@@ -57,6 +59,15 @@ def propagate(clauses, assignment) -> bool:
     return unit_closure(clauses, assignment) is not None
 
 
+def fake_solver(tmp_path, script_body: str) -> str:
+    """A solver command template that runs script_body as a shell script,
+    written to tmp_path, with the CNF path as $1."""
+    path = tmp_path / "fakesolver.sh"
+    path.write_text("#!/bin/sh\n" + script_body)
+    path.chmod(path.stat().st_mode | stat.S_IEXEC)
+    return f"{path} {{cnf}}"
+
+
 @pytest.fixture
 def solver_cmd():
     if not solver_available():
@@ -83,6 +94,24 @@ STRASSEN_MOD2 = Decomposition(2, 2, 2, (
 @pytest.fixture
 def strassen():
     return STRASSEN_MOD2
+
+
+def strassen_literals() -> list[int]:
+    """A complete model of the cyc n=2 id=2,delta=1 CNF, one literal per
+    variable: its primaries set to Strassen's decomposition mod 2, which
+    is cyc-symmetric, in canonical form, and its auxiliaries as unit
+    propagation from them decides them."""
+    t = STRASSEN_MOD2.triplets
+    sd = canonicalize(SymmetricDecomposition(GroupId.CYCLIC, 2, {
+        "id": ((t[1].a, t[1].b, t[1].c), (t[3].a, t[3].b, t[3].c)), "delta": ((t[0].a,),)}))
+    cnf, varmap = encode(GroupId.CYCLIC, 2, sd.counts())
+    primaries = {}
+    for e in varmap.primary:
+        m = sd.orbits[e.orbit][e.index][kind_by_tag(GroupId.CYCLIC, e.orbit).roles.index(e.mat)]
+        primaries[e.var] = bool(m.get(e.row, e.col))
+    model = unit_closure(cnf.clauses, primaries)
+    assert model is not None and len(model) == cnf.num_vars
+    return [v if model[v] else -v for v in sorted(model)]
 
 
 def present_kinds(group: GroupId, counts: dict) -> tuple[str, ...]:

@@ -8,7 +8,7 @@ from mmtsat.span import refute
 from mmtsat.symmetry import GroupId
 from mmtsat.tensor import dump_decomposition, load_decomposition, verify
 
-from conftest import SOLVER_CMD, requires_solver
+from conftest import SOLVER_CMD, fake_solver, requires_solver, strassen_literals
 
 
 def test_usage_errors_exit_2(capsys):
@@ -394,3 +394,71 @@ def test_search_exit_codes_and_json_parity(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "found"
     assert verify(load_decomposition(payload["decomposition"]))
+
+
+def _strassen_solver(tmp_path, hang: bool) -> str:
+    """A solver that answers UNSAT but on cyc n=2 id=2,delta=1, where it
+    hangs, or answers Strassen's model."""
+    model = tmp_path / "model.txt"
+    model.write_text(f"s SATISFIABLE\nv {' '.join(map(str, strassen_literals()))} 0\n")
+    reply = "exec sleep 30" if hang else f"cat {model}"
+    return fake_solver(tmp_path, f'case "$1" in\n*/cyc-id=2,delta=1.cnf) {reply} ;;\n'
+                                 '*) echo "s UNSATISFIABLE" ;;\nesac\n')
+
+
+@pytest.mark.parametrize("case", ["sat", "timeout", "error"])
+def test_solve_one_exit_codes_without_a_solver_on_path(case, tmp_path, capsys):
+    # Each state the exit table maps for solve-one, on cyc n=2
+    # id=2,delta=1, with the line it prints and the same state and detail
+    # under --json: Strassen's model replayed (10), a hang under --timeout
+    # 0.5 (20) and a missing binary (1).
+    solver = ("/nonexistent/solver {cnf}" if case == "error"
+              else _strassen_solver(tmp_path, hang=case == "timeout"))
+    work = tmp_path / "work"
+    args = ["solve-one", "--group", "cyc", "--n", "2", "--combo", "id=2,delta=1",
+            "--solver", solver, "--timeout", "0.5", "--work-dir", str(work)]
+    rc = {"sat": 10, "timeout": 20, "error": 1}[case]
+    assert main(args) == rc
+    line = capsys.readouterr().out
+    assert main(args + ["--json"]) == rc
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["state"] == case
+    if case == "sat":
+        assert payload["detail"] == str(work / "cyc-id=2,delta=1.json")
+        assert line == f"SAT: decomposition written to {payload['detail']}\n"
+        d = load_decomposition(payload["detail"])
+        assert verify(d) and d.rank == 7
+    elif case == "timeout":
+        assert payload["detail"] == "timeout after 0.5s"
+        assert line == "timeout: timeout after 0.5s\n"
+    else:
+        assert payload["detail"].startswith("solver failed to run: ")
+        assert "/nonexistent/solver" in payload["detail"]
+        assert line == f"error: {payload['detail']}\n"
+
+
+@pytest.mark.parametrize("verdict", ["found", "ruled_out", "undetermined"])
+def test_search_exit_codes_without_a_solver_on_path(verdict, tmp_path, capsys):
+    # Each verdict the exit table maps for search, on cyc n=2: up to rank
+    # 7 Strassen's model is found (10), up to rank 6 every combo is UNSAT
+    # (0), and up to rank 7 with id=2,delta=1 hanging under --timeout 0.5
+    # the campaign is undetermined (20).  --json gives the same exit code
+    # and verdict as the table.
+    solver = _strassen_solver(tmp_path, hang=verdict == "undetermined")
+    claims = {"found": "decomposition found: ", "ruled_out": "no decompositions of <2,2,2>",
+              "undetermined": "undetermined (timeouts or errors remain)"}
+    rc = {"found": 10, "ruled_out": 0, "undetermined": 20}[verdict]
+    for i, json_flag in enumerate([[], ["--json"]]):
+        args = ["search", "--group", "cyc", "--n", "2",
+                "--max-rank", "6" if verdict == "ruled_out" else "7", "--solver", solver,
+                "--timeout", "0.5", "--work-dir", str(tmp_path / f"w{i}"), *json_flag]
+        assert main(args) == rc
+        out = capsys.readouterr().out
+        if json_flag:
+            payload = json.loads(out)
+            assert payload["verdict"] == verdict
+        else:
+            assert claims[verdict] in out.splitlines()[1]
+    if verdict == "found":
+        assert payload["decomposition"] == str(tmp_path / "w1" / "cyc-id=2,delta=1.json")
+        assert verify(load_decomposition(payload["decomposition"]))

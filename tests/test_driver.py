@@ -2,7 +2,6 @@ import errno
 import json
 import os
 import signal
-import stat
 import subprocess
 import sys
 import tempfile
@@ -12,7 +11,6 @@ from contextlib import suppress
 import pytest
 
 import mmtsat.driver as driver
-from mmtsat.canonical import SymmetricDecomposition, canonicalize
 from mmtsat.cli import EXIT_UNDETERMINED, main
 from mmtsat.driver import (
     ComboSpec,
@@ -29,13 +27,14 @@ from mmtsat.driver import (
 )
 from mmtsat.encoder import build_symbolic_orbits
 from mmtsat.span import certificate, refute
-from mmtsat.symmetry import GroupId, kind_by_tag, orbit_kinds
+from mmtsat.symmetry import GroupId, orbit_kinds
 
 from conftest import (
     SOLVER_CMD,
-    STRASSEN_MOD2,
+    fake_solver,
     present_kinds,
     requires_solver,
+    strassen_literals,
 )
 
 
@@ -123,16 +122,9 @@ def test_checkpoint_is_the_canonical_json_after_every_change(tmp_path):
         assert path.read_text() == want, (field, value)
 
 
-def _fake_solver(tmp_path, script_body):
-    path = tmp_path / "fakesolver.sh"
-    path.write_text("#!/bin/sh\n" + script_body)
-    path.chmod(path.stat().st_mode | stat.S_IEXEC)
-    return f"{path} {{cnf}}"
-
-
 def test_solve_combo_rank_zero_short_circuits(tmp_path):
     spec = ComboSpec(GroupId.CYCLIC, (("id", 0), ("delta", 0)))
-    solver = _fake_solver(tmp_path, "echo should-not-run; exit 1\n")
+    solver = fake_solver(tmp_path, "echo should-not-run; exit 1\n")
     status = solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
     assert status.state == "unsat"
     assert "no solver run" in status.detail
@@ -157,7 +149,7 @@ def test_combo_with_the_empty_clause_runs_no_solver(tmp_path):
     # still written.
     label = "id=1,t=0,delta=0,full=0"
     ran = tmp_path / "ran"
-    solver = _fake_solver(tmp_path, f"""case "$1" in
+    solver = fake_solver(tmp_path, f"""case "$1" in
 */cyc-t-{label}.cnf) touch {ran}; exit 1 ;;
 *) echo "s UNSATISFIABLE" ;;
 esac
@@ -195,7 +187,7 @@ def test_combos_decided_by_span_certificates_are_one_empty_clause_and_run_no_sol
     # CNF file is the empty clause over its primaries, and the solver,
     # which logs every file it is given, runs only on id=1,full=1.
     log = tmp_path / "solver.log"
-    solver = _fake_solver(tmp_path, f'echo "$1" >> {log}; echo "s UNSATISFIABLE"\n')
+    solver = fake_solver(tmp_path, f'echo "$1" >> {log}; echo "s UNSATISFIABLE"\n')
     work = tmp_path / "work"
     report = run_campaign(GroupId.CYCLIC_SANDWICH, 3, 7, solver, workers=2,
                           work_dir=str(work))
@@ -228,7 +220,7 @@ def test_span_refuted_combos_name_their_certificate_in_the_records(tmp_path, cap
     # images as its detail, and the solver, which leaves a marker file
     # beside each CNF it is given, ran on none of them and on each of the
     # other 11.
-    solver = _fake_solver(tmp_path, 'touch "$1.ran"; echo "s UNSATISFIABLE"\n')
+    solver = fake_solver(tmp_path, 'touch "$1.ran"; echo "s UNSATISFIABLE"\n')
     ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
     group = GroupId.CYCLIC_TRANSPOSE
     assert main(["search", "--group", "cyc-t", "--n", "2", "--max-rank", "9",
@@ -266,7 +258,7 @@ def test_span_refuted_combos_name_their_certificate_in_the_records(tmp_path, cap
 
 def test_solve_combo_with_fake_unsat_solver(tmp_path):
     spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 1)))
-    solver = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
+    solver = fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
     status = solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
     assert (status.state, status.detail) == ("unsat", "")
     assert (tmp_path / "cyc-id=1,delta=1.cnf").exists()
@@ -277,7 +269,7 @@ def test_solve_combo_with_fake_unsat_solver(tmp_path):
 # refutes id=1 alone).
 def test_solve_combo_reports_unparsable_output(tmp_path):
     spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 1)))
-    solver = _fake_solver(tmp_path, "echo nonsense\n")
+    solver = fake_solver(tmp_path, "echo nonsense\n")
     status = solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
     assert status.state == "error"
     assert "unparsable" in status.detail
@@ -291,13 +283,39 @@ def test_solve_combo_missing_solver_is_an_error(tmp_path):
     assert "failed to run" in status.detail
 
 
-def test_solve_combo_complete_wrong_model_raises(tmp_path):
-    # All twelve id and four delta entries false: a complete model of
-    # the zero matrices.
+def _dimacs_clauses(path) -> list[list[int]]:
+    """The clauses of a DIMACS file, one per line after the p line."""
+    lines = path.read_text().splitlines()
+    body = lines[[line.startswith("p ") for line in lines].index(True) + 1:]
+    return [[int(tok) for tok in line.split()[:-1]] for line in body]
+
+
+def test_solve_combo_complete_wrong_model_raises(tmp_path, monkeypatch):
+    # All twelve id and four delta entries false assign every primary, to
+    # the zero matrices, so the model decodes; but it falsifies a clause
+    # of the CNF (a representative is nonzero), so the solver is at fault
+    # and the combo is an `error` naming the first clause the model leaves
+    # without a true literal.  Only a model of the CNF that then fails a
+    # check raises: here Strassen's model of id=2,delta=1, with verify
+    # made to reject it.
     spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 1)))
     model = " ".join(f"-{v}" for v in range(1, 17))
-    solver = _fake_solver(tmp_path, f"printf 's SATISFIABLE\\nv {model} 0\\n'\n")
-    with pytest.raises(EncoderSoundnessError):
+    solver = fake_solver(tmp_path, f"printf 's SATISFIABLE\\nv {model} 0\\n'\n")
+    status = solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
+    false = {-v for v in range(1, 17)}
+    clauses = _dimacs_clauses(tmp_path / "cyc-id=1,delta=1.cnf")
+    i = next(i for i, clause in enumerate(clauses, 1) if false.isdisjoint(clause))
+    assert (status.state, status.detail) == (
+        "error", f"model falsifies CNF clause {i}: {' '.join(map(str, clauses[i - 1]))} 0")
+    assert not (tmp_path / "cyc-id=1,delta=1.json").exists()
+
+    model = tmp_path / "model.txt"
+    model.write_text(f"s SATISFIABLE\nv {' '.join(map(str, strassen_literals()))} 0\n")
+    solver = fake_solver(tmp_path, f"cat {model}\n")
+    monkeypatch.setattr(driver, "verify", lambda d: False)
+    spec = ComboSpec(GroupId.CYCLIC, (("id", 2), ("delta", 1)))
+    with pytest.raises(EncoderSoundnessError, match="^combo id=2,delta=1: decoded decomposition "
+                                                    "does not evaluate to the target$"):
         solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
 
 
@@ -321,13 +339,15 @@ _FAULTS = {
                                    "unparsable solver output: contradictory status lines"),
     "over 1 MB of comments": ("yes 'c 0123456789012345678901234567890123456789' "
                               "| head -n 25000; echo 's UNSATISFIABLE'", "unsat", ""),
+    "complete non-model": ("echo 's SATISFIABLE'; echo \"v $(seq -s ' ' -400 -1) 0\"",
+                           "error", "model falsifies CNF clause 425: 13 17 21 25 29 0"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
 def test_search_records_faulty_combo_and_finishes(fault, tmp_path, capsys):
     reply, state, detail = _FAULTS[fault]
-    solver = _fake_solver(tmp_path, f"""case "$1" in
+    solver = fake_solver(tmp_path, f"""case "$1" in
 */cyc-id=1,delta=4.cnf) {reply} ;;
 *) echo "s UNSATISFIABLE" ;;
 esac
@@ -349,6 +369,18 @@ esac
     assert list(states.values()).count(("unsat", "")) == 4  # the solver ran on these
 
 
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_solve_combo_records_what_a_campaign_records_for_a_faulty_combo(fault, tmp_path):
+    reply, state, detail = _FAULTS[fault]
+    solver = fake_solver(tmp_path, reply + "\n")
+    spec = ComboSpec(GroupId.CYCLIC, (("id", 1), ("delta", 4)))
+    started = time.monotonic()
+    status = solve_combo(GroupId.CYCLIC, 2, spec, solver, 0.5 if state == "timeout" else 60,
+                         str(tmp_path / "work"))
+    assert (status.state, status.detail) == (state, detail)
+    assert time.monotonic() - started < 10  # a hanging solver is killed at its timeout
+
+
 def test_campaign_with_a_missing_solver_records_an_error_on_every_solver_combo(tmp_path):
     report = run_campaign(GroupId.CYCLIC, 2, 7, "/nonexistent/solver {cnf}", workers=2,
                           work_dir=str(tmp_path / "work"))
@@ -366,7 +398,7 @@ def test_campaign_with_a_missing_solver_records_an_error_on_every_solver_combo(t
 
 def test_campaign_resume_runs_nothing(tmp_path, monkeypatch):
     ckpt = tmp_path / "ckpt.json"
-    unsat = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
+    unsat = fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
     run_campaign(GroupId.CYCLIC, 2, 3, unsat, checkpoint_path=str(ckpt))
 
     def boom(*args, **kwargs):
@@ -396,15 +428,14 @@ def test_campaign_checkpoint_holds_every_recorded_combo(tmp_path, monkeypatch):
     finished = {}
     original_prepare, original_finish = driver._prepare, driver._finish
 
-    def prepare(group, n, spec, stem):
-        varmap, detail = original_prepare(group, n, spec, stem)
-        if varmap is None:
-            finished[json.dumps(spec.counts_dict(), sort_keys=True)] = "unsat"
-        return varmap, detail
+    def prepare(group, n, run):
+        original_prepare(group, n, run)
+        if run.answer is not None:
+            finished[json.dumps(run.spec.counts_dict(), sort_keys=True)] = "unsat"
 
-    def finish(group, n, spec, *args):
-        state, detail = original_finish(group, n, spec, *args)
-        finished[json.dumps(spec.counts_dict(), sort_keys=True)] = state
+    def finish(group, n, run):
+        state, detail = original_finish(group, n, run)
+        finished[json.dumps(run.spec.counts_dict(), sort_keys=True)] = state
         return state, detail
 
     written = []
@@ -423,7 +454,7 @@ def test_campaign_checkpoint_holds_every_recorded_combo(tmp_path, monkeypatch):
     monkeypatch.setattr(driver, "_prepare", prepare)
     monkeypatch.setattr(driver, "_finish", finish)
     monkeypatch.setattr(driver, "write_checkpoint", write)
-    unsat = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
+    unsat = fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
     report = run_campaign(GroupId.CYCLIC, 2, 4, unsat, workers=2,
                           checkpoint_path=str(tmp_path / "ckpt.json"),
                           work_dir=str(tmp_path / "work"))
@@ -447,13 +478,12 @@ class _FakeClock:
         return self.now
 
     def install(self, monkeypatch, steps, sat=None):
-        def prepare(group, n, spec, stem):
-            self.now += steps[spec]
-            return {}, ""
+        def prepare(group, n, run):
+            self.now += steps[run.spec]
 
-        def finish(group, n, spec, stem, varmap, answer):
-            assert answer == ("unsat", None)
-            return ("sat", stem + ".json") if spec == sat else ("unsat", "")
+        def finish(group, n, run):
+            assert run.answer == ("unsat", None)
+            return ("sat", run.stem + ".json") if run.spec == sat else ("unsat", "")
 
         monkeypatch.setattr(driver, "_prepare", prepare)
         monkeypatch.setattr(driver, "_finish", finish)
@@ -477,7 +507,7 @@ def test_campaign_checkpoint_writes_follow_the_clock(tmp_path, monkeypatch):
 
     monkeypatch.setattr(driver, "monotonic", clock)
     monkeypatch.setattr(driver, "write_checkpoint", write)
-    unsat = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
+    unsat = fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
 
     def campaign(steps, ckpt, sat=None):
         writes.clear()
@@ -557,7 +587,7 @@ def test_killed_campaign_resumes_exactly_its_unfinished_combos(tmp_path, monkeyp
     (tmp_path / "fast").mkdir()
     pids, calls = tmp_path / "pids", tmp_path / "calls"
     hang, hung = tmp_path / "hang", tmp_path / "hung"
-    slow = _fake_solver(tmp_path / "slow", f"""echo $$ >> {pids}
+    slow = fake_solver(tmp_path / "slow", f"""echo $$ >> {pids}
 if [ -e {hang} ]; then
   sleep 30 &
   echo $! >> {pids}
@@ -567,7 +597,7 @@ fi
 sleep 0.2
 echo "s UNSATISFIABLE"
 """)
-    fast = _fake_solver(tmp_path / "fast", f'echo "$1" >> {calls}; echo "s UNSATISFIABLE"\n')
+    fast = fake_solver(tmp_path / "fast", f'echo "$1" >> {calls}; echo "s UNSATISFIABLE"\n')
     ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
     proc = _spawn_search("--group", "cyc", "--n", "2", "--max-rank", "9", "--solver", slow,
                          "--checkpoint", str(ckpt), "--work-dir", str(work))
@@ -604,9 +634,9 @@ echo "s UNSATISFIABLE"
     ran = []
     original_prepare = driver._prepare
 
-    def prepare(group, n, spec, stem):
-        ran.append(json.dumps(spec.counts_dict(), sort_keys=True))
-        return original_prepare(group, n, spec, stem)
+    def prepare(group, n, run):
+        ran.append(json.dumps(run.spec.counts_dict(), sort_keys=True))
+        original_prepare(group, n, run)
 
     monkeypatch.setattr(driver, "_prepare", prepare)
     resumed = run_campaign(GroupId.CYCLIC, 2, 9, fast, checkpoint_path=str(ckpt),
@@ -636,7 +666,7 @@ def test_interrupted_campaign_stops_its_solvers_at_once(tmp_path):
     # both killed combos among the pending ones, and no pending combo
     # keeps a CNF.
     pids = tmp_path / "pids"
-    solver = _fake_solver(tmp_path, f"echo $$ >> {pids}\nsleep 30 &\necho $! >> {pids}\nwait\n")
+    solver = fake_solver(tmp_path, f"echo $$ >> {pids}\nsleep 30 &\necho $! >> {pids}\nwait\n")
     ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
     proc = _spawn_search("--group", "cyc", "--n", "2", "--max-rank", "7", "--solver", solver,
                          "--workers", "2", "--checkpoint", str(ckpt), "--work-dir", str(work))
@@ -677,18 +707,17 @@ def test_an_interrupted_campaign_stops_its_solvers_itself(tmp_path, monkeypatch)
     # recorded both pids.  The campaign itself kills the solver's group,
     # both combos stay pending without a CNF, and no fd stays open.
     pids = tmp_path / "pids"
-    solver = _fake_solver(tmp_path, f"echo $$ >> {pids}\nsleep 30 &\necho $! >> {pids}\nwait\n")
+    solver = fake_solver(tmp_path, f"echo $$ >> {pids}\nsleep 30 &\necho $! >> {pids}\nwait\n")
     original_prepare = driver._prepare
 
-    def prepare(group, n, spec, stem):
-        result = original_prepare(group, n, spec, stem)
-        if spec.counts_dict() == {"id": 2, "delta": 1}:
+    def prepare(group, n, run):
+        original_prepare(group, n, run)
+        if run.spec.counts_dict() == {"id": 2, "delta": 1}:
             deadline = time.monotonic() + 10
             while not (pids.exists() and len(pids.read_text().split()) == 2):
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             raise KeyboardInterrupt
-        return result
 
     monkeypatch.setattr(driver, "_prepare", prepare)
     ckpt, work = tmp_path / "ckpt.json", tmp_path / "work"
@@ -708,12 +737,12 @@ def test_an_interrupted_campaign_stops_its_solvers_itself(tmp_path, monkeypatch)
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs POSIX process groups and /proc")
 def test_run_solver_timeout_leaves_no_process_behind(tmp_path):
-    # The wrapper's background sleep holds its stdout, so the solver times
-    # out; its whole process group is killed, the sleep with it.
+    # The wrapper waits for its background sleep, so the solver times out
+    # and that is its answer; its whole process group is killed, the sleep
+    # with it.
     pids = tmp_path / "pids"
-    solver = _fake_solver(tmp_path, f"sleep 30 & echo $! >> {pids}; wait\n")
-    with pytest.raises(subprocess.TimeoutExpired):
-        run_solver(solver, str(tmp_path / "x.cnf"), 0.5)
+    solver = fake_solver(tmp_path, f"sleep 30 & echo $! >> {pids}; wait\n")
+    assert run_solver(solver, str(tmp_path / "x.cnf"), 0.5) == ("timeout", "timeout after 0.5s")
     _assert_gone(pids)
 
 
@@ -724,7 +753,7 @@ def test_a_timed_out_solver_leaves_no_process_behind(tmp_path):
     # times out, the campaign kills the wrapper's whole process group, so
     # the sleep is not left running.
     pids = tmp_path / "pids"
-    solver = _fake_solver(tmp_path, f"""case "$1" in
+    solver = fake_solver(tmp_path, f"""case "$1" in
 */cyc-id=1,delta=4.cnf) sleep 30 & echo $! >> {pids}; wait ;;
 *) echo "s UNSATISFIABLE" ;;
 esac
@@ -747,7 +776,7 @@ def test_a_run_ends_when_its_solver_exits(tmp_path):
     # its stdout.  The run ends at the wrapper's exit, not at its deadline,
     # and the sleep is killed with the wrapper's process group.
     pids = tmp_path / "pids"
-    solver = _fake_solver(tmp_path, f'sleep 30 & echo $! >> {pids}; echo "s UNSATISFIABLE"\n')
+    solver = fake_solver(tmp_path, f'sleep 30 & echo $! >> {pids}; echo "s UNSATISFIABLE"\n')
     assert run_solver(solver, str(tmp_path / "x.cnf"), 5) == ("unsat", None)
     _assert_gone(pids)
     pids.unlink()
@@ -773,7 +802,7 @@ def test_a_solver_that_cannot_be_watched_is_stopped_and_recorded(tmp_path, monke
         raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
 
     monkeypatch.setattr(os, "pidfd_open", pidfd_open)
-    solver = _fake_solver(tmp_path, "exec sleep 30\n")
+    solver = fake_solver(tmp_path, "exec sleep 30\n")
     report = run_campaign(GroupId.CYCLIC, 2, 4, solver, timeout=10,
                           work_dir=str(tmp_path / "work"))
     _assert_gone(pids)
@@ -785,22 +814,21 @@ def test_a_solver_that_cannot_be_watched_is_stopped_and_recorded(tmp_path, monke
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 @pytest.mark.parametrize("ending", ["unsat", "timeout", "sat", "soundness error"])
-def test_a_campaign_leaves_no_fd_open(ending, tmp_path):
+def test_a_campaign_leaves_no_fd_open(ending, tmp_path, monkeypatch):
     # A pidfd left open raises no ResourceWarning, so this counts this
     # process's fds around an in-process cyc n=2 campaign up to rank 7
     # with 2 workers.  Its first solver combo, id=1,delta=4, hangs but
     # under "unsat".  Its second, id=2,delta=1, gets Strassen's model
-    # under "sat", and under "soundness error" that model with every
-    # primary false, which fails verification.  Other solvers answer UNSAT.
-    lits = _strassen_literals()
+    # under "sat" and "soundness error"; under the latter, verify rejects
+    # it.  Other solvers answer UNSAT.
     if ending == "soundness error":
-        lits = [-abs(lit) for lit in lits]
+        monkeypatch.setattr(driver, "verify", lambda d: False)
     model = tmp_path / "model.txt"
-    model.write_text(f"s SATISFIABLE\nv {' '.join(map(str, lits))} 0\n")
+    model.write_text(f"s SATISFIABLE\nv {' '.join(map(str, strassen_literals()))} 0\n")
     cases = "*/cyc-id=1,delta=4.cnf) exec sleep 30 ;;\n" if ending != "unsat" else ""
     if ending in ("sat", "soundness error"):
         cases += f"*/cyc-id=2,delta=1.cnf) cat {model} ;;\n"
-    solver = _fake_solver(tmp_path, f'case "$1" in\n{cases}*) echo "s UNSATISFIABLE" ;;\nesac\n')
+    solver = fake_solver(tmp_path, f'case "$1" in\n{cases}*) echo "s UNSATISFIABLE" ;;\nesac\n')
     driver._guard()  # its pipe is opened once per process
     before = len(os.listdir("/proc/self/fd"))
     try:
@@ -815,34 +843,18 @@ def test_a_campaign_leaves_no_fd_open(ending, tmp_path):
     assert len(os.listdir("/proc/self/fd")) == before
 
 
-def _strassen_literals() -> list[int]:
-    """The primaries of cyc n=2 id=2,delta=1 set to Strassen's
-    decomposition mod 2, which is cyc-symmetric, in canonical form."""
-    t = STRASSEN_MOD2.triplets
-    sd = canonicalize(SymmetricDecomposition(GroupId.CYCLIC, 2, {
-        "id": ((t[1].a, t[1].b, t[1].c), (t[3].a, t[3].b, t[3].c)), "delta": ((t[0].a,),)}))
-    _, varmap = build_symbolic_orbits(GroupId.CYCLIC, 2, sd.counts())
-    lits = []
-    for e in varmap.primary:
-        m = sd.orbits[e.orbit][e.index][kind_by_tag(GroupId.CYCLIC, e.orbit).roles.index(e.mat)]
-        lits.append(e.var if m.get(e.row, e.col) else -e.var)
-    return lits
-
-
 @pytest.mark.parametrize("ending", ["sat", "soundness error"])
-def test_only_finished_combos_keep_their_cnf(ending, tmp_path):
+def test_only_finished_combos_keep_their_cnf(ending, tmp_path, monkeypatch):
     # A cyc n=2 campaign up to rank 7 with 2 workers.  Its second solver
-    # combo, id=2,delta=1, gets Strassen's model, or that model with every
-    # primary false, which fails verification; the first, id=1,delta=4,
-    # answers UNSAT after 1 s, so it is still running then.  After a sat
-    # or the raise, it is killed and stays pending, and only finished
-    # combos keep their CNF.
-    lits = _strassen_literals()
+    # combo, id=2,delta=1, gets Strassen's model, which under "soundness
+    # error" verify rejects; the first, id=1,delta=4, answers UNSAT after
+    # 1 s, so it is still running then.  After a sat or the raise, it is
+    # killed and stays pending, and only finished combos keep their CNF.
     if ending != "sat":
-        lits = [-abs(lit) for lit in lits]
+        monkeypatch.setattr(driver, "verify", lambda d: False)
     model = tmp_path / "model.txt"
-    model.write_text(f"s SATISFIABLE\nv {' '.join(map(str, lits))} 0\n")
-    solver = _fake_solver(tmp_path, f"""case "$1" in
+    model.write_text(f"s SATISFIABLE\nv {' '.join(map(str, strassen_literals()))} 0\n")
+    solver = fake_solver(tmp_path, f"""case "$1" in
 */cyc-id=2,delta=1.cnf) cat {model} ;;
 */cyc-id=1,delta=4.cnf) sleep 1; echo "s UNSATISFIABLE" ;;
 *) echo "s UNSATISFIABLE" ;;
@@ -878,16 +890,15 @@ def test_campaign_sat_short_circuit_with_two_workers(tmp_path, monkeypatch):
     first, winner = specs[0], specs[1]
     pids, running = tmp_path / "pids", tmp_path / "running"
 
-    def prepare(group, n, spec, stem):
-        open(stem + ".cnf", "w").close()
-        return {}, ""
+    def prepare(group, n, run):
+        open(run.stem + ".cnf", "w").close()
 
-    def finish(group, n, spec, stem, varmap, answer):
-        return ("sat", "found.json") if answer[0] == "sat" else ("unsat", "")
+    def finish(group, n, run):
+        return ("sat", "found.json") if run.answer[0] == "sat" else ("unsat", "")
 
     monkeypatch.setattr(driver, "_prepare", prepare)
     monkeypatch.setattr(driver, "_finish", finish)
-    solver = _fake_solver(tmp_path, f"""case "$1" in
+    solver = fake_solver(tmp_path, f"""case "$1" in
 */cyc-{first.label()}.cnf)
   echo $$ >> {pids}
   sleep 30 &
@@ -921,16 +932,15 @@ def test_campaign_stops_queued_combos_after_a_combo_raises(workers, tmp_path,
     # Every combo reaches the solver, and every model fails verification.
     calls = []
 
-    def prepare(group, n, spec, stem):
-        calls.append(spec)
-        return {}, ""
+    def prepare(group, n, run):
+        calls.append(run.spec)
 
-    def finish(group, n, spec, *args):
-        raise EncoderSoundnessError(f"combo {spec.label()}: wrong model")
+    def finish(group, n, run):
+        raise EncoderSoundnessError(f"combo {run.spec.label()}: wrong model")
 
     monkeypatch.setattr(driver, "_prepare", prepare)
     monkeypatch.setattr(driver, "_finish", finish)
-    solver = _fake_solver(tmp_path, 'echo "s SATISFIABLE"\n')
+    solver = fake_solver(tmp_path, 'echo "s SATISFIABLE"\n')
     with pytest.raises(EncoderSoundnessError):
         run_campaign(GroupId.CYCLIC, 2, 7, solver, workers=workers,
                      checkpoint_path=str(tmp_path / "ckpt.json"),
@@ -948,21 +958,20 @@ def test_campaign_own_work_dir_keeps_only_the_found_pair(tmp_path, monkeypatch):
     winner = None
     work_dirs = []
 
-    def prepare(group, n, spec, stem):
-        work_dirs.append(os.path.dirname(stem))
-        open(stem + ".cnf", "w").close()
-        return {}, ""
+    def prepare(group, n, run):
+        work_dirs.append(os.path.dirname(run.stem))
+        open(run.stem + ".cnf", "w").close()
 
-    def finish(group, n, spec, stem, varmap, answer):
-        if spec != winner:
+    def finish(group, n, run):
+        if run.spec != winner:
             return "unsat", ""
-        open(stem + ".json", "w").close()
-        open(stem + ".json.sym", "w").close()
-        return "sat", stem + ".json"
+        open(run.stem + ".json", "w").close()
+        open(run.stem + ".json.sym", "w").close()
+        return "sat", run.stem + ".json"
 
     monkeypatch.setattr(driver, "_prepare", prepare)
     monkeypatch.setattr(driver, "_finish", finish)
-    solver = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
+    solver = fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
     report = run_campaign(GroupId.CYCLIC, 2, 4, solver)
     assert report.verdict() == "ruled_out"
     assert len(set(work_dirs)) == 1 and not os.path.exists(work_dirs[0])
@@ -992,9 +1001,9 @@ def test_campaign_removes_its_work_dir_when_the_last_checkpoint_write_fails(
     monkeypatch.setattr(driver, "CHECKPOINT_INTERVAL_S", float("inf"))
     writes = []
 
-    def prepare(group, n, spec, stem):
-        open(stem + ".cnf", "w").close()
-        return None, "decided"
+    def prepare(group, n, run):
+        open(run.stem + ".cnf", "w").close()
+        run.answer = ("unsat", "decided")
 
     def failing_write(path, *args):
         writes.append(path)
