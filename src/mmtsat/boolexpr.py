@@ -40,9 +40,8 @@ pool position across all of them; `assert_xor` is its call for one XOR.
 `clauses` is a read-only view of the list as tuples.  `to_dimacs`
 renders it with one join over a shared table of literal strings ("v "
 at v, "-v " at -v from the end, "0\n" at 0), so a clause's line ends
-where its terminator is; an empty clause's line is " 0".  The instance
-records when the empty clause is emitted, so a caller can tell a CNF
-refuted by construction without scanning it.
+where its terminator is, and an empty clause's line is its terminator's
+"0" alone.
 """
 
 from __future__ import annotations
@@ -163,25 +162,21 @@ class CnfInstance:
     """A CNF over variables 1..num_vars, built from clause tuples.
 
     It holds its clauses as `lits`, each clause's literals followed by a
-    0; `clauses` is a view of them as tuples, and `has_empty_clause` says
-    whether one clause is empty (then no assignment satisfies it).
+    0; `clauses` is a view of them as tuples.
     """
 
     def __init__(self, num_vars: int, clauses, comments: list[str] | None = None):
         lits: list[int] = []
         count = 0
-        empty = False
         for clause in clauses:
             lits += clause
             lits.append(0)
             count += 1
-            empty = empty or not clause
         if lits.count(0) != count or max(lits, default=0) > num_vars \
                 or -min(lits, default=0) > num_vars:
             raise ValueError("a literal is 0 or names a variable past num_vars")
         self.num_vars = num_vars
         self.lits = lits
-        self.has_empty_clause = empty
         self.comments = comments if comments is not None else []
 
     @property
@@ -192,10 +187,6 @@ class CnfInstance:
         lits = self.lits
         # One literal gives its bare string, which joins to itself.
         body = "".join(itemgetter(*lits)(_lit_text(self.num_vars, lits))) if lits else ""
-        if self.has_empty_clause:
-            # An empty clause's line is "0" alone; two passes also reach
-            # the second of two adjacent ones.
-            body = ("\n" + body).replace("\n0\n", "\n 0\n").replace("\n0\n", "\n 0\n")[1:]
         count = body.count("\n")  # only a terminator's text holds one
         head = "".join(f"c {c}\n" for c in self.comments)
         return head + f"p cnf {self.num_vars} {count}\n" + body
@@ -281,10 +272,7 @@ class CnfBuilder(CnfInstance):
         return self.num_vars
 
     def add_clause(self, lits) -> None:
-        start = len(self.lits)
         self.lits += lits
-        if len(self.lits) == start:
-            self.has_empty_clause = True
         self.lits.append(0)
 
     def _and_gate(self, lits: tuple[int, ...]) -> int:
@@ -382,8 +370,6 @@ class CnfBuilder(CnfInstance):
         across all the XORs, picks every XOR's clauses, which are emitted
         XOR by XOR."""
         columns = list(zip(*rows))
-        if firsts and not columns and parity:
-            self.has_empty_clause = True
         aux, select = _xor_layout(len(columns), parity)
         pool = []
         for col in (*columns, *(list(map(add, firsts, repeat(a))) for a in range(aux))):

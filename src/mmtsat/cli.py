@@ -21,7 +21,7 @@ from .canonical import (
 )
 from .driver import ComboSpec, run_campaign, solve_combo, solver_argv
 from .encoder import encode
-from .symmetry import GroupId, is_group_symmetric, orbit_kinds
+from .symmetry import GroupId, is_group_symmetric, orbit_kinds, total_rank
 from .tensor import json_typed, load_decomposition, verify
 
 EXIT_OK = 0
@@ -33,7 +33,9 @@ _EXIT = {"sat": EXIT_FOUND, "unsat": EXIT_OK, "timeout": EXIT_UNDETERMINED, "err
          "found": EXIT_FOUND, "ruled_out": EXIT_OK, "undetermined": EXIT_UNDETERMINED}
 
 
-def _parse_combo(text: str, group: GroupId) -> dict[str, int]:
+def _parse_combo(text: str, group: GroupId, n: int) -> dict[str, int]:
+    """The combo text as counts per kind, of total rank at most n^3, the
+    standard algorithm's rank, so that no larger combo builds its orbits."""
     tags = {k.tag for k in orbit_kinds(group)}
     combo: dict[str, int] = {}
     for part in text.split(","):
@@ -46,6 +48,10 @@ def _parse_combo(text: str, group: GroupId) -> dict[str, int]:
         if tag in combo:
             raise ValueError(f"combo entry {part!r} repeats kind {tag!r}")
         combo[tag] = int(value)
+    rank = total_rank(group, combo)
+    if rank > n ** 3:
+        raise ValueError(f"combo of total rank {rank} exceeds n^3 = {n ** 3}, "
+                         f"the rank of the standard algorithm")
     return combo
 
 
@@ -154,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_encode(args) -> int:
     group = GroupId.from_name(args.group)
-    combo = _parse_combo(args.combo, group)
+    combo = _parse_combo(args.combo, group, args.n)
     cnf, _ = encode(group, args.n, combo)
     cnf.write(args.out)
     _emit(args, f"wrote {args.out}: {cnf.num_vars} vars, {len(cnf.clauses)} clauses",
@@ -164,7 +170,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_solve_one(args) -> int:
     group = GroupId.from_name(args.group)
-    combo = _parse_combo(args.combo, group)
+    combo = _parse_combo(args.combo, group, args.n)
     solver = _resolve_solver(args)
     kinds = orbit_kinds(group)
     spec = ComboSpec(group, tuple((k.tag, combo.get(k.tag, 0)) for k in kinds))
@@ -189,12 +195,12 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    group = GroupId.from_name(args.group) if args.group else None
     d = load_decomposition(args.path)
     ok = verify(d)
     dims = f"<{d.n},{d.k},{d.m}>"
     payload = {"valid": ok, "rank": d.rank, "n": d.n, "k": d.k, "m": d.m}
-    if ok and args.group:
-        group = GroupId.from_name(args.group)
+    if ok and group is not None:
         sym = is_group_symmetric(d, group)
         payload["symmetric"] = sym
         if not sym:

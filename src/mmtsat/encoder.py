@@ -147,10 +147,9 @@ def _equation_entries(group: GroupId, n: int) -> tuple[tuple[Entry, ...], tuple]
                                       for row in s.generators))
 
 
-def cell_literals(builder: CnfBuilder, lits: dict[int, Lit] | None = None):
-    """A map from cell masks to their literals in builder, cached per mask
-    in lits."""
-    lits = {} if lits is None else lits
+def cell_literals(builder: CnfBuilder):
+    """A map from cell masks to their literals in builder, cached per mask."""
+    lits: dict[int, Lit] = {}
 
     def lit(mask: int) -> Lit:
         if mask not in lits:
@@ -262,7 +261,9 @@ class _Block:
     asserts its lone surviving product.  `survivors` lists, entry by
     entry, the literals whose XOR is its part of each other entry's
     equation, `entries` the entry of each and `widths` how many each
-    entry has.  A stamped copy
+    entry has.  `xor_gates` is the block builder's XOR gate table, as
+    (sorted variables, variable) pairs, which each copy hands the combo's
+    builder renamed (`CnfBuilder.share_xor`).  A stamped copy
     numbers its primaries and each entry's gates as consecutive runs,
     and the next representative's runs follow right after them, so
     `steps[l]` is how far each copy's number for literal l (negative
@@ -287,8 +288,7 @@ def _block(group: GroupId, n: int, tag: str, solo: frozenset[int]) -> _Block:
     reps, varmap = build_symbolic_orbits(group, n, {tag: 1})
     primaries = len(varmap.primary)
     builder = CnfBuilder(primaries)
-    lits: dict[int, Lit] = {}
-    lit = cell_literals(builder, lits)
+    lit = cell_literals(builder)
     new_vars, survivors = [], []
     for i, (_, products, bit) in enumerate(tensor_equations(group, n, reps)):
         start = builder.num_vars
@@ -310,8 +310,7 @@ def _block(group: GroupId, n: int, tag: str, solo: frozenset[int]) -> _Block:
         tuple(chain.from_iterable(survivors)),
         tuple(i for i, odd in enumerate(survivors) for _ in odd),
         tuple(map(len, survivors)),
-        tuple((tuple(v for v in range(mask.bit_length()) if mask >> v & 1), l)
-              for mask, l in lits.items() if mask & (mask - 1)))
+        tuple((odd, v) for (kind, odd), v in builder._gates.items() if kind == "xor"))
 
 
 @lru_cache
@@ -423,16 +422,6 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
         raise ValueError("total rank must be at least 1")
     reps, varmap = build_symbolic_orbits(group, n, combo)
     builder = CnfBuilder(varmap.aux_start - 1)
-    refutation = refute(group, n, combo)
-    if refutation is None:
-        tags = tuple(kind.tag for kind in orbit_kinds(group) if combo.get(kind.tag, 0) > 0)
-        _stamp_equations(builder, group, n, [(tag, combo[tag], solo) for tag, solo
-                                             in zip(tags, _support(group, n, tags))])
-        nonzero_representatives(builder, varmap)
-        symmetry_breaking(builder, group, n, reps)
-    else:
-        builder.add_clause(())
-
     # Every kind of the group, zeros included: one combo, one header.
     counts = sorted((kind.tag, combo.get(kind.tag, 0)) for kind in orbit_kinds(group))
     builder.comments = [f"mmtsat group={group.value} n={n} "
@@ -440,8 +429,16 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     builder.comments.extend(f"var {e.var} = {e.orbit}[{e.index}].{e.mat}[{e.row}][{e.col}]"
                             for e in varmap.primary)
     builder.comments.append(f"aux vars start at {varmap.aux_start}")
+    refutation = refute(group, n, combo)
     if refutation is not None:
+        builder.add_clause(())
         builder.comments.append(empty_clause_comment(refutation))
+        return builder, varmap
+    tags = tuple(kind.tag for kind in orbit_kinds(group) if combo.get(kind.tag, 0) > 0)
+    _stamp_equations(builder, group, n, [(tag, combo[tag], solo) for tag, solo
+                                         in zip(tags, _support(group, n, tags))])
+    nonzero_representatives(builder, varmap)
+    symmetry_breaking(builder, group, n, reps)
     return builder, varmap
 
 

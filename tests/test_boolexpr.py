@@ -107,7 +107,7 @@ def _reference_dimacs(inst):
     # One string per clause: the rendering to_dimacs must reproduce.
     lines = [f"c {c}" for c in inst.comments]
     lines.append(f"p cnf {inst.num_vars} {len(inst.clauses)}")
-    lines.extend(" ".join(map(str, cl)) + " 0" for cl in inst.clauses)
+    lines.extend(" ".join([*map(str, cl), "0"]) for cl in inst.clauses)
     return "\n".join(lines) + "\n"
 
 
@@ -115,6 +115,9 @@ def test_dimacs_format():
     inst = CnfInstance(3, [(1, -2), (3,)], comments=["hello"])
     assert inst.to_dimacs() == "c hello\np cnf 3 2\n1 -2 0\n3 0\n"
     assert CnfInstance(0, []).to_dimacs() == "p cnf 0 0\n"
+    # An empty clause's line is its terminator alone, first or adjacent.
+    assert CnfInstance(2, [(), (1,), (), (), (-2,)]).to_dimacs() == \
+        "p cnf 2 5\n0\n1 0\n0\n0\n-2 0\n"
     rng = random.Random(10)
     for trial in range(50):
         num_vars = rng.choice((5, 1000, 2**31 - 1))
@@ -139,7 +142,7 @@ def test_literal_table_is_shared_and_bounded(monkeypatch):
     # least doubling but never past a bound; a larger instance renders
     # through its own literals and leaves the table as it is.
     monkeypatch.setattr(boolexpr, "_LIT_TEXT", ["0\n"])
-    assert CnfInstance(3, [(1, -3), ()]).to_dimacs() == "p cnf 3 2\n1 -3 0\n 0\n"
+    assert CnfInstance(3, [(1, -3), ()]).to_dimacs() == "p cnf 3 2\n1 -3 0\n0\n"
     assert len(boolexpr._LIT_TEXT) == 2 * 3 + 1
     half = boolexpr._LIT_TEXT_MAX // 2 + 1
     for num_vars in (half, half + 1):
@@ -160,12 +163,12 @@ def test_builder_records_the_empty_clause():
     b.add_clause(x for x in (1, 2))
     b.assert_xor([], 0)
     b.assert_xor([1, 2], 1)
-    assert not b.has_empty_clause
+    assert () not in b.clauses
     b.add_clause(iter(()))
-    assert b.has_empty_clause and b.to_dimacs().endswith("\n 0\n")
+    assert list(b.clauses)[-1] == () and b.to_dimacs().endswith("\n-1 -2 0\n0\n")
     c = CnfBuilder(0)
     c.assert_xor([], 1)
-    assert c.has_empty_clause and list(c.clauses) == [()]
+    assert list(c.clauses) == [()] and c.to_dimacs() == "p cnf 0 1\n0\n"
 
 
 def _reference_parity_clauses(lits, parity):
@@ -407,7 +410,7 @@ def test_batched_xors_equal_one_assert_xor_each():
         assert [Counter(clauses[i * per:(i + 1) * per]) for i in range(len(rows))] \
             == each, (k, parity, count)
         assert batch.num_vars == one.num_vars
-        assert batch.has_empty_clause == one.has_empty_clause == (k == 0 and parity == 1)
+        assert (() in batch.clauses) == (() in one.clauses) == (k == 0 and parity == 1)
 
 
 def test_structural_sharing_caches_subterms():

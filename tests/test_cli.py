@@ -97,6 +97,36 @@ def test_domain_errors_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
+    ["encode", "--out"],
+    ["solve-one", "--solver", "true {cnf}", "--work-dir"],
+], ids=["encode", "solve-one"])
+def test_combo_above_the_standard_rank_is_rejected_before_any_orbit_is_built(
+        command, tmp_path, capsys, monkeypatch):
+    # A total rank above n^3 is never needed, and a huge count would
+    # build orbits until memory runs out: it is an error before any
+    # orbit is built, and nothing is written.
+    from mmtsat import encoder
+
+    def build(*args):
+        raise AssertionError("an orbit was built")
+
+    monkeypatch.setattr(encoder, "build_symbolic_orbits", build)
+    out = tmp_path / "x"
+    assert main([*command, str(out), "--group", "cyc", "--n", "2",
+                 "--combo", "id=3,delta=100000"]) == 1
+    assert capsys.readouterr().err == ("error: combo of total rank 100009 exceeds "
+                                       "n^3 = 8, the rank of the standard algorithm\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_combo_of_the_standard_rank_is_encoded(tmp_path):
+    out = tmp_path / "x.cnf"
+    assert main(["encode", "--group", "cyc", "--n", "2", "--combo", "id=2,delta=2",
+                 "--out", str(out)]) == 0
+    assert "combo=delta=2,id=2 rank=8\n" in out.read_text()
+
+
+@pytest.mark.parametrize("command", [
     ["encode", "--combo", "id=1", "--out"],
     ["solve-one", "--solver", "true {cnf}", "--combo", "id=1", "--work-dir"],
     ["search", "--solver", "true {cnf}", "--max-rank", "1", "--work-dir"],
@@ -185,6 +215,11 @@ def test_verify_rejects_broken_file(strassen, tmp_path, capsys):
     dump_decomposition(broken, path)
     assert main(["verify", str(path)]) == 1
     assert "INVALID" in capsys.readouterr().out
+    # An unknown --group is named even though the file is invalid.
+    assert main(["verify", str(path), "--group", "cyc-x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown group 'cyc-x'; expected one of ")
 
 
 _ROWS = [[1, 0], [0, 1]]

@@ -204,7 +204,7 @@ def test_combos_decided_by_span_certificates_are_one_empty_clause_and_run_no_sol
         if st.detail.startswith("empty clause: "):
             decided += 1
             assert text.endswith(f"c {st.detail.removesuffix(', no solver run')}\n"
-                                 f"p cnf {len(varmap.primary)} 1\n 0\n")
+                                 f"p cnf {len(varmap.primary)} 1\n0\n")
             assert str(cnf) not in solved
         else:
             assert st.detail == "" and str(cnf) in solved
