@@ -35,8 +35,9 @@ variables and auxiliaries with one `itemgetter`: `_xor_layout`, the one
 layout compiler, writes it once per (k, parity) straight over pool
 slots, block by block and each block's clauses in mask order.
 `assert_xors` applies that selector once to many XORs of the same k and
-parity, given as rows of literals that it turns into columns, each one
-pool position across all of them; `assert_xor` is its call for one XOR.
+parity, given as one flat list of their literals, XOR by XOR, whose
+every k-th item from j on is a column, one pool position across all of
+them; `assert_xor` is its call for one XOR.
 `clauses` is a read-only view of the list as tuples.  `to_dimacs`
 renders it with one join over a shared table of literal strings ("v "
 at v, "-v " at -v from the end, "0\n" at 0), so a clause's line ends
@@ -360,19 +361,19 @@ class CnfBuilder(CnfInstance):
         empty clause.  `assert_xors` of this one XOR."""
         first = self.num_vars + 1
         self.num_vars += _xor_layout(len(lits), parity)[0]
-        self.assert_xors([lits], parity, [first])
+        self.assert_xors(lits, len(lits), parity, [first])
 
-    def assert_xors(self, rows, parity: int, firsts: list[int]) -> None:
-        """For each i, the XOR of the ascending variables rows[i], all rows
-        of one length, equals parity, laid out by `_xor_layout` with its
-        auxiliaries numbered from firsts[i] on; the caller has allocated
-        them.  One selection over the rows' columns, each a pool position
-        across all the XORs, picks every XOR's clauses, which are emitted
-        XOR by XOR."""
-        columns = list(zip(*rows))
-        aux, select = _xor_layout(len(columns), parity)
+    def assert_xors(self, lits: list[int], k: int, parity: int, firsts: list[int]) -> None:
+        """For each i, the XOR of the k ascending variables
+        lits[i * k:(i + 1) * k] equals parity, laid out by `_xor_layout`
+        with its auxiliaries numbered from firsts[i] on; the caller has
+        allocated them.  One selection over the columns, each a pool
+        position across all the XORs, picks every XOR's clauses, which
+        are emitted XOR by XOR."""
+        aux, select = _xor_layout(k, parity)
         pool = []
-        for col in (*columns, *(list(map(add, firsts, repeat(a))) for a in range(aux))):
+        for col in (*(lits[j::k] for j in range(k)),
+                    *(list(map(add, firsts, repeat(a))) for a in range(aux))):
             pool += col, list(map(operator.neg, col))
         pool.append([0] * len(firsts))
         self.lits += chain.from_iterable(zip(*select(pool)))

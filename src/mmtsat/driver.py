@@ -2,18 +2,29 @@
 
 Enumerates every orbit-count combination up to a rank bound and takes
 them in that order (hardest first) on one thread: each combo is encoded
-and its CNF written there, then its solver starts as a subprocess, and
-the next combo is encoded while up to `workers` solvers run.  One
-selector watches the solvers' pidfds and enforces each one's timeout.
+and its CNF written there before the loop waits for anything.  A combo
+decided without a solver is recorded at once; one that needs a solver
+waits for a slot, so when a slot frees, the next combo's CNF is already
+written, and its solver then starts as a subprocess while up to
+`workers` solvers run.  A combo's `seconds` are its encode and its
+solver run, without its wait for a slot.  One selector watches the
+solvers' pidfds and enforces each one's timeout.
 The checkpoint is written when the campaign starts, at once when a
 combo is `sat`, after any other completion only if
 CHECKPOINT_INTERVAL_S has passed since the last write, and at the end
 if a status changed since then; so a killed campaign resumes where it
 stopped, re-running at most the combos of the last interval.  A combo
 of rank 0, or one that `span.refute` rules out, is recorded `unsat`
-without a solver run.  The encoder gives a refuted combo the empty
-clause alone; its CNF is still written, and its `detail` is the
-encoder's comment saying why.
+without a solver run.  The encoder gives a refuted combo a four-line
+CNF, the empty clause over no variable; it is still written, and the
+combo's `detail` is the encoder's comment saying why.
+A resumed campaign re-checks what its checkpoint claims before it runs
+anything: a `sat` record's decomposition and .sym files must load, be
+of this combo, verify, and be group-symmetric and canonical, and an
+`unsat` record decided without a solver must be decided so again, with
+the same detail; a record that fails is a ValueError naming the combo,
+like a checkpoint of another campaign.  A solver's `unsat`, `timeout`
+and `error` records are trusted as they stand.
 A solver run ends when the solver exits (watched through a pidfd, so
 Linux >= 5.3), at its deadline, or when it is stopped; `_stop` then
 kills its process group, so nothing it started outlives it, reaps it
@@ -32,7 +43,8 @@ one that fails verification, the symmetry check or the canonical check
 raises EncoderSoundnessError, because then the encoding itself is
 wrong.  After the first `sat`, a raise or an interrupt, no
 combo is encoded, and each running solver is stopped and its combo
-left `pending`, before the last checkpoint write.  Should the campaign
+left `pending`, as is an encoded combo still waiting for a slot, before
+the last checkpoint write.  Should the campaign
 die first, even by SIGKILL, `_guard` kills the solvers' process groups.
 One rule, applied as a campaign ends however it ends, decides which
 CNF files stay: a `pending` combo keeps none, and in a work dir the
@@ -60,11 +72,11 @@ from time import monotonic
 from typing import IO
 
 from .boolexpr import Clauses, write_bytes
-from .canonical import check_canonical, dump_symmetric
+from .canonical import check_canonical, dump_symmetric, load_symmetric
 from .encoder import DecodeError, decode, empty_clause_comment, encode
 from .span import refute
 from .symmetry import GroupId, check_n, is_group_symmetric, orbit_kinds, total_rank
-from .tensor import dump_decomposition, json_fields, json_typed, verify
+from .tensor import dump_decomposition, json_fields, json_typed, load_decomposition, verify
 
 
 class EncoderSoundnessError(AssertionError):
@@ -367,21 +379,66 @@ def _stem(group: GroupId, spec: ComboSpec, work_dir: str) -> str:
     return os.path.join(work_dir, f"{group.value}-{spec.label()}")
 
 
-def _prepare(group: GroupId, n: int, run: _Run) -> None:
-    """Encode run's combo and write its CNF to run.stem + ".cnf", keeping
-    its literals and varmap on run for _finish; a combo decided `unsat`
-    here is answered ("unsat", detail) and needs no solver."""
-    spec = run.spec
+def _decided(group: GroupId, n: int, spec: ComboSpec) -> str | None:
+    """The detail of a combo decided `unsat` without a solver, or None."""
     if spec.total_rank() == 0:
         # The empty decomposition cannot equal a nonzero tensor.
-        run.answer = ("unsat", "rank 0: empty decomposition, no solver run")
-        return
-    cnf, run.varmap = encode(group, n, spec.counts_dict())
-    cnf.write(run.stem + ".cnf")
-    run.lits = cnf.lits
-    refutation = refute(group, n, spec.counts_dict())  # cached: encode decided it
-    if refutation is not None:
-        run.answer = ("unsat", empty_clause_comment(refutation) + ", no solver run")
+        return "rank 0: empty decomposition, no solver run"
+    refutation = refute(group, n, spec.counts_dict())  # cached: encode asks it too
+    return None if refutation is None else empty_clause_comment(refutation) + ", no solver run"
+
+
+def _prepare(group: GroupId, n: int, run: _Run) -> None:
+    """Encode run's combo and write its CNF to run.stem + ".cnf", keeping
+    its literals and varmap on run for _finish (rank 0 has no CNF); a
+    combo decided `unsat` here is answered ("unsat", detail) and needs no
+    solver."""
+    detail = _decided(group, n, run.spec)
+    if run.spec.total_rank():
+        cnf, run.varmap = encode(group, n, run.spec.counts_dict())
+        cnf.write(run.stem + ".cnf")
+        run.lits = cnf.lits
+    if detail is not None:
+        run.answer = ("unsat", detail)
+
+
+def _problems(group: GroupId, d, sd) -> list[str]:
+    """What is wrong with a found decomposition d, whose symmetric form
+    is sd: every check it fails, in order."""
+    problems = []
+    if not verify(d):
+        problems.append("decoded decomposition does not evaluate to the target")
+    if not is_group_symmetric(d, group):
+        problems.append("decoded decomposition is not group symmetric")
+    violations = check_canonical(sd)
+    if violations:
+        problems.append(f"canonical-form violations: {violations}")
+    return problems
+
+
+def _recheck(group: GroupId, n: int, spec: ComboSpec, rec: dict) -> None:
+    """ValueError naming spec's combo unless its resumed record holds: a
+    `sat` record's files load, are this combo's and pass every check of
+    a found decomposition, and an `unsat` record decided without a
+    solver (a non-empty detail) is decided so again, with that detail."""
+    state, detail = rec["state"], rec["detail"]
+    problem = ""
+    if state == "unsat" and detail and detail != _decided(group, n, spec):
+        problem = "this combo is not decided without a solver as its detail says"
+    elif state == "sat":
+        try:
+            d, sd = load_decomposition(detail), load_symmetric(detail + ".sym")
+        except (OSError, ValueError) as exc:
+            problem = f"cannot load its decomposition: {exc}"
+        else:
+            if (sd.group, sd.n, sd.counts()) != (group, n, spec.counts_dict()):
+                problem = "its decomposition is of another combo"
+            elif d != sd.expand():
+                problem = "its decomposition and its .sym file differ"
+            else:
+                problem = "; ".join(_problems(group, d, sd))
+    if problem:
+        raise ValueError(f"checkpoint combo {spec.label()}: {state} record: {problem}")
 
 
 def _finish(group: GroupId, n: int, run: _Run) -> tuple[str, str]:
@@ -402,14 +459,7 @@ def _finish(group: GroupId, n: int, run: _Run) -> tuple[str, str]:
     for i, clause in enumerate(Clauses(run.lits), 1):
         if true.isdisjoint(clause):
             return "error", f"model falsifies CNF clause {i}: {' '.join(map(str, clause))} 0"
-    problems = []
-    if not verify(d):
-        problems.append("decoded decomposition does not evaluate to the target")
-    if not is_group_symmetric(d, group):
-        problems.append("decoded decomposition is not group symmetric")
-    violations = check_canonical(sd)
-    if violations:
-        problems.append(f"canonical-form violations: {violations}")
+    problems = _problems(group, d, sd)
     if problems:
         raise EncoderSoundnessError(f"combo {run.spec.label()}: " + "; ".join(problems))
     dump_decomposition(d, run.stem + ".json")
@@ -435,7 +485,8 @@ def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
 @dataclass(eq=False)
 class _Run:
     """One combo, from the start of its encode until it is recorded, or
-    the one solver of run_solver."""
+    the one solver of run_solver.  `started` moves on by the combo's
+    wait for a slot, so a record's seconds leave the wait out."""
     spec: ComboSpec
     stem: str
     started: float
@@ -494,6 +545,7 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
         for spec in specs:
             rec = by_counts.get(json.dumps(spec.counts_dict(), sort_keys=True))
             if rec and rec["state"] != "pending":
+                _recheck(group, n, spec, rec)
                 statuses[spec] = ComboStatus(spec, rec["state"], rec["seconds"],
                                              rec["solver"], rec["detail"])
 
@@ -537,13 +589,17 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
         _save(now=True)
         try:
             for spec in pending:
-                while len(sel.get_map()) >= workers and not found:
-                    _settle(block=True)
                 if found:
                     break
                 run = _Run(spec, _stem(group, spec, work_dir), monotonic())
                 _prepare(group, n, run)
-                if run.answer is None:
+                if run.answer is None:  # it needs a solver: wait for a slot
+                    ready = monotonic()
+                    while len(sel.get_map()) >= workers and not found:
+                        _settle(block=True)
+                    if found:  # it stays pending, and so keeps no CNF
+                        break
+                    run.started += monotonic() - ready
                     _launch(run, sel, solver_cmd, run.stem + ".cnf", timeout)
                 if run.answer is not None:  # decided, or its solver failed to run
                     _record(run)

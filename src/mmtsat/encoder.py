@@ -55,12 +55,14 @@ at every entry, gives per set of present kinds the entries where a
 count-1 kind's lone product is the only one (its solo entries, see
 `_stamp_equations`), cached in `_support`.
 
-Before any of this, `encode` asks `span.refute`, which holds the rules,
-whether the combo's orbit kinds or counts alone rule it out.  A refuted
-combo has no model, and `encode` then builds no gate and gives it the
-empty clause alone over its primaries, with a comment saying why.  Every
-other combo is compiled as above, and the rules add no clause to it.
-`encode` returns its builder, which is the CNF instance.
+Before any of this, once the counts are checked, `encode` asks
+`span.refute`, which holds the rules, whether the combo's orbit kinds or
+counts alone rule it out.  A refuted combo has no model, and `encode`
+then builds no orbit, no gate and no legend: its CNF is four lines, the
+header comment, a comment saying why, `p cnf 0 1` and the empty clause,
+and its varmap is empty, so both say it has no variable.  Every other
+combo is compiled as above, and the rules add no clause to it; `encode`
+returns its builder, which is the CNF instance.
 """
 
 from __future__ import annotations
@@ -181,8 +183,6 @@ def build_symbolic_orbits(group: GroupId, n: int, combo: dict[str, int]):
 
     for kind in orbit_kinds(group):
         count = combo.get(kind.tag, 0)
-        if count < 0:
-            raise ValueError("orbit counts must be nonnegative")
         reps[kind.tag] = []
         for idx in range(count):
             rep = []
@@ -352,8 +352,12 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> No
     numbers them all.  Clauses come in another order: each
     representative's block as one copy, then the chains, a batch per
     (number of literals, parity) and entry by entry within it.  Each
-    copy appends its XOR literals to their entries' lists as it is
-    stamped, and each list is sorted when its batch is asserted.
+    copy appends its XOR literals to one flat list of ints as it is
+    stamped, each literal l of entry i as i * scale + l, where scale
+    exceeds every variable; one sort then gives every entry's literals in
+    ascending order, and each batch is asserted from one flat list.  So
+    an encode allocates no list per entry: at n=3, 729 live lists would
+    cross CPython's gen-0 collection threshold on every encode.
     """
     # (block, count), in variable order
     kinds = [(_block(group, n, tag, solo if count == 1 else frozenset()), count)
@@ -371,7 +375,8 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> No
     width = len(runs)
     heads = list(accumulate(chain.from_iterable(zip(*runs)), initial=builder.num_vars + 1))
     builder.num_vars = heads.pop() - 1
-    xors: list[list[int]] = [[] for _ in range(size)]  # each entry's XOR literals
+    scale = builder.num_vars + 1
+    keys: list[int] = []  # entry * scale + literal, for every entry's XOR literals
     primary = 1
     for x, (block, count) in enumerate(kinds):
         gates = [0] * (2 * size)
@@ -381,14 +386,14 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> No
                *chain.from_iterable(map(range, gates, map(add, gates, block.new_vars)))]
         primary += count * block.primaries
         rename = _selector(block.lits)
+        offsets = [i * scale for i in block.entries]
         ren = [0, *run, *map(neg, reversed(run))]
         for j in range(count):
             if j:  # each copy's runs follow the previous copy's
                 ren = list(map(add, ren, block.steps))
             builder.share_xor((tuple(map(ren.__getitem__, odd)), ren[v])
                               for odd, v in block.xor_gates)
-            for i, l in zip(block.entries, map(ren.__getitem__, block.survivors)):
-                xors[i].append(l)
+            keys += map(add, offsets, map(ren.__getitem__, block.survivors))
             builder.lits += rename(ren)
     auxes = heads[width - 1::width]
     # An entry with no XOR literal is solo, or its XOR of nothing is 0
@@ -396,10 +401,12 @@ def _stamp_equations(builder: CnfBuilder, group: GroupId, n: int, present) -> No
     # keeps its entries in order.
     batch_of = list(zip(xor_lits, bits)).__getitem__
     kept = sorted(filter(xor_lits.__getitem__, range(size)), key=batch_of)
-    for (_, parity), batch in groupby(kept, batch_of):
+    keys.sort()
+    starts = list(accumulate(xor_lits, initial=0))  # where each entry's literals begin
+    for (k, parity), batch in groupby(kept, batch_of):
         batch = list(batch)
-        builder.assert_xors([sorted(xors[i]) for i in batch], parity,
-                            [auxes[i] for i in batch])
+        builder.assert_xors([key % scale for i in batch for key in keys[starts[i]:starts[i] + k]],
+                            k, parity, [auxes[i] for i in batch])
 
 
 def empty_clause_comment(refutation: Refutation) -> str:
@@ -413,27 +420,26 @@ def encode(group: GroupId, n: int, combo: dict[str, int]) -> tuple[CnfInstance, 
     decompositions of <n,n,n> with the given orbit counts.
 
     A combo that `span.refute` rules out has no model.  It is decided
-    before any gate is built, and its CNF is the empty clause over its
-    primaries, with a comment saying why.
+    before any orbit is built: its CNF is the header comment, a comment
+    saying why, and the empty clause over no variable, and its varmap is
+    empty.
     """
     check_n(group, n)
     rank = total_rank(group, combo)
     if rank < 1:
         raise ValueError("total rank must be at least 1")
-    reps, varmap = build_symbolic_orbits(group, n, combo)
-    builder = CnfBuilder(varmap.aux_start - 1)
     # Every kind of the group, zeros included: one combo, one header.
     counts = sorted((kind.tag, combo.get(kind.tag, 0)) for kind in orbit_kinds(group))
-    builder.comments = [f"mmtsat group={group.value} n={n} "
-                        f"combo={','.join(f'{k}={v}' for k, v in counts)} rank={rank}"]
-    builder.comments.extend(f"var {e.var} = {e.orbit}[{e.index}].{e.mat}[{e.row}][{e.col}]"
-                            for e in varmap.primary)
-    builder.comments.append(f"aux vars start at {varmap.aux_start}")
+    header = (f"mmtsat group={group.value} n={n} "
+              f"combo={','.join(f'{k}={v}' for k, v in counts)} rank={rank}")
     refutation = refute(group, n, combo)
     if refutation is not None:
-        builder.add_clause(())
-        builder.comments.append(empty_clause_comment(refutation))
-        return builder, varmap
+        return CnfInstance(0, [()], [header, empty_clause_comment(refutation)]), VarMap()
+    reps, varmap = build_symbolic_orbits(group, n, combo)
+    builder = CnfBuilder(varmap.aux_start - 1)
+    builder.comments = [header, *(f"var {e.var} = {e.orbit}[{e.index}].{e.mat}[{e.row}][{e.col}]"
+                                  for e in varmap.primary),
+                        f"aux vars start at {varmap.aux_start}"]
     tags = tuple(kind.tag for kind in orbit_kinds(group) if combo.get(kind.tag, 0) > 0)
     _stamp_equations(builder, group, n, [(tag, combo[tag], solo) for tag, solo
                                          in zip(tags, _support(group, n, tags))])

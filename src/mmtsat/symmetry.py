@@ -190,7 +190,10 @@ def kind_by_tag(group: GroupId, tag: str) -> OrbitKind:
 
 
 def total_rank(group: GroupId, combo: dict[str, int]) -> int:
-    """Rank of the expanded decomposition as a linear form in orbit counts."""
+    """Rank of the expanded decomposition as a linear form in orbit counts;
+    ValueError for a negative count."""
+    if any(c < 0 for c in combo.values()):
+        raise ValueError("orbit counts must be nonnegative")
     return sum(kind_by_tag(group, tag).weight * c for tag, c in combo.items())
 
 

@@ -403,7 +403,7 @@ def test_batched_xors_equal_one_assert_xor_each():
             one.assert_xor(row, parity)
             each.append(Counter(Clauses(one.lits[start:])))
         batch = CnfBuilder(one.num_vars)
-        batch.assert_xors(rows, parity, firsts)
+        batch.assert_xors([l for row in rows for l in row], k, parity, firsts)
         clauses = list(batch.clauses)
         per = len(clauses) // len(rows)
         assert len(clauses) == per * len(rows) == len(one.clauses), (k, parity, count)

@@ -1,6 +1,8 @@
+import dataclasses
 import errno
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from contextlib import suppress
 import pytest
 
 import mmtsat.driver as driver
+from mmtsat.canonical import dump_symmetric, load_symmetric
 from mmtsat.cli import EXIT_UNDETERMINED, main
 from mmtsat.driver import (
     ComboSpec,
@@ -25,9 +28,10 @@ from mmtsat.driver import (
     solve_combo,
     write_checkpoint,
 )
-from mmtsat.encoder import build_symbolic_orbits
+from mmtsat.gf2 import Gf2Matrix
 from mmtsat.span import certificate, refute
 from mmtsat.symmetry import GroupId, orbit_kinds
+from mmtsat.tensor import dump_decomposition, load_decomposition
 
 from conftest import (
     SOLVER_CMD,
@@ -184,8 +188,9 @@ def test_combos_decided_by_span_certificates_are_one_empty_clause_and_run_no_sol
     # the id kind, or have it with neither sw nor full, so their orbit
     # tensors cannot span the target.  Each is recorded unsat with the
     # CNF's comment naming the certificate's entries as its detail, its
-    # CNF file is the empty clause over its primaries, and the solver,
-    # which logs every file it is given, runs only on id=1,full=1.
+    # CNF file is four lines (the header, that comment, and the empty
+    # clause over no variable), and the solver, which logs every file it
+    # is given, runs only on id=1,full=1.
     log = tmp_path / "solver.log"
     solver = fake_solver(tmp_path, f'echo "$1" >> {log}; echo "s UNSATISFIABLE"\n')
     work = tmp_path / "work"
@@ -198,13 +203,15 @@ def test_combos_decided_by_span_certificates_are_one_empty_clause_and_run_no_sol
         if st.spec.total_rank() == 0:
             continue
         cnf = work / f"cyc-sw-{st.spec.label()}.cnf"
-        _, varmap = build_symbolic_orbits(GroupId.CYCLIC_SANDWICH, 3, st.spec.counts_dict())
+        counts = ",".join(f"{k}={v}" for k, v in sorted(st.spec.counts))
         text = cnf.read_text()
         assert st.state == "unsat"
         if st.detail.startswith("empty clause: "):
             decided += 1
-            assert text.endswith(f"c {st.detail.removesuffix(', no solver run')}\n"
-                                 f"p cnf {len(varmap.primary)} 1\n0\n")
+            assert text == (f"c mmtsat group=cyc-sw n=3 combo={counts} "
+                            f"rank={st.spec.total_rank()}\n"
+                            f"c {st.detail.removesuffix(', no solver run')}\n"
+                            "p cnf 0 1\n0\n")
             assert str(cnf) not in solved
         else:
             assert st.detail == "" and str(cnf) in solved
@@ -404,19 +411,101 @@ def test_campaign_resume_runs_nothing(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("no combo should be encoded on resume")
 
+    # A checkpoint that already holds a sat runs nothing, even with
+    # pending combos left.
+    found = _found_checkpoint(tmp_path)
     monkeypatch.setattr(driver, "_prepare", boom)
     report = run_campaign(GroupId.CYCLIC, 2, 3, unsat, checkpoint_path=str(ckpt))
     assert report.verdict() == "ruled_out"
-    # A checkpoint that already holds a sat runs nothing, even with
-    # pending combos left.
-    data = load_checkpoint(ckpt)
-    data["combos"][0].update(state="sat", detail="found.json")
-    data["combos"][1].update(state="pending")
-    ckpt.write_text(json.dumps(data))
-    report = run_campaign(GroupId.CYCLIC, 2, 3, unsat, checkpoint_path=str(ckpt))
+    report = run_campaign(GroupId.CYCLIC, 2, 7, unsat, checkpoint_path=str(found))
     assert report.verdict() == "found"
-    assert report.decomposition_path == "found.json"
-    assert report.statuses[1].state == "pending"
+    assert report.decomposition_path == str(tmp_path / "work" / "cyc-id=2,delta=1.json")
+    assert "pending" in {st.state for st in report.statuses}
+
+
+def _found_checkpoint(tmp_path):
+    """The checkpoint of a cyc n=2 campaign up to rank 7 with one worker,
+    whose solver answers id=2,delta=1 with Strassen's model and every
+    other combo UNSAT: it stops at that sat with combos left pending."""
+    model = tmp_path / "model.txt"
+    model.write_text(f"s SATISFIABLE\nv {' '.join(map(str, strassen_literals()))} 0\n")
+    solver = fake_solver(tmp_path, f"""case "$1" in
+*/cyc-id=2,delta=1.cnf) cat {model} ;;
+*) echo "s UNSATISFIABLE" ;;
+esac
+""")
+    ckpt = tmp_path / "found-ckpt.json"
+    report = run_campaign(GroupId.CYCLIC, 2, 7, solver, checkpoint_path=str(ckpt),
+                          work_dir=str(tmp_path / "work"))
+    assert report.verdict() == "found" and "pending" in {st.state for st in report.statuses}
+    return ckpt
+
+
+def _forge(ckpt, counts: dict, **fields) -> None:
+    data = load_checkpoint(ckpt)
+    (rec,) = [rec for rec in data["combos"] if rec["counts"] == counts]
+    rec.update(fields)
+    ckpt.write_text(json.dumps(data))
+
+
+def test_resume_rejects_a_sat_record_without_its_files(tmp_path, capsys):
+    # A forged sat whose decomposition file does not exist: the resume
+    # names the combo and exits 1 instead of reporting a decomposition.
+    ckpt = _found_checkpoint(tmp_path)
+    _forge(ckpt, {"id": 1, "delta": 4}, state="sat", detail="/nonexistent.json")
+    rc = main(["search", "--group", "cyc", "--n", "2", "--max-rank", "7",
+               "--solver", "true {cnf}", "--checkpoint", str(ckpt)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and "decomposition found" not in out
+    assert err.startswith("error: checkpoint combo id=1,delta=4: sat record: "
+                          "cannot load its decomposition: ")
+    assert "/nonexistent.json" in err
+
+
+def _not_the_target(tmp_path, found: str) -> str:
+    """Strassen's found pair with its delta orbit changed: the same
+    counts, symmetric and canonical, but not a decomposition of <2,2,2>."""
+    sd = load_symmetric(found + ".sym")
+    sd = dataclasses.replace(sd, orbits={**sd.orbits, "delta": ((Gf2Matrix.parse("11;01"),),)})
+    path = str(tmp_path / "wrong.json")
+    dump_decomposition(sd.expand(), path)
+    dump_symmetric(sd, path + ".sym")
+    return path
+
+
+@pytest.mark.parametrize("case", ["another combo's file", "fails verify", "differs from .sym",
+                                  "forged rule detail", "altered rule detail"])
+def test_resume_rejects_a_record_that_does_not_hold(case, tmp_path, monkeypatch):
+    # Each forged record of a found campaign's checkpoint is rejected
+    # before anything runs, as a ValueError naming its combo and reason.
+    ckpt = _found_checkpoint(tmp_path)
+    found = str(tmp_path / "work" / "cyc-id=2,delta=1.json")
+    data = {json.dumps(rec["counts"], sort_keys=True): rec
+            for rec in load_checkpoint(ckpt)["combos"]}
+    decided = data[json.dumps({"delta": 7, "id": 0})]["detail"]
+    label, forged, reason = {
+        "another combo's file": ("id=1,delta=4", {"state": "sat", "detail": found},
+                                 "sat record: its decomposition is of another combo"),
+        "fails verify": ("id=2,delta=1", {"detail": _not_the_target(tmp_path, found)},
+                         "sat record: decoded decomposition does not evaluate to the target"),
+        "differs from .sym": ("id=2,delta=1", None,
+                              "sat record: its decomposition and its .sym file differ"),
+        "forged rule detail": ("id=1,delta=4", {"detail": decided},
+                               "unsat record: this combo is not decided without a solver "
+                               "as its detail says"),
+        "altered rule detail": ("id=0,delta=7", {"detail": decided.replace("(0, 1)", "(1, 1)")},
+                                "unsat record: this combo is not decided without a solver "
+                                "as its detail says"),
+    }[case]
+    if forged is None:  # the .json of another decomposition, its .sym kept
+        dump_decomposition(load_decomposition(_not_the_target(tmp_path, found)), found)
+    else:
+        counts = {k: int(v) for k, v in (item.split("=") for item in label.split(","))}
+        assert forged["detail"] != data[json.dumps(counts, sort_keys=True)]["detail"]
+        _forge(ckpt, counts, **forged)
+    monkeypatch.setattr(driver, "_prepare", lambda *args: pytest.fail("a combo was encoded"))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'checkpoint combo {label}: {reason}')}$"):
+        run_campaign(GroupId.CYCLIC, 2, 7, "true {cnf}", checkpoint_path=str(ckpt))
 
 
 def test_campaign_checkpoint_holds_every_recorded_combo(tmp_path, monkeypatch):
@@ -466,10 +555,13 @@ def test_campaign_checkpoint_holds_every_recorded_combo(tmp_path, monkeypatch):
 
 class _FakeClock:
     """driver.monotonic for campaigns of one worker in which encoding a
-    combo advances it by that combo's step, and every combo reaches its
-    solver.  With one worker, a combo is encoded only once the one before
-    it is recorded, so every completion is handled alone, in order, at
-    the time its encode ended."""
+    combo advances it by that combo's step, every combo reaches its
+    solver, and the loop sees a solver end only when it waits for one,
+    which advances it by `solve`.  With one worker, the next combo is
+    encoded while a combo's solver runs, and then waits for its slot: so
+    every completion is handled alone, in order, once the next combo's
+    encode has ended and `solve` has passed, and the last one once the
+    loop ends."""
 
     def __init__(self):
         self.now = 0.0
@@ -477,16 +569,24 @@ class _FakeClock:
     def __call__(self):
         return self.now
 
-    def install(self, monkeypatch, steps, sat=None):
+    def install(self, monkeypatch, steps, sat=None, solve=0.0):
         def prepare(group, n, run):
             self.now += steps[run.spec]
+
+        def ended(sel, timeout, block):
+            if not block:
+                return []
+            self.now += solve
+            return original_ended(sel, timeout, block)
 
         def finish(group, n, run):
             assert run.answer == ("unsat", None)
             return ("sat", run.stem + ".json") if run.spec == sat else ("unsat", "")
 
+        original_ended = driver._ended
         monkeypatch.setattr(driver, "_prepare", prepare)
         monkeypatch.setattr(driver, "_finish", finish)
+        monkeypatch.setattr(driver, "_ended", ended)
 
 
 def test_campaign_checkpoint_writes_follow_the_clock(tmp_path, monkeypatch):
@@ -508,9 +608,11 @@ def test_campaign_checkpoint_writes_follow_the_clock(tmp_path, monkeypatch):
     monkeypatch.setattr(driver, "monotonic", clock)
     monkeypatch.setattr(driver, "write_checkpoint", write)
     unsat = fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
+    original_ended = driver._ended
 
     def campaign(steps, ckpt, sat=None):
         writes.clear()
+        monkeypatch.setattr(driver, "_ended", original_ended)
         clock.install(monkeypatch, dict(zip(specs, steps)), sat)
         return run_campaign(GroupId.CYCLIC, 2, 4, unsat, workers=1,
                             checkpoint_path=str(tmp_path / ckpt),
@@ -519,9 +621,10 @@ def test_campaign_checkpoint_writes_follow_the_clock(tmp_path, monkeypatch):
     # All seven finish within 1 s of the first write: written at the end.
     assert campaign([0.1] * 7, "a.json").verdict() == "ruled_out"
     assert writes == ["ppppppp", "uuuuuuu"]
-    # The second finishes 1 s after the first write and is written at once
-    # with the first; the other five follow within 1 s of it.
-    assert campaign([0.5, 0.5] + [0.1] * 5, "b.json").verdict() == "ruled_out"
+    # The second finishes 1 s after the first write, once the third is
+    # encoded, and is written at once with the first; the other five
+    # follow within 1 s of it.
+    assert campaign([0.5, 0.25, 0.25] + [0.125] * 4, "b.json").verdict() == "ruled_out"
     assert writes == ["ppppppp", "uuppppp", "uuuuuuu"]
     # A sat is written at once.  It stops the solvers still running, whose
     # combos stay pending (see test_campaign_sat_short_circuit_with_two_workers),
@@ -529,8 +632,59 @@ def test_campaign_checkpoint_writes_follow_the_clock(tmp_path, monkeypatch):
     # does a resume of the finished campaign.
     assert campaign([0.1] * 7, "c.json", sat=specs[2]).verdict() == "found"
     assert writes == ["ppppppp", "uuspppp"]
+    # (This sat has no decomposition files for the resume to re-check.)
+    monkeypatch.setattr(driver, "_recheck", lambda *args: None)
     assert campaign([0.1] * 7, "c.json").verdict() == "found"
     assert writes == ["uuspppp"]
+
+
+def test_a_combo_records_its_encode_and_solver_time_without_its_wait(tmp_path, monkeypatch):
+    # One worker, each solver 0.5 s: a combo is encoded while the one
+    # before it solves, and then waits 0.5 s for the slot.  Its seconds
+    # are its encode and its own solver run (through the next combo's
+    # encode and 0.5 s more), never that wait.
+    specs = enumerate_combos(GroupId.CYCLIC, 4)
+    steps = [0.125 * (i + 1) for i in range(len(specs))]
+    clock = _FakeClock()
+    monkeypatch.setattr(driver, "monotonic", clock)
+    clock.install(monkeypatch, dict(zip(specs, steps)), solve=0.5)
+    report = run_campaign(GroupId.CYCLIC, 2, 4, fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n'),
+                          workers=1, work_dir=str(tmp_path / "work"))
+    assert report.verdict() == "ruled_out"
+    assert [st.seconds for st in report.statuses] == \
+        [step + after + 0.5 for step, after in zip(steps, steps[1:] + [0.0])]
+
+
+def test_a_combo_is_encoded_before_it_waits_for_a_slot(tmp_path, monkeypatch):
+    # cyc n=2 up to rank 6 with one worker: id=1,delta=3 is the first
+    # combo to reach the solver, then the decided id=2,delta=0 and
+    # id=0,delta=5, then id=1,delta=2.  The first solver exits only once
+    # id=1,delta=2's CNF exists, copying the checkpoint (written after
+    # every record here) as it does: both decided combos are recorded by
+    # then, and the second solver combo's CNF is written while the first
+    # solver runs.
+    monkeypatch.setattr(driver, "CHECKPOINT_INTERVAL_S", 0.0)
+    ckpt, work, snap = tmp_path / "ckpt.json", tmp_path / "work", tmp_path / "snap.json"
+    solver = fake_solver(tmp_path, f"""case "$1" in
+*/cyc-id=1,delta=3.cnf)
+  i=0
+  while [ ! -e {work}/cyc-id=1,delta=2.cnf ] && [ $i -lt 1000 ]; do sleep 0.01; i=$((i + 1)); done
+  cp {ckpt} {snap} ;;
+esac
+echo "s UNSATISFIABLE"
+""")
+    report = run_campaign(GroupId.CYCLIC, 2, 6, solver, workers=1,
+                          checkpoint_path=str(ckpt), work_dir=str(work))
+    assert report.verdict() == "ruled_out"
+    states = {json.dumps(c["counts"], sort_keys=True): (c["state"], c["detail"])
+              for c in load_checkpoint(snap)["combos"]}
+    assert states[json.dumps({"delta": 3, "id": 1})] == ("pending", "")
+    for counts in ({"delta": 0, "id": 2}, {"delta": 5, "id": 0}):
+        state, detail = states[json.dumps(counts, sort_keys=True)]
+        assert (state, detail.endswith("no solver run")) == ("unsat", True)
+    assert states[json.dumps({"delta": 2, "id": 1})] == ("pending", "")
+    # The first solver did not wait out its 10 s for that CNF.
+    assert report.statuses[1].seconds < 5
 
 
 def _alive(pid: int) -> bool:
@@ -945,8 +1099,9 @@ def test_campaign_stops_queued_combos_after_a_combo_raises(workers, tmp_path,
         run_campaign(GroupId.CYCLIC, 2, 7, solver, workers=workers,
                      checkpoint_path=str(tmp_path / "ckpt.json"),
                      work_dir=str(tmp_path / "work"))
-    # Only combos already running when the first one raised were encoded.
-    assert 1 <= len(calls) <= workers
+    # Only combos already running when the first one raised were encoded,
+    # and the one encoded while they ran, which waited for a slot.
+    assert 1 <= len(calls) <= workers + 1
     assert set(calls) == set(enumerate_combos(GroupId.CYCLIC, 7)[:len(calls)])
     states = {c["state"] for c in load_checkpoint(tmp_path / "ckpt.json")["combos"]}
     assert states == {"pending"}

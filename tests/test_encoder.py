@@ -166,10 +166,27 @@ def test_encode_is_deterministic():
 
 
 def test_comment_legend_names_primary_variables():
-    cnf, varmap = encode(GroupId.CYCLIC, 2, {"delta": 1})
+    # id=1,delta=1 is not refuted, so its CNF has primaries to name.
+    cnf, varmap = encode(GroupId.CYCLIC, 2, {"id": 1, "delta": 1})
     text = cnf.to_dimacs()
-    assert "c var 1 = delta[0].D[0][0]" in text
+    assert "c var 1 = id[0].A[0][0]" in text
+    assert "c var 16 = delta[0].D[1][1]" in text
     assert f"c aux vars start at {varmap.aux_start}" in text
+
+
+def test_a_refuted_combo_builds_no_orbit(monkeypatch):
+    # The refutation comes first: a refuted combo's encode never builds
+    # symbolic orbits, while a live combo's does.
+    import mmtsat.encoder as encoder
+
+    def boom(*args):
+        raise AssertionError("build_symbolic_orbits called")
+
+    monkeypatch.setattr(encoder, "build_symbolic_orbits", boom)
+    cnf, varmap = encode(GroupId.CYCLIC, 2, {"delta": 1})
+    assert (cnf.num_vars, varmap.primary) == (0, [])
+    with pytest.raises(AssertionError, match="build_symbolic_orbits called"):
+        encode(GroupId.CYCLIC, 2, {"id": 1, "delta": 1})
 
 
 def test_header_spells_every_kind_of_the_group():
@@ -208,13 +225,13 @@ def test_decode_round_trip_through_primary_variables():
 
 
 def test_decode_requires_all_primaries():
-    _, varmap = encode(GroupId.CYCLIC, 2, {"delta": 1})
+    _, varmap = encode(GroupId.CYCLIC, 2, {"id": 1, "delta": 1})
     with pytest.raises(DecodeError):
         decode({}, varmap, GroupId.CYCLIC, 2)
 
 
 def test_decode_rejects_a_varmap_of_another_layout():
-    _, varmap = encode(GroupId.CYCLIC_TRANSPOSE, 2, {"t": 1})
+    _, varmap = encode(GroupId.CYCLIC_TRANSPOSE, 2, {"t": 1, "delta": 1, "full": 1})
     model = {e.var: True for e in varmap.primary}
     with pytest.raises(DecodeError, match="layout"):
         decode(model, varmap, GroupId.CYCLIC, 2)
@@ -552,8 +569,9 @@ def test_stamping_combos_cover_solo_entries_and_shared_gates():
 
 
 def _assert_lone_empty_clause(cnf, varmap, group, n, combo):
-    """The CNF of a combo that `span.refute` rules out: the empty clause
-    over the primaries, after a comment giving the refutation's detail.
+    """The CNF of a combo that `span.refute` rules out: four lines, the
+    header, a comment giving the refutation's detail, and the empty
+    clause over no variable, with an empty varmap.
     A span certificate's entries are kept entries, and the XOR of the
     combo's own tensor equations there, as polynomials in its primaries,
     is 0 = 1; `tests/test_span.py` re-derives each count certificate."""
@@ -570,9 +588,10 @@ def _assert_lone_empty_clause(cnf, varmap, group, n, combo):
         assert reduce(frozenset.symmetric_difference,
                       (_equation_anf(triplets, target, entry) for entry in phi)) == {0}
     assert list(cnf.clauses) == [()]
-    assert cnf.num_vars == len(varmap.primary) == varmap.aux_start - 1
-    assert cnf.comments[-1] == "empty clause: " + refutation.detail
-    assert cnf.to_dimacs().endswith(f"p cnf {cnf.num_vars} 1\n0\n")
+    assert cnf.num_vars == len(varmap.primary) == 0
+    header, *rest = cnf.to_dimacs().splitlines()
+    assert header.startswith(f"c mmtsat group={group.value} n={n} combo=")
+    assert rest == ["c empty clause: " + refutation.detail, "p cnf 0 1", "0"]
 
 
 @pytest.mark.parametrize("group,combo", _STAMPING_COMBOS,
