@@ -471,7 +471,8 @@ def solve_combo(group: GroupId, n: int, spec: ComboSpec, solver_cmd: str,
                 timeout: float | None, work_dir: str) -> ComboStatus:
     """Check n, make work_dir if it is missing, and take one combo through
     a campaign's steps: _prepare, the solver unless that decided it, and
-    _finish."""
+    _finish.  Its paths are absolute, as in a campaign."""
+    work_dir = os.path.abspath(work_dir)
     run = _Run(spec, _stem(group, spec, work_dir), monotonic())
     check_n(group, n)  # before the work dir is made
     os.makedirs(work_dir, exist_ok=True)
@@ -550,10 +551,10 @@ def run_campaign(group: GroupId, n: int, max_rank: int, solver_cmd: str,
                                              rec["solver"], rec["detail"])
 
     own_work_dir = work_dir is None
-    if own_work_dir:
-        work_dir = tempfile.mkdtemp(prefix="mmtsat-")
-    else:
-        os.makedirs(work_dir, exist_ok=True)
+    # Every path the campaign records is absolute, so that a resume from
+    # another directory finds a found pair.
+    work_dir = os.path.abspath(tempfile.mkdtemp(prefix="mmtsat-") if own_work_dir else work_dir)
+    os.makedirs(work_dir, exist_ok=True)
 
     changed = True  # a status differs from the checkpoint file
     written_at = 0.0

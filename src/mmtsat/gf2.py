@@ -96,9 +96,6 @@ class Gf2Matrix:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def __str__(self) -> str:
-        return self.format()
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Gf2Matrix") -> "Gf2Matrix":
@@ -136,16 +133,6 @@ class Gf2Matrix:
         if any(1 << i not in rows for i in range(n)):
             return None
         return Gf2Matrix(n, n, sum((rows[1 << i] >> n) << (i * n) for i in range(n)))
-
-
-def conjugate(m: Gf2Matrix, f: Gf2Matrix) -> Gf2Matrix:
-    """f * m * f^{-1}; raises on singular f."""
-    if m.rows != m.cols or (f.rows, f.cols) != (m.rows, m.cols):
-        raise ShapeError("conjugation needs square matrices of equal size")
-    f_inv = f.inverse()
-    if f_inv is None:
-        raise ShapeError("conjugating matrix is singular")
-    return f * m * f_inv
 
 
 @lru_cache

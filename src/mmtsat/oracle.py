@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import Gf2Matrix, conjugate
-from .symmetry import F_SANDWICH, GroupId
+from .gf2 import Gf2Matrix
+from .symmetry import GroupId
 from .tensor import Triplet, mm_tensor, outer
 
 
@@ -98,8 +98,10 @@ def _orbit_tensor(triplets: list[Triplet]) -> int:
     return acc
 
 
-def _fc(mat: Gf2Matrix) -> Gf2Matrix:
-    return conjugate(mat, F_SANDWICH)
+# The kinds the oracle searches, per group: its own table, not the
+# symmetry module's, and the groups brute_symmetric_feasible answers.
+_KINDS = {GroupId.CYCLIC: ("id", "delta"),
+          GroupId.CYCLIC_TRANSPOSE: ("id", "t", "delta", "full")}
 
 
 def _id_candidates(group: GroupId, n: int):
@@ -109,29 +111,16 @@ def _id_candidates(group: GroupId, n: int):
     for a in mats:
         for b in mats:
             for c in mats:
-                if group is GroupId.TRIVIAL:
-                    orbit = [(a, b, c)]
-                elif group is GroupId.CYCLIC:
-                    orbit = [(a, b, c), (b, c, a), (c, a, b)]
-                elif group is GroupId.CYCLIC_TRANSPOSE:
+                orbit = [(a, b, c), (b, c, a), (c, a, b)]
+                if group is GroupId.CYCLIC_TRANSPOSE:
                     at, bt, ct = a.transpose(), b.transpose(), c.transpose()
-                    orbit = [(a, b, c), (b, c, a), (c, a, b),
-                             (ct, bt, at), (bt, at, ct), (at, ct, bt)]
-                else:
-                    af, bf, cf = _fc(a), _fc(b), _fc(c)
-                    orbit = [(a, b, c), (b, c, a), (c, a, b),
-                             (af, bf, cf), (bf, cf, af), (cf, af, bf)]
+                    orbit += [(ct, bt, at), (bt, at, ct), (at, ct, bt)]
                 keys = [x.flat_bits() + y.flat_bits() + z.flat_bits()
                         for (x, y, z) in orbit]
-                if group is not GroupId.TRIVIAL and any(keys[0] >= kk for kk in keys[1:]):
-                    continue
-                if group is GroupId.TRIVIAL and (a.is_zero() and b.is_zero() and c.is_zero()):
+                if any(keys[0] >= kk for kk in keys[1:]):
                     continue
                 tensor = _orbit_tensor([Triplet(*t) for t in orbit])
-                key = keys[0][:2 * n * n]  # the (A,B) merge key
-                if group is GroupId.TRIVIAL:
-                    key = keys[0]
-                out.append(((a, b, c), key, tensor))
+                out.append(((a, b, c), keys[0][:2 * n * n], tensor))  # the (A,B) merge key
     return out
 
 
@@ -145,18 +134,12 @@ def _kind_candidates(group: GroupId, tag: str, n: int):
         for d in mats:
             if d.is_zero():
                 continue
-            if group is GroupId.CYCLIC:
-                orbit = [(d, d, d)]
-            elif group is GroupId.CYCLIC_TRANSPOSE:
+            orbit = [(d, d, d)]
+            if group is GroupId.CYCLIC_TRANSPOSE:
                 dt = d.transpose()
                 if not d.flat_bits() < dt.flat_bits():
                     continue
-                orbit = [(d, d, d), (dt, dt, dt)]
-            else:
-                df = _fc(d)
-                if not d.flat_bits() < df.flat_bits():
-                    continue
-                orbit = [(d, d, d), (df, df, df)]
+                orbit.append((dt, dt, dt))
             out.append(((d,), d.flat_bits(),
                         _orbit_tensor([Triplet(*t) for t in orbit])))
     elif tag == "t":
@@ -170,30 +153,12 @@ def _kind_candidates(group: GroupId, tag: str, n: int):
                 orbit = [(s, h, ht), (h, ht, s), (ht, s, h)]
                 out.append(((s, h), h.flat_bits(),
                             _orbit_tensor([Triplet(*t) for t in orbit])))
-    elif tag == "sw":
-        comm = [m for m in mats if _fc(m).bits == m.bits]
-        for x in comm:
-            for y in comm:
-                for z in comm:
-                    rots = [(x, y, z), (y, z, x), (z, x, y)]
-                    keys = [a.flat_bits() + b.flat_bits() + c.flat_bits()
-                            for (a, b, c) in rots]
-                    if any(keys[0] >= kk for kk in keys[1:]):
-                        continue
-                    out.append(((x, y, z), keys[0][:2 * n * n],
-                                _orbit_tensor([Triplet(*t) for t in rots])))
-    elif tag == "full":
+    else:  # full, of cyc-t only
         for z in mats:
-            if z.is_zero():
-                continue
-            if group is GroupId.CYCLIC_TRANSPOSE and z.bits != z.transpose().bits:
-                continue
-            if group is GroupId.CYCLIC_SANDWICH and _fc(z).bits != z.bits:
+            if z.is_zero() or z.bits != z.transpose().bits:
                 continue
             out.append(((z,), z.flat_bits(),
                         _orbit_tensor([Triplet(z, z, z)])))
-    else:
-        raise ValueError(f"unknown orbit kind {tag!r}")
     return out
 
 
@@ -203,10 +168,16 @@ def brute_symmetric_feasible(group: GroupId, n: int,
 
     Enumerates strictly key-increasing representative tuples kind by
     kind; the last kind is resolved by hash lookup on the needed
-    residual tensor instead of a full scan.
+    residual tensor instead of a full scan.  ValueError, before any
+    enumeration, for a group or n it does not cover, or a kind that
+    _KINDS does not list for the group.
     """
-    if n != 2:
-        raise ValueError("symmetric brute force is limited to n = 2")
+    if n != 2 or group not in _KINDS:
+        raise ValueError(f"symmetric brute force covers {' and '.join(g.value for g in _KINDS)} "
+                         f"at n = 2, not {group.value} at n = {n}")
+    other = sorted(set(combo) - set(_KINDS[group]))
+    if other:
+        raise ValueError(f"group {group.value} has no orbit kind {other[0]!r}")
     kind_order = [tag for tag, cnt in sorted(combo.items()) if cnt > 0]
     target = mm_tensor(n, n, n).bits
     if not kind_order:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
-from .gf2 import Gf2Matrix, conjugate
+from .gf2 import Gf2Matrix
 from .tensor import MAX_TENSOR_DIM, Decomposition, Triplet
 
 
@@ -53,8 +53,8 @@ class ConstraintError(ValueError):
 
 
 def f_conjugate(m: Gf2Matrix) -> Gf2Matrix:
-    """F * m * F^{-1}, the image op of CYCLIC_SANDWICH."""
-    return conjugate(m, F_SANDWICH)
+    """F * m * F^{-1}, the image op of CYCLIC_SANDWICH, where F^{-1} = F."""
+    return F_SANDWICH * m * F_SANDWICH
 
 
 # One matrix of a triplet: (role index, whether the image op is applied).

@@ -123,10 +123,6 @@ def verify(d: Decomposition) -> bool:
 # -- JSON interchange --------------------------------------------------------
 
 
-def _matrix_to_json(m: Gf2Matrix) -> list[list[int]]:
-    return m.to_rows()
-
-
 def json_typed(value, kind: type, what: str):
     """value, or ValueError if it is not a JSON object (kind dict) or
     array (kind list)."""
@@ -164,7 +160,7 @@ def decomposition_to_json(d: Decomposition) -> dict:
     return {
         "n": d.n, "k": d.k, "m": d.m,
         "triplets": [
-            {"A": _matrix_to_json(t.a), "B": _matrix_to_json(t.b), "C": _matrix_to_json(t.c)}
+            {"A": t.a.to_rows(), "B": t.b.to_rows(), "C": t.c.to_rows()}
             for t in d.triplets
         ],
     }

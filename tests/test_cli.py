@@ -6,7 +6,7 @@ from mmtsat.cli import main
 from mmtsat.driver import ComboStatus, checkpoint_to_json, enumerate_combos
 from mmtsat.span import refute
 from mmtsat.symmetry import GroupId
-from mmtsat.tensor import dump_decomposition, load_decomposition, verify
+from mmtsat.tensor import Decomposition, dump_decomposition, load_decomposition, verify
 
 from conftest import SOLVER_CMD, fake_solver, requires_solver, strassen_literals
 
@@ -60,7 +60,12 @@ def _first_record(data, **fields):
     (lambda data: _first_record(data, state="bogus"), "checkpoint combo 0: unknown state 'bogus'"),
     (lambda data: _first_record(data, seconds=True),
      "checkpoint combo 0: seconds True is not a number"),
-], ids=["array", "combos string", "no seconds", "bogus state", "bool seconds"])
+    (lambda data: _first_record(data, solver=1),
+     "checkpoint combo 0: solver and detail must be strings"),
+    (lambda data: _first_record(data, detail=["x.json"]),
+     "checkpoint combo 0: solver and detail must be strings"),
+], ids=["array", "combos string", "no seconds", "bogus state", "bool seconds",
+        "int solver", "list detail"])
 def test_search_rejects_a_malformed_checkpoint(spoil, message, tmp_path, capsys):
     specs = enumerate_combos(GroupId.CYCLIC, 2)
     statuses = [ComboStatus(spec, "unsat", 0.5, "true {cnf}") for spec in specs]
@@ -186,13 +191,14 @@ def test_encode_writes_dimacs_with_its_legend(tmp_path, capsys):
 
 
 def test_encode_byte_identical_across_runs(tmp_path, capsys):
+    # An empty combo entry, as after a trailing comma, is skipped.
     paths = []
-    for tag in ("a", "b"):
+    for tag, combo in (("a", "t=1,full=1"), ("b", "t=1,full=1"), ("c", "t=1,full=1,")):
         out = tmp_path / f"{tag}.cnf"
         assert main(["encode", "--group", "cyc-t", "--n", "3", "--combo",
-                     "t=1,full=1", "--out", str(out)]) == 0
+                     combo, "--out", str(out)]) == 0
         paths.append(out.read_bytes())
-    assert paths[0] == paths[1]
+    assert paths[0] == paths[1] == paths[2]
     capsys.readouterr()
 
 
@@ -206,6 +212,17 @@ def test_verify_command(strassen, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"valid": True, "rank": 7, "n": 2, "k": 2, "m": 2,
                        "symmetric": True}
+    # One triplet listed twice cancels, so the rank-9 list is valid, but
+    # the cyc rotation does not keep its multiset.
+    path = tmp_path / "nine.json"
+    dump_decomposition(Decomposition(2, 2, 2, strassen.triplets + strassen.triplets[1:2] * 2),
+                       path)
+    assert main(["verify", str(path), "--group", "cyc"]) == 1
+    assert capsys.readouterr().out == ("valid rank-9 decomposition of <2,2,2>, "
+                                       "but NOT cyc-symmetric\n")
+    assert main(["verify", str(path), "--group", "cyc", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"valid": True, "rank": 9, "n": 2, "k": 2,
+                                                   "m": 2, "symmetric": False}
 
 
 def test_verify_rejects_broken_file(strassen, tmp_path, capsys):
@@ -246,6 +263,7 @@ _TRIPLET = {"A": _ROWS, "B": _ROWS, "C": _ROWS}
                       "orbits": {"delta": [["10000;01000;00100;00010;00001"]]}}),
     ("canonicalize", {"group": "cyc-sw", "n": -4, "orbits": {}}),
     ("canonicalize", {"group": "cyc-sw", "n": 2, "orbits": {}}),
+    ("verify", {"n": 2, "k": 2, "m": 2, "triplets": [dict(_TRIPLET, A=[])]}),
 ])
 def test_malformed_json_is_an_error_not_a_crash(command, obj, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -270,6 +288,9 @@ def test_canonicalize_command(tmp_path, capsys):
     # The duplicated id orbits cancel; only the delta orbit remains.
     assert canon["orbits"]["id"] == []
     assert canon["orbits"]["delta"] == [["10;01"]]
+    # Without --out the canonical form is printed, its keys sorted.
+    assert main(["canonicalize", str(src)]) == 0
+    assert capsys.readouterr().out == json.dumps(canon, sort_keys=True) + "\n"
 
 
 def test_brute_command(capsys):

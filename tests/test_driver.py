@@ -81,8 +81,9 @@ def test_parse_solver_output_cases():
     assert parse_solver_output("s UNSATISFIABLE\n") == ("unsat", None)
     state, diag = parse_solver_output("")
     assert state == "unknown" and "no status" in diag
-    state, diag = parse_solver_output("s SATISFIABLE\ns UNSATISFIABLE\n")
-    assert state == "unknown" and "contradictory" in diag
+    for text in ("s SATISFIABLE\ns UNSATISFIABLE\n", "s UNSATISFIABLE\ns SATISFIABLE\n"):
+        assert parse_solver_output(text) == (
+            "unknown", "unparsable solver output: contradictory status lines")
     state, diag = parse_solver_output("s SATISFIABLE\nv 1 x 0\n")
     assert state == "unknown" and "'x'" in diag
     state, diag = parse_solver_output("c gave up\ns UNKNOWN\n")
@@ -106,8 +107,14 @@ def test_checkpoint_round_trip_byte_identity(tmp_path):
     assert loaded == checkpoint_to_json(GroupId.CYCLIC, 2, 4, statuses)
     write_checkpoint(path, GroupId.CYCLIC, 2, 4, statuses)
     assert path.read_bytes() == first
-    # No stray temp files left behind by the atomic write.
+    # No stray temp files left behind by the atomic write, nor by one that
+    # fails: the rename over a directory fails after <path>.tmp is written.
     assert os.listdir(tmp_path) == ["ckpt.json"]
+    path = tmp_path / "dir"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_checkpoint(path, GroupId.CYCLIC, 2, 4, statuses)
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.json", "dir"] and os.listdir(path) == []
 
 
 def test_checkpoint_is_the_canonical_json_after_every_change(tmp_path):
@@ -319,11 +326,14 @@ def test_solve_combo_complete_wrong_model_raises(tmp_path, monkeypatch):
     model = tmp_path / "model.txt"
     model.write_text(f"s SATISFIABLE\nv {' '.join(map(str, strassen_literals()))} 0\n")
     solver = fake_solver(tmp_path, f"cat {model}\n")
-    monkeypatch.setattr(driver, "verify", lambda d: False)
     spec = ComboSpec(GroupId.CYCLIC, (("id", 2), ("delta", 1)))
-    with pytest.raises(EncoderSoundnessError, match="^combo id=2,delta=1: decoded decomposition "
-                                                    "does not evaluate to the target$"):
-        solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
+    for check, problem in (("verify", "does not evaluate to the target"),
+                           ("is_group_symmetric", "is not group symmetric")):
+        with monkeypatch.context() as patch:
+            patch.setattr(driver, check, lambda *args: False)
+            with pytest.raises(EncoderSoundnessError,
+                               match=f"^combo id=2,delta=1: decoded decomposition {problem}$"):
+                solve_combo(GroupId.CYCLIC, 2, spec, solver, None, str(tmp_path))
 
 
 # One reply for the cyc n=2 combo id=1,delta=4, the first combo of a
@@ -423,20 +433,24 @@ def test_campaign_resume_runs_nothing(tmp_path, monkeypatch):
     assert "pending" in {st.state for st in report.statuses}
 
 
-def _found_checkpoint(tmp_path):
-    """The checkpoint of a cyc n=2 campaign up to rank 7 with one worker,
-    whose solver answers id=2,delta=1 with Strassen's model and every
-    other combo UNSAT: it stops at that sat with combos left pending."""
+def _strassen_solver(tmp_path) -> str:
+    """A solver that answers the cyc n=2 combo id=2,delta=1 with
+    Strassen's model and every other combo UNSAT."""
     model = tmp_path / "model.txt"
     model.write_text(f"s SATISFIABLE\nv {' '.join(map(str, strassen_literals()))} 0\n")
-    solver = fake_solver(tmp_path, f"""case "$1" in
+    return fake_solver(tmp_path, f"""case "$1" in
 */cyc-id=2,delta=1.cnf) cat {model} ;;
 *) echo "s UNSATISFIABLE" ;;
 esac
 """)
+
+
+def _found_checkpoint(tmp_path):
+    """The checkpoint of a cyc n=2 campaign up to rank 7 with one worker
+    and _strassen_solver: it stops at that sat with combos left pending."""
     ckpt = tmp_path / "found-ckpt.json"
-    report = run_campaign(GroupId.CYCLIC, 2, 7, solver, checkpoint_path=str(ckpt),
-                          work_dir=str(tmp_path / "work"))
+    report = run_campaign(GroupId.CYCLIC, 2, 7, _strassen_solver(tmp_path),
+                          checkpoint_path=str(ckpt), work_dir=str(tmp_path / "work"))
     assert report.verdict() == "found" and "pending" in {st.state for st in report.statuses}
     return ckpt
 
@@ -462,19 +476,39 @@ def test_resume_rejects_a_sat_record_without_its_files(tmp_path, capsys):
     assert "/nonexistent.json" in err
 
 
-def _not_the_target(tmp_path, found: str) -> str:
-    """Strassen's found pair with its delta orbit changed: the same
-    counts, symmetric and canonical, but not a decomposition of <2,2,2>."""
+def test_a_found_campaign_resumes_from_another_directory(tmp_path, monkeypatch, capsys):
+    # A campaign run with relative paths records its found pair by an
+    # absolute path, so a resume from a sibling directory, naming the same
+    # checkpoint and work dir by other relative paths, finds it again.
+    args = ["search", "--group", "cyc", "--n", "2", "--max-rank", "7",
+            "--solver", _strassen_solver(tmp_path), "--json"]
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    assert main([*args, "--checkpoint", "ck.json", "--work-dir", "out"]) == 10
+    first = json.loads(capsys.readouterr().out)
+    monkeypatch.chdir(tmp_path / "b")
+    monkeypatch.setattr(driver, "_prepare", lambda *args: pytest.fail("a combo was encoded"))
+    assert main([*args, "--checkpoint", "../a/ck.json", "--work-dir", "../a/out"]) == 10
+    resumed = json.loads(capsys.readouterr().out)
+    assert resumed["decomposition"] == first["decomposition"] == \
+        str(tmp_path / "a" / "out" / "cyc-id=2,delta=1.json")
+    assert resumed["combos"] == first["combos"]
+
+
+def _forged_pair(tmp_path, found: str, name: str, tag: str, reps) -> str:
+    """Strassen's found pair with its `tag` representatives replaced by
+    reps, written as <name>.json, the expansion of its <name>.json.sym."""
     sd = load_symmetric(found + ".sym")
-    sd = dataclasses.replace(sd, orbits={**sd.orbits, "delta": ((Gf2Matrix.parse("11;01"),),)})
-    path = str(tmp_path / "wrong.json")
+    sd = dataclasses.replace(sd, orbits={**sd.orbits, tag: reps})
+    path = str(tmp_path / f"{name}.json")
     dump_decomposition(sd.expand(), path)
     dump_symmetric(sd, path + ".sym")
     return path
 
 
 @pytest.mark.parametrize("case", ["another combo's file", "fails verify", "differs from .sym",
-                                  "forged rule detail", "altered rule detail"])
+                                  "not canonical", "forged rule detail", "altered rule detail"])
 def test_resume_rejects_a_record_that_does_not_hold(case, tmp_path, monkeypatch):
     # Each forged record of a found campaign's checkpoint is rejected
     # before anything runs, as a ValueError naming its combo and reason.
@@ -483,13 +517,21 @@ def test_resume_rejects_a_record_that_does_not_hold(case, tmp_path, monkeypatch)
     data = {json.dumps(rec["counts"], sort_keys=True): rec
             for rec in load_checkpoint(ckpt)["combos"]}
     decided = data[json.dumps({"delta": 7, "id": 0})]["detail"]
+    # The same counts and symmetric, but not a decomposition of <2,2,2>.
+    wrong = _forged_pair(tmp_path, found, "wrong", "delta", ((Gf2Matrix.parse("11;01"),),))
+    # The same triplets, its id representatives out of their order.
+    swapped = _forged_pair(tmp_path, found, "swapped", "id",
+                           load_symmetric(found + ".sym").orbits["id"][::-1])
     label, forged, reason = {
         "another combo's file": ("id=1,delta=4", {"state": "sat", "detail": found},
                                  "sat record: its decomposition is of another combo"),
-        "fails verify": ("id=2,delta=1", {"detail": _not_the_target(tmp_path, found)},
+        "fails verify": ("id=2,delta=1", {"detail": wrong},
                          "sat record: decoded decomposition does not evaluate to the target"),
         "differs from .sym": ("id=2,delta=1", None,
                               "sat record: its decomposition and its .sym file differ"),
+        "not canonical": ("id=2,delta=1", {"detail": swapped},
+                          "sat record: canonical-form violations: "
+                          "['id[0]: AB key not strictly lex increasing']"),
         "forged rule detail": ("id=1,delta=4", {"detail": decided},
                                "unsat record: this combo is not decided without a solver "
                                "as its detail says"),
@@ -498,7 +540,7 @@ def test_resume_rejects_a_record_that_does_not_hold(case, tmp_path, monkeypatch)
                                 "as its detail says"),
     }[case]
     if forged is None:  # the .json of another decomposition, its .sym kept
-        dump_decomposition(load_decomposition(_not_the_target(tmp_path, found)), found)
+        dump_decomposition(load_decomposition(wrong), found)
     else:
         counts = {k: int(v) for k, v in (item.split("=") for item in label.split(","))}
         assert forged["detail"] != data[json.dumps(counts, sort_keys=True)]["detail"]

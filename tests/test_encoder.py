@@ -430,36 +430,6 @@ def test_degenerate_t_orbit_conflicts():
         assert propagate(cnf.clauses, _model_from_symmetric(sd, varmap)) == canonical
 
 
-def _clause_lines(text):
-    """The clause lines of a DIMACS text, after its comments and header."""
-    lines = text.splitlines(keepends=True)
-    return lines[next(i for i, line in enumerate(lines) if line.startswith("p cnf ")) + 1:]
-
-
-# SHA-256 of the DIMACS text and of its clause lines sorted, one combo per
-# group.  A deliberate change to the CNF updates these pins; one that only
-# reorders clauses keeps the clause-set digest.
-@pytest.mark.parametrize("group,n,combo,digest,clause_set", [
-    (GroupId.TRIVIAL, 2, {"id": 7},
-     "988ace6015e263f8dc99dba4d5f3b7df11fdd2f4fb0c83e54efb9c43fb16d403",
-     "c0bd5f399aeb59cec1cdbeb09c821cc8d830d42473d88757dd81e15ca27c06ad"),
-    (GroupId.CYCLIC, 2, {"id": 2, "delta": 1},
-     "f5c907b7159bb032e5685e441b24b23d99ca5c8827774196be2c74163ae46121",
-     "6223ebaeb67e1edad0be732d1ba3dbf6903dcb15b973015fdff17ed30291dd15"),
-    # t=2: a count certificate refutes t=1 beside id and full.
-    (GroupId.CYCLIC_TRANSPOSE, 3, {"id": 1, "t": 2, "delta": 1, "full": 1},
-     "94a9c7f2f9a15f272410a0305adec55c55f1778173900638cf2c8c2d6a514f59",
-     "abb68fe6c40f5a37cbf2cf93c4a19c7c818f3000b4bc443fbfa126852282eb6a"),
-    (GroupId.CYCLIC_SANDWICH, 3, {"id": 1, "sw": 1, "delta": 1, "full": 1},
-     "43bfca5bb1a2216991ed62aa5fe33bc8d14eb507531cee8baebb6b5c7eda19b8",
-     "2a977ee55367c56bf532e847dc0676f54259b75c9686e64a957a400e3edfcc3a"),
-], ids=["none", "cyc", "cyc-t", "cyc-sw"])
-def test_cnf_pinned(group, n, combo, digest, clause_set):
-    text = encode(group, n, combo)[0].to_dimacs()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
-    assert hashlib.sha256("".join(sorted(_clause_lines(text))).encode()).hexdigest() == clause_set
-
-
 @pytest.mark.parametrize("group,n,combo", [
     (GroupId.CYCLIC, 2, {"id": 2, "delta": 1}),
     (GroupId.TRIVIAL, 2, {"id": 7}),

@@ -73,5 +73,17 @@ def test_t_candidates_are_the_canonical_lone_representatives():
 
 
 def test_symmetric_feasibility_guard():
+    # The oracle answers cyc and cyc-t at n = 2 only, and only for the
+    # kinds it has a candidate loop of for the group.
     with pytest.raises(ValueError):
         brute_symmetric_feasible(GroupId.CYCLIC, 3, {"delta": 1})
+    for group, n in ((GroupId.CYCLIC_SANDWICH, 2), (GroupId.CYCLIC_SANDWICH, 3),
+                     (GroupId.TRIVIAL, 2)):
+        with pytest.raises(ValueError, match=f"^symmetric brute force covers cyc and cyc-t "
+                                             f"at n = 2, not {group.value} at n = {n}$"):
+            brute_symmetric_feasible(group, n, {"id": 1})
+    for combo, tag in (({"id": 2, "full": 1}, "full"), ({"t": 1}, "t"), ({"t": 0}, "t")):
+        with pytest.raises(ValueError, match=f"^group cyc has no orbit kind '{tag}'$"):
+            brute_symmetric_feasible(GroupId.CYCLIC, 2, combo)
+    with pytest.raises(ValueError, match="^group cyc-t has no orbit kind 'sw'$"):
+        brute_symmetric_feasible(GroupId.CYCLIC_TRANSPOSE, 2, {"sw": 1})
