@@ -97,15 +97,14 @@ def _merge(kind: OrbitKind, reps: list[Rep]) -> list[Rep]:
     """Representatives sharing a chain key add their one free role (each
     triplet is linear in it), or cancel in pairs when the chain covers
     every role; zero sums vanish.  Sorted by chain key."""
-    rest = [r for r in range(kind.arity) if r not in kind.chain]
+    f = kind.linear
     groups: dict[Rep, list[Rep]] = {}
     for rep in reps:
         groups.setdefault(tuple(rep[r] for r in kind.chain), []).append(rep)
     out = []
     for same in groups.values():
         rep = same[0]
-        if rest:
-            (f,) = rest
+        if f is not None:
             total = rep[f]
             for other in same[1:]:
                 total = total + other[f]

@@ -111,41 +111,44 @@ def build_parser() -> argparse.ArgumentParser:
     solving.add_argument("--config", help="JSON config file with a \"solver\" key")
     solving.add_argument("--timeout", type=_positive_seconds, help="per-combo timeout in seconds")
 
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--group", required=True)
+    problem.add_argument("--n", type=_int_at_least(1), required=True)
+
     parser = argparse.ArgumentParser(prog="mmtsat")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", parents=[common],
+    p = sub.add_parser("encode", parents=[common, problem],
                        help="write a DIMACS instance for one combo")
-    p.add_argument("--group", required=True)
-    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--combo", required=True, help="e.g. id=2,delta=1")
     p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("solve-one", parents=[solving],
+    p = sub.add_parser("solve-one", parents=[solving, problem],
                        help="encode and solve a single combo")
-    p.add_argument("--group", required=True)
-    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--combo", required=True)
     p.add_argument("--work-dir", default=".")
+    p.set_defaults(func=_cmd_solve_one)
 
-    p = sub.add_parser("search", parents=[solving],
+    p = sub.add_parser("search", parents=[solving, problem],
                        help="campaign over all combos up to a rank")
-    p.add_argument("--group", required=True)
-    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--max-rank", type=_int_at_least(0), required=True)
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--checkpoint")
     p.add_argument("--work-dir")
+    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify", parents=[common],
                        help="check a decomposition JSON file")
     p.add_argument("path")
     p.add_argument("--group", help="also check symmetry under this group")
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("canonicalize", parents=[common],
                        help="normalize a symmetric decomposition")
     p.add_argument("path")
     p.add_argument("--out", help="output path (default: stdout)")
+    p.set_defaults(func=_cmd_canonicalize)
 
     p = sub.add_parser("brute", parents=[common],
                        help="exhaustive minimum-rank search")
@@ -154,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_int_at_least(1), required=True)
     p.add_argument("--max-rank", type=_int_at_least(0), required=True)
     p.add_argument("--nodes", type=_int_at_least(1), help="optional DFS node limit")
+    p.set_defaults(func=_cmd_brute)
 
     return parser
 
@@ -249,21 +253,11 @@ def _cmd_brute(args) -> int:
     return EXIT_FOUND
 
 
-_COMMANDS = {
-    "encode": _cmd_encode,
-    "solve-one": _cmd_solve_one,
-    "search": _cmd_search,
-    "verify": _cmd_verify,
-    "canonicalize": _cmd_canonicalize,
-    "brute": _cmd_brute,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -7,8 +7,11 @@ decided without a solver is recorded at once; one that needs a solver
 waits for a slot, so when a slot frees, the next combo's CNF is already
 written, and its solver then starts as a subprocess while up to
 `workers` solvers run.  A combo's `seconds` are its encode and its
-solver run, without its wait for a slot.  One selector watches the
-solvers' pidfds and enforces each one's timeout.
+solver run, without its wait for a slot; the loop sees a solver's exit
+only between encodes, so a solver that exits while the next combo is
+encoded is seen after that encode, which its `seconds` then include.
+One selector watches the solvers' pidfds and enforces each one's
+timeout.
 The checkpoint is written when the campaign starts, at once when a
 combo is `sat`, after any other completion only if
 CHECKPOINT_INTERVAL_S has passed since the last write, and at the end

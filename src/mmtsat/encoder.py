@@ -85,7 +85,7 @@ from .symmetry import (
     scheme,
     total_rank,
 )
-from .tensor import Decomposition, mm_tensor
+from .tensor import Decomposition, flat_index, mm_tensor
 
 SymMatrix = tuple[tuple[int, ...], ...]
 Cell = tuple[int, int]
@@ -212,12 +212,11 @@ def tensor_equations(group: GroupId, n: int, reps):
     image = _lift(scheme(group).image, n)
     triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
                 for trip in expand(kind, rep, image)]
-    target = mm_tensor(n, n, n)
-    for entry in _equation_entries(group, n)[0]:
+    for entry, bit in zip(_equation_entries(group, n)[0], _target_bits(group, n)):
         (a, b), (c, d), (e, f) = entry
         products = [(ta[a][b], tb[c][d], tc[e][f]) for ta, tb, tc in triplets
                     if ta[a][b] and tb[c][d] and tc[e][f]]
-        yield entry, products, target.get(a, b, c, d, e, f)
+        yield entry, products, bit
 
 
 def nonzero_representatives(builder: CnfBuilder, varmap: VarMap) -> None:
@@ -317,7 +316,8 @@ def _block(group: GroupId, n: int, tag: str, solo: frozenset[int]) -> _Block:
 def _target_bits(group: GroupId, n: int) -> tuple[int, ...]:
     """The target tensor's bit at each kept entry."""
     target = mm_tensor(n, n, n)
-    return tuple(target.get(*sum(entry, ())) for entry in _equation_entries(group, n)[0])
+    return tuple(target >> flat_index(n, n, n, *sum(entry, ())) & 1
+                 for entry in _equation_entries(group, n)[0])
 
 
 @lru_cache

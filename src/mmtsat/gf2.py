@@ -38,10 +38,6 @@ class Gf2Matrix:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "Gf2Matrix":
-        return cls(rows, cols, 0)
-
-    @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":
         bits = 0
         for i in range(n):

@@ -46,8 +46,8 @@ def brute_min_rank(n: int, k: int, m: int, budget: SearchBudget) -> int | None:
     for a in _all_matrices(n, k):
         for b in _all_matrices(k, m):
             for c in _all_matrices(m, n):
-                tensors.append(outer(Triplet(a, b, c)).bits)
-    target = mm_tensor(n, k, m).bits
+                tensors.append(outer(Triplet(a, b, c)))
+    target = mm_tensor(n, k, m)
     max_cover = (n * k) * (k * m) * (m * n)
     # Highest triplet index covering each tensor entry; once the DFS has
     # moved past that index the entry can never be toggled again.
@@ -94,7 +94,7 @@ def brute_min_rank(n: int, k: int, m: int, budget: SearchBudget) -> int | None:
 def _orbit_tensor(triplets: list[Triplet]) -> int:
     acc = 0
     for t in triplets:
-        acc ^= outer(t).bits
+        acc ^= outer(t)
     return acc
 
 
@@ -179,7 +179,7 @@ def brute_symmetric_feasible(group: GroupId, n: int,
     if other:
         raise ValueError(f"group {group.value} has no orbit kind {other[0]!r}")
     kind_order = [tag for tag, cnt in sorted(combo.items()) if cnt > 0]
-    target = mm_tensor(n, n, n).bits
+    target = mm_tensor(n, n, n)
     if not kind_order:
         return target == 0
 

@@ -34,7 +34,7 @@ by `certificate`, else by `count_refutes` on each present kind of at
 most MAX_REP_SPACE representatives.  The encoder, the driver and
 tools/cnf_sizes.py all read its record.
 
-Tensors are ints in Tensor6's flat row-major entry order, and every
+Tensors are ints in `tensor.flat_index`'s entry order, and every
 basis is `gf2.echelon`'s fully reduced form, each row keyed by its
 lowest bit, the only pivot it has a 1 at.  Every orbit tensor and the
 target are invariant under the group, and the lowest bit of a nonzero
@@ -136,7 +136,7 @@ def certificate(group: GroupId, n: int, tags: tuple[str, ...]) -> tuple[Entry, .
     residue, which is 0 at every pivot.
     """
     rows = echelon(row for tag in tags for row in kind_span(group, n, tag))
-    rest = residue(rows, mm_tensor(n, n, n).bits)
+    rest = residue(rows, mm_tensor(n, n, n))
     if not rest:
         return None
     j = rest & -rest
@@ -164,7 +164,7 @@ def _quotient_images(group: GroupId, n: int, tags: tuple[str, ...],
     """
     kind = kind_by_tag(group, tag)
     rows = echelon(row for other in tags if other != tag for row in kind_span(group, n, other))
-    target = mm_tensor(n, n, n).bits
+    target = mm_tensor(n, n, n)
     pivots = echelon(residue(rows, v) for v in (target, *kind_span(group, n, tag)))
     masks = [j | sum(p for p, row in rows.items() if row & j) for j in pivots]
 
@@ -175,7 +175,7 @@ def _quotient_images(group: GroupId, n: int, tags: tuple[str, ...],
         return any(rep) and not (kind.distinct and rep[kind.distinct[0]] == rep[kind.distinct[1]])
 
     bases = _role_bases(group, n, tag)
-    linear = next((r for r in range(kind.arity) if r not in kind.chain), None)
+    linear = kind.linear
     images = set()
     for rep in product(*([0] if r == linear else _points(b) for r, b in enumerate(bases))):
         if len(images) == 1 << len(masks):  # every image: no count is refuted

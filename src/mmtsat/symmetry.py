@@ -90,11 +90,12 @@ class OrbitKind:
     `min_width` matrices of expansion[0] must be strictly lex-below
     those of every other triplet in the expansion (0 = no constraint),
     and the concatenated `chain` roles must strictly increase across
-    adjacent representatives.  At most one role lies outside the chain;
-    every triplet is linear in it, so representatives sharing a chain
-    key merge by adding that role.  The roles in `distinct` (none, or
-    two) must hold different matrices: where they are equal the orbit
-    is degenerate, a smaller orbit of another kind listed more than once.
+    adjacent representatives.  At most one role, `linear`, lies outside
+    the chain; every triplet is linear in it, so representatives sharing
+    a chain key merge by adding that role.  The roles in `distinct`
+    (none, or two) must hold different matrices: where they are equal
+    the orbit is degenerate, a smaller orbit of another kind listed more
+    than once.
     """
     tag: str
     roles: tuple[str, ...]
@@ -111,6 +112,10 @@ class OrbitKind:
     @property
     def weight(self) -> int:
         return len(self.expansion)
+
+    @property
+    def linear(self) -> int | None:
+        return next((r for r in range(self.arity) if r not in self.chain), None)
 
 
 def _kind(generators: tuple[Row, ...], tag: str, first: str, min_width: int,

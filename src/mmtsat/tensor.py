@@ -1,38 +1,26 @@
 """Matrix-multiplication tensors over GF(2) and decomposition checking.
 
 The <n,k,m> tensor is 6-dimensional with shape (n,k,k,m,m,n) and is
-stored as one flat bit field in row-major index order, so whole-tensor
-XOR and equality are single integer operations.
+an int: one flat bit field in the row-major entry order of
+`flat_index`, so whole-tensor XOR and equality are single integer
+operations.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 from .gf2 import Gf2Matrix, ShapeError
 
 MAX_TENSOR_DIM = 4
 
 
-@dataclass(frozen=True)
-class Tensor6:
-    n: int
-    k: int
-    m: int
-    bits: int
-
-    def flat_index(self, a: int, b: int, c: int, d: int, e: int, f: int) -> int:
-        n, k, m = self.n, self.k, self.m
-        return ((((a * k + b) * k + c) * m + d) * m + e) * n + f
-
-    def get(self, a: int, b: int, c: int, d: int, e: int, f: int) -> int:
-        return (self.bits >> self.flat_index(a, b, c, d, e, f)) & 1
-
-    def __xor__(self, other: "Tensor6") -> "Tensor6":
-        if (self.n, self.k, self.m) != (other.n, other.k, other.m):
-            raise ShapeError("tensor shape mismatch")
-        return Tensor6(self.n, self.k, self.m, self.bits ^ other.bits)
+def flat_index(n: int, k: int, m: int, a: int, b: int, c: int, d: int, e: int, f: int) -> int:
+    """The bit of entry (a,b,c,d,e,f) of an <n,k,m> tensor."""
+    return ((((a * k + b) * k + c) * m + d) * m + e) * n + f
 
 
 @dataclass(frozen=True)
@@ -70,17 +58,12 @@ class Decomposition:
         return len(self.triplets)
 
 
-def mm_tensor(n: int, k: int, m: int) -> Tensor6:
+def mm_tensor(n: int, k: int, m: int) -> int:
     """The <n,k,m> matrix-multiplication tensor: entry (i,j,j,l,l,i) = 1."""
     if not (1 <= n <= MAX_TENSOR_DIM and 1 <= k <= MAX_TENSOR_DIM and 1 <= m <= MAX_TENSOR_DIM):
         raise ShapeError(f"dims ({n},{k},{m}) out of range 1..{MAX_TENSOR_DIM}")
-    t = Tensor6(n, k, m, 0)
-    bits = 0
-    for i in range(n):
-        for j in range(k):
-            for l in range(m):
-                bits |= 1 << t.flat_index(i, j, j, l, l, i)
-    return Tensor6(n, k, m, bits)
+    return sum(1 << flat_index(n, k, m, i, j, j, l, l, i)
+               for i in range(n) for j in range(k) for l in range(m))
 
 
 def _spread(x: int, block: int, stride: int) -> int:
@@ -95,29 +78,25 @@ def _spread(x: int, block: int, stride: int) -> int:
 
 def outer_bits(a: int, b: int, c: int, n: int, k: int, m: int) -> int:
     """The bits of A x B x C from the bit fields of an n x k A, a k x m
-    B and an m x n C: entry (a,b,c,d,e,f) sits at bit
+    B and an m x n C: `flat_index` puts entry (a,b,c,d,e,f) at bit
     (a*k+b) * k*m*m*n + (c*m+d) * m*n + e*n+f, so the product is C's
     bits at each set bit of B, and that block at each set bit of A."""
     return _spread(a, _spread(b, c, m * n), k * m * m * n)
 
 
-def outer(t: Triplet) -> Tensor6:
+def outer(t: Triplet) -> int:
     """Outer product A x B x C as a 6-index GF(2) tensor."""
-    n, k, m = t.dims()
-    return Tensor6(n, k, m, outer_bits(t.a.bits, t.b.bits, t.c.bits, n, k, m))
+    return outer_bits(t.a.bits, t.b.bits, t.c.bits, *t.dims())
 
 
-def evaluate(d: Decomposition) -> Tensor6:
+def evaluate(d: Decomposition) -> int:
     """XOR of the outer products of all triplets."""
-    acc = Tensor6(d.n, d.k, d.m, 0)
-    for t in d.triplets:
-        acc = acc ^ outer(t)
-    return acc
+    return reduce(xor, map(outer, d.triplets), 0)
 
 
 def verify(d: Decomposition) -> bool:
     """True iff the decomposition evaluates to the <n,k,m> tensor."""
-    return evaluate(d).bits == mm_tensor(d.n, d.k, d.m).bits
+    return evaluate(d) == mm_tensor(d.n, d.k, d.m)
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -39,7 +39,7 @@ from mmtsat.symmetry import (
     orbit_kinds,
     scheme,
 )
-from mmtsat.tensor import evaluate, mm_tensor, verify
+from mmtsat.tensor import evaluate, flat_index, mm_tensor, verify
 
 from conftest import (
     present_kinds,
@@ -271,14 +271,14 @@ def _monomials(mask):
     return [1 << v for v in range(1, mask.bit_length()) if mask >> v & 1] + [0] * (mask & 1)
 
 
-def _equation_anf(triplets, target, entry):
+def _equation_anf(triplets, target, n, entry):
     """The residual at `entry` in algebraic normal form: the set of
     monomials, each a mask of primaries (0 is the constant 1)."""
     (a, b), (c, d), (e, f) = entry
     terms = Counter(x | y | z for ta, tb, tc in triplets
                     for x in _monomials(ta[a][b]) for y in _monomials(tb[c][d])
                     for z in _monomials(tc[e][f]))
-    terms[0] += target.get(a, b, c, d, e, f)
+    terms[0] += target >> flat_index(n, n, n, a, b, c, d, e, f) & 1
     return frozenset(m for m, k in terms.items() if k % 2)
 
 
@@ -303,7 +303,7 @@ def test_equation_quotient_drops_only_repeated_equations(group, n):
         reps, _ = build_symbolic_orbits(group, n, combo)
         triplets = [trip for kind in orbit_kinds(group) for rep in reps[kind.tag]
                     for trip in expand(kind, rep, image)]
-        anf = {x: _equation_anf(triplets, target, x) for x in _entries(n)}
+        anf = {x: _equation_anf(triplets, target, n, x) for x in _entries(n)}
         for x, fs in zip(_entries(n), basis):
             assert anf[x] == reduce(frozenset.symmetric_difference,
                                     (anf[f] for f in fs), frozenset()), (combo, x)
@@ -329,10 +329,10 @@ def test_residuals_span_exactly_the_kept_entries(group):
     rng = random.Random(sum(map(ord, group.value)) + 11)
     kept, _ = _equation_entries(group, 3)
     target = mm_tensor(3, 3, 3)
-    on_kept = sum(1 << target.flat_index(a, b, c, d, e, f)
+    on_kept = sum(1 << flat_index(3, 3, 3, a, b, c, d, e, f)
                   for (a, b), (c, d), (e, f) in kept)
-    residuals = [evaluate(random_symmetric_decomposition(rng, group, 3).expand()).bits
-                 ^ target.bits for _ in range(2 * len(kept) + 64)]
+    residuals = [evaluate(random_symmetric_decomposition(rng, group, 3).expand())
+                 ^ target for _ in range(2 * len(kept) + 64)]
     assert _gf2_rank(residuals) == len(kept)
     assert _gf2_rank(r & on_kept for r in residuals) == len(kept)
 
@@ -352,13 +352,13 @@ def test_kept_equation_holds_exactly_where_the_residual_is_zero(group):
     for _ in range(8):
         model = {e.var: rng.random() < 0.5 for e in varmap.primary}
         _, d = decode(model, varmap, group, 3)
-        residual = evaluate(d).bits ^ target.bits
+        residual = evaluate(d) ^ target
         for entry, products, bit in equations:
             builder = CnfBuilder(varmap.aux_start - 1)
             lit = cell_literals(builder)
             builder.assert_parity([tuple(map(lit, p)) for p in products], bit)
             conflict = not propagate(builder.clauses, model)
-            assert conflict == bool(residual >> target.flat_index(*sum(entry, ())) & 1)
+            assert conflict == bool(residual >> flat_index(3, 3, 3, *sum(entry, ())) & 1)
             outcomes[conflict] += 1
     assert min(outcomes.values()) >= 100, outcomes
 
@@ -556,7 +556,7 @@ def _assert_lone_empty_clause(cnf, varmap, group, n, combo):
                     for trip in expand(kind, rep, image)]
         target = mm_tensor(n, n, n)
         assert reduce(frozenset.symmetric_difference,
-                      (_equation_anf(triplets, target, entry) for entry in phi)) == {0}
+                      (_equation_anf(triplets, target, n, entry) for entry in phi)) == {0}
     assert list(cnf.clauses) == [()]
     assert cnf.num_vars == len(varmap.primary) == 0
     header, *rest = cnf.to_dimacs().splitlines()

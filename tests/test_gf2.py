@@ -32,9 +32,9 @@ def test_parse_rejects_bad_literals():
 
 def test_shape_limits():
     with pytest.raises(ShapeError):
-        Gf2Matrix.zero(9, 2)
+        Gf2Matrix(9, 2, 0)
     with pytest.raises(ShapeError):
-        Gf2Matrix.zero(0, 2)
+        Gf2Matrix(0, 2, 0)
     with pytest.raises(ValueError):
         Gf2Matrix(2, 2, 1 << 4)
 
@@ -45,7 +45,7 @@ def test_addition_is_xor():
     assert (a + b).format() == "11;00"
     assert (a + a).is_zero()
     with pytest.raises(ShapeError):
-        a + Gf2Matrix.zero(3, 3)
+        a + Gf2Matrix(3, 3, 0)
 
 
 def test_multiplication_example():
@@ -62,7 +62,7 @@ def test_rectangular_multiplication_shapes():
     b = Gf2Matrix.parse("10;01;11")     # 3x2
     assert (a * b).format() == "11;10"
     with pytest.raises(ShapeError):
-        b * Gf2Matrix.zero(2, 2) * b
+        b * Gf2Matrix(2, 2, 0) * b
 
 
 def test_transpose_involution_and_example():

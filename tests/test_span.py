@@ -12,7 +12,7 @@ from mmtsat.gf2 import Gf2Matrix
 from mmtsat.oracle import brute_symmetric_feasible
 from mmtsat.span import Refutation, certificate, count_refutes, kind_span, refute
 from mmtsat.symmetry import GroupId, expand_orbit, kind_by_tag, orbit_kinds, scheme
-from mmtsat.tensor import Decomposition, evaluate, mm_tensor
+from mmtsat.tensor import Decomposition, evaluate, flat_index, mm_tensor
 
 from conftest import present_kinds
 
@@ -58,11 +58,11 @@ def _orbit_tensors(group, n, tag):
     tensors = []
     for weight in (1, 2, 3):
         for point in combinations(coords, weight):
-            rep = [Gf2Matrix.zero(n, n)] * kind.arity
+            rep = [Gf2Matrix(n, n, 0)] * kind.arity
             for role, m in point:
                 rep[role] = rep[role] + m
             orbit = expand_orbit(group, tag, tuple(rep))
-            tensors.append(evaluate(Decomposition(n, n, n, tuple(orbit))).bits)
+            tensors.append(evaluate(Decomposition(n, n, n, tuple(orbit))))
     return tuple(tensors)
 
 
@@ -73,8 +73,8 @@ def _certifies(group, n, tags, phi):
     the point's coordinates, so then phi has even parity on every orbit
     tensor of those kinds."""
     target = mm_tensor(n, n, n)
-    mask = sum(1 << target.flat_index(*sum(entry, ())) for entry in set(phi))
-    return ((target.bits & mask).bit_count() % 2 == 1
+    mask = sum(1 << flat_index(n, n, n, *sum(entry, ())) for entry in set(phi))
+    return ((target & mask).bit_count() % 2 == 1
             and all((t & mask).bit_count() % 2 == 0
                     for tag in tags for t in _orbit_tensors(group, n, tag)))
 
@@ -153,7 +153,7 @@ def _every_orbit_tensor(group, n, tag):
     matrices = [Gf2Matrix(n, n, bits) for bits in range(1 << n * n)]
     spaces = [[m for m in matrices if not fixed or image(m) == m] for fixed in kind.fixed]
     return frozenset(
-        evaluate(Decomposition(n, n, n, tuple(expand_orbit(group, tag, rep)))).bits
+        evaluate(Decomposition(n, n, n, tuple(expand_orbit(group, tag, rep))))
         for rep in product(*spaces)
         if any(not m.is_zero() for m in rep)
         and not (kind.distinct and rep[kind.distinct[0]] == rep[kind.distinct[1]]))
@@ -187,7 +187,7 @@ def _count_refutation_holds(group, n, tags, tag, count):
     tensors, and in how many classes there the tensors of kind tag fall."""
     remainder = _remainder([t for other in tags if other != tag
                             for t in _orbit_tensors(group, n, other)])
-    target = remainder(mm_tensor(n, n, n).bits)
+    target = remainder(mm_tensor(n, n, n))
     classes = {remainder(t) for t in _every_orbit_tensor(group, n, tag)}
     reached = target == 0 or target in classes or (
         count == 2 and any(target ^ x in classes for x in classes))

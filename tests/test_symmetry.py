@@ -70,6 +70,17 @@ def test_orbit_kind_tables():
     assert order(GroupId.CYCLIC_SANDWICH) == [
         ("id", 3, "AB"), ("sw", 3, "XY"), ("delta", 1, "D"), ("full", 0, "U")]
 
+    # The role outside the chain, if any, which every triplet is linear in.
+    def linear(group):
+        return [(k.tag, None if k.linear is None else k.roles[k.linear])
+                for k in orbit_kinds(group)]
+    assert linear(GroupId.TRIVIAL) == [("id", None)]
+    assert linear(GroupId.CYCLIC) == [("id", "C"), ("delta", None)]
+    assert linear(GroupId.CYCLIC_TRANSPOSE) == [
+        ("id", "C"), ("t", "S"), ("delta", None), ("full", None)]
+    assert linear(GroupId.CYCLIC_SANDWICH) == [
+        ("id", "C"), ("sw", "Z"), ("delta", None), ("full", None)]
+
     # Each expansion is derived from the generators; these words are the
     # reference it must reproduce, in order.  A prime applies the group's
     # image op.  The second field lists the roles the image op fixes.
@@ -184,7 +195,7 @@ def test_orbit_tensor_invariance():
                 base = evaluate(Decomposition(3, 3, 3, tuple(triplets)))
                 for g in generators(group, 3):
                     mapped = tuple(g.apply(t) for t in triplets)
-                    assert evaluate(Decomposition(3, 3, 3, mapped)).bits == base.bits
+                    assert evaluate(Decomposition(3, 3, 3, mapped)) == base
 
 
 def test_generators_preserve_validity(strassen):

@@ -12,6 +12,7 @@ from mmtsat.tensor import (
     decomposition_to_json,
     dump_decomposition,
     evaluate,
+    flat_index,
     load_decomposition,
     mm_tensor,
     outer,
@@ -24,12 +25,12 @@ from conftest import random_matrix, random_triplet
 def test_mm_tensor_entries_and_popcount():
     for (n, k, m) in [(1, 1, 1), (2, 2, 2), (2, 1, 3), (3, 3, 3)]:
         t = mm_tensor(n, k, m)
-        assert t.bits.bit_count() == n * k * m
+        assert t.bit_count() == n * k * m
         for i in range(n):
             for j in range(k):
                 for l in range(m):
-                    assert t.get(i, j, j, l, l, i) == 1
-        assert t.get(0, 0, 0, 0, 0, 0) == 1
+                    assert t >> flat_index(n, k, m, i, j, j, l, l, i) & 1
+        assert t >> flat_index(n, k, m, 0, 0, 0, 0, 0, 0) & 1
 
 
 def test_mm_tensor_rejects_large_dims():
@@ -41,7 +42,7 @@ def test_outer_popcount_is_product():
     rng = random.Random(3)
     for _ in range(50):
         t = random_triplet(rng, 3)
-        assert outer(t).bits.bit_count() == \
+        assert outer(t).bit_count() == \
             t.a.bits.bit_count() * t.b.bits.bit_count() * t.c.bits.bit_count()
 
 
@@ -55,13 +56,14 @@ def test_outer_entry_formula():
                 for d in range(2):
                     for e in range(2):
                         for f in range(2):
-                            assert o.get(a, b, c, d, e, f) == \
+                            assert o >> flat_index(2, 2, 2, a, b, c, d, e, f) & 1 == \
                                 t.a.get(a, b) & t.b.get(c, d) & t.c.get(e, f)
 
 
 def test_outer_matches_a_per_cell_reference_on_random_shapes():
     # The bit-field spreads against one bit per triple of set cells,
-    # placed by the row-major index formula, on <n,k,m> shapes up to 4.
+    # placed by the row-major index formula, on <n,k,m> shapes up to 4;
+    # flat_index must give that formula's bit at every entry.
     rng = random.Random(6)
     for _ in range(300):
         n, k, m = (rng.randint(1, 4) for _ in range(3))
@@ -72,16 +74,18 @@ def test_outer_matches_a_per_cell_reference_on_random_shapes():
         for (a, b), (c, d), (e, f) in product(product(range(n), range(k)),
                                               product(range(k), range(m)),
                                               product(range(m), range(n))):
+            bit = ((((a * k + b) * k + c) * m + d) * m + e) * n + f
+            assert flat_index(n, k, m, a, b, c, d, e, f) == bit
             if t.a.get(a, b) and t.b.get(c, d) and t.c.get(e, f):
-                want |= 1 << ((((a * k + b) * k + c) * m + d) * m + e) * n + f
-        assert outer(t).bits == want, (n, k, m)
+                want |= 1 << bit
+        assert outer(t) == want, (n, k, m)
 
 
 def test_evaluate_duplicate_triplets_cancel():
     rng = random.Random(5)
     t = random_triplet(rng, 2)
     d = Decomposition(2, 2, 2, (t, t))
-    assert evaluate(d).bits == 0
+    assert evaluate(d) == 0
 
 
 def test_strassen_mod2_verifies(strassen):
@@ -124,12 +128,12 @@ def test_verify_catches_a_flipped_bit(strassen):
 
 def test_triplet_dims_checked():
     with pytest.raises(ShapeError):
-        Triplet(Gf2Matrix.zero(2, 2), Gf2Matrix.zero(2, 2),
-                Gf2Matrix.zero(2, 3)).dims()
+        Triplet(Gf2Matrix(2, 2, 0), Gf2Matrix(2, 2, 0),
+                Gf2Matrix(2, 3, 0)).dims()
     with pytest.raises(ShapeError):
-        Decomposition(2, 2, 2, (Triplet(Gf2Matrix.zero(2, 3),
-                                        Gf2Matrix.zero(3, 2),
-                                        Gf2Matrix.zero(2, 2)),))
+        Decomposition(2, 2, 2, (Triplet(Gf2Matrix(2, 3, 0),
+                                        Gf2Matrix(3, 2, 0),
+                                        Gf2Matrix(2, 2, 0)),))
 
 
 def test_json_round_trip(strassen, tmp_path):

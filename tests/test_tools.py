@@ -53,3 +53,32 @@ def test_census_counts_combos_holding_the_empty_clause(tmp_path):
     assert ("combos holding the empty clause: cyc-t n=2 r<=9 48 of 59 (span 35, count 13); "
             "cyc n=2 r<=7 9 of 14 (span 7, count 2)") in proc.stderr.splitlines()
     assert list(tmp_path.iterdir()) == [] and committed.read_bytes() == before
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    # Module, class and function docstrings, comments and blank lines are
+    # not code; a string that is no docstring, a multi-line one too, is.
+    (tmp_path / "mod.py").write_text('''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment leaves the line code
+
+# a comment line
+
+
+class K:
+    """Class docstring."""
+
+    def f(self):
+        """Function
+        docstring."""
+        x = """not a docstring,
+        but code"""
+        "an expression after the first statement"
+        return x
+''')
+    (tmp_path / "empty.py").write_text("# nothing but a comment\n")
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["     0  empty.py", "     7  mod.py", "     7  total"]
